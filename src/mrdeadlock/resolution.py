@@ -28,10 +28,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import IntEnum
+from typing import Sequence
 
 import numpy as np
 
-from .cbf import assemble_qp, pair_indices, safety_index_signed
+# assemble_qp and safety_index_signed are the scalar oracles of PairField;
+# they stay bound here because callers (the perfbench span tracer among
+# them) look them up on this module.
+from .cbf import PairField, assemble_qp, pair_indices, safety_index_signed  # noqa: F401
 from .core import (
     GoalSpec,
     Params,
@@ -497,8 +501,10 @@ def _measured_gamma(world: WorldState, center: int, outer: tuple[int, int]) -> t
 # ---------------------------------------------------------------------------
 
 def _enter_phase_two(
-    world: WorldState, goals: GoalSpec, params: Params, config: ResolutionConfig, t: float
+    world: WorldState, goals: GoalSpec, params: Params, config: ResolutionConfig, t: float,
+    h: tuple[float, ...],
 ) -> PhaseState:
+    """Phase-2 entry state; h is the signed safety index of every pair, in pair order."""
     n = world.n
     if n == 2:
         partners = (0, 1)
@@ -506,7 +512,7 @@ def _enter_phase_two(
         beta_raw = goal_bearing(goals, 0, 1)
         beta_ref = theta + wrap_angle(beta_raw - theta)
         pairs = ((0, 1),)
-        h_entry = (safety_index_signed(world.robots[0], world.robots[1], params, 0, 1),)
+        h_entry = (h[0],)
         return PhaseState(
             phase=Phase.TWO, t_enter_phase=t, beta_ref=beta_ref, partners=partners,
             sub_mode="rotate", category="two", pairs=pairs, h_entry=h_entry,
@@ -515,7 +521,7 @@ def _enter_phase_two(
     if n == 3:
         cat = classify_three_robot(world, params, config.classification_tol(params))
         if cat.category == "A":
-            return _enter_rotate_three(world, goals, params, t, category="A")
+            return _enter_rotate_three(world, goals, t, h, category="A")
         if cat.category == "B":
             center = cat.center
             assert center is not None
@@ -524,15 +530,12 @@ def _enter_phase_two(
             a = outer[0]
             rho_a = v_sub(world.robots[a].p, world.robots[center].p)
             psi = math.atan2(rho_a[1], rho_a[0]) + 0.5 * gamma
-            h_entry = tuple(
-                safety_index_signed(world.robots[i], world.robots[center], params, i, center)
-                for i in outer
-            )
+            pairs = tuple((min(i, center), max(i, center)) for i in outer)
+            h_entry = tuple(h[pair_indices(3).index(p)] for p in pairs)
             return PhaseState(
                 phase=Phase.TWO, t_enter_phase=t, beta_ref=None, partners=(0, 1, 2),
                 sub_mode="regularize", category="B", center=center,
-                pairs=tuple((min(i, center), max(i, center)) for i in outer),
-                h_entry=h_entry, t_ref0=t,
+                pairs=pairs, h_entry=h_entry, t_ref0=t,
                 gamma_ref=gamma, gamma_omega=gamma_dot,
                 gamma_goal=math.copysign(math.pi / 3.0, gamma), psi_hold=psi,
             )
@@ -543,24 +546,20 @@ def _enter_phase_two(
 
 
 def _enter_rotate_three(
-    world: WorldState, goals: GoalSpec, params: Params, t: float, category: str,
+    world: WorldState, goals: GoalSpec, t: float, h: tuple[float, ...], category: str,
     prior: PhaseState | None = None,
 ) -> PhaseState:
     theta, omega = _measured_bearing_three(world)
     gc = v_scale(v_add(v_add(goals.pd[0], goals.pd[1]), goals.pd[2]), 1.0 / 3.0)
     beta_raw = math.atan2(goals.pd[0][1] - gc[1], goals.pd[0][0] - gc[0])
     beta_ref = theta + wrap_angle(beta_raw - theta)
-    pairs = pair_indices(3)
-    h_entry = tuple(
-        safety_index_signed(world.robots[i], world.robots[j], params, i, j) for i, j in pairs
-    )
     base = prior if prior is not None else PhaseState()
     return replace(
         base,
         phase=Phase.TWO,
         t_enter_phase=base.t_enter_phase if prior is not None else t,
         beta_ref=beta_ref, partners=(0, 1, 2), sub_mode="rotate", category=category,
-        pairs=pairs, h_entry=h_entry, t_ref0=t, theta_ref=theta, omega_ref=omega,
+        pairs=pair_indices(3), h_entry=h, t_ref0=t, theta_ref=theta, omega_ref=omega,
         newton_warm=(),
     )
 
@@ -573,18 +572,26 @@ def supervisor_step(
     thresholds: DeadlockThresholds,
     dt: float,
     config: ResolutionConfig = ResolutionConfig(),
+    pairs: PairField | None = None,
+    u_hat: Sequence[Vec2] | None = None,
 ) -> tuple[tuple[Vec2, ...], PhaseState, dict]:
     """Advance the supervisor one step: controls for every robot + new state.
 
     The returned info dict carries the per-robot QP solutions in phase 1
-    (for logging) and the phase-2 reference values otherwise.
+    (for logging) and the phase-2 reference values otherwise.  ``pairs``
+    (the pair pass of ``world``) and ``u_hat`` (the PD references) may be
+    passed by a caller that already has them; they are computed otherwise.
     """
     n = world.n
     t = world.t
     info: dict = {"phase": state.phase}
+    if pairs is None:
+        pairs = PairField(world, params)
+    if u_hat is None:
+        u_hat = tuple(pd_control(world.robots[i], goals.pd[i], params) for i in range(n))
 
     if state.phase == Phase.ONE:
-        problems = tuple(assemble_qp(i, world, goals, params) for i in range(n))
+        problems = pairs.problems(u_hat)
         solutions = tuple(solve_qp(p) for p in problems)
         for i, sol in enumerate(solutions):
             if sol.status != "optimal":
@@ -600,16 +607,16 @@ def supervisor_step(
         )
         persist = state.persist_counter + 1 if in_deadlock else 0
         if persist >= config.k_persist:
-            new_state = _enter_phase_two(world, goals, params, config, t)
+            new_state = _enter_phase_two(world, goals, params, config, t, pairs.h)
             info["event"] = ("deadlock-detected", t)
-            return _phase_two_step(new_state, world, goals, params, dt, config, info)
+            return _phase_two_step(new_state, world, goals, params, dt, config, info, pairs, u_hat)
         controls = tuple(sol.u_star for sol in solutions)
         return controls, replace(state, persist_counter=persist), info
 
     if state.phase == Phase.TWO:
-        return _phase_two_step(state, world, goals, params, dt, config, info)
+        return _phase_two_step(state, world, goals, params, dt, config, info, pairs, u_hat)
 
-    controls = tuple(pd_control(world.robots[i], goals.pd[i], params) for i in range(n))
+    controls = tuple(u_hat)
     info["phase"] = Phase.THREE
     return controls, state, info
 
@@ -622,6 +629,8 @@ def _phase_two_step(
     dt: float,
     config: ResolutionConfig,
     info: dict,
+    pairs: PairField,
+    u_hat: Sequence[Vec2],
 ) -> tuple[tuple[Vec2, ...], PhaseState, dict]:
     kp2, kv2 = config.bearing_gains(params)
     t = world.t
@@ -636,7 +645,7 @@ def _phase_two_step(
             abs(wrap_angle(gamma_m - state.gamma_goal)) <= config.eps_theta
             and abs(gamma_dot_m) <= config.eps_omega
         ):
-            state = _enter_rotate_three(world, goals, params, t, category="B", prior=state)
+            state = _enter_rotate_three(world, goals, t, pairs.h, category="B", prior=state)
             info["event"] = ("regularized", t)
         else:
             acc = -kp2 * (state.gamma_ref - state.gamma_goal) - kv2 * state.gamma_omega
@@ -664,9 +673,7 @@ def _phase_two_step(
     )
     if aligned:
         new_state = replace(state, phase=Phase.THREE, t_enter_phase=t, newton_warm=())
-        controls = tuple(
-            pd_control(world.robots[i], goals.pd[i], params) for i in range(world.n)
-        )
+        controls = tuple(u_hat)
         info["phase"] = Phase.THREE
         return controls, new_state, info
 

@@ -17,7 +17,10 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 import yaml
 
-from .cbf import assemble_qp, min_pair_distance, pair_indices, safety_index_signed
+# assemble_qp, min_pair_distance and safety_index_signed are the scalar
+# oracles of PairField; they stay bound here because callers (the perfbench
+# span tracer among them) look them up on this module.
+from .cbf import PairField, assemble_qp, min_pair_distance, pair_indices, safety_index_signed  # noqa: F401
 from .core import (
     GoalSpec,
     Params,
@@ -29,7 +32,13 @@ from .core import (
     v_sub,
 )
 from .deadlock import DeadlockThresholds, system_deadlock
-from .errors import QPInfeasibleError, SimulationAbort, UnsupportedScenarioError
+from .errors import (
+    QPInfeasibleError,
+    SafetyViolationError,
+    SimulationAbort,
+    ToolkitError,
+    UnsupportedScenarioError,
+)
 from .qp import QPSolution, solve_qp, verify_kkt
 from .resolution import Phase, PhaseState, ResolutionConfig, supervisor_step
 
@@ -153,10 +162,8 @@ class TrajectoryLog:
         return self.pos.shape[1]
 
     def world_at(self, k: int) -> WorldState:
-        robots = tuple(
-            RobotState(p=tuple(self.pos[k, i]), v=tuple(self.vel[k, i]))
-            for i in range(self.n_robots)
-        )
+        pos, vel = self.pos[k].tolist(), self.vel[k].tolist()
+        robots = tuple(RobotState(p=tuple(p), v=tuple(v)) for p, v in zip(pos, vel))
         return WorldState(robots=robots, t=float(self.t[k]))
 
 
@@ -214,13 +221,6 @@ def integrate_step(world: WorldState, controls: tuple[Vec2, ...], dt: float) -> 
     return WorldState(robots=tuple(robots), t=world.t + dt)
 
 
-def _pair_h_values(world: WorldState, params: Params) -> list[float]:
-    return [
-        safety_index_signed(world.robots[i], world.robots[j], params, i, j)
-        for i, j in pair_indices(world.n)
-    ]
-
-
 def _zero_rows(n: int) -> list[np.ndarray]:
     return [np.zeros(n + 3) for _ in range(n)]
 
@@ -229,14 +229,17 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
     """Simulate until t_max or until every robot is within stop_goal_tol of its goal.
 
     Aborts with SimulationAbort (diagnostic kind "qp-infeasible" or
-    "safety-violation") when the QP has no solution or a pair dips below
-    Ds - abort_dist_tol.  Deterministic for a fixed scenario.
+    "safety-violation") when the QP has no solution, a pair dips below
+    Ds - abort_dist_tol, or a QP is assembled for a pair inside the margin.
+    Deterministic for a fixed scenario.  Pair geometry is evaluated once per
+    state (PairField) and feeds the abort check, the QPs and the h record.
     """
     params = scenario.params
     goals = scenario.goals
     thresholds = scenario.effective_thresholds()
     n = len(scenario.initial)
     world = WorldState(robots=scenario.initial, t=0.0)
+    pair_field = PairField(world, params)
     n_steps = int(round(scenario.t_max / scenario.dt))
     rec = _Recorder(n, n_steps // scenario.log_every + 2)
     events: list[dict] = []
@@ -247,13 +250,19 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
     def snapshot() -> dict:
         return {"t": world.t, "p": [z.p for z in world.robots], "v": [z.v for z in world.robots]}
 
+    def margin_abort(exc: SafetyViolationError) -> SimulationAbort:
+        return SimulationAbort("safety-violation", f"{exc} at t={world.t:.6f}", snapshot())
+
     def controller_outputs() -> tuple[tuple[Vec2, ...], list, list, list, int]:
         nonlocal phase_state, persist, deadlock_announced
         u_hat = [pd_control(world.robots[i], goals.pd[i], params) for i in range(n)]
         if scenario.controller == "pd-only":
             return tuple(u_hat), u_hat, _zero_rows(n), [0] * n, 0
         if scenario.controller == "cbf-qp-only":
-            problems = [assemble_qp(i, world, goals, params) for i in range(n)]
+            try:
+                problems = pair_field.problems(u_hat)
+            except SafetyViolationError as exc:
+                raise margin_abort(exc) from exc
             solutions = []
             for i, problem in enumerate(problems):
                 sol = solve_qp(problem)
@@ -262,7 +271,7 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
                         "qp-infeasible", f"robot {i} QP infeasible at t={world.t:.6f}", snapshot()
                     )
                 solutions.append(sol)
-            if n >= 2 and system_deadlock(world, goals, params, tuple(solutions), thresholds, tuple(problems)):
+            if n >= 2 and system_deadlock(world, goals, params, tuple(solutions), thresholds, problems):
                 persist += 1
             else:
                 persist = 0
@@ -277,8 +286,11 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
         prev_phase = phase_state.phase
         try:
             controls, phase_state, info = supervisor_step(
-                phase_state, world, goals, params, thresholds, scenario.dt, scenario.resolution
+                phase_state, world, goals, params, thresholds, scenario.dt, scenario.resolution,
+                pairs=pair_field, u_hat=u_hat,
             )
+        except SafetyViolationError as exc:
+            raise margin_abort(exc) from exc
         except QPInfeasibleError as exc:
             raise SimulationAbort("qp-infeasible", str(exc), snapshot()) from exc
         except UnsupportedScenarioError as exc:
@@ -300,22 +312,23 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
     while True:
         controls, u_hat, mu_rows, masks, phase = controller_outputs()
         if step % scenario.log_every == 0:
-            rec.push(world.t, world, controls, u_hat, _pair_h_values(world, params), mu_rows, masks, phase)
+            rec.push(world.t, world, controls, u_hat, pair_field.h, mu_rows, masks, phase)
         if step >= n_steps:
             break
         world = integrate_step(world, controls, scenario.dt)
+        pair_field = PairField(world, params)
         step += 1
-        if n >= 2 and min_pair_distance(world) < params.ds - scenario.abort_dist_tol:
+        if pair_field.min_distance < params.ds - scenario.abort_dist_tol:
             raise SimulationAbort(
                 "safety-violation",
-                f"pair distance {min_pair_distance(world):.9f} below margin at t={world.t:.6f}",
+                f"pair distance {pair_field.min_distance:.9f} below margin at t={world.t:.6f}",
                 snapshot(),
             )
         if all(
             v_norm(v_sub(world.robots[i].p, goals.pd[i])) <= scenario.stop_goal_tol for i in range(n)
         ):
             controls, u_hat, mu_rows, masks, phase = controller_outputs()
-            rec.push(world.t, world, controls, u_hat, _pair_h_values(world, params), mu_rows, masks, phase)
+            rec.push(world.t, world, controls, u_hat, pair_field.h, mu_rows, masks, phase)
             events.append({"name": "goals-reached", "t": world.t})
             break
 
@@ -444,8 +457,8 @@ def _export_csv(log: TrajectoryLog, path: str) -> None:
             # mu_ij column: the lower-id robot's multiplier for its row against j
             mu_cells = []
             for i, j in pairs:
-                row_idx = _neighbor_row_index(i, j, n)
-                mu_cells.append(repr(float(log.mu[k, i, row_idx])))
+                # i < j: robot i's neighbor rows skip i, so its row against j is j - 1
+                mu_cells.append(repr(float(log.mu[k, i, j - 1])))
             for i in range(n):
                 cells = [
                     repr(float(log.t[k])), str(i),
@@ -456,12 +469,6 @@ def _export_csv(log: TrajectoryLog, path: str) -> None:
                     str(int(log.phase[k])),
                 ]
                 fh.write(",".join(cells + pair_cells + mu_cells) + "\n")
-
-
-def _neighbor_row_index(i: int, j: int, n: int) -> int:
-    """Index of robot i's neighbor row against robot j (neighbors ascend, skipping i)."""
-    neighbors = [k for k in range(n) if k != i]
-    return neighbors.index(j)
 
 
 def log_to_json(log: TrajectoryLog) -> str:
@@ -526,48 +533,53 @@ def audit_log(
 
     The h recomputation is independent of the in-loop values (fresh pass
     over the raw states); both must agree to h_match_tol and the recomputed
-    h must never drop below h_floor while the QP reported feasible.
+    h must never drop below h_floor while the QP reported feasible.  The KKT
+    pass re-assembles the QPs of every kkt_stride-th phase-1 record from the
+    same pair pass; if one cannot be assembled, its error is raised after
+    the h pass has covered every record.
     """
     scen = scenario_from_dict(log.meta["scenario"])
     params = scen.params
+    goals = scen.goals.pd
     n = log.n_robots
-    pairs = pair_indices(n)
 
     h_match = 0.0
     h_min = math.inf
+    kkt_max: float | None = 0.0 if check_kkt else None
+    kkt_error: ToolkitError | None = None
+    phases = log.phase.tolist()
     for k in range(log.n_records):
         world = log.world_at(k)
-        for c, (i, j) in enumerate(pairs):
-            h = safety_index_signed(world.robots[i], world.robots[j], params, i, j)
-            h_match = max(h_match, abs(h - float(log.h[k, c])))
+        pair_field = PairField(world, params)
+        for h, h_logged in zip(pair_field.h, log.h[k].tolist()):
+            h_match = max(h_match, abs(h - h_logged))
             h_min = min(h_min, h)
-    if not pairs:
-        h_min = math.inf
+        if kkt_max is None or kkt_error is not None or k % kkt_stride or phases[k] != 1:
+            continue
+        u_hat = [pd_control(z, goal, params) for z, goal in zip(world.robots, goals)]
+        try:
+            problems = pair_field.problems(u_hat)
+        except ToolkitError as exc:
+            kkt_error = exc
+            continue
+        for i, problem in enumerate(problems):
+            sol = QPSolution(
+                u_star=tuple(log.u_star[k, i].tolist()),
+                mu_star=tuple(log.mu[k, i].tolist()),
+                active_set=active_rows_from_mask(int(log.active[k, i]), n + 3),
+                status="optimal",
+            )
+            kkt_max = max(kkt_max, verify_kkt(problem, sol).max_residual())
+    if kkt_error is not None:
+        raise kkt_error
 
-    kkt_max: float | None = None
-    if check_kkt:
-        kkt_max = 0.0
-        for k in range(0, log.n_records, kkt_stride):
-            if int(log.phase[k]) != 1:
-                continue
-            world = log.world_at(k)
-            for i in range(n):
-                problem = assemble_qp(i, world, scen.goals, params)
-                sol = QPSolution(
-                    u_star=(float(log.u_star[k, i, 0]), float(log.u_star[k, i, 1])),
-                    mu_star=tuple(float(m) for m in log.mu[k, i]),
-                    active_set=active_rows_from_mask(int(log.active[k, i]), n + 3),
-                    status="optimal",
-                )
-                kkt_max = max(kkt_max, verify_kkt(problem, sol).max_residual())
-
-    ok = h_match <= h_match_tol and (not pairs or h_min >= h_floor)
+    ok = h_match <= h_match_tol and h_min >= h_floor  # h_min stays inf without pairs
     if kkt_max is not None:
         ok = ok and kkt_max <= kkt_tol
     return AuditReport(
         n_records=log.n_records,
         h_match_max=h_match,
-        h_min=h_min if pairs else math.inf,
+        h_min=h_min,
         kkt_max_residual=kkt_max,
         ok=ok,
     )

@@ -147,6 +147,25 @@ def test_pd_only_head_on_aborts_on_safety_violation():
     assert err.value.kind == "safety-violation"
 
 
+@pytest.mark.parametrize("controller", ["cbf-qp-only", "three-phase"])
+def test_penetration_below_abort_tolerance_aborts_with_snapshot(controller):
+    # inside the margin by more than the boundary snap but less than
+    # abort_dist_tol: Scenario accepts the start, assembling the first QP fails
+    params = Params(kp=1.0, kv=3.0, ds=0.5, alpha=(5.0, 5.0))
+    scen = Scenario(
+        params=params,
+        initial=(RobotState.at_rest((0.0, 0.0)), RobotState.at_rest((0.5 - 5e-10, 0.0))),
+        goals=GoalSpec(pd=((-2.0, 0.0), (2.0, 0.0))),
+        controller=controller,
+        t_max=1.0,
+    )
+    with pytest.raises(SimulationAbort) as err:
+        run_scenario(scen)
+    assert err.value.kind == "safety-violation"
+    assert err.value.snapshot["t"] == 0.0
+    assert err.value.snapshot["p"] == [(0.0, 0.0), (0.5 - 5e-10, 0.0)]
+
+
 def test_infeasible_qp_aborts_with_diagnostic():
     params = Params(kp=1.0, kv=3.0, ds=0.5, alpha=(5.0, 5.0))
     scen = Scenario(
