@@ -13,6 +13,11 @@ is solved exactly; the first candidate that is primal feasible with
 nonnegative multipliers is the unique global optimum.  The factor 1/2 follows
 the dual convention of the source formulation so closed-form multiplier
 values match numerically.
+
+Before enumerating, neighbor rows that the acceleration box already implies
+by a margin are set aside (_kept_rows): such a row is never in a qualifying
+working set, never active, and holds at every candidate that passes the box
+rows, so the enumerator returns the same solution, bit for bit, without them.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cbf import ConstraintRow
+from .cbf import BoxFaceKind, ConstraintRow, NeighborKind
 from .core import Vec2, v_dot, v_norm, v_sub
 from .errors import QPInfeasibleError
 
@@ -32,6 +37,12 @@ FEAS_TOL = 1e-9
 MU_TOL = 1e-9
 # Minimum slack below which the phase-I probe declares the polytope empty.
 INFEAS_TOL = -1e-9
+# Relative margin by which a row must clear the acceleration box to be set
+# aside before enumeration (see _kept_rows for the terms it scales).
+IMPLIED_TOL = 1e-6
+
+# Outward normal of each box face, keyed by BoxFaceKind (axis, sign).
+_FACE_NORMALS = {(0, +1): (1.0, 0.0), (1, +1): (0.0, 1.0), (0, -1): (-1.0, 0.0), (1, -1): (0.0, -1.0)}
 
 
 @dataclass(frozen=True)
@@ -42,10 +53,16 @@ class QPProblem:
     rows: tuple[ConstraintRow, ...]
 
     def __post_init__(self):
-        n_box = sum(1 for r in self.rows if not r.is_neighbor)
+        n_box = 0
+        box_positive = True
+        for r in self.rows:
+            if not isinstance(r.kind, NeighborKind):
+                n_box += 1
+                if r.b_hat <= 0.0:
+                    box_positive = False
         if n_box != 4:
             raise ValueError("a well-formed problem carries exactly the 4 box rows")
-        if any(r.b_hat <= 0.0 for r in self.rows if not r.is_neighbor):
+        if not box_positive:
             raise ValueError("box bounds must be strictly positive")
 
     @property
@@ -76,9 +93,10 @@ def _feasible(rows: tuple[ConstraintRow, ...], u: Vec2) -> bool:
     return True
 
 
-def _active_set(rows: tuple[ConstraintRow, ...], u: Vec2) -> tuple[int, ...]:
+def _active_set(keep, rows: tuple[ConstraintRow, ...], u: Vec2) -> tuple[int, ...]:
+    """Indices (from keep) of the rows, given in the same order, that are active at u."""
     return tuple(
-        k for k, row in enumerate(rows)
+        k for k, row in zip(keep, rows)
         if abs(v_dot(row.a, u) - row.b_hat) <= ACTIVE_TOL * (1.0 + abs(row.b_hat))
     )
 
@@ -88,23 +106,101 @@ def solve_qp(problem: QPProblem) -> QPSolution:
 
     Working sets whose 2x2 system is singular (parallel rows) are skipped,
     not fatal.  Ties between degenerate optima are broken by enumeration
-    order: size 0, then size 1 ascending, then size 2 lexicographic.
+    order: size 0, then size 1 ascending, then size 2 lexicographic.  With
+    two or more neighbor rows, the rows the box implies are left out of the
+    enumeration first; the result is the one the full enumeration returns.
+    """
+    rows = problem.rows
+    # QPProblem carries exactly 4 box rows, so len(rows) >= 6 means M >= 2:
+    # with fewer neighbor rows the pass costs more than it saves.
+    keep = _kept_rows(rows) if len(rows) >= 6 else range(len(rows))
+    return _enumerate(problem, keep)
+
+
+def _kept_rows(rows: tuple[ConstraintRow, ...]) -> list[int]:
+    """Ascending indices of the rows not strictly implied by the acceleration box.
+
+    The box is read from the BoxFaceKind rows whose normal is the face's unit
+    axis vector; those rows are always kept.  Every other row a.u <= b is set
+    aside when
+
+        b - max_{u in box} a.u  >  IMPLIED_TOL (1 + |b| + |a|_1 (1 + beta + A))
+
+    with beta the largest face bound and A the largest |a_l|_1 over all rows
+    (at least 1, from the box rows).  The terms of the margin:
+
+    * a candidate that passes the box rows lies in the box widened by
+      FEAS_TOL (1 + beta) per face, where a.u exceeds its box maximum by at
+      most FEAS_TOL |a|_1 (1 + beta);
+    * a candidate built on the row meets a.u = b up to the clamp of a
+      multiplier in (-MU_TOL, 0) to zero, of this row or its partner l, which
+      moves u by 0.5 MU_TOL |a_l| and a.u by at most 0.5 MU_TOL |a|_1 A;
+    * IMPLIED_TOL is 1e3 times FEAS_TOL and MU_TOL, which leaves room for
+      rounding, and the 1 + |b| term alone is 10 times the ACTIVE_TOL band.
+
+    So a row set aside is in no qualifying working set, holds at every
+    candidate that passes the box rows, and is never active at the returned
+    point.  The one gap is a 2x2 solve near the singularity threshold, whose
+    rounding is not bounded this way; the property test of solve_qp against
+    the full enumeration covers it.  A NaN row, or a box that is open on a
+    side, keeps the row.
+    """
+    hi = [math.inf, math.inf]   # u_x <= hi[0], u_y <= hi[1]
+    lo = [math.inf, math.inf]   # -u_x <= lo[0], -u_y <= lo[1]
+    faces = []
+    norms = []                  # |a|_1 of every row
+    a_max = 1.0
+    for k, row in enumerate(rows):
+        ax, ay = row.a
+        norm = abs(ax) + abs(ay)
+        norms.append(norm)
+        if norm > a_max:
+            a_max = norm
+        kind = row.kind
+        if isinstance(kind, BoxFaceKind) and row.a == _FACE_NORMALS.get((kind.axis, kind.sign)):
+            side = hi if kind.sign > 0 else lo
+            side[kind.axis] = min(side[kind.axis], row.b_hat)
+            faces.append(k)
+    (hx, hy), (lx, ly) = hi, lo
+    widest = 1.0 + max(hx, hy, lx, ly) + a_max
+    keep = []
+    for k, row, norm in zip(range(len(rows)), rows, norms):
+        if k not in faces:
+            ax, ay = row.a
+            b = row.b_hat
+            top = (ax * hx if ax > 0.0 else -ax * lx if ax < 0.0 else 0.0) + (
+                ay * hy if ay > 0.0 else -ay * ly if ay < 0.0 else 0.0
+            )
+            if b - top > IMPLIED_TOL * (1.0 + abs(b) + norm * widest):
+                continue
+        keep.append(k)
+    return keep
+
+
+def _enumerate(problem: QPProblem, keep) -> QPSolution:
+    """Working-set enumeration over the rows indexed by keep (ascending).
+
+    Candidates are built, checked for feasibility and tested for active rows
+    on the kept rows only; rows outside keep get mu = 0, and the phase-I probe
+    covers every row.  With keep = every index this is the full enumerator,
+    the oracle solve_qp is tested against.
     """
     rows = problem.rows
     u_hat = problem.u_hat
     m = len(rows)
+    kept = rows if len(keep) == m else tuple(rows[k] for k in keep)
 
     # size 0: unconstrained optimum
-    if _feasible(rows, u_hat):
+    if _feasible(kept, u_hat):
         return QPSolution(
             u_star=u_hat,
             mu_star=(0.0,) * m,
-            active_set=_active_set(rows, u_hat),
+            active_set=_active_set(keep, kept, u_hat),
             status="optimal",
         )
 
     # size 1: single-row projection, mu = 2 (a.u_hat - b) / ||a||^2
-    for k in range(m):
+    for k in keep:
         a = rows[k].a
         aa = v_dot(a, a)
         if aa <= 0.0:
@@ -114,23 +210,23 @@ def solve_qp(problem: QPProblem) -> QPSolution:
             continue
         mu = max(mu, 0.0)
         u = (u_hat[0] - 0.5 * mu * a[0], u_hat[1] - 0.5 * mu * a[1])
-        if _feasible(rows, u):
+        if _feasible(kept, u):
             mus = [0.0] * m
             mus[k] = mu
-            return QPSolution(u, tuple(mus), _active_set(rows, u), "optimal")
+            return QPSolution(u, tuple(mus), _active_set(keep, kept, u), "optimal")
 
     # size 2: solve the Gram system for (mu_k, mu_l)
-    for k in range(m):
+    for pos, k in enumerate(keep):
         ak = rows[k].a
-        for l in range(k + 1, m):
+        g11 = v_dot(ak, ak)
+        r1 = v_dot(ak, u_hat) - rows[k].b_hat
+        for l in keep[pos + 1:]:
             al = rows[l].a
-            g11 = v_dot(ak, ak)
             g12 = v_dot(ak, al)
             g22 = v_dot(al, al)
             det = g11 * g22 - g12 * g12
             if abs(det) <= 1e-14 * max(g11 * g22, 1e-300):
                 continue  # degenerate (parallel) rows: skip this set
-            r1 = v_dot(ak, u_hat) - rows[k].b_hat
             r2 = v_dot(al, u_hat) - rows[l].b_hat
             mu_k = 2.0 * (g22 * r1 - g12 * r2) / det
             mu_l = 2.0 * (g11 * r2 - g12 * r1) / det
@@ -141,10 +237,10 @@ def solve_qp(problem: QPProblem) -> QPSolution:
                 u_hat[0] - 0.5 * (mu_k * ak[0] + mu_l * al[0]),
                 u_hat[1] - 0.5 * (mu_k * ak[1] + mu_l * al[1]),
             )
-            if _feasible(rows, u):
+            if _feasible(kept, u):
                 mus = [0.0] * m
                 mus[k], mus[l] = mu_k, mu_l
-                return QPSolution(u, tuple(mus), _active_set(rows, u), "optimal")
+                return QPSolution(u, tuple(mus), _active_set(keep, kept, u), "optimal")
 
     # No working set produced a certificate; confirm emptiness with a
     # phase-I probe maximizing the minimum slack.

@@ -33,6 +33,8 @@ from .core import (
 )
 from .deadlock import DeadlockThresholds, system_deadlock
 from .errors import (
+    BoundarySingularityError,
+    CoincidentRobotsError,
     QPInfeasibleError,
     SafetyViolationError,
     SimulationAbort,
@@ -135,7 +137,9 @@ class TrajectoryLog:
 
     Array shapes (K records, N robots, P = N(N-1)/2 pairs, R = N+3 rows):
     t (K,), pos/vel/u_star/u_hat (K, N, 2), h (K, P), mu (K, N, R),
-    active (K, N) row bitmask, phase (K,).  Pair columns are in ascending
+    active (K, N) row bitmask, phase (K,).  The bitmasks are Python ints in
+    an object array: at N >= 61 a box row's bit (index N - 1 .. N + 2) does
+    not fit in int64.  Pair columns are in ascending
     (i, j) order; row indices follow the fixed QP ordering (neighbors by
     ascending id, then box faces +x, +y, -x, -y).  Phase is 0 for pd-only,
     1 for cbf-qp-only, and the supervisor phase for three-phase runs.
@@ -177,7 +181,7 @@ class _Recorder:
         self.u_hat = np.empty((capacity, n, 2))
         self.h = np.empty((capacity, len(pair_indices(n))))
         self.mu = np.empty((capacity, n, n + 3))
-        self.active = np.zeros((capacity, n), dtype=np.int64)
+        self.active = np.zeros((capacity, n), dtype=object)
         self.phase = np.zeros(capacity, dtype=np.int8)
 
     def push(self, t, world, u_star, u_hat, h_vals, mu_rows, active_masks, phase):
@@ -221,6 +225,15 @@ def integrate_step(world: WorldState, controls: tuple[Vec2, ...], dt: float) -> 
     return WorldState(robots=tuple(robots), t=world.t + dt)
 
 
+# Geometry errors of the pair pass and the supervisor, and the abort kind
+# run_scenario turns each into.
+_GEOMETRY_ABORTS = {
+    SafetyViolationError: "safety-violation",
+    BoundarySingularityError: "boundary-singularity",
+    CoincidentRobotsError: "coincident-robots",
+}
+
+
 def _zero_rows(n: int) -> list[np.ndarray]:
     return [np.zeros(n + 3) for _ in range(n)]
 
@@ -230,7 +243,10 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
 
     Aborts with SimulationAbort (diagnostic kind "qp-infeasible" or
     "safety-violation") when the QP has no solution, a pair dips below
-    Ds - abort_dist_tol, or a QP is assembled for a pair inside the margin.
+    Ds - abort_dist_tol, or a QP is assembled for a pair inside the margin;
+    a bound evaluated on the margin with nonzero radial velocity and
+    coincident robots abort as "boundary-singularity" and "coincident-robots".
+    Every abort carries a snapshot of the state that raised it.
     Deterministic for a fixed scenario.  Pair geometry is evaluated once per
     state (PairField) and feeds the abort check, the QPs and the h record.
     """
@@ -250,19 +266,13 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
     def snapshot() -> dict:
         return {"t": world.t, "p": [z.p for z in world.robots], "v": [z.v for z in world.robots]}
 
-    def margin_abort(exc: SafetyViolationError) -> SimulationAbort:
-        return SimulationAbort("safety-violation", f"{exc} at t={world.t:.6f}", snapshot())
-
     def controller_outputs() -> tuple[tuple[Vec2, ...], list, list, list, int]:
         nonlocal phase_state, persist, deadlock_announced
         u_hat = [pd_control(world.robots[i], goals.pd[i], params) for i in range(n)]
         if scenario.controller == "pd-only":
             return tuple(u_hat), u_hat, _zero_rows(n), [0] * n, 0
         if scenario.controller == "cbf-qp-only":
-            try:
-                problems = pair_field.problems(u_hat)
-            except SafetyViolationError as exc:
-                raise margin_abort(exc) from exc
+            problems = pair_field.problems(u_hat)
             solutions = []
             for i, problem in enumerate(problems):
                 sol = solve_qp(problem)
@@ -289,8 +299,6 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
                 phase_state, world, goals, params, thresholds, scenario.dt, scenario.resolution,
                 pairs=pair_field, u_hat=u_hat,
             )
-        except SafetyViolationError as exc:
-            raise margin_abort(exc) from exc
         except QPInfeasibleError as exc:
             raise SimulationAbort("qp-infeasible", str(exc), snapshot()) from exc
         except UnsupportedScenarioError as exc:
@@ -309,28 +317,32 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
         return controls, u_hat, mu_rows, masks, int(info["phase"])
 
     step = 0
-    while True:
-        controls, u_hat, mu_rows, masks, phase = controller_outputs()
-        if step % scenario.log_every == 0:
-            rec.push(world.t, world, controls, u_hat, pair_field.h, mu_rows, masks, phase)
-        if step >= n_steps:
-            break
-        world = integrate_step(world, controls, scenario.dt)
-        pair_field = PairField(world, params)
-        step += 1
-        if pair_field.min_distance < params.ds - scenario.abort_dist_tol:
-            raise SimulationAbort(
-                "safety-violation",
-                f"pair distance {pair_field.min_distance:.9f} below margin at t={world.t:.6f}",
-                snapshot(),
-            )
-        if all(
-            v_norm(v_sub(world.robots[i].p, goals.pd[i])) <= scenario.stop_goal_tol for i in range(n)
-        ):
+    try:
+        while True:
             controls, u_hat, mu_rows, masks, phase = controller_outputs()
-            rec.push(world.t, world, controls, u_hat, pair_field.h, mu_rows, masks, phase)
-            events.append({"name": "goals-reached", "t": world.t})
-            break
+            if step % scenario.log_every == 0:
+                rec.push(world.t, world, controls, u_hat, pair_field.h, mu_rows, masks, phase)
+            if step >= n_steps:
+                break
+            world = integrate_step(world, controls, scenario.dt)
+            pair_field = PairField(world, params)
+            step += 1
+            if pair_field.min_distance < params.ds - scenario.abort_dist_tol:
+                raise SimulationAbort(
+                    "safety-violation",
+                    f"pair distance {pair_field.min_distance:.9f} below margin at t={world.t:.6f}",
+                    snapshot(),
+                )
+            if all(
+                v_norm(v_sub(world.robots[i].p, goals.pd[i])) <= scenario.stop_goal_tol for i in range(n)
+            ):
+                controls, u_hat, mu_rows, masks, phase = controller_outputs()
+                rec.push(world.t, world, controls, u_hat, pair_field.h, mu_rows, masks, phase)
+                events.append({"name": "goals-reached", "t": world.t})
+                break
+    except tuple(_GEOMETRY_ABORTS) as exc:
+        kind = next(k for cls, k in _GEOMETRY_ABORTS.items() if isinstance(exc, cls))
+        raise SimulationAbort(kind, f"{exc} at t={world.t:.6f}", snapshot()) from exc
 
     meta = {
         "scenario": scenario_to_dict(scenario),
@@ -499,7 +511,7 @@ def load_log(path: str) -> TrajectoryLog:
         u_hat=np.asarray(d["u_hat"], dtype=float),
         h=np.asarray(d["h"], dtype=float),
         mu=np.asarray(d["mu"], dtype=float),
-        active=np.asarray(d["active"], dtype=np.int64),
+        active=np.asarray(d["active"], dtype=object),
         phase=np.asarray(d["phase"], dtype=np.int8),
         events=d["events"],
         meta=d["meta"],

@@ -1,8 +1,8 @@
 """Acceptance suite: every criterion at its stated tolerance.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL line
-per criterion.  Expensive simulations are shared through module-scoped
-fixtures; each criterion also enforces its wall-clock budget.
+per criterion.  Expensive simulations are shared through the session-scoped
+fixtures of conftest.py; each criterion also enforces its wall-clock budget.
 
 Criterion 6 carries one deliberately expected failure: the literal bound
 |h| <= 1e-4 over the *entire* phase 2 of the default two-robot scenario is
@@ -40,7 +40,6 @@ from mrdeadlock import (
     enumerate_connected,
     lower_bound,
     phase3_closed_form,
-    run_scenario,
     simulate_relative_pd,
     solve_qp,
     system_deadlock,
@@ -67,31 +66,6 @@ REFERENCE_N4_CENSUS = 18
 def _report(name: str, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {name}: {'PASS' if ok else 'FAIL'} -- {detail}")
     assert ok, f"{name}: {detail}"
-
-
-# ---------------------------------------------------------------------------
-# shared expensive runs
-# ---------------------------------------------------------------------------
-
-@pytest.fixture(scope="module")
-def head_on_log():
-    t0 = time.perf_counter()
-    log = run_scenario(default_head_on_scenario(t_max=30.0))
-    return log, time.perf_counter() - t0
-
-
-@pytest.fixture(scope="module")
-def two_robot_resolution_log():
-    t0 = time.perf_counter()
-    log = run_scenario(default_head_on_scenario(controller="three-phase", t_max=80.0))
-    return log, time.perf_counter() - t0
-
-
-@pytest.fixture(scope="module")
-def three_robot_resolution_log():
-    t0 = time.perf_counter()
-    log = run_scenario(three_robot_cat_a_scenario(t_max=60.0))
-    return log, time.perf_counter() - t0
 
 
 def _pair_distances(log, i, j):

@@ -1,0 +1,64 @@
+"""Pinned sha256 of the JSON logs of the canonical runs.
+
+A change that claims to leave results alone (a faster solver, a leaner
+recorder) must leave these logs byte-identical.  The three demo scenarios
+are the runs conftest.py shares with the acceptance suite; each YAML file is
+checked to load to that same scenario, so the pin covers the demo files too.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import math
+from pathlib import Path
+
+import pytest
+from conftest import HEAD_ON, THREE_ROBOT_RESOLUTION, TWO_ROBOT_RESOLUTION
+
+from mrdeadlock import GoalSpec, Params, RobotState, Scenario, load_scenario, run_scenario
+from mrdeadlock.sim import log_to_json
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
+RING32_SHA256 = "d453b1b9ef473b9a9f6525f9080c6c71f92232a35419195a594d6e9263b42275"
+
+
+def _sha256(log) -> str:
+    return hashlib.sha256(log_to_json(log).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "yaml_name, scenario, fixture, digest",
+    [
+        ("head_on_cbf_only.yaml", HEAD_ON, "head_on_log",
+         "47a7eeb86432081ef28b2de406288f9055d467dfcb0b69280aa42b512b98b0ab"),
+        ("head_on_three_phase.yaml", TWO_ROBOT_RESOLUTION, "two_robot_resolution_log",
+         "7f258ceff670931a9b727d4fd3d5960ff927122e038162993ffb90396341f3b0"),
+        ("three_robot_cat_a.yaml", THREE_ROBOT_RESOLUTION, "three_robot_resolution_log",
+         "80e1e7bb911f746b2c58f7ee00d3e886056648c791b3d65cb3db05b5ef31dc27"),
+    ],
+    ids=["head_on_cbf_only", "head_on_three_phase", "three_robot_cat_a"],
+)
+def test_demo_scenario_log_is_pinned(request, yaml_name, scenario, fixture, digest):
+    assert load_scenario(str(DEMOS / yaml_name)) == scenario
+    log, _ = request.getfixturevalue(fixture)
+    assert _sha256(log) == digest
+
+
+def test_crowded_ring_log_is_pinned():
+    # 32 robots at rest, neighbors 3 % outside contact, antipodal goals: every
+    # QP has 31 neighbor rows, most of them implied by the acceleration box
+    n, ds = 32, 0.5
+    radius = ds * 1.03 / (2.0 * math.sin(math.pi / n))
+    points = [
+        (radius * math.cos(0.3 + 2.0 * math.pi * k / n), radius * math.sin(0.3 + 2.0 * math.pi * k / n))
+        for k in range(n)
+    ]
+    scenario = Scenario(
+        params=Params(kp=1.0, kv=3.0, ds=ds, alpha=tuple(4.5 + (7 * k % 11) / 10 for k in range(n))),
+        initial=tuple(RobotState.at_rest(p) for p in points),
+        goals=GoalSpec(pd=tuple((-x, -y) for x, y in points)),
+        controller="cbf-qp-only",
+        t_max=12e-3,
+    )
+    assert _sha256(run_scenario(scenario)) == RING32_SHA256
+

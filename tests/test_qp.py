@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mrdeadlock import (
     GoalSpec,
@@ -17,8 +19,9 @@ from mrdeadlock import (
     solve_qp,
     verify_kkt,
 )
-from mrdeadlock.cbf import ConstraintRow, NeighborKind, box_rows
-from mrdeadlock.qp import QPSolution
+from mrdeadlock.cbf import BoxFaceKind, ConstraintRow, NeighborKind, box_rows
+from mrdeadlock.errors import ToolkitError
+from mrdeadlock.qp import IMPLIED_TOL, QPSolution, _enumerate, _kept_rows
 
 
 def neighbor_row(a, b_hat, j=0):
@@ -187,3 +190,134 @@ def test_deadlock_bridge_stationarity():
 def test_qp_problem_requires_box_rows():
     with pytest.raises(ValueError):
         QPProblem(u_hat=(0.0, 0.0), rows=(neighbor_row((1.0, 0.0), 1.0),))
+
+
+# ---------------------------------------------------------------------------
+# solve_qp (box-implied rows set aside) against the full enumeration
+# ---------------------------------------------------------------------------
+
+def _outcome(solver, problem: QPProblem) -> str:
+    try:
+        return repr(solver(problem))
+    except ToolkitError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _full_enumeration(problem: QPProblem) -> QPSolution:
+    return _enumerate(problem, range(len(problem.rows)))
+
+
+def _box_top(a, faces) -> float:
+    """max a.u over the box u_x in [-lo_x, hi_x], u_y in [-lo_y, hi_y]."""
+    (hi_x, hi_y, lo_x, lo_y) = faces
+    return max(a[0] * hi_x, -a[0] * lo_x) + max(a[1] * hi_y, -a[1] * lo_y)
+
+
+def _face_rows(faces, stretch=1.0) -> tuple[ConstraintRow, ...]:
+    """The four box faces; stretch != 1 scales the +x normal, which no longer bounds u_x by hi_x."""
+    hi_x, hi_y, lo_x, lo_y = faces
+    return (
+        ConstraintRow(a=(stretch, 0.0), b_hat=hi_x, kind=BoxFaceKind(axis=0, sign=+1)),
+        ConstraintRow(a=(0.0, 1.0), b_hat=hi_y, kind=BoxFaceKind(axis=1, sign=+1)),
+        ConstraintRow(a=(-1.0, 0.0), b_hat=lo_x, kind=BoxFaceKind(axis=0, sign=-1)),
+        ConstraintRow(a=(0.0, -1.0), b_hat=lo_y, kind=BoxFaceKind(axis=1, sign=-1)),
+    )
+
+
+def _ulps(x: float, n: int) -> float:
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.inf if n > 0 else -math.inf)
+    return x
+
+
+reals = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+face_bounds = st.one_of(st.sampled_from([0.5, 1.0, 5.0]), st.floats(0.1, 8.0))
+
+
+@st.composite
+def qp_problems(draw):
+    """Rows near the box-implied threshold, parallel and zero rows, infeasible sets.
+
+    The box rows are inserted before, between and after the neighbor rows,
+    and now and then one face normal is not a unit vector.
+    """
+    if draw(st.booleans()):
+        faces = (draw(face_bounds),) * 4
+    else:
+        faces = tuple(draw(face_bounds) for _ in range(4))
+    rows: list[ConstraintRow] = []
+    for j in range(draw(st.integers(0, 7))):
+        shape = draw(st.sampled_from(["free", "free", "axis", "parallel", "zero"]))
+        if shape == "zero":
+            a = (0.0, 0.0)
+        elif shape == "parallel" and rows:
+            base = draw(st.sampled_from(rows)).a
+            scale = draw(st.sampled_from([1.0, 2.0, 0.5, -1.0, 1e-3, 1e3]))
+            a = (scale * base[0], scale * base[1])
+        elif shape == "axis":
+            a = draw(st.sampled_from([(1.0, 0.0), (0.0, -2.0), (-0.5, 0.0), (0.0, 1.0)]))
+        else:
+            a = (draw(reals), draw(reals))
+        top = _box_top(a, faces)
+        size = abs(a[0]) + abs(a[1])
+        place = draw(st.sampled_from(["at", "ulps", "rel", "margin", "free", "slack"]))
+        if draw(st.integers(0, 19)) == 0:
+            place = "infeasible"
+        if place == "at":
+            b = top
+        elif place == "ulps":
+            b = _ulps(top, draw(st.integers(-4, 4)))
+        elif place == "rel":
+            b = top + 1e-9 * draw(st.floats(-3.0, 3.0)) * (1.0 + abs(top))
+        elif place == "margin":
+            # around the threshold at which solve_qp sets the row aside
+            widest = 1.0 + max(faces) + max(3.0, size)
+            b = top + IMPLIED_TOL * (1.0 + abs(top) + size * widest) * draw(st.floats(0.0, 3.0))
+        elif place == "slack":
+            b = top + draw(st.floats(0.0, 10.0))
+        elif place == "infeasible":
+            # below the row's minimum over the box: the polytope is empty
+            b = -_box_top((-a[0], -a[1]), faces) - draw(st.floats(1e-6, 2.0))
+        else:
+            b = draw(st.floats(-2.0, 10.0))
+        rows.append(neighbor_row(a, b, j))
+    for face in _face_rows(faces, draw(st.sampled_from([1.0, 1.0, 1.0, 0.5]))):
+        rows.insert(draw(st.integers(0, len(rows))), face)
+    u_hat = draw(st.one_of(
+        st.tuples(st.floats(-12.0, 12.0), st.floats(-12.0, 12.0)),
+        st.just((faces[0], faces[1])),   # a box corner
+        st.just((0.0, 0.0)),
+    ))
+    return QPProblem(u_hat=u_hat, rows=tuple(rows))
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(qp_problems())
+# two rows exactly at the box maximum, one a parallel copy: kept, binding together
+@example(QPProblem(u_hat=(9.0, 9.0), rows=(
+    neighbor_row((1.0, 1.0), 10.0, 0), neighbor_row((2.0, 2.0), 20.0, 1)) + box_rows(5.0)))
+# a zero row with a positive bound and a row implied by the box
+@example(QPProblem(u_hat=(9.0, -9.0), rows=(
+    neighbor_row((0.0, 0.0), 1.0, 0), neighbor_row((0.5, 0.5), 5.1, 1)) + box_rows(5.0)))
+# infeasible: the first row excludes the whole box
+@example(QPProblem(u_hat=(0.0, 0.0), rows=(
+    neighbor_row((1.0, 0.0), -6.0, 0), neighbor_row((0.0, 1.0), 9.0, 1)) + box_rows(5.0)))
+# a +x face normal of (0.5, 0): the box reaches u_x = 10, so row 0 binds
+@example(QPProblem(u_hat=(12.0, 0.0), rows=(
+    neighbor_row((1.0, 0.0), 5.001, 0), neighbor_row((0.0, 1.0), 50.0, 1)) + _face_rows((5.0,) * 4, 0.5)))
+# box rows before and between the neighbor rows
+@example(QPProblem(u_hat=(3.0, 7.0), rows=box_rows(5.0)[:2] + (
+    neighbor_row((1.0, 0.0), 4.0, 0),) + box_rows(5.0)[2:] + (neighbor_row((0.3, 0.4), 30.0, 1),)))
+def test_solve_qp_matches_full_enumeration(problem):
+    assert _outcome(solve_qp, problem) == _outcome(_full_enumeration, problem)
+
+
+def test_kept_rows_sets_aside_only_rows_clear_of_the_box():
+    rows = (
+        neighbor_row((1.0, 1.0), 10.0 + 1e-3, 0),   # clears the box max 10: set aside
+        neighbor_row((1.0, 1.0), 10.0, 1),         # touches the box corner: kept
+        neighbor_row((0.0, 0.0), 1.0, 2),          # zero row, positive bound: set aside
+        neighbor_row((0.0, 0.0), -1.0, 3),         # zero row, negative bound: kept
+        neighbor_row((-2.0, 0.0), 10.0 + 1e-9, 4),  # within the margin: kept
+    ) + box_rows(5.0)
+    assert _kept_rows(rows) == [1, 3, 4, 5, 6, 7, 8]

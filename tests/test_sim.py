@@ -166,6 +166,54 @@ def test_penetration_below_abort_tolerance_aborts_with_snapshot(controller):
     assert err.value.snapshot["p"] == [(0.0, 0.0), (0.5 - 5e-10, 0.0)]
 
 
+# (ds, robot 1 at, robot 1 velocity, abort kind): on the margin plus 1e-10
+# while closing at 0.1 m/s, the bound's middle term is singular; with a
+# 1e-10 margin, Scenario accepts two coincident robots.
+GEOMETRY_CASES = {
+    "boundary-singularity": (0.5, (0.5 + 1e-10, 0.0), (-0.1, 0.0)),
+    "coincident-robots": (1e-10, (0.0, 0.0), (0.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GEOMETRY_CASES))
+@pytest.mark.parametrize("controller", ["cbf-qp-only", "three-phase"])
+def test_geometry_error_aborts_with_snapshot(controller, kind):
+    ds, p1, v1 = GEOMETRY_CASES[kind]
+    scen = Scenario(
+        params=Params(kp=1.0, kv=3.0, ds=ds, alpha=(5.0, 5.0)),
+        initial=(RobotState.at_rest((0.0, 0.0)), RobotState(p=p1, v=v1)),
+        goals=GoalSpec(pd=((-2.0, 0.0), (2.0, 0.0))),
+        controller=controller,
+        t_max=1.0,
+    )
+    with pytest.raises(SimulationAbort) as err:
+        run_scenario(scen)
+    assert err.value.kind == kind
+    assert err.value.snapshot == {"t": 0.0, "p": [(0.0, 0.0), p1], "v": [(0.0, 0.0), v1]}
+
+
+def test_64_robot_ring_log_round_trips(tmp_path):
+    # box rows have indices 63..66: their active-set bits overflow int64
+    n, ds = 64, 0.5
+    radius = ds * 1.3 / (2.0 * math.sin(math.pi / n))
+    points = [(radius * math.cos(2.0 * math.pi * k / n), radius * math.sin(2.0 * math.pi * k / n)) for k in range(n)]
+    scen = Scenario(
+        params=Params(kp=1.0, kv=3.0, ds=ds, alpha=(5.0,) * n),
+        initial=tuple(RobotState.at_rest(p) for p in points),
+        goals=GoalSpec(pd=tuple((-x, -y) for x, y in points)),
+        controller="cbf-qp-only",
+        t_max=2e-3,
+    )
+    log = run_scenario(scen)
+    assert max(int(mask) for mask in log.active.ravel()).bit_length() > 64
+    path = tmp_path / "ring64.json"
+    export_log(log, "json", str(path))
+    back = load_log(str(path))
+    assert log_to_json(back) == path.read_text(encoding="utf-8")
+    assert back.active.tolist() == log.active.tolist()
+    assert audit_log(back).ok
+
+
 def test_infeasible_qp_aborts_with_diagnostic():
     params = Params(kp=1.0, kv=3.0, ds=0.5, alpha=(5.0, 5.0))
     scen = Scenario(
