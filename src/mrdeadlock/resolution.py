@@ -104,13 +104,17 @@ class PhaseState:
     """Supervisor state threaded through supervisor_step.
 
     Transitions are monotone ONE -> TWO -> THREE within a run; ``beta_ref``
-    is set exactly once, at the ONE -> TWO transition.  The remaining fields
-    are the phase-2 reference trajectory (bearing, bearing rate, per-pair
-    boundary targets) and, for category-B entries, the chain-opening
-    regularization reference.
+    is set exactly once, at the ONE -> TWO transition.  With ``resolve``
+    off the supervisor is the plain CBF-QP filter: a persistent deadlock is
+    announced once (``announced``) and phase 1 goes on.  The remaining
+    fields are the phase-2 reference trajectory (bearing, bearing rate,
+    per-pair boundary targets) and, for category-B entries, the
+    chain-opening regularization reference.
     """
 
     phase: Phase = Phase.ONE
+    resolve: bool = True
+    announced: bool = False
     persist_counter: int = 0
     t_enter_phase: float = 0.0
     beta_ref: float | None = None
@@ -577,8 +581,10 @@ def supervisor_step(
 ) -> tuple[tuple[Vec2, ...], PhaseState, dict]:
     """Advance the supervisor one step: controls for every robot + new state.
 
-    The returned info dict carries the per-robot QP solutions in phase 1
-    (for logging) and the phase-2 reference values otherwise.  ``pairs``
+    The returned info dict carries ``phase``, the phase whose controls were
+    returned; on a phase-1 step, ``solutions``, the per-robot QP solutions;
+    and on the step that detects a deadlock or finishes a category-B
+    regularization, ``event``, a ``(name, t)`` pair.  ``pairs``
     (the pair pass of ``world``) and ``u_hat`` (the PD references) may be
     passed by a caller that already has them; they are computed otherwise.
     """
@@ -599,26 +605,30 @@ def supervisor_step(
                     f"robot {i} QP infeasible at t={t:.6f}",
                     snapshot={"t": t, "robot": i, "world": world},
                 )
-        info["problems"] = problems
         info["solutions"] = solutions
+        controls = tuple(sol.u_star for sol in solutions)
+        if state.announced:
+            # nothing reads the persistence count once the deadlock is announced
+            return controls, state, info
         in_deadlock = (
             n >= 2
             and system_deadlock(world, goals, params, solutions, thresholds, problems)
         )
         persist = state.persist_counter + 1 if in_deadlock else 0
         if persist >= config.k_persist:
-            new_state = _enter_phase_two(world, goals, params, config, t, pairs.h)
             info["event"] = ("deadlock-detected", t)
+            if not state.resolve:
+                return controls, replace(state, persist_counter=persist, announced=True), info
+            new_state = _enter_phase_two(world, goals, params, config, t, pairs.h)
             return _phase_two_step(new_state, world, goals, params, dt, config, info, pairs, u_hat)
-        controls = tuple(sol.u_star for sol in solutions)
-        return controls, replace(state, persist_counter=persist), info
+        if persist != state.persist_counter:
+            state = replace(state, persist_counter=persist)
+        return controls, state, info
 
     if state.phase == Phase.TWO:
         return _phase_two_step(state, world, goals, params, dt, config, info, pairs, u_hat)
 
-    controls = tuple(u_hat)
-    info["phase"] = Phase.THREE
-    return controls, state, info
+    return tuple(u_hat), state, info
 
 
 def _phase_two_step(
@@ -635,7 +645,6 @@ def _phase_two_step(
     kp2, kv2 = config.bearing_gains(params)
     t = world.t
     info["phase"] = Phase.TWO
-    info["sub_mode"] = state.sub_mode
 
     if state.sub_mode == "regularize":
         gamma_m, gamma_dot_m = _measured_gamma(
@@ -656,7 +665,6 @@ def _phase_two_step(
             new_state = replace(
                 state, gamma_ref=gamma_ref, gamma_omega=gamma_omega, newton_warm=tuple(warm)
             )
-            info["gamma_ref"] = gamma_ref
             return controls, new_state, info
 
     # rotate sub-mode (two- or three-robot)
@@ -683,7 +691,4 @@ def _phase_two_step(
     else:
         controls, warm = _rotate_controls_three(world, params, state, theta_ref, h_ts, dt)
     new_state = replace(state, theta_ref=theta_ref, omega_ref=omega_ref, newton_warm=tuple(warm))
-    info["theta_ref"] = theta_ref
-    info["omega_ref"] = omega_ref
-    info["h_targets"] = h_ts
     return controls, new_state, info

@@ -1,7 +1,8 @@
 """Closed-loop time integration, scenario configuration, logging and audits.
 
 run_scenario advances the chosen controller (plain PD, CBF-QP, or the
-three-phase resolution supervisor) with a semi-implicit Euler step and
+three-phase resolution supervisor, each a supervisor_step from its own
+starting state) with a semi-implicit Euler step and
 records every quantity needed for post-hoc verification: states, applied
 and reference controls, per-pair safety indices, per-row multipliers,
 active sets and the supervisor phase, plus an event stream.  Identical
@@ -31,7 +32,9 @@ from .core import (
     v_norm,
     v_sub,
 )
-from .deadlock import DeadlockThresholds, system_deadlock
+# supervisor_step calls solve_qp and system_deadlock; they stay bound here for
+# callers that look them up on this module.
+from .deadlock import DeadlockThresholds, system_deadlock  # noqa: F401
 from .errors import (
     BoundarySingularityError,
     CoincidentRobotsError,
@@ -41,10 +44,17 @@ from .errors import (
     ToolkitError,
     UnsupportedScenarioError,
 )
-from .qp import QPSolution, solve_qp, verify_kkt
+from .qp import QPSolution, solve_qp, verify_kkt  # noqa: F401
 from .resolution import Phase, PhaseState, ResolutionConfig, supervisor_step
 
-CONTROLLERS = ("cbf-qp-only", "three-phase", "pd-only")
+# Every controller is the supervisor from its own starting state: the plain
+# CBF-QP filter never leaves phase 1, the plain PD controllers are phase 3.
+_START_STATES = {
+    "cbf-qp-only": PhaseState(resolve=False),
+    "three-phase": PhaseState(),
+    "pd-only": PhaseState(phase=Phase.THREE),
+}
+CONTROLLERS = tuple(_START_STATES)
 
 
 @dataclass(frozen=True)
@@ -234,10 +244,6 @@ _GEOMETRY_ABORTS = {
 }
 
 
-def _zero_rows(n: int) -> list[np.ndarray]:
-    return [np.zeros(n + 3) for _ in range(n)]
-
-
 def run_scenario(scenario: Scenario) -> TrajectoryLog:
     """Simulate until t_max or until every robot is within stop_goal_tol of its goal.
 
@@ -246,7 +252,10 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
     Ds - abort_dist_tol, or a QP is assembled for a pair inside the margin;
     a bound evaluated on the margin with nonzero radial velocity and
     coincident robots abort as "boundary-singularity" and "coincident-robots".
-    Every abort carries a snapshot of the state that raised it.
+    The supervisor aborts as "unsupported-deadlock" on a deadlock it cannot
+    resolve (N > 3, or a three-robot contact geometry of neither category),
+    and as "phase2-singular" or "phase2-diverged" when its phase-2 Newton
+    step fails.  Every abort carries a snapshot of the state that raised it.
     Deterministic for a fixed scenario.  Pair geometry is evaluated once per
     state (PairField) and feeds the abort check, the QPs and the h record.
     """
@@ -259,62 +268,33 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
     n_steps = int(round(scenario.t_max / scenario.dt))
     rec = _Recorder(n, n_steps // scenario.log_every + 2)
     events: list[dict] = []
-    phase_state = PhaseState()
-    persist = 0
-    deadlock_announced = False
+    phase_state = _START_STATES[scenario.controller]
+    pd_only = scenario.controller == "pd-only"
+    zero_mu = [(0.0,) * (n + 3)] * n   # the multipliers of a step without QPs
+    zero_masks = [0] * n
 
     def snapshot() -> dict:
         return {"t": world.t, "p": [z.p for z in world.robots], "v": [z.v for z in world.robots]}
 
     def controller_outputs() -> tuple[tuple[Vec2, ...], list, list, list, int]:
-        nonlocal phase_state, persist, deadlock_announced
+        nonlocal phase_state
         u_hat = [pd_control(world.robots[i], goals.pd[i], params) for i in range(n)]
-        if scenario.controller == "pd-only":
-            return tuple(u_hat), u_hat, _zero_rows(n), [0] * n, 0
-        if scenario.controller == "cbf-qp-only":
-            problems = pair_field.problems(u_hat)
-            solutions = []
-            for i, problem in enumerate(problems):
-                sol = solve_qp(problem)
-                if sol.status != "optimal":
-                    raise SimulationAbort(
-                        "qp-infeasible", f"robot {i} QP infeasible at t={world.t:.6f}", snapshot()
-                    )
-                solutions.append(sol)
-            if n >= 2 and system_deadlock(world, goals, params, tuple(solutions), thresholds, problems):
-                persist += 1
-            else:
-                persist = 0
-            if persist >= scenario.resolution.k_persist and not deadlock_announced:
-                deadlock_announced = True
-                events.append({"name": "deadlock-detected", "t": world.t})
-            mu_rows = [np.asarray(sol.mu_star) for sol in solutions]
-            masks = [_active_mask(sol) for sol in solutions]
-            controls = tuple(sol.u_star for sol in solutions)
-            return controls, u_hat, mu_rows, masks, 1
-        # three-phase supervisor
         prev_phase = phase_state.phase
-        try:
-            controls, phase_state, info = supervisor_step(
-                phase_state, world, goals, params, thresholds, scenario.dt, scenario.resolution,
-                pairs=pair_field, u_hat=u_hat,
-            )
-        except QPInfeasibleError as exc:
-            raise SimulationAbort("qp-infeasible", str(exc), snapshot()) from exc
-        except UnsupportedScenarioError as exc:
-            raise SimulationAbort("unsupported-deadlock", str(exc), snapshot()) from exc
+        controls, phase_state, info = supervisor_step(
+            phase_state, world, goals, params, thresholds, scenario.dt, scenario.resolution,
+            pairs=pair_field, u_hat=u_hat,
+        )
         if "event" in info:
             name, t_ev = info["event"]
             events.append({"name": name, "t": t_ev})
         if info["phase"] != prev_phase:
             events.append({"name": f"phase-{int(info['phase'])}-start", "t": world.t})
         if "solutions" in info:
-            mu_rows = [np.asarray(sol.mu_star) for sol in info["solutions"]]
+            mu_rows = [sol.mu_star for sol in info["solutions"]]
             masks = [_active_mask(sol) for sol in info["solutions"]]
         else:
-            mu_rows = _zero_rows(n)
-            masks = [0] * n
-        return controls, u_hat, mu_rows, masks, int(info["phase"])
+            mu_rows, masks = zero_mu, zero_masks
+        return controls, u_hat, mu_rows, masks, 0 if pd_only else int(info["phase"])
 
     step = 0
     try:
@@ -340,6 +320,14 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
                 rec.push(world.t, world, controls, u_hat, pair_field.h, mu_rows, masks, phase)
                 events.append({"name": "goals-reached", "t": world.t})
                 break
+    except SimulationAbort as exc:
+        # the phase-2 Newton step aborts without the state
+        exc.snapshot = exc.snapshot or snapshot()
+        raise
+    except QPInfeasibleError as exc:
+        raise SimulationAbort("qp-infeasible", str(exc), snapshot()) from exc
+    except UnsupportedScenarioError as exc:
+        raise SimulationAbort("unsupported-deadlock", str(exc), snapshot()) from exc
     except tuple(_GEOMETRY_ABORTS) as exc:
         kind = next(k for cls, k in _GEOMETRY_ABORTS.items() if isinstance(exc, cls))
         raise SimulationAbort(kind, f"{exc} at t={world.t:.6f}", snapshot()) from exc

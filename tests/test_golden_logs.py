@@ -15,7 +15,17 @@ from pathlib import Path
 import pytest
 from conftest import HEAD_ON, THREE_ROBOT_RESOLUTION, TWO_ROBOT_RESOLUTION
 
-from mrdeadlock import GoalSpec, Params, RobotState, Scenario, load_scenario, run_scenario
+from mrdeadlock import (
+    GoalSpec,
+    Params,
+    RobotState,
+    Scenario,
+    SimulationAbort,
+    default_head_on_scenario,
+    load_scenario,
+    run_scenario,
+    three_robot_cat_a_scenario,
+)
 from mrdeadlock.sim import log_to_json
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
@@ -62,3 +72,34 @@ def test_crowded_ring_log_is_pinned():
     )
     assert _sha256(run_scenario(scenario)) == RING32_SHA256
 
+
+def test_pd_only_run_to_goals_is_pinned():
+    scenario = Scenario(
+        params=Params(kp=4.0, kv=5.0, ds=0.5, alpha=(5.0, 5.0)),
+        initial=(RobotState.at_rest((0.0, 0.0)), RobotState.at_rest((0.0, 2.0))),
+        goals=GoalSpec(pd=((3.0, 0.0), (3.0, 2.0))),
+        controller="pd-only",
+        t_max=20.0,
+    )
+    log = run_scenario(scenario)
+    assert log.events == [{"name": "goals-reached", "t": 10.603999999999562}]
+    assert _sha256(log) == "df8006ad234bccf6a99bba668fb7144594e1b9931dabfcbde0f9c45e7f54c7f5"
+
+
+def test_cbf_qp_only_three_robot_log_is_pinned():
+    log = run_scenario(three_robot_cat_a_scenario(controller="cbf-qp-only", t_max=5.0))
+    assert log.events == [{"name": "deadlock-detected", "t": 0.009000000000000001}]
+    assert _sha256(log) == "f1bf983778c7f00c19479546a60e21cf1182d6470d0d5dc3566a79cdb69637ed"
+
+
+def test_pd_only_head_on_abort_is_pinned():
+    # the plain PD controllers drive the head-on pair straight through the margin
+    with pytest.raises(SimulationAbort) as err:
+        run_scenario(default_head_on_scenario(controller="pd-only"))
+    assert err.value.kind == "safety-violation"
+    assert str(err.value) == "[safety-violation] pair distance 0.498384951 below margin at t=1.914000"
+    assert err.value.snapshot == {
+        "t": 1.9139999999999,
+        "p": [(-0.24919247525405516, 0.0), (0.24919247525405516, 0.0)],
+        "v": [(0.8489662165761354, 0.0), (-0.8489662165761354, 0.0)],
+    }

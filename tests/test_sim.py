@@ -15,6 +15,7 @@ from mrdeadlock import (
     Scenario,
     WorldState,
     audit_log,
+    collinear_family,
     default_head_on_scenario,
     export_log,
     integrate_step,
@@ -230,6 +231,31 @@ def test_infeasible_qp_aborts_with_diagnostic():
         run_scenario(scen)
     assert err.value.kind == "qp-infeasible"
     assert "t" in err.value.snapshot
+
+
+def test_phase2_newton_abort_carries_the_failing_step(monkeypatch):
+    params = Params(kp=1.0, kv=3.0, ds=0.5, alpha=(5.0, 5.0))
+    goals = GoalSpec(pd=((2.0, 0.0), (-2.0, 0.0)))
+    scen = Scenario(
+        params=params, initial=collinear_family(goals, params, 0.5), goals=goals,
+        controller="three-phase", t_max=0.05,
+    )
+    log = run_scenario(scen)
+    k = int(np.argmax(log.phase == 2))  # phase 2 starts on the deadlock-detection step
+
+    def singular(*_):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(SimulationAbort) as err:
+        run_scenario(scen)
+    assert err.value.kind == "phase2-singular"
+    assert str(err.value) == "[phase2-singular] phase-2 Newton Jacobian singular: Singular matrix"
+    assert err.value.snapshot == {
+        "t": float(log.t[k]),
+        "p": [tuple(p) for p in log.pos[k].tolist()],
+        "v": [tuple(v) for v in log.vel[k].tolist()],
+    }
 
 
 def test_scenario_yaml_round_trip(tmp_path):

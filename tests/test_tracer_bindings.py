@@ -1,4 +1,4 @@
-"""The benchmark's span tracer wraps module bindings by name; every one must resolve."""
+"""The benchmark's span tracer wraps module bindings by name and classifies their returns."""
 
 from __future__ import annotations
 
@@ -6,16 +6,42 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from mrdeadlock import GoalSpec, Params, Phase, PhaseState, WorldState, collinear_family, supervisor_step
+from mrdeadlock.deadlock import DeadlockThresholds
+from mrdeadlock.sim import integrate_step
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def test_every_traced_binding_resolves():
+def _load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_traced_binding_resolves():
     missing = [
         f"{module}.{attr}"
-        for module, attr, _ in tracer.BINDINGS
+        for module, attr, _ in _load_tracer().BINDINGS
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert missing == []
+
+
+def test_supervisor_step_classifier_reads_every_phase():
+    # the tracer counts phase steps from supervisor_step's return value
+    classify = _load_tracer().CLASSIFIERS["resolution.supervisor_step"]
+    params = Params(kp=1.0, kv=3.0, ds=0.5, alpha=(5.0, 5.0))
+    goals = GoalSpec(pd=((2.0, 0.0), (-2.0, 0.0)))
+    thresholds = DeadlockThresholds.from_params(params)
+    world = WorldState(robots=collinear_family(goals, params, 0.5), t=0.0)
+    state, seen = PhaseState(), []
+    while seen.count("phase2") < 2:
+        out = supervisor_step(state, world, goals, params, thresholds, 1e-3)
+        seen.append(classify(out))
+        state = out[1]
+        world = integrate_step(world, out[0], 1e-3)
+    out = supervisor_step(PhaseState(phase=Phase.THREE), world, goals, params, thresholds, 1e-3)
+    seen.append(classify(out))
+    assert seen == ["phase1"] * 9 + ["phase2"] * 2 + ["phase3"]
