@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import IntEnum
-from typing import Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -86,6 +86,14 @@ class ResolutionConfig:
     k_persist: int = 10             # consecutive deadlock steps before phase 2
     classify_tol: float | None = None  # margin-classification tolerance (defaults 2e-2 Ds)
 
+    def __post_init__(self):
+        # k_persist = 0 would announce a deadlock on the very first step, and
+        # eps <= 0 would make the phase-3 release unreachable
+        if not (isinstance(self.k_persist, int) and self.k_persist >= 1):
+            raise ValueError(f"k_persist must be an integer >= 1, got {self.k_persist!r}")
+        if not (self.eps_theta > 0.0 and self.eps_omega > 0.0):
+            raise ValueError(f"eps_theta and eps_omega must be > 0, got {self.eps_theta!r}, {self.eps_omega!r}")
+
     def bearing_gains(self, params: Params) -> tuple[float, float]:
         return (
             self.kp2 if self.kp2 is not None else params.kp,
@@ -99,39 +107,70 @@ class ResolutionConfig:
         return self.classify_tol if self.classify_tol is not None else 2e-2 * params.ds
 
 
-@dataclass(frozen=True)
-class PhaseState:
-    """Supervisor state threaded through supervisor_step.
+# Supervisor states, one per mode, threaded through supervisor_step.  A run
+# moves Filtering -> (Regularizing ->) Rotating -> Released and never back.
 
-    Transitions are monotone ONE -> TWO -> THREE within a run; ``beta_ref``
-    is set exactly once, at the ONE -> TWO transition.  With ``resolve``
-    off the supervisor is the plain CBF-QP filter: a persistent deadlock is
-    announced once (``announced``) and phase 1 goes on.  The remaining
-    fields are the phase-2 reference trajectory (bearing, bearing rate,
-    per-pair boundary targets) and, for category-B entries, the
-    chain-opening regularization reference.
+@dataclass(frozen=True)
+class Filtering:
+    """Phase 1: the CBF-QP filter, counting consecutive deadlocked steps.
+
+    With ``resolve`` off the supervisor is the plain CBF-QP filter: a
+    persistent deadlock is announced once (``announced``) and filtering goes on.
     """
 
-    phase: Phase = Phase.ONE
+    phase: ClassVar[Phase] = Phase.ONE
     resolve: bool = True
     announced: bool = False
     persist_counter: int = 0
-    t_enter_phase: float = 0.0
-    beta_ref: float | None = None
-    partners: tuple[int, ...] = ()
-    sub_mode: str = ""              # "" | "rotate" | "regularize"
-    category: str = ""
-    center: int | None = None
-    pairs: tuple[tuple[int, int], ...] = ()
-    h_entry: tuple[float, ...] = ()
-    t_ref0: float = 0.0
-    theta_ref: float = 0.0
-    omega_ref: float = 0.0
-    gamma_ref: float = 0.0
-    gamma_omega: float = 0.0
-    gamma_goal: float = 0.0
-    psi_hold: float = 0.0
+
+
+@dataclass(frozen=True)
+class Rotating:
+    """Phase 2: every pair held on the boundary while the assembly turns to ``beta_ref``.
+
+    The pinned pairs are ``pair_indices(n)``; each one's boundary target
+    decays from ``h_entry`` (its signed safety index at ``t_ref0``).
+    ``theta_ref``/``omega_ref`` is the discrete bearing reference and
+    ``newton_warm`` the last Newton solution.
+    """
+
+    phase: ClassVar[Phase] = Phase.TWO
+    beta_ref: float
+    h_entry: tuple[float, ...]
+    t_ref0: float
+    theta_ref: float
+    omega_ref: float
     newton_warm: tuple[float, ...] = ()
+
+
+@dataclass(frozen=True)
+class Regularizing:
+    """Phase 2 of a category-B chain: the chain opens about its static ``center``.
+
+    Both outer robots stay on the boundary with the center robot while the
+    opening angle gamma (reference ``gamma_ref``/``gamma_omega``) goes to
+    ``gamma_goal`` and its bisector holds at ``psi_hold``.
+    """
+
+    phase: ClassVar[Phase] = Phase.TWO
+    center: int
+    h_entry: tuple[float, ...]
+    t_ref0: float
+    gamma_ref: float
+    gamma_omega: float
+    gamma_goal: float
+    psi_hold: float
+    newton_warm: tuple[float, ...] = ()
+
+
+@dataclass(frozen=True)
+class Released:
+    """Phase 3: the plain PD controllers."""
+
+    phase: ClassVar[Phase] = Phase.THREE
+
+
+PhaseState = Filtering | Rotating | Regularizing | Released
 
 
 @dataclass(frozen=True)
@@ -355,7 +394,7 @@ def _newton_solve(func, w0: list[float], f_tol: float = 1e-12, max_iter: int = 1
     return w
 
 
-def _h_targets(state: PhaseState, params: Params, t_next: float, k_h: float) -> tuple[float, ...]:
+def _h_targets(state: Rotating | Regularizing, t_next: float, k_h: float) -> tuple[float, ...]:
     out = []
     for h0 in state.h_entry:
         h = h0 * math.exp(-k_h * (t_next - state.t_ref0))
@@ -363,133 +402,70 @@ def _h_targets(state: PhaseState, params: Params, t_next: float, k_h: float) -> 
     return tuple(out)
 
 
-def _advance_bearing_ref(state: PhaseState, kp2: float, kv2: float, dt: float) -> tuple[float, float]:
-    assert state.beta_ref is not None
-    acc = -kp2 * (state.theta_ref - state.beta_ref) - kv2 * state.omega_ref
-    omega = state.omega_ref + dt * acc
-    theta = state.theta_ref + dt * omega
-    return theta, omega
+def _pin_controls(
+    world: WorldState, params: Params, pairs: tuple[tuple[int, int], ...], h_ts: tuple[float, ...],
+    controls_of: Callable[[list[float]], Sequence[Vec2]],
+    angles: Callable[[list[tuple[Vec2, Vec2]]], list[float]],
+    warm: tuple[float, ...], dt: float,
+) -> tuple[tuple[Vec2, ...], tuple[float, ...]]:
+    """Controls that put the next integrator state on the phase-2 manifold.
 
-
-def _rotate_controls_two(
-    world: WorldState, params: Params, state: PhaseState, theta_t: float,
-    h_ts: tuple[float, ...], dt: float,
-) -> tuple[tuple[Vec2, ...], list[float]]:
-    a, b = state.partners
-    za, zb = world.robots[a], world.robots[b]
-    asum = params.alpha_of(a) + params.alpha_of(b)
-    et = unit_vector(theta_t)
-
-    def residuals(w: list[float]) -> list[float]:
-        ua = (w[0], w[1])
-        ub = (-w[0], -w[1])
-        pa, va = _predict(za, ua, dt)
-        pb, vb = _predict(zb, ub, dt)
-        dp = v_sub(pb, pa)
-        dv = v_sub(vb, va)
-        return [
-            _pair_residual(dp, dv, h_ts[0], asum, params.ds),
-            v_cross(et, dp),
-        ]
-
-    w0 = list(state.newton_warm) if len(state.newton_warm) == 2 else [0.0, 0.0]
-    w = _newton_solve(residuals, w0)
-    ua = (w[0], w[1])
-    controls: list[Vec2] = [(0.0, 0.0)] * world.n
-    controls[a] = ua
-    controls[b] = (-w[0], -w[1])
-    return tuple(controls), w
-
-
-def _rotate_controls_three(
-    world: WorldState, params: Params, state: PhaseState, theta_t: float,
-    h_ts: tuple[float, ...], dt: float,
-) -> tuple[tuple[Vec2, ...], list[float]]:
+    Newton solves for the 2 (n - 1) free control components w: every pinned
+    pair's predicted signed safety index at its target (``_pair_residual``,
+    in pair order), then the mode's angle residuals.  ``controls_of(w)`` maps
+    w to every robot's control; ``angles(pred)`` maps the predicted
+    ``(p, v)`` of every robot to the angle residuals.  Returns the controls
+    and w, the next step's warm start.
+    """
     z = world.robots
-    et = unit_vector(theta_t)
-    prs = state.pairs
+    ds = params.ds
+    terms = [(i, j, h_t, params.alpha_of(i) + params.alpha_of(j)) for (i, j), h_t in zip(pairs, h_ts)]
 
     def residuals(w: list[float]) -> list[float]:
-        us = ((w[0], w[1]), (w[2], w[3]), (-w[0] - w[2], -w[1] - w[3]))
-        pred = [_predict(z[i], us[i], dt) for i in range(3)]
+        pred = []
+        for zi, u in zip(z, controls_of(w)):
+            pred.append(_predict(zi, u, dt))
         out = []
-        for (i, j), h_t in zip(prs, h_ts):
-            dp = v_sub(pred[j][0], pred[i][0])
-            dv = v_sub(pred[j][1], pred[i][1])
-            out.append(_pair_residual(dp, dv, h_t, params.alpha_of(i) + params.alpha_of(j), params.ds))
-        cx = (pred[0][0][0] + pred[1][0][0] + pred[2][0][0]) / 3.0
-        cy = (pred[0][0][1] + pred[1][0][1] + pred[2][0][1]) / 3.0
-        rho0 = (pred[0][0][0] - cx, pred[0][0][1] - cy)
-        out.append(v_cross(et, rho0))
+        for i, j, h_t, asum in terms:
+            (pi, vi), (pj, vj) = pred[i], pred[j]
+            out.append(_pair_residual(v_sub(pj, pi), v_sub(vj, vi), h_t, asum, ds))
+        out += angles(pred)
         return out
 
-    w0 = list(state.newton_warm) if len(state.newton_warm) == 4 else [0.0] * 4
-    w = _newton_solve(residuals, w0)
-    controls = ((w[0], w[1]), (w[2], w[3]), (-w[0] - w[2], -w[1] - w[3]))
-    return controls, w
-
-
-def _regularize_controls(
-    world: WorldState, params: Params, state: PhaseState, gamma_t: float,
-    h_ts: tuple[float, ...], dt: float,
-) -> tuple[tuple[Vec2, ...], list[float]]:
-    """Open or close the category-B chain about the static center robot."""
-    m = state.center
-    assert m is not None
-    a, b = [i for i in state.partners if i != m]
-    za, zb, zm = world.robots[a], world.robots[b], world.robots[m]
-
-    def residuals(w: list[float]) -> list[float]:
-        ua = (w[0], w[1])
-        ub = (w[2], w[3])
-        pa, va = _predict(za, ua, dt)
-        pb, vb = _predict(zb, ub, dt)
-        pm, vm = _predict(zm, (0.0, 0.0), dt)
-        rho_a = v_sub(pa, pm)
-        rho_b = v_sub(pb, pm)
-        th_a = math.atan2(rho_a[1], rho_a[0])
-        th_b = math.atan2(rho_b[1], rho_b[0])
-        gamma = wrap_angle(th_b - th_a)
-        psi = th_a + 0.5 * gamma
-        return [
-            _pair_residual(v_sub(pa, pm), v_sub(va, vm), h_ts[0],
-                           params.alpha_of(a) + params.alpha_of(m), params.ds),
-            _pair_residual(v_sub(pb, pm), v_sub(vb, vm), h_ts[1],
-                           params.alpha_of(b) + params.alpha_of(m), params.ds),
-            wrap_angle(gamma - gamma_t),
-            wrap_angle(psi - state.psi_hold),
-        ]
-
-    w0 = list(state.newton_warm) if len(state.newton_warm) == 4 else [0.0] * 4
-    w = _newton_solve(residuals, w0)
-    controls: list[Vec2] = [(0.0, 0.0)] * world.n
-    controls[a] = (w[0], w[1])
-    controls[b] = (w[2], w[3])
-    return tuple(controls), w
+    w = _newton_solve(residuals, list(warm) if warm else [0.0] * (2 * world.n - 2))
+    return tuple(controls_of(w)), tuple(w)
 
 
 # ---------------------------------------------------------------------------
 # measured assembly state (for transitions)
 # ---------------------------------------------------------------------------
 
-def _measured_bearing_two(world: WorldState, partners: tuple[int, ...]) -> tuple[float, float]:
-    a, b = partners
-    dp = v_sub(world.robots[b].p, world.robots[a].p)
-    dv = v_sub(world.robots[b].v, world.robots[a].v)
+def _measured_bearing(world: WorldState) -> tuple[float, float]:
+    """Bearing and its rate of p_1 - p_0 (two robots) or of robot 0 about the centroid (three)."""
+    z = world.robots
+    if world.n == 2:
+        dp = v_sub(z[1].p, z[0].p)
+        dv = v_sub(z[1].v, z[0].v)
+    else:
+        c = v_scale(v_add(v_add(z[0].p, z[1].p), z[2].p), 1.0 / 3.0)
+        vc = v_scale(v_add(v_add(z[0].v, z[1].v), z[2].v), 1.0 / 3.0)
+        dp = v_sub(z[0].p, c)
+        dv = v_sub(z[0].v, vc)
     return math.atan2(dp[1], dp[0]), v_cross(dp, dv) / v_dot(dp, dp)
 
 
-def _measured_bearing_three(world: WorldState) -> tuple[float, float]:
-    ps = world.positions()
-    vs = world.velocities()
-    c = v_scale(v_add(v_add(ps[0], ps[1]), ps[2]), 1.0 / 3.0)
-    vc = v_scale(v_add(v_add(vs[0], vs[1]), vs[2]), 1.0 / 3.0)
-    rho = v_sub(ps[0], c)
-    return math.atan2(rho[1], rho[0]), v_cross(rho, v_sub(vs[0], vc)) / v_dot(rho, rho)
+def _outer(center: int) -> tuple[int, ...]:
+    return tuple(i for i in range(3) if i != center)
 
 
-def _measured_gamma(world: WorldState, center: int, outer: tuple[int, int]) -> tuple[float, float]:
-    a, b = outer
+def _center_pairs(center: int) -> tuple[tuple[int, int], ...]:
+    """The pairs of a category-B chain: each outer robot with the center, in pair order."""
+    return tuple(p for p in pair_indices(3) if center in p)
+
+
+def _measured_gamma(world: WorldState, center: int) -> tuple[float, float, float]:
+    """Opening angle of the chain about ``center``, its rate, and its bisector."""
+    a, b = _outer(center)
     pm, vm = world.robots[center].p, world.robots[center].v
     rho_a = v_sub(world.robots[a].p, pm)
     rho_b = v_sub(world.robots[b].p, pm)
@@ -497,7 +473,8 @@ def _measured_gamma(world: WorldState, center: int, outer: tuple[int, int]) -> t
     th_b = math.atan2(rho_b[1], rho_b[0])
     wa = v_cross(rho_a, v_sub(world.robots[a].v, vm)) / v_dot(rho_a, rho_a)
     wb = v_cross(rho_b, v_sub(world.robots[b].v, vm)) / v_dot(rho_b, rho_b)
-    return wrap_angle(th_b - th_a), wb - wa
+    gamma = wrap_angle(th_b - th_a)
+    return gamma, wb - wa, th_a + 0.5 * gamma
 
 
 # ---------------------------------------------------------------------------
@@ -507,65 +484,41 @@ def _measured_gamma(world: WorldState, center: int, outer: tuple[int, int]) -> t
 def _enter_phase_two(
     world: WorldState, goals: GoalSpec, params: Params, config: ResolutionConfig, t: float,
     h: tuple[float, ...],
-) -> PhaseState:
+) -> Rotating | Regularizing:
     """Phase-2 entry state; h is the signed safety index of every pair, in pair order."""
     n = world.n
-    if n == 2:
-        partners = (0, 1)
-        theta, omega = _measured_bearing_two(world, partners)
-        beta_raw = goal_bearing(goals, 0, 1)
-        beta_ref = theta + wrap_angle(beta_raw - theta)
-        pairs = ((0, 1),)
-        h_entry = (h[0],)
-        return PhaseState(
-            phase=Phase.TWO, t_enter_phase=t, beta_ref=beta_ref, partners=partners,
-            sub_mode="rotate", category="two", pairs=pairs, h_entry=h_entry,
-            t_ref0=t, theta_ref=theta, omega_ref=omega,
-        )
     if n == 3:
         cat = classify_three_robot(world, params, config.classification_tol(params))
-        if cat.category == "A":
-            return _enter_rotate_three(world, goals, t, h, category="A")
         if cat.category == "B":
             center = cat.center
             assert center is not None
-            outer = tuple(i for i in range(3) if i != center)
-            gamma, gamma_dot = _measured_gamma(world, center, outer)  # type: ignore[arg-type]
-            a = outer[0]
-            rho_a = v_sub(world.robots[a].p, world.robots[center].p)
-            psi = math.atan2(rho_a[1], rho_a[0]) + 0.5 * gamma
-            pairs = tuple((min(i, center), max(i, center)) for i in outer)
-            h_entry = tuple(h[pair_indices(3).index(p)] for p in pairs)
-            return PhaseState(
-                phase=Phase.TWO, t_enter_phase=t, beta_ref=None, partners=(0, 1, 2),
-                sub_mode="regularize", category="B", center=center,
-                pairs=pairs, h_entry=h_entry, t_ref0=t,
-                gamma_ref=gamma, gamma_omega=gamma_dot,
+            gamma, gamma_dot, psi = _measured_gamma(world, center)
+            return Regularizing(
+                center=center,
+                h_entry=tuple(h[pair_indices(3).index(p)] for p in _center_pairs(center)),
+                t_ref0=t, gamma_ref=gamma, gamma_omega=gamma_dot,
                 gamma_goal=math.copysign(math.pi / 3.0, gamma), psi_hold=psi,
             )
-        raise UnsupportedScenarioError(
-            "three-robot deadlock detected but the contact geometry matches neither category"
-        )
-    raise UnsupportedScenarioError(f"deadlock resolution is implemented for N in {{2, 3}}, got N={n}")
+        if cat.category != "A":
+            raise UnsupportedScenarioError(
+                "three-robot deadlock detected but the contact geometry matches neither category"
+            )
+    elif n != 2:
+        raise UnsupportedScenarioError(f"deadlock resolution is implemented for N in {{2, 3}}, got N={n}")
+    return _enter_rotating(world, goals, t, h)
 
 
-def _enter_rotate_three(
-    world: WorldState, goals: GoalSpec, t: float, h: tuple[float, ...], category: str,
-    prior: PhaseState | None = None,
-) -> PhaseState:
-    theta, omega = _measured_bearing_three(world)
-    gc = v_scale(v_add(v_add(goals.pd[0], goals.pd[1]), goals.pd[2]), 1.0 / 3.0)
-    beta_raw = math.atan2(goals.pd[0][1] - gc[1], goals.pd[0][0] - gc[0])
+def _enter_rotating(world: WorldState, goals: GoalSpec, t: float, h: tuple[float, ...]) -> Rotating:
+    """Rotation toward the goal bearing from the measured one; h as in _enter_phase_two."""
+    theta, omega = _measured_bearing(world)
+    pd = goals.pd
+    if world.n == 2:
+        beta_raw = goal_bearing(goals, 0, 1)
+    else:
+        gc = v_scale(v_add(v_add(pd[0], pd[1]), pd[2]), 1.0 / 3.0)
+        beta_raw = math.atan2(pd[0][1] - gc[1], pd[0][0] - gc[0])
     beta_ref = theta + wrap_angle(beta_raw - theta)
-    base = prior if prior is not None else PhaseState()
-    return replace(
-        base,
-        phase=Phase.TWO,
-        t_enter_phase=base.t_enter_phase if prior is not None else t,
-        beta_ref=beta_ref, partners=(0, 1, 2), sub_mode="rotate", category=category,
-        pairs=pair_indices(3), h_entry=h, t_ref0=t, theta_ref=theta, omega_ref=omega,
-        newton_warm=(),
-    )
+    return Rotating(beta_ref=beta_ref, h_entry=h, t_ref0=t, theta_ref=theta, omega_ref=omega)
 
 
 def supervisor_step(
@@ -581,12 +534,14 @@ def supervisor_step(
 ) -> tuple[tuple[Vec2, ...], PhaseState, dict]:
     """Advance the supervisor one step: controls for every robot + new state.
 
-    The returned info dict carries ``phase``, the phase whose controls were
+    ``state`` is one of the per-mode states (``Filtering``, ``Regularizing``,
+    ``Rotating``, ``Released``); the step dispatches on its type.  The
+    returned info dict carries ``phase``, the phase whose controls were
     returned; on a phase-1 step, ``solutions``, the per-robot QP solutions;
     and on the step that detects a deadlock or finishes a category-B
-    regularization, ``event``, a ``(name, t)`` pair.  ``pairs``
-    (the pair pass of ``world``) and ``u_hat`` (the PD references) may be
-    passed by a caller that already has them; they are computed otherwise.
+    regularization, ``event``, a ``(name, t)`` pair.  ``pairs`` (the pair
+    pass of ``world``) and ``u_hat`` (the PD references) may be passed by a
+    caller that already has them; they are computed otherwise.
     """
     n = world.n
     t = world.t
@@ -596,7 +551,7 @@ def supervisor_step(
     if u_hat is None:
         u_hat = tuple(pd_control(world.robots[i], goals.pd[i], params) for i in range(n))
 
-    if state.phase == Phase.ONE:
+    if isinstance(state, Filtering):
         problems = pairs.problems(u_hat)
         solutions = tuple(solve_qp(p) for p in problems)
         for i, sol in enumerate(solutions):
@@ -625,14 +580,13 @@ def supervisor_step(
             state = replace(state, persist_counter=persist)
         return controls, state, info
 
-    if state.phase == Phase.TWO:
-        return _phase_two_step(state, world, goals, params, dt, config, info, pairs, u_hat)
-
-    return tuple(u_hat), state, info
+    if isinstance(state, Released):
+        return tuple(u_hat), state, info
+    return _phase_two_step(state, world, goals, params, dt, config, info, pairs, u_hat)
 
 
 def _phase_two_step(
-    state: PhaseState,
+    state: Rotating | Regularizing,
     world: WorldState,
     goals: GoalSpec,
     params: Params,
@@ -642,53 +596,82 @@ def _phase_two_step(
     pairs: PairField,
     u_hat: Sequence[Vec2],
 ) -> tuple[tuple[Vec2, ...], PhaseState, dict]:
-    kp2, kv2 = config.bearing_gains(params)
     t = world.t
     info["phase"] = Phase.TWO
 
-    if state.sub_mode == "regularize":
-        gamma_m, gamma_dot_m = _measured_gamma(
-            world, state.center, tuple(i for i in range(3) if i != state.center)  # type: ignore[arg-type]
-        )
-        if (
+    if isinstance(state, Regularizing):
+        gamma_m, gamma_dot_m, _ = _measured_gamma(world, state.center)
+        if not (
             abs(wrap_angle(gamma_m - state.gamma_goal)) <= config.eps_theta
             and abs(gamma_dot_m) <= config.eps_omega
         ):
-            state = _enter_rotate_three(world, goals, t, pairs.h, category="B", prior=state)
-            info["event"] = ("regularized", t)
-        else:
-            acc = -kp2 * (state.gamma_ref - state.gamma_goal) - kv2 * state.gamma_omega
-            gamma_omega = state.gamma_omega + dt * acc
-            gamma_ref = state.gamma_ref + dt * gamma_omega
-            h_ts = _h_targets(state, params, t + dt, config.k_h)
-            controls, warm = _regularize_controls(world, params, state, gamma_ref, h_ts, dt)
-            new_state = replace(
-                state, gamma_ref=gamma_ref, gamma_omega=gamma_omega, newton_warm=tuple(warm)
-            )
+            controls, new_state = _regularize(state, world, params, dt, config)
             return controls, new_state, info
+        state = _enter_rotating(world, goals, t, pairs.h)
+        info["event"] = ("regularized", t)
 
-    # rotate sub-mode (two- or three-robot)
-    if len(state.partners) == 2:
-        theta_m, omega_m = _measured_bearing_two(world, state.partners)
-    else:
-        theta_m, omega_m = _measured_bearing_three(world)
-    assert state.beta_ref is not None
-    h_ts = _h_targets(state, params, t + dt, config.k_h)
-    aligned = (
+    theta_m, omega_m = _measured_bearing(world)
+    h_ts = _h_targets(state, t + dt, config.k_h)
+    if (
         abs(wrap_angle(theta_m - state.beta_ref)) <= config.eps_theta
         and abs(omega_m) <= config.eps_omega
         and all(h == 0.0 for h in h_ts)
-    )
-    if aligned:
-        new_state = replace(state, phase=Phase.THREE, t_enter_phase=t, newton_warm=())
-        controls = tuple(u_hat)
+    ):
         info["phase"] = Phase.THREE
-        return controls, new_state, info
+        return tuple(u_hat), Released(), info
 
-    theta_ref, omega_ref = _advance_bearing_ref(state, kp2, kv2, dt)
-    if len(state.partners) == 2:
-        controls, warm = _rotate_controls_two(world, params, state, theta_ref, h_ts, dt)
+    kp2, kv2 = config.bearing_gains(params)
+    omega_ref = state.omega_ref + dt * (-kp2 * (state.theta_ref - state.beta_ref) - kv2 * state.omega_ref)
+    theta_ref = state.theta_ref + dt * omega_ref
+    et = unit_vector(theta_ref)
+    if world.n == 2:
+        def controls_of(w):
+            return (w[0], w[1]), (-w[0], -w[1])
+
+        def angles(pred):
+            return [v_cross(et, v_sub(pred[1][0], pred[0][0]))]
     else:
-        controls, warm = _rotate_controls_three(world, params, state, theta_ref, h_ts, dt)
-    new_state = replace(state, theta_ref=theta_ref, omega_ref=omega_ref, newton_warm=tuple(warm))
-    return controls, new_state, info
+        def controls_of(w):
+            return (w[0], w[1]), (w[2], w[3]), (-w[0] - w[2], -w[1] - w[3])
+
+        def angles(pred):
+            cx = (pred[0][0][0] + pred[1][0][0] + pred[2][0][0]) / 3.0
+            cy = (pred[0][0][1] + pred[1][0][1] + pred[2][0][1]) / 3.0
+            return [v_cross(et, (pred[0][0][0] - cx, pred[0][0][1] - cy))]
+
+    controls, warm = _pin_controls(
+        world, params, pair_indices(world.n), h_ts, controls_of, angles, state.newton_warm, dt
+    )
+    return controls, replace(state, theta_ref=theta_ref, omega_ref=omega_ref, newton_warm=warm), info
+
+
+def _regularize(
+    state: Regularizing, world: WorldState, params: Params, dt: float, config: ResolutionConfig,
+) -> tuple[tuple[Vec2, ...], Regularizing]:
+    """Open or close the category-B chain about the static center robot."""
+    m = state.center
+    a, b = _outer(m)
+    kp2, kv2 = config.bearing_gains(params)
+    acc = -kp2 * (state.gamma_ref - state.gamma_goal) - kv2 * state.gamma_omega
+    gamma_omega = state.gamma_omega + dt * acc
+    gamma_ref = state.gamma_ref + dt * gamma_omega
+
+    def controls_of(w):
+        us = [(0.0, 0.0)] * 3
+        us[a] = (w[0], w[1])
+        us[b] = (w[2], w[3])
+        return us
+
+    def angles(pred):
+        pm = pred[m][0]
+        rho_a = v_sub(pred[a][0], pm)
+        rho_b = v_sub(pred[b][0], pm)
+        th_a = math.atan2(rho_a[1], rho_a[0])
+        gamma = wrap_angle(math.atan2(rho_b[1], rho_b[0]) - th_a)
+        return [wrap_angle(gamma - gamma_ref), wrap_angle(th_a + 0.5 * gamma - state.psi_hold)]
+
+    controls, warm = _pin_controls(
+        world, params, _center_pairs(m), _h_targets(state, world.t + dt, config.k_h),
+        controls_of, angles, state.newton_warm, dt,
+    )
+    return controls, replace(state, gamma_ref=gamma_ref, gamma_omega=gamma_omega, newton_warm=warm)

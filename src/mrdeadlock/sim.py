@@ -45,14 +45,14 @@ from .errors import (
     UnsupportedScenarioError,
 )
 from .qp import QPSolution, solve_qp, verify_kkt  # noqa: F401
-from .resolution import Phase, PhaseState, ResolutionConfig, supervisor_step
+from .resolution import Filtering, Released, ResolutionConfig, supervisor_step
 
 # Every controller is the supervisor from its own starting state: the plain
 # CBF-QP filter never leaves phase 1, the plain PD controllers are phase 3.
 _START_STATES = {
-    "cbf-qp-only": PhaseState(resolve=False),
-    "three-phase": PhaseState(),
-    "pd-only": PhaseState(phase=Phase.THREE),
+    "cbf-qp-only": Filtering(resolve=False),
+    "three-phase": Filtering(),
+    "pd-only": Released(),
 }
 CONTROLLERS = tuple(_START_STATES)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import yaml
+
 from mrdeadlock import default_head_on_scenario, load_log, save_scenario
 from mrdeadlock.cli import main
 
@@ -89,3 +91,15 @@ def test_bad_scenario_file_exits_nonzero(tmp_path, capsys):
     spath.write_text("params: {kp: -1.0, kv: 3.0, ds: 0.5, alpha: [5.0]}\nrobots: [{p: [0,0]}]\ngoals: [[1,0]]\n")
     assert main(["run", str(spath)]) == 2
     assert capsys.readouterr().err.strip() != ""
+
+
+def test_run_rejects_zero_persistence_with_one_line(tmp_path, capsys):
+    # k_persist = 0 would announce a deadlock at t = 0, with the robots 4 m apart
+    spath = tmp_path / "scenario.yaml"
+    save_scenario(default_head_on_scenario(controller="three-phase", t_max=0.5), str(spath))
+    data = yaml.safe_load(spath.read_text())
+    data["resolution"] = {"k_persist": 0}
+    spath.write_text(yaml.safe_dump(data))
+    assert main(["run", str(spath)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "k_persist" in err

@@ -25,7 +25,9 @@ from mrdeadlock import (
     load_scenario,
     run_scenario,
     three_robot_cat_a_scenario,
+    three_robot_family_catB,
 )
+from mrdeadlock.resolution import ResolutionConfig
 from mrdeadlock.sim import log_to_json
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
@@ -90,6 +92,24 @@ def test_cbf_qp_only_three_robot_log_is_pinned():
     log = run_scenario(three_robot_cat_a_scenario(controller="cbf-qp-only", t_max=5.0))
     assert log.events == [{"name": "deadlock-detected", "t": 0.009000000000000001}]
     assert _sha256(log) == "f1bf983778c7f00c19479546a60e21cf1182d6470d0d5dc3566a79cdb69637ed"
+
+
+def test_category_b_resolution_log_is_pinned():
+    # the chain opens (regularized) before the assembly rotates and releases
+    params = Params(kp=1.0, kv=3.0, ds=0.5, alpha=(5.0,) * 3)
+    world, goals = three_robot_family_catB(params, 2.0)
+    scenario = Scenario(
+        params=params, initial=world.robots, goals=goals, controller="three-phase", t_max=9.5,
+        resolution=ResolutionConfig(kp2=16.0, kv2=10.0), log_every=10,
+    )
+    log = run_scenario(scenario)
+    assert log.events == [
+        {"name": "deadlock-detected", "t": 0.009000000000000001},
+        {"name": "phase-2-start", "t": 0.009000000000000001},
+        {"name": "regularized", "t": 3.9809999999996726},
+        {"name": "phase-3-start", "t": 8.503000000000727},
+    ]
+    assert _sha256(log) == "3dbcc051a16a32b129125e6bda94dce2e4d4b4fb8353b69a1d09c5d45555e3b7"
 
 
 def test_pd_only_head_on_abort_is_pinned():

@@ -10,8 +10,6 @@ import pytest
 from mrdeadlock import (
     GoalSpec,
     Params,
-    Phase,
-    PhaseState,
     RobotState,
     WorldState,
     collinear_family,
@@ -22,12 +20,21 @@ from mrdeadlock import (
     simulate_relative_pd,
     supervisor_step,
     three_robot_family_catA,
+    three_robot_family_catB,
 )
+from mrdeadlock import resolution
 from mrdeadlock.core import v_norm, v_sub, wrap_angle
 from mrdeadlock.deadlock import DeadlockThresholds
 from mrdeadlock.errors import CoincidentRobotsError
-from mrdeadlock.resolution import ResolutionConfig, pair_outputs
-from mrdeadlock.sim import Scenario, run_scenario
+from mrdeadlock.resolution import (
+    Filtering,
+    Regularizing,
+    Released,
+    ResolutionConfig,
+    Rotating,
+    pair_outputs,
+)
+from mrdeadlock.sim import Scenario, integrate_step, run_scenario
 
 PARAMS2 = Params(kp=1.0, kv=3.0, ds=0.5, alpha=(5.0, 5.0))
 GOALS2 = GoalSpec(pd=((2.0, 0.0), (-2.0, 0.0)))
@@ -275,20 +282,48 @@ def test_supervisor_phase_monotone_and_beta_set_once():
     z1, z2 = collinear_family(GOALS2, PARAMS2, 0.5)
     world = WorldState(robots=(z1, z2), t=0.0)
     th = DeadlockThresholds.from_params(PARAMS2)
-    state = PhaseState()
+    state = Filtering()
     dt = 1e-3
     betas = set()
     phases = []
-    from mrdeadlock.sim import integrate_step
 
     for _ in range(2000):
         controls, state, _ = supervisor_step(state, world, GOALS2, PARAMS2, th, dt)
         world = integrate_step(world, controls, dt)
         phases.append(int(state.phase))
-        if state.beta_ref is not None:
+        if isinstance(state, Rotating):
             betas.add(state.beta_ref)
     assert all(b2 >= b1 for b1, b2 in zip(phases, phases[1:]))
     assert len(betas) == 1  # beta_ref chosen once at the ONE -> TWO transition
+
+
+def test_category_b_states_open_the_chain_then_rotate_then_release(monkeypatch):
+    params = Params(kp=1.0, kv=3.0, ds=0.5, alpha=(5.0,) * 3)
+    world, goals = three_robot_family_catB(params, 2.0)
+    th = DeadlockThresholds.from_params(params)
+    config = ResolutionConfig(kp2=16.0, kv2=10.0)
+    warm_starts = []
+    pin_controls = resolution._pin_controls
+
+    def spy(world, params, pairs, h_ts, controls_of, angles, warm, dt):
+        warm_starts.append(warm)
+        return pin_controls(world, params, pairs, h_ts, controls_of, angles, warm, dt)
+
+    monkeypatch.setattr(resolution, "_pin_controls", spy)
+    state, dt = Filtering(), 1e-3
+    kinds = [Filtering]
+    for _ in range(9500):
+        controls, state, info = supervisor_step(state, world, goals, params, th, dt, config)
+        world = integrate_step(world, controls, dt)
+        if info.get("event", ("",))[0] == "regularized":
+            # the rotation starts cold and pins all three pairs
+            assert warm_starts[-1] == ()
+            assert isinstance(state, Rotating) and len(state.h_entry) == 3
+        if type(state) is not kinds[-1]:
+            kinds.append(type(state))
+        if isinstance(state, Released):
+            break
+    assert kinds == [Filtering, Regularizing, Rotating, Released]
 
 
 def test_supervisor_handoff_alignment_two_robot():
@@ -321,8 +356,6 @@ def test_supervisor_handoff_alignment_two_robot():
 
 def test_supervisor_category_b_run_is_safe_and_converges():
     params = Params(kp=1.0, kv=3.0, ds=0.5, alpha=(5.0,) * 3)
-    from mrdeadlock import three_robot_family_catB
-
     world, goals = three_robot_family_catB(params, 2.0)
     scen = Scenario(
         params=params, initial=world.robots, goals=goals, controller="three-phase", t_max=80.0
@@ -335,6 +368,17 @@ def test_supervisor_category_b_run_is_safe_and_converges():
     for i, j in ((0, 1), (0, 2), (1, 2)):
         d = np.hypot(log.pos[:, i, 0] - log.pos[:, j, 0], log.pos[:, i, 1] - log.pos[:, j, 1])
         assert d.min() >= params.ds - 1e-6
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"k_persist": 0}, {"k_persist": -3}, {"k_persist": 2.5}, {"eps_theta": 0.0}, {"eps_omega": -1e-3},
+     {"eps_theta": float("nan")}],
+)
+def test_resolution_config_rejects_unreachable_thresholds(kwargs):
+    # k_persist < 1 announces a deadlock on the first step; eps <= 0 never releases
+    with pytest.raises(ValueError):
+        ResolutionConfig(**kwargs)
 
 
 def test_resolution_config_defaults():

@@ -6,8 +6,18 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from mrdeadlock import GoalSpec, Params, Phase, PhaseState, WorldState, collinear_family, supervisor_step
+from mrdeadlock import (
+    GoalSpec,
+    Params,
+    Scenario,
+    WorldState,
+    collinear_family,
+    run_scenario,
+    supervisor_step,
+    three_robot_family_catB,
+)
 from mrdeadlock.deadlock import DeadlockThresholds
+from mrdeadlock.resolution import Filtering, Regularizing, Released
 from mrdeadlock.sim import integrate_step
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -36,12 +46,39 @@ def test_supervisor_step_classifier_reads_every_phase():
     goals = GoalSpec(pd=((2.0, 0.0), (-2.0, 0.0)))
     thresholds = DeadlockThresholds.from_params(params)
     world = WorldState(robots=collinear_family(goals, params, 0.5), t=0.0)
-    state, seen = PhaseState(), []
+    state, seen = Filtering(), []
     while seen.count("phase2") < 2:
         out = supervisor_step(state, world, goals, params, thresholds, 1e-3)
         seen.append(classify(out))
         state = out[1]
         world = integrate_step(world, out[0], 1e-3)
-    out = supervisor_step(PhaseState(phase=Phase.THREE), world, goals, params, thresholds, 1e-3)
+    out = supervisor_step(Released(), world, goals, params, thresholds, 1e-3)
     seen.append(classify(out))
     assert seen == ["phase1"] * 9 + ["phase2"] * 2 + ["phase3"]
+
+    # a category-B chain spends its first phase-2 steps opening (Regularizing)
+    params = Params(kp=1.0, kv=3.0, ds=0.5, alpha=(5.0,) * 3)
+    world, goals = three_robot_family_catB(params, 2.0)
+    state = Filtering()
+    for _ in range(11):
+        out = supervisor_step(state, world, goals, params, DeadlockThresholds.from_params(params), 1e-3)
+        state = out[1]
+        world = integrate_step(world, out[0], 1e-3)
+    assert isinstance(state, Regularizing)
+    assert classify(out) == "phase2"
+
+
+def test_traced_three_phase_run_records_every_layer():
+    # a refactor that stops calling a traced binding would zero its per-layer
+    # metrics without any error
+    params = Params(kp=1.0, kv=3.0, ds=0.5, alpha=(5.0, 5.0))
+    goals = GoalSpec(pd=((2.0, 0.0), (-2.0, 0.0)))
+    scenario = Scenario(
+        params=params, initial=collinear_family(goals, params, 0.5), goals=goals,
+        controller="three-phase", t_max=0.05,
+    )
+    with _load_tracer().Tracer() as tracer:
+        run_scenario(scenario)
+    for name in ("resolution.supervisor_step", "qp.solve_qp", "deadlock.system_deadlock"):
+        assert tracer.stat(name, "calls") > 0, name
+    assert tracer.stat("resolution.supervisor_step", "calls", cls="phase2") > 0
