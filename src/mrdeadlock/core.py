@@ -46,6 +46,18 @@ def v_norm(a: Vec2) -> float:
     return math.hypot(a[0], a[1])
 
 
+def _finite_vec2(value, what: str) -> Vec2:
+    """value as a 2-tuple of finite floats; a ValueError naming `what` otherwise."""
+    try:
+        x, y = value
+        vec = (float(x), float(y))
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be two numbers, got {value!r}") from None
+    if not (math.isfinite(vec[0]) and math.isfinite(vec[1])):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return vec
+
+
 def unit_vector(angle: float) -> Vec2:
     """Unit vector e_hat(angle) = (cos angle, sin angle)."""
     return (math.cos(angle), math.sin(angle))
@@ -79,10 +91,10 @@ class Params:
     alpha: tuple[float, ...]
 
     def __post_init__(self):
-        if not (self.kp > 0.0 and self.kv > 0.0 and self.ds > 0.0):
-            raise ValueError("kp, kv and ds must be strictly positive")
-        if len(self.alpha) == 0 or any(a <= 0.0 for a in self.alpha):
-            raise ValueError("every per-robot alpha must be strictly positive")
+        if not (0.0 < self.kp < math.inf and 0.0 < self.kv < math.inf and 0.0 < self.ds < math.inf):
+            raise ValueError(f"kp, kv and ds must be finite and > 0, got {self.kp!r}, {self.kv!r}, {self.ds!r}")
+        if len(self.alpha) == 0 or not all(0.0 < a < math.inf for a in self.alpha):
+            raise ValueError(f"every per-robot alpha must be finite and > 0, got {self.alpha!r}")
         object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
 
     @property
@@ -102,10 +114,8 @@ class RobotState:
     v: Vec2
 
     def __post_init__(self):
-        if not all(math.isfinite(c) for c in (*self.p, *self.v)):
-            raise ValueError("robot state components must be finite")
-        object.__setattr__(self, "p", (float(self.p[0]), float(self.p[1])))
-        object.__setattr__(self, "v", (float(self.v[0]), float(self.v[1])))
+        object.__setattr__(self, "p", _finite_vec2(self.p, "robot position"))
+        object.__setattr__(self, "v", _finite_vec2(self.v, "robot velocity"))
 
     @staticmethod
     def at_rest(p: Vec2) -> "RobotState":
@@ -119,7 +129,7 @@ class GoalSpec:
     pd: tuple[Vec2, ...]
 
     def __post_init__(self):
-        pd = tuple((float(g[0]), float(g[1])) for g in self.pd)
+        pd = tuple(_finite_vec2(g, "goal") for g in self.pd)
         object.__setattr__(self, "pd", pd)
         n = len(pd)
         for i in range(n):

@@ -65,10 +65,6 @@ class QPProblem:
         if not box_positive:
             raise ValueError("box bounds must be strictly positive")
 
-    @property
-    def m_neighbors(self) -> int:
-        return sum(1 for r in self.rows if r.is_neighbor)
-
 
 @dataclass(frozen=True)
 class QPSolution:
@@ -78,12 +74,6 @@ class QPSolution:
     mu_star: tuple[float, ...]
     active_set: tuple[int, ...]
     status: str  # "optimal" | "infeasible"
-
-    def neighbor_multipliers(self, problem: QPProblem) -> tuple[tuple[int, float], ...]:
-        """(row index, mu) for the neighbor rows only."""
-        return tuple(
-            (k, self.mu_star[k]) for k, row in enumerate(problem.rows) if row.is_neighbor
-        )
 
 
 def _feasible(rows: tuple[ConstraintRow, ...], u: Vec2) -> bool:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 import yaml
@@ -77,10 +77,10 @@ class Scenario:
     def __post_init__(self):
         if self.controller not in CONTROLLERS:
             raise ValueError(f"controller must be one of {CONTROLLERS}")
-        if not (self.dt > 0.0 and self.t_max > self.dt):
-            raise ValueError("need dt > 0 and t_max > dt")
-        if self.log_every < 1:
-            raise ValueError("log_every must be >= 1")
+        if not 0.0 < self.dt < self.t_max < math.inf:
+            raise ValueError(f"need finite dt > 0 and t_max > dt, got dt={self.dt!r}, t_max={self.t_max!r}")
+        if not (isinstance(self.log_every, int) and self.log_every >= 1):
+            raise ValueError(f"log_every must be an integer >= 1, got {self.log_every!r}")
         if len(self.initial) != len(self.goals):
             raise ValueError("one goal per robot required")
         if len(self.initial) != len(self.params.alpha):
@@ -145,14 +145,12 @@ def three_robot_cat_a_scenario(
 class TrajectoryLog:
     """Dense per-step record arrays plus the event stream.
 
-    Array shapes (K records, N robots, P = N(N-1)/2 pairs, R = N+3 rows):
-    t (K,), pos/vel/u_star/u_hat (K, N, 2), h (K, P), mu (K, N, R),
-    active (K, N) row bitmask, phase (K,).  The bitmasks are Python ints in
-    an object array: at N >= 61 a box row's bit (index N - 1 .. N + 2) does
-    not fit in int64.  Pair columns are in ascending
-    (i, j) order; row indices follow the fixed QP ordering (neighbors by
-    ascending id, then box faces +x, +y, -x, -y).  Phase is 0 for pd-only,
-    1 for cbf-qp-only, and the supervisor phase for three-phase runs.
+    One array per _RECORD_LAYOUT entry, records first.  Pair columns of h
+    are in ascending (i, j) order; the N + 3 rows of mu and of the active
+    bitmask follow the fixed QP ordering (neighbors by ascending id, then box
+    faces +x, +y, -x, -y).  The bitmasks are Python ints in an object array:
+    at N >= 61 a box row's bit does not fit in int64.  Phase is 0 for
+    pd-only, 1 for cbf-qp-only, and the supervisor phase for three-phase runs.
     """
 
     t: np.ndarray
@@ -181,18 +179,26 @@ class TrajectoryLog:
         return WorldState(robots=robots, t=float(self.t[k]))
 
 
+# The record arrays of a TrajectoryLog: name -> (dtype, shape of one record
+# for n robots).  Allocation, trimming, JSON export and load all loop over it.
+_RECORD_LAYOUT = {
+    "t": (float, lambda n: ()),
+    "pos": (float, lambda n: (n, 2)),
+    "vel": (float, lambda n: (n, 2)),
+    "u_star": (float, lambda n: (n, 2)),
+    "u_hat": (float, lambda n: (n, 2)),
+    "h": (float, lambda n: (n * (n - 1) // 2,)),
+    "mu": (float, lambda n: (n, n + 3)),
+    "active": (object, lambda n: (n,)),
+    "phase": (np.int8, lambda n: ()),
+}
+
+
 class _Recorder:
     def __init__(self, n: int, capacity: int):
         self.rows = 0
-        self.t = np.empty(capacity)
-        self.pos = np.empty((capacity, n, 2))
-        self.vel = np.empty((capacity, n, 2))
-        self.u_star = np.empty((capacity, n, 2))
-        self.u_hat = np.empty((capacity, n, 2))
-        self.h = np.empty((capacity, len(pair_indices(n))))
-        self.mu = np.empty((capacity, n, n + 3))
-        self.active = np.zeros((capacity, n), dtype=object)
-        self.phase = np.zeros(capacity, dtype=np.int8)
+        for name, (dtype, shape) in _RECORD_LAYOUT.items():
+            setattr(self, name, np.empty((capacity, *shape(n)), dtype=dtype))
 
     def push(self, t, world, u_star, u_hat, h_vals, mu_rows, active_masks, phase):
         k = self.rows
@@ -209,20 +215,8 @@ class _Recorder:
         self.rows += 1
 
     def build(self, events: list[dict], meta: dict) -> TrajectoryLog:
-        k = self.rows
-        return TrajectoryLog(
-            t=self.t[:k].copy(),
-            pos=self.pos[:k].copy(),
-            vel=self.vel[:k].copy(),
-            u_star=self.u_star[:k].copy(),
-            u_hat=self.u_hat[:k].copy(),
-            h=self.h[:k].copy(),
-            mu=self.mu[:k].copy(),
-            active=self.active[:k].copy(),
-            phase=self.phase[:k].copy(),
-            events=events,
-            meta=meta,
-        )
+        arrays = {name: getattr(self, name)[:self.rows].copy() for name in _RECORD_LAYOUT}
+        return TrajectoryLog(**arrays, events=events, meta=meta)
 
 
 def integrate_step(world: WorldState, controls: tuple[Vec2, ...], dt: float) -> WorldState:
@@ -297,11 +291,15 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
         return controls, u_hat, mu_rows, masks, 0 if pd_only else int(info["phase"])
 
     step = 0
+    reached = False   # every robot within stop_goal_tol: record this state, then stop
     try:
         while True:
             controls, u_hat, mu_rows, masks, phase = controller_outputs()
-            if step % scenario.log_every == 0:
+            if reached or step % scenario.log_every == 0:
                 rec.push(world.t, world, controls, u_hat, pair_field.h, mu_rows, masks, phase)
+            if reached:
+                events.append({"name": "goals-reached", "t": world.t})
+                break
             if step >= n_steps:
                 break
             world = integrate_step(world, controls, scenario.dt)
@@ -313,13 +311,9 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
                     f"pair distance {pair_field.min_distance:.9f} below margin at t={world.t:.6f}",
                     snapshot(),
                 )
-            if all(
+            reached = all(
                 v_norm(v_sub(world.robots[i].p, goals.pd[i])) <= scenario.stop_goal_tol for i in range(n)
-            ):
-                controls, u_hat, mu_rows, masks, phase = controller_outputs()
-                rec.push(world.t, world, controls, u_hat, pair_field.h, mu_rows, masks, phase)
-                events.append({"name": "goals-reached", "t": world.t})
-                break
+            )
     except SimulationAbort as exc:
         # the phase-2 Newton step aborts without the state
         exc.snapshot = exc.snapshot or snapshot()
@@ -348,70 +342,97 @@ def _active_mask(sol: QPSolution) -> int:
     return mask
 
 
-def active_rows_from_mask(mask: int, n_rows: int) -> tuple[int, ...]:
-    return tuple(k for k in range(n_rows) if mask >> k & 1)
-
-
 # ---------------------------------------------------------------------------
 # scenario (de)serialization
 # ---------------------------------------------------------------------------
+
+def _integer(value) -> int:
+    """value as an int; an integral float (a YAML 2.0) passes, 2.5 or true does not."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
+# The scalar keys of a scenario file and how each is read.  A key left out
+# takes the Scenario default; params, robots and goals are required.
+_SCALAR_KEYS = {
+    "controller": str,
+    "dt": float,
+    "t_max": float,
+    "seed": _integer,
+    "stop_goal_tol": float,
+    "log_every": _integer,
+    "abort_dist_tol": float,
+}
+_REQUIRED_KEYS = ("params", "robots", "goals")
+
+
+def _check_keys(d, where: str, known, required) -> None:
+    """Raise ValueError naming the first unknown or missing key of the mapping d."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} must be a mapping, got {d!r}")
+    bad = [f"unknown {where} key {k!r}" for k in d if k not in known]
+    bad += [f"{where} key {k!r} is missing" for k in required if k not in d]
+    if bad:
+        raise ValueError(bad[0])
+
+
+def _check_fields(d, cls, where: str) -> None:
+    """_check_keys against the fields of the dataclass cls; those without a default are required."""
+    fs = fields(cls)
+    required = [f.name for f in fs if f.default is MISSING and f.default_factory is MISSING]
+    _check_keys(d, where, {f.name for f in fs}, required)
+
 
 def scenario_to_dict(s: Scenario) -> dict:
     d = {
         "params": {"kp": s.params.kp, "kv": s.params.kv, "ds": s.params.ds, "alpha": list(s.params.alpha)},
         "robots": [{"p": list(z.p), "v": list(z.v)} for z in s.initial],
         "goals": [list(g) for g in s.goals.pd],
-        "controller": s.controller,
-        "dt": s.dt,
-        "t_max": s.t_max,
-        "seed": s.seed,
-        "stop_goal_tol": s.stop_goal_tol,
-        "log_every": s.log_every,
-        "abort_dist_tol": s.abort_dist_tol,
         "resolution": asdict(s.resolution),
     }
+    d.update((key, getattr(s, key)) for key in _SCALAR_KEYS)
     if s.thresholds is not None:
         d["thresholds"] = asdict(s.thresholds)
     return d
 
 
 def scenario_from_dict(d: dict) -> Scenario:
-    params = Params(
-        kp=float(d["params"]["kp"]),
-        kv=float(d["params"]["kv"]),
-        ds=float(d["params"]["ds"]),
-        alpha=tuple(float(a) for a in d["params"]["alpha"]),
-    )
-    initial = tuple(
-        RobotState(p=tuple(r["p"]), v=tuple(r.get("v", (0.0, 0.0)))) for r in d["robots"]
-    )
-    goals = GoalSpec(pd=tuple(tuple(g) for g in d["goals"]))
-    thresholds = None
+    """The Scenario of a scenario_to_dict mapping; unknown and missing keys raise ValueError."""
+    _check_keys(d, "scenario", {*_REQUIRED_KEYS, "thresholds", "resolution", *_SCALAR_KEYS}, _REQUIRED_KEYS)
+    p = d["params"]
+    _check_fields(p, Params, "params")
+    for r in d["robots"]:
+        _check_keys(r, "robot", ("p", "v"), ("p",))
+    kwargs = {
+        "params": Params(kp=float(p["kp"]), kv=float(p["kv"]), ds=float(p["ds"]), alpha=p["alpha"]),
+        "initial": tuple(RobotState(p=r["p"], v=r.get("v", (0.0, 0.0))) for r in d["robots"]),
+        "goals": GoalSpec(pd=tuple(d["goals"])),
+    }
     if "thresholds" in d:
-        thresholds = DeadlockThresholds(**{k: float(v) for k, v in d["thresholds"].items()})
-    resolution = ResolutionConfig(**d.get("resolution", {}))
-    return Scenario(
-        params=params,
-        initial=initial,
-        goals=goals,
-        controller=d.get("controller", "cbf-qp-only"),
-        dt=float(d.get("dt", 1e-3)),
-        t_max=float(d.get("t_max", 30.0)),
-        thresholds=thresholds,
-        seed=int(d.get("seed", 0)),
-        stop_goal_tol=float(d.get("stop_goal_tol", 1e-4)),
-        log_every=int(d.get("log_every", 1)),
-        abort_dist_tol=float(d.get("abort_dist_tol", 1e-6)),
-        resolution=resolution,
-    )
+        _check_fields(d["thresholds"], DeadlockThresholds, "thresholds")
+        kwargs["thresholds"] = DeadlockThresholds(**{k: float(v) for k, v in d["thresholds"].items()})
+    if "resolution" in d:
+        _check_fields(d["resolution"], ResolutionConfig, "resolution")
+        kwargs["resolution"] = ResolutionConfig(**d["resolution"])
+    for key, read in _SCALAR_KEYS.items():
+        if key in d:
+            try:
+                kwargs[key] = read(d[key])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"scenario key {key!r}: {exc}") from None
+    return Scenario(**kwargs)
 
 
 def load_scenario(path: str) -> Scenario:
     """Load a scenario from a YAML file (schema documented in the README)."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
-    if not isinstance(data, dict):
-        raise ValueError(f"scenario file {path} did not parse to a mapping")
+        try:
+            data = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ValueError(f"{path} is not valid YAML: {' '.join(str(exc).split())}") from None
     return scenario_from_dict(data)
 
 
@@ -472,38 +493,16 @@ def _export_csv(log: TrajectoryLog, path: str) -> None:
 
 
 def log_to_json(log: TrajectoryLog) -> str:
-    payload = {
-        "meta": log.meta,
-        "events": log.events,
-        "t": log.t.tolist(),
-        "pos": log.pos.tolist(),
-        "vel": log.vel.tolist(),
-        "u_star": log.u_star.tolist(),
-        "u_hat": log.u_hat.tolist(),
-        "h": log.h.tolist(),
-        "mu": log.mu.tolist(),
-        "active": log.active.tolist(),
-        "phase": log.phase.tolist(),
-    }
+    payload = {name: getattr(log, name).tolist() for name in _RECORD_LAYOUT}
+    payload.update(meta=log.meta, events=log.events)
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def load_log(path: str) -> TrajectoryLog:
     with open(path, "r", encoding="utf-8") as fh:
         d = json.load(fh)
-    return TrajectoryLog(
-        t=np.asarray(d["t"], dtype=float),
-        pos=np.asarray(d["pos"], dtype=float),
-        vel=np.asarray(d["vel"], dtype=float),
-        u_star=np.asarray(d["u_star"], dtype=float),
-        u_hat=np.asarray(d["u_hat"], dtype=float),
-        h=np.asarray(d["h"], dtype=float),
-        mu=np.asarray(d["mu"], dtype=float),
-        active=np.asarray(d["active"], dtype=object),
-        phase=np.asarray(d["phase"], dtype=np.int8),
-        events=d["events"],
-        meta=d["meta"],
-    )
+    arrays = {name: np.asarray(d[name], dtype=dtype) for name, (dtype, _) in _RECORD_LAYOUT.items()}
+    return TrajectoryLog(**arrays, events=d["events"], meta=d["meta"])
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +540,6 @@ def audit_log(
     scen = scenario_from_dict(log.meta["scenario"])
     params = scen.params
     goals = scen.goals.pd
-    n = log.n_robots
 
     h_match = 0.0
     h_min = math.inf
@@ -563,12 +561,8 @@ def audit_log(
             kkt_error = exc
             continue
         for i, problem in enumerate(problems):
-            sol = QPSolution(
-                u_star=tuple(log.u_star[k, i].tolist()),
-                mu_star=tuple(log.mu[k, i].tolist()),
-                active_set=active_rows_from_mask(int(log.active[k, i]), n + 3),
-                status="optimal",
-            )
+            # verify_kkt reads the multipliers, not the active set
+            sol = QPSolution(tuple(log.u_star[k, i].tolist()), tuple(log.mu[k, i].tolist()), (), "optimal")
             kkt_max = max(kkt_max, verify_kkt(problem, sol).max_residual())
     if kkt_error is not None:
         raise kkt_error

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 import yaml
 
 from mrdeadlock import default_head_on_scenario, load_log, save_scenario
@@ -103,3 +104,31 @@ def test_run_rejects_zero_persistence_with_one_line(tmp_path, capsys):
     assert main(["run", str(spath)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "k_persist" in err
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda d: d.pop("goals"), "'goals'"),
+        (lambda d: d.update(resolution={"bogus": 1}), "'bogus'"),
+        (lambda d: d["robots"][0].update(p=[2.0]), "robot position"),
+    ],
+    ids=["missing-goals", "unknown-resolution-key", "one-number-position"],
+)
+def test_malformed_scenario_exits_2_with_one_line(tmp_path, capsys, edit, named):
+    spath = tmp_path / "scenario.yaml"
+    save_scenario(default_head_on_scenario(t_max=0.5), str(spath))
+    data = yaml.safe_load(spath.read_text())
+    edit(data)
+    spath.write_text(yaml.safe_dump(data))
+    assert main(["run", str(spath)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and named in err
+
+
+def test_invalid_yaml_exits_2_with_one_line(tmp_path, capsys):
+    spath = tmp_path / "scenario.yaml"
+    spath.write_text("params: {kp: 1.0, kv: 3.0\nrobots: []\n")
+    assert main(["run", str(spath)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "is not valid YAML" in err

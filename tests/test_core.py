@@ -117,6 +117,15 @@ def test_params_validation():
         Params(kp=1.0, kv=1.0, ds=0.5, alpha=())
 
 
+@pytest.mark.parametrize("gain", ["kp", "kv", "ds", "alpha"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_params_reject_non_finite_gains(gain, value):
+    kwargs = {"kp": 1.0, "kv": 3.0, "ds": 0.5, "alpha": (5.0,)}
+    kwargs[gain] = (value,) if gain == "alpha" else value
+    with pytest.raises(ValueError, match=gain):
+        Params(**kwargs)
+
+
 def test_params_overdamped_flag():
     assert Params(kp=1.0, kv=3.0, ds=0.5, alpha=(1.0,)).overdamped
     assert not Params(kp=1.0, kv=2.0, ds=0.5, alpha=(1.0,)).overdamped
@@ -127,6 +136,22 @@ def test_robot_state_rejects_nonfinite():
         RobotState(p=(math.nan, 0.0), v=(0.0, 0.0))
     with pytest.raises(ValueError):
         RobotState(p=(0.0, 0.0), v=(math.inf, 0.0))
+
+
+@pytest.mark.parametrize("goal", [(math.nan, 0.0), (0.0, math.inf), (0.0, -math.inf)])
+def test_goalspec_rejects_non_finite_goals(goal):
+    with pytest.raises(ValueError, match="goal must be finite"):
+        GoalSpec(pd=((1.0, 0.0), goal))
+
+
+@pytest.mark.parametrize("vec", [(2.0,), (1.0, 2.0, 3.0), (None, 0.0), ("x", 0.0), 2.0])
+def test_vectors_must_be_two_numbers(vec):
+    with pytest.raises(ValueError, match="robot position must be two numbers"):
+        RobotState(p=vec, v=(0.0, 0.0))
+    with pytest.raises(ValueError, match="robot velocity must be two numbers"):
+        RobotState(p=(0.0, 0.0), v=vec)
+    with pytest.raises(ValueError, match="goal must be two numbers"):
+        GoalSpec(pd=(vec,))
 
 
 def test_types_are_immutable():

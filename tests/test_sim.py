@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -26,7 +27,16 @@ from mrdeadlock import (
 )
 from mrdeadlock.cbf import pair_indices
 from mrdeadlock.errors import SimulationAbort
-from mrdeadlock.sim import _Recorder, log_to_json, scenario_from_dict, scenario_to_dict
+from mrdeadlock.resolution import ResolutionConfig
+from mrdeadlock.sim import (
+    _RECORD_LAYOUT,
+    _SCALAR_KEYS,
+    TrajectoryLog,
+    _Recorder,
+    log_to_json,
+    scenario_from_dict,
+    scenario_to_dict,
+)
 
 
 def test_integrate_step_equilibrium():
@@ -128,6 +138,18 @@ def test_json_round_trip(tmp_path):
     assert back.events == log.events
     assert back.meta == log.meta
     assert log_to_json(back) == log_to_json(log)
+
+
+def test_record_layout_lists_every_log_array():
+    # a TrajectoryLog array missing from the table would be neither allocated,
+    # exported nor loaded
+    arrays = [f.name for f in fields(TrajectoryLog) if f.name not in ("events", "meta")]
+    assert arrays == list(_RECORD_LAYOUT)
+    log = run_scenario(default_head_on_scenario(t_max=0.05))
+    assert set(json.loads(log_to_json(log))) == {*_RECORD_LAYOUT, "meta", "events"}
+    for name, (dtype, shape) in _RECORD_LAYOUT.items():
+        array = getattr(log, name)
+        assert array.dtype == dtype and array.shape == (log.n_records, *shape(2))
 
 
 def test_audit_recomputation_agrees_and_detects_tampering():
@@ -269,6 +291,76 @@ def test_scenario_yaml_round_trip(tmp_path):
 def test_scenario_dict_round_trip_defaults():
     scen = default_head_on_scenario()
     assert scenario_from_dict(scenario_to_dict(scen)) == scen
+
+
+def test_scenario_keys_cover_every_scenario_field():
+    structured = {"params", "initial", "goals", "thresholds", "resolution"}
+    assert set(_SCALAR_KEYS) | structured == {f.name for f in fields(Scenario)}
+
+
+def test_minimal_scenario_dict_takes_scenario_defaults():
+    scen = default_head_on_scenario()
+    d = scenario_to_dict(scen)
+    minimal = {key: d[key] for key in ("params", "robots", "goals")}
+    assert scenario_from_dict(minimal) == Scenario(scen.params, scen.initial, scen.goals)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d.pop("params"), "scenario key 'params' is missing"),
+        (lambda d: d.pop("robots"), "scenario key 'robots' is missing"),
+        (lambda d: d.update(t_maxx=3.0), "unknown scenario key 't_maxx'"),
+        (lambda d: d["params"].pop("kv"), "params key 'kv' is missing"),
+        (lambda d: d["params"].update(kd=1.0), "unknown params key 'kd'"),
+        (lambda d: d["robots"][1].update(vel=[1.0, 0.0]), "unknown robot key 'vel'"),
+        (lambda d: d["robots"][1].pop("p"), "robot key 'p' is missing"),
+        (lambda d: d.update(thresholds={"eps_u": 1e-3, "eps_v": 1e-3, "eps_goal": 0.05}),
+         "thresholds key 'eps_mu' is missing"),
+        (lambda d: d.update(thresholds={"eps_u": 1e-3, "eps_v": 1e-3, "eps_goal": 0.05, "eps_mu": 1e-6, "e": 1}),
+         "unknown thresholds key 'e'"),
+        (lambda d: d.update(resolution={"k_persist": 5, "kp3": 1.0}), "unknown resolution key 'kp3'"),
+        (lambda d: d.update(resolution=[1, 2]), "resolution must be a mapping"),
+        (lambda d: d.update(dt="fast"), "scenario key 'dt'"),
+        (lambda d: d.update(t_max=math.inf), "need finite dt > 0 and t_max > dt"),
+        (lambda d: d.update(log_every=2.5), "scenario key 'log_every': expected an integer"),
+        (lambda d: d.update(log_every="2"), "scenario key 'log_every': expected an integer"),
+        (lambda d: d.update(seed=1.7), "scenario key 'seed': expected an integer"),
+        (lambda d: d.update(seed=True), "scenario key 'seed': expected an integer"),
+    ],
+)
+def test_scenario_from_dict_names_the_bad_key(edit, message):
+    d = scenario_to_dict(default_head_on_scenario())
+    edit(d)
+    with pytest.raises(ValueError, match=message):
+        scenario_from_dict(d)
+
+
+def test_scenario_from_dict_keeps_partial_resolution_defaults():
+    d = scenario_to_dict(default_head_on_scenario())
+    d["resolution"] = {"k_persist": 5}
+    assert scenario_from_dict(d).resolution == ResolutionConfig(k_persist=5)
+
+
+@pytest.mark.parametrize(
+    "times", [{"t_max": math.inf}, {"t_max": math.nan}, {"dt": math.inf}, {"dt": math.nan}]
+)
+def test_scenario_rejects_non_finite_times(times):
+    with pytest.raises(ValueError, match="finite dt"):
+        default_head_on_scenario(**times)
+
+
+@pytest.mark.parametrize("log_every", [2.5, 2.0, 0, "2"])
+def test_scenario_requires_integer_log_every(log_every):
+    with pytest.raises(ValueError, match="log_every must be an integer >= 1"):
+        default_head_on_scenario(log_every=log_every)
+
+
+def test_scenario_file_int_keys_accept_integral_floats():
+    d = scenario_to_dict(default_head_on_scenario())
+    d.update(log_every=2.0, seed=7.0)
+    scen = scenario_from_dict(d)
+    assert (scen.log_every, scen.seed) == (2, 7) and type(scen.log_every) is int
 
 
 def test_scenario_validation():
