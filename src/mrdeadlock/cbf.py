@@ -11,9 +11,9 @@ acceleration limits, giving one linear row per neighbor in each robot's QP.
 
 The scalar functions (safety_index, constraint_bound, decentralized_rows,
 assemble_qp, ...) evaluate one pair or one robot at a time and are the test
-oracles.  The simulator, the supervisor and the audit go through PairField,
-which evaluates every unordered pair once per world state and reproduces the
-scalar results bit for bit.
+oracles.  Every other module goes through PairField, which evaluates every
+unordered pair once per world state and reproduces the scalar results bit
+for bit.
 """
 
 from __future__ import annotations
@@ -246,7 +246,7 @@ class PairField:
     np.hypot and math.hypot differ in the last bit on some inputs.
     """
 
-    __slots__ = ("_robots", "_const", "_ds", "_r", "_pv", "_dvv", "_h", "_bounds", "min_distance")
+    __slots__ = ("_robots", "_const", "_ds", "distances", "_pv", "_dvv", "_h", "_bounds", "min_distance")
 
     def __init__(self, world: WorldState, params: Params):
         const = _pair_constants(params, world.n)
@@ -265,7 +265,7 @@ class PairField:
         self._robots = robots
         self._const = const
         self._ds = params.ds
-        self._r = rs
+        self.distances = rs
         self._pv = pvs
         self._dvv = dvvs
         self._h: tuple[float, ...] | None = None
@@ -278,7 +278,7 @@ class PairField:
         if self._h is None:
             ds = self._ds
             out = []
-            for (i, j), asum, r, pv in zip(self._const.pairs, self._const.asum, self._r, self._pv):
+            for (i, j), asum, r, pv in zip(self._const.pairs, self._const.asum, self.distances, self._pv):
                 if r == 0.0:
                     raise CoincidentRobotsError(f"robots {i} and {j} coincide")
                 eps = r - ds
@@ -301,7 +301,7 @@ class PairField:
             ds = self._ds
             out = []
             for (i, j), asum, r, pv, dvv in zip(
-                self._const.pairs, self._const.asum, self._r, self._pv, self._dvv
+                self._const.pairs, self._const.asum, self.distances, self._pv, self._dvv
             ):
                 if r == 0.0:
                     raise CoincidentRobotsError(f"robots {i} and {j} coincide")

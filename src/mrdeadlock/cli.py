@@ -6,8 +6,7 @@ import argparse
 import math
 import sys
 
-from .cbf import assemble_qp, pair_indices, safety_index_signed
-from .core import v_norm, v_sub
+from .cbf import PairField, pair_indices
 from .deadlock import (
     DeadlockThresholds,
     boundedness_identity,
@@ -20,7 +19,7 @@ from .deadlock import (
     three_robot_family_catB,
     verify_boundary_membership,
 )
-from .core import GoalSpec, Params, WorldState
+from .core import GoalSpec, Params, WorldState, pd_control
 from .errors import SimulationAbort, ToolkitError
 from .graphenum import census_table
 from .qp import solve_qp
@@ -60,9 +59,10 @@ def _cmd_families(args: argparse.Namespace) -> int:
     world, goals, params = _family_world(args)
     thresholds = DeadlockThresholds.from_params(params)
     print(f"family {args.family}: {world.n} robots, Ds={params.ds}")
+    field = PairField(world, params)
+    problems = field.problems([pd_control(z, g, params) for z, g in zip(world.robots, goals.pd)])
     all_dl = True
-    for i in range(world.n):
-        problem = assemble_qp(i, world, goals, params)
+    for i, problem in enumerate(problems):
         sol = solve_qp(problem)
         report = detect_deadlock(i, world, goals, params, sol, thresholds, problem)
         all_dl &= report.verdict
@@ -75,9 +75,7 @@ def _cmd_families(args: argparse.Namespace) -> int:
     boundary = verify_boundary_membership(world, goals, params, tol=1e-8)
     print(f"  system deadlock: {all_dl}")
     print(f"  boundary membership (h = 0 on active pairs): {boundary}")
-    for i, j in pair_indices(world.n):
-        h = safety_index_signed(world.robots[i], world.robots[j], params, i, j)
-        d = v_norm(v_sub(world.robots[i].p, world.robots[j].p))
+    for (i, j), d, h in zip(pair_indices(world.n), field.distances, field.h):
         print(f"  pair ({i},{j}): distance={d:.6f} h={h:.2e}")
     if world.n == 2:
         print(f"  boundedness residual: {boundedness_identity(world, goals, params):.2e}")
@@ -105,8 +103,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     print(f"h recompute match: {report.h_match_max:.3e}")
     h_min = report.h_min if math.isfinite(report.h_min) else float("inf")
     print(f"min h over run: {h_min:.6e}")
-    if report.kkt_max_residual is not None:
-        print(f"max KKT residual: {report.kkt_max_residual:.3e}")
+    print(f"max KKT residual: {report.kkt_max_residual:.3e}")
     print(f"audit {'PASSED' if report.ok else 'FAILED'}")
     return 0 if report.ok else 1
 

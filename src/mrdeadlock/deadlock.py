@@ -12,7 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cbf import assemble_qp, pair_indices, safety_index_signed
+# assemble_qp and safety_index_signed are bound here only for the perfbench
+# span tracer; the analysis builds its QPs and h from PairField.
+from .cbf import PairField, assemble_qp, pair_indices, safety_index_signed  # noqa: F401
 from .core import (
     GoalSpec,
     Params,
@@ -102,18 +104,15 @@ def detect_deadlock(
     params: Params,
     qp_solution: QPSolution,
     thresholds: DeadlockThresholds,
-    problem: QPProblem | None = None,
+    problem: QPProblem,
 ) -> DeadlockReport:
     """Evaluate the four deadlock conditions for robot i.
 
-    ``problem`` may be passed to avoid re-assembling the QP used to produce
-    ``qp_solution``; it is only needed for the force-balance residual and the
-    neighbor-row multipliers.
+    ``problem`` is the QP that produced ``qp_solution``; its rows give the
+    force-balance residual and tell the neighbor-row multipliers apart.
     """
     if qp_solution.status != "optimal":
         raise ValueError("detect_deadlock expects an optimal QP solution")
-    if problem is None:
-        problem = assemble_qp(i, world, goals, params)
     z = world.robots[i]
     u_star_norm = v_norm(qp_solution.u_star)
     vel_norm = v_norm(z.v)
@@ -158,10 +157,12 @@ def system_deadlock(
     thresholds: DeadlockThresholds,
     problems: tuple[QPProblem, ...] | None = None,
 ) -> bool:
-    """True iff every robot is in deadlock."""
+    """True iff every robot is in deadlock; ``problems`` are built from the pair pass if not given."""
+    if problems is None:
+        u_hat = [pd_control(z, g, params) for z, g in zip(world.robots, goals.pd)]
+        problems = PairField(world, params).problems(u_hat)
     for i in range(world.n):
-        problem = problems[i] if problems is not None else None
-        if not detect_deadlock(i, world, goals, params, solutions[i], thresholds, problem).verdict:
+        if not detect_deadlock(i, world, goals, params, solutions[i], thresholds, problems[i]).verdict:
             return False
     return True
 
@@ -217,8 +218,7 @@ def classify_three_robot(world: WorldState, params: Params, tol: float) -> Three
     if world.n != 3:
         raise ValueError("three robots required")
     dist = {}
-    for i, j in pair_indices(3):
-        d = v_norm(v_sub(world.robots[i].p, world.robots[j].p))
+    for (i, j), d in zip(pair_indices(3), PairField(world, params).distances):
         if d < params.ds - tol:
             raise SafetyViolationError(penetration=params.ds - d, pair=(i, j))
         dist[(i, j)] = d
@@ -318,9 +318,11 @@ def verify_boundary_membership(
     deadlock candidate at all) and (b) |h_ij| <= tol for every pair whose
     constraint is active.
     """
+    field = PairField(world, params)
+    # every QP is built before h is read: a world the QPs reject raises their error
+    problems = field.problems([pd_control(z, g, params) for z, g in zip(world.robots, goals.pd)])
     active_pairs: set[tuple[int, int]] = set()
-    for i in range(world.n):
-        problem = assemble_qp(i, world, goals, params)
+    for i, problem in enumerate(problems):
         sol = solve_qp(problem)
         if sol.status != "optimal":
             return False
@@ -330,8 +332,4 @@ def verify_boundary_membership(
         for row in mine:
             j = row.kind.j
             active_pairs.add((min(i, j), max(i, j)))
-    for i, j in sorted(active_pairs):
-        h = safety_index_signed(world.robots[i], world.robots[j], params, i, j)
-        if abs(h) > tol:
-            return False
-    return True
+    return all(abs(h) <= tol for pair, h in zip(pair_indices(world.n), field.h) if pair in active_pairs)

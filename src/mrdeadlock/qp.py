@@ -283,7 +283,7 @@ class KKTReport:
         return self.max_residual() <= tol
 
 
-def verify_kkt(problem: QPProblem, solution: QPSolution, tol: float = 1e-8) -> KKTReport:
+def verify_kkt(problem: QPProblem, solution: QPSolution) -> KKTReport:
     """Residuals of stationarity, primal/dual feasibility and complementary slackness."""
     if solution.status != "optimal":
         raise ValueError("verify_kkt expects an optimal solution")

@@ -32,9 +32,8 @@ from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
-# assemble_qp and safety_index_signed are the scalar oracles of PairField;
-# they stay bound here because callers (the perfbench span tracer among
-# them) look them up on this module.
+# assemble_qp and safety_index_signed are bound here only for the perfbench
+# span tracer; the supervisor reads pair geometry from PairField.
 from .cbf import PairField, assemble_qp, pair_indices, safety_index_signed  # noqa: F401
 from .core import (
     GoalSpec,
@@ -148,17 +147,18 @@ class Regularizing:
     """Phase 2 of a category-B chain: the chain opens about its static ``center``.
 
     Both outer robots stay on the boundary with the center robot while the
-    opening angle gamma (reference ``gamma_ref``/``gamma_omega``) goes to
-    ``gamma_goal`` and its bisector holds at ``psi_hold``.
+    opening angle gamma (reference ``theta_ref``/``omega_ref``) goes to
+    ``beta_ref`` and its bisector holds at ``psi_hold``.  The reference
+    fields are named as in ``Rotating``: one phase-2 step advances both.
     """
 
     phase: ClassVar[Phase] = Phase.TWO
     center: int
     h_entry: tuple[float, ...]
     t_ref0: float
-    gamma_ref: float
-    gamma_omega: float
-    gamma_goal: float
+    theta_ref: float
+    omega_ref: float
+    beta_ref: float
     psi_hold: float
     newton_warm: tuple[float, ...] = ()
 
@@ -496,8 +496,8 @@ def _enter_phase_two(
             return Regularizing(
                 center=center,
                 h_entry=tuple(h[pair_indices(3).index(p)] for p in _center_pairs(center)),
-                t_ref0=t, gamma_ref=gamma, gamma_omega=gamma_dot,
-                gamma_goal=math.copysign(math.pi / 3.0, gamma), psi_hold=psi,
+                t_ref0=t, theta_ref=gamma, omega_ref=gamma_dot,
+                beta_ref=math.copysign(math.pi / 3.0, gamma), psi_hold=psi,
             )
         if cat.category != "A":
             raise UnsupportedScenarioError(
@@ -596,35 +596,58 @@ def _phase_two_step(
     pairs: PairField,
     u_hat: Sequence[Vec2],
 ) -> tuple[tuple[Vec2, ...], PhaseState, dict]:
+    """Advance the mode's angle reference toward beta_ref and pin the next state to it."""
     t = world.t
     info["phase"] = Phase.TWO
-
-    if isinstance(state, Regularizing):
-        gamma_m, gamma_dot_m, _ = _measured_gamma(world, state.center)
-        if not (
-            abs(wrap_angle(gamma_m - state.gamma_goal)) <= config.eps_theta
-            and abs(gamma_dot_m) <= config.eps_omega
-        ):
-            controls, new_state = _regularize(state, world, params, dt, config)
-            return controls, new_state, info
+    if isinstance(state, Regularizing) and _aligned(state, world, config):
         state = _enter_rotating(world, goals, t, pairs.h)
         info["event"] = ("regularized", t)
-
-    theta_m, omega_m = _measured_bearing(world)
     h_ts = _h_targets(state, t + dt, config.k_h)
-    if (
-        abs(wrap_angle(theta_m - state.beta_ref)) <= config.eps_theta
-        and abs(omega_m) <= config.eps_omega
-        and all(h == 0.0 for h in h_ts)
-    ):
+    if isinstance(state, Rotating) and _aligned(state, world, config) and all(h == 0.0 for h in h_ts):
         info["phase"] = Phase.THREE
         return tuple(u_hat), Released(), info
 
     kp2, kv2 = config.bearing_gains(params)
     omega_ref = state.omega_ref + dt * (-kp2 * (state.theta_ref - state.beta_ref) - kv2 * state.omega_ref)
     theta_ref = state.theta_ref + dt * omega_ref
+    pinned, controls_of, angles = _manifold(state, world.n, theta_ref)
+    controls, warm = _pin_controls(world, params, pinned, h_ts, controls_of, angles, state.newton_warm, dt)
+    return controls, replace(state, theta_ref=theta_ref, omega_ref=omega_ref, newton_warm=warm), info
+
+
+def _aligned(state: Rotating | Regularizing, world: WorldState, config: ResolutionConfig) -> bool:
+    """The measured bearing (Rotating) or opening angle (Regularizing) settled at beta_ref."""
+    if isinstance(state, Rotating):
+        angle, rate = _measured_bearing(world)
+    else:
+        angle, rate, _ = _measured_gamma(world, state.center)
+    return abs(wrap_angle(angle - state.beta_ref)) <= config.eps_theta and abs(rate) <= config.eps_omega
+
+
+def _manifold(state: Rotating | Regularizing, n: int, theta_ref: float):
+    """The mode's pinned pairs, control map and angle residuals (see _pin_controls) at theta_ref."""
+    if isinstance(state, Regularizing):
+        m = state.center
+        a, b = _outer(m)
+
+        def controls_of(w):
+            us = [(0.0, 0.0)] * 3
+            us[a] = (w[0], w[1])
+            us[b] = (w[2], w[3])
+            return us
+
+        def angles(pred):
+            pm = pred[m][0]
+            rho_a = v_sub(pred[a][0], pm)
+            rho_b = v_sub(pred[b][0], pm)
+            th_a = math.atan2(rho_a[1], rho_a[0])
+            gamma = wrap_angle(math.atan2(rho_b[1], rho_b[0]) - th_a)
+            return [wrap_angle(gamma - theta_ref), wrap_angle(th_a + 0.5 * gamma - state.psi_hold)]
+
+        return _center_pairs(m), controls_of, angles
+
     et = unit_vector(theta_ref)
-    if world.n == 2:
+    if n == 2:
         def controls_of(w):
             return (w[0], w[1]), (-w[0], -w[1])
 
@@ -638,40 +661,4 @@ def _phase_two_step(
             cx = (pred[0][0][0] + pred[1][0][0] + pred[2][0][0]) / 3.0
             cy = (pred[0][0][1] + pred[1][0][1] + pred[2][0][1]) / 3.0
             return [v_cross(et, (pred[0][0][0] - cx, pred[0][0][1] - cy))]
-
-    controls, warm = _pin_controls(
-        world, params, pair_indices(world.n), h_ts, controls_of, angles, state.newton_warm, dt
-    )
-    return controls, replace(state, theta_ref=theta_ref, omega_ref=omega_ref, newton_warm=warm), info
-
-
-def _regularize(
-    state: Regularizing, world: WorldState, params: Params, dt: float, config: ResolutionConfig,
-) -> tuple[tuple[Vec2, ...], Regularizing]:
-    """Open or close the category-B chain about the static center robot."""
-    m = state.center
-    a, b = _outer(m)
-    kp2, kv2 = config.bearing_gains(params)
-    acc = -kp2 * (state.gamma_ref - state.gamma_goal) - kv2 * state.gamma_omega
-    gamma_omega = state.gamma_omega + dt * acc
-    gamma_ref = state.gamma_ref + dt * gamma_omega
-
-    def controls_of(w):
-        us = [(0.0, 0.0)] * 3
-        us[a] = (w[0], w[1])
-        us[b] = (w[2], w[3])
-        return us
-
-    def angles(pred):
-        pm = pred[m][0]
-        rho_a = v_sub(pred[a][0], pm)
-        rho_b = v_sub(pred[b][0], pm)
-        th_a = math.atan2(rho_a[1], rho_a[0])
-        gamma = wrap_angle(math.atan2(rho_b[1], rho_b[0]) - th_a)
-        return [wrap_angle(gamma - gamma_ref), wrap_angle(th_a + 0.5 * gamma - state.psi_hold)]
-
-    controls, warm = _pin_controls(
-        world, params, _center_pairs(m), _h_targets(state, world.t + dt, config.k_h),
-        controls_of, angles, state.newton_warm, dt,
-    )
-    return controls, replace(state, gamma_ref=gamma_ref, gamma_omega=gamma_omega, newton_warm=warm)
+    return pair_indices(n), controls_of, angles

@@ -18,9 +18,8 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 import numpy as np
 import yaml
 
-# assemble_qp, min_pair_distance and safety_index_signed are the scalar
-# oracles of PairField; they stay bound here because callers (the perfbench
-# span tracer among them) look them up on this module.
+# assemble_qp, min_pair_distance and safety_index_signed are bound here only
+# for the perfbench span tracer; sim reads pair geometry from PairField.
 from .cbf import PairField, assemble_qp, min_pair_distance, pair_indices, safety_index_signed  # noqa: F401
 from .core import (
     GoalSpec,
@@ -41,7 +40,6 @@ from .errors import (
     QPInfeasibleError,
     SafetyViolationError,
     SimulationAbort,
-    ToolkitError,
     UnsupportedScenarioError,
 )
 from .qp import QPSolution, solve_qp, verify_kkt  # noqa: F401
@@ -89,14 +87,12 @@ class Scenario:
             # the PD release phase only guarantees non-decreasing separation
             # for overdamped gains
             raise ValueError("three-phase control requires kv^2 - 4 kp > 0")
-        n = len(self.initial)
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = v_norm(v_sub(self.initial[i].p, self.initial[j].p))
-                if d < self.params.ds - 1e-9:
-                    raise ValueError(
-                        f"initial robots {i},{j} start {d:.6f} apart, inside the margin {self.params.ds}"
-                    )
+        pair_field = PairField(WorldState(robots=self.initial), self.params)
+        for (i, j), d in zip(pair_indices(len(self.initial)), pair_field.distances):
+            if d < self.params.ds - 1e-9:
+                raise ValueError(
+                    f"initial robots {i},{j} start {d:.6f} apart, inside the margin {self.params.ds}"
+                )
 
     def effective_thresholds(self) -> DeadlockThresholds:
         return self.thresholds if self.thresholds is not None else DeadlockThresholds.from_params(self.params)
@@ -249,7 +245,9 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
     The supervisor aborts as "unsupported-deadlock" on a deadlock it cannot
     resolve (N > 3, or a three-robot contact geometry of neither category),
     and as "phase2-singular" or "phase2-diverged" when its phase-2 Newton
-    step fails.  Every abort carries a snapshot of the state that raised it.
+    step fails.  A step whose new state would not be finite aborts as
+    "non-finite-state".  Every abort carries a snapshot of the last state
+    reached.
     Deterministic for a fixed scenario.  Pair geometry is evaluated once per
     state (PairField) and feeds the abort check, the QPs and the h record.
     """
@@ -302,7 +300,10 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
                 break
             if step >= n_steps:
                 break
-            world = integrate_step(world, controls, scenario.dt)
+            try:
+                world = integrate_step(world, controls, scenario.dt)
+            except ValueError as exc:  # RobotState rejects a position or velocity that overflowed
+                raise SimulationAbort("non-finite-state", f"{exc} after t={world.t:.6f}", snapshot()) from exc
             pair_field = PairField(world, params)
             step += 1
             if pair_field.min_distance < params.ds - scenario.abort_dist_tol:
@@ -355,6 +356,13 @@ def _integer(value) -> int:
     raise ValueError(f"expected an integer, got {value!r}")
 
 
+def _list(value) -> list | tuple:
+    """value if it is a list or a tuple (a string or a single number is not)."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"expected a list, got {value!r}")
+    return value
+
+
 # The scalar keys of a scenario file and how each is read.  A key left out
 # takes the Scenario default; params, robots and goals are required.
 _SCALAR_KEYS = {
@@ -377,6 +385,14 @@ def _check_keys(d, where: str, known, required) -> None:
     bad += [f"{where} key {k!r} is missing" for k in required if k not in d]
     if bad:
         raise ValueError(bad[0])
+
+
+def _read(d: dict, key: str, read, where: str):
+    """read(d[key]); its TypeError or ValueError becomes a ValueError naming the key."""
+    try:
+        return read(d[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where} key {key!r}: {exc}") from None
 
 
 def _check_fields(d, cls, where: str) -> None:
@@ -404,25 +420,27 @@ def scenario_from_dict(d: dict) -> Scenario:
     _check_keys(d, "scenario", {*_REQUIRED_KEYS, "thresholds", "resolution", *_SCALAR_KEYS}, _REQUIRED_KEYS)
     p = d["params"]
     _check_fields(p, Params, "params")
-    for r in d["robots"]:
+    robots = _read(d, "robots", _list, "scenario")
+    for r in robots:
         _check_keys(r, "robot", ("p", "v"), ("p",))
     kwargs = {
-        "params": Params(kp=float(p["kp"]), kv=float(p["kv"]), ds=float(p["ds"]), alpha=p["alpha"]),
-        "initial": tuple(RobotState(p=r["p"], v=r.get("v", (0.0, 0.0))) for r in d["robots"]),
-        "goals": GoalSpec(pd=tuple(d["goals"])),
+        "params": Params(
+            **{k: _read(p, k, float, "params") for k in ("kp", "kv", "ds")},
+            alpha=_read(p, "alpha", lambda v: [float(a) for a in _list(v)], "params"),
+        ),
+        "initial": tuple(RobotState(p=r["p"], v=r.get("v", (0.0, 0.0))) for r in robots),
+        "goals": GoalSpec(pd=tuple(_read(d, "goals", _list, "scenario"))),
     }
     if "thresholds" in d:
-        _check_fields(d["thresholds"], DeadlockThresholds, "thresholds")
-        kwargs["thresholds"] = DeadlockThresholds(**{k: float(v) for k, v in d["thresholds"].items()})
+        th = d["thresholds"]
+        _check_fields(th, DeadlockThresholds, "thresholds")
+        kwargs["thresholds"] = DeadlockThresholds(**{k: _read(th, k, float, "thresholds") for k in th})
     if "resolution" in d:
         _check_fields(d["resolution"], ResolutionConfig, "resolution")
         kwargs["resolution"] = ResolutionConfig(**d["resolution"])
     for key, read in _SCALAR_KEYS.items():
         if key in d:
-            try:
-                kwargs[key] = read(d[key])
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"scenario key {key!r}: {exc}") from None
+            kwargs[key] = _read(d, key, read, "scenario")
     return Scenario(**kwargs)
 
 
@@ -501,6 +519,11 @@ def log_to_json(log: TrajectoryLog) -> str:
 def load_log(path: str) -> TrajectoryLog:
     with open(path, "r", encoding="utf-8") as fh:
         d = json.load(fh)
+    if not isinstance(d, dict):
+        raise ValueError(f"{path} is not a trajectory log: its top level is not a mapping")
+    for key in (*_RECORD_LAYOUT, "meta", "events"):
+        if key not in d:
+            raise ValueError(f"{path} is not a trajectory log: key {key!r} is missing")
     arrays = {name: np.asarray(d[name], dtype=dtype) for name, (dtype, _) in _RECORD_LAYOUT.items()}
     return TrajectoryLog(**arrays, events=d["events"], meta=d["meta"])
 
@@ -516,26 +539,24 @@ class AuditReport:
     n_records: int
     h_match_max: float      # max |logged h - recomputed h|
     h_min: float            # min recomputed h over all pairs and steps
-    kkt_max_residual: float | None
+    kkt_max_residual: float
     ok: bool
 
 
-def audit_log(
-    log: TrajectoryLog,
-    h_floor: float = -1e-3,
-    h_match_tol: float = 1e-12,
-    kkt_tol: float = 1e-8,
-    kkt_stride: int = 1,
-    check_kkt: bool = True,
-) -> AuditReport:
+# audit_log passes a log within these bounds on |logged h - recomputed h|,
+# on the recomputed h from below, and on every re-verified KKT residual.
+AUDIT_H_MATCH_TOL = 1e-12
+AUDIT_H_FLOOR = -1e-3
+AUDIT_KKT_TOL = 1e-8
+
+
+def audit_log(log: TrajectoryLog, kkt_stride: int = 1) -> AuditReport:
     """Recompute h from logged states and re-verify logged QP optima.
 
     The h recomputation is independent of the in-loop values (fresh pass
-    over the raw states); both must agree to h_match_tol and the recomputed
-    h must never drop below h_floor while the QP reported feasible.  The KKT
-    pass re-assembles the QPs of every kkt_stride-th phase-1 record from the
-    same pair pass; if one cannot be assembled, its error is raised after
-    the h pass has covered every record.
+    over the raw states).  The KKT pass re-assembles the QPs of every
+    kkt_stride-th phase-1 record from the same pair pass, against the
+    logged controls and multipliers.
     """
     scen = scenario_from_dict(log.meta["scenario"])
     params = scen.params
@@ -543,8 +564,7 @@ def audit_log(
 
     h_match = 0.0
     h_min = math.inf
-    kkt_max: float | None = 0.0 if check_kkt else None
-    kkt_error: ToolkitError | None = None
+    kkt_max = 0.0
     phases = log.phase.tolist()
     for k in range(log.n_records):
         world = log.world_at(k)
@@ -552,24 +572,16 @@ def audit_log(
         for h, h_logged in zip(pair_field.h, log.h[k].tolist()):
             h_match = max(h_match, abs(h - h_logged))
             h_min = min(h_min, h)
-        if kkt_max is None or kkt_error is not None or k % kkt_stride or phases[k] != 1:
+        if k % kkt_stride or phases[k] != 1:
             continue
         u_hat = [pd_control(z, goal, params) for z, goal in zip(world.robots, goals)]
-        try:
-            problems = pair_field.problems(u_hat)
-        except ToolkitError as exc:
-            kkt_error = exc
-            continue
-        for i, problem in enumerate(problems):
+        for i, problem in enumerate(pair_field.problems(u_hat)):
             # verify_kkt reads the multipliers, not the active set
             sol = QPSolution(tuple(log.u_star[k, i].tolist()), tuple(log.mu[k, i].tolist()), (), "optimal")
             kkt_max = max(kkt_max, verify_kkt(problem, sol).max_residual())
-    if kkt_error is not None:
-        raise kkt_error
 
-    ok = h_match <= h_match_tol and h_min >= h_floor  # h_min stays inf without pairs
-    if kkt_max is not None:
-        ok = ok and kkt_max <= kkt_tol
+    # without pairs h_min stays inf and passes the floor
+    ok = h_match <= AUDIT_H_MATCH_TOL and h_min >= AUDIT_H_FLOOR and kkt_max <= AUDIT_KKT_TOL
     return AuditReport(
         n_records=log.n_records,
         h_match_max=h_match,

@@ -418,7 +418,7 @@ def test_criterion_8_forward_invariance_audit(
     h_min = math.inf
     h_match = 0.0
     for log, _ in (head_on_log, two_robot_resolution_log, three_robot_resolution_log):
-        report = audit_log(log, check_kkt=False)
+        report = audit_log(log)
         h_min = min(h_min, report.h_min)
         h_match = max(h_match, report.h_match_max)
     elapsed = time.perf_counter() - t0

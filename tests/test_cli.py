@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 import yaml
 
@@ -112,8 +114,16 @@ def test_run_rejects_zero_persistence_with_one_line(tmp_path, capsys):
         (lambda d: d.pop("goals"), "'goals'"),
         (lambda d: d.update(resolution={"bogus": 1}), "'bogus'"),
         (lambda d: d["robots"][0].update(p=[2.0]), "robot position"),
+        (lambda d: d.update(robots=5), "'robots'"),
+        (lambda d: d["params"].update(alpha=5.0), "'alpha'"),
+        (lambda d: d["params"].update(kp=None), "'kp'"),
+        (lambda d: d.update(thresholds={"eps_u": None, "eps_v": 1e-3, "eps_goal": 0.05, "eps_mu": 1e-6}), "'eps_u'"),
+        (lambda d: d.update(goals=7), "'goals'"),
     ],
-    ids=["missing-goals", "unknown-resolution-key", "one-number-position"],
+    ids=[
+        "missing-goals", "unknown-resolution-key", "one-number-position",
+        "number-robots", "number-alpha", "null-kp", "null-threshold", "number-goals",
+    ],
 )
 def test_malformed_scenario_exits_2_with_one_line(tmp_path, capsys, edit, named):
     spath = tmp_path / "scenario.yaml"
@@ -126,9 +136,97 @@ def test_malformed_scenario_exits_2_with_one_line(tmp_path, capsys, edit, named)
     assert err.count("\n") == 1 and named in err
 
 
+@pytest.mark.parametrize(
+    "content, named",
+    [
+        (lambda log: {}, "'t'"),
+        (lambda log: [1, 2], "not a mapping"),
+        (lambda log: {k: v for k, v in log.items() if k != "mu"}, "'mu'"),
+    ],
+    ids=["empty-mapping", "list", "log-without-mu"],
+)
+def test_verify_non_log_exits_2_with_one_line(tmp_path, capsys, content, named):
+    spath = tmp_path / "scenario.yaml"
+    save_scenario(default_head_on_scenario(t_max=0.05), str(spath))
+    lpath = tmp_path / "log.json"
+    assert main(["run", str(spath), "--out", str(lpath)]) == 0
+    lpath.write_text(json.dumps(content(json.loads(lpath.read_text()))))
+    capsys.readouterr()
+    assert main(["verify", str(lpath)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and named in err
+
+
 def test_invalid_yaml_exits_2_with_one_line(tmp_path, capsys):
     spath = tmp_path / "scenario.yaml"
     spath.write_text("params: {kp: 1.0, kv: 3.0\nrobots: []\n")
     assert main(["run", str(spath)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "is not valid YAML" in err
+
+
+# `mrdeadlock families <family>` with default arguments: the whole stdout.
+FAMILIES_STDOUT = {
+    "two": (
+        "family two: 2 robots, Ds=0.5\n"
+        "  robot 0: |u*|=0.00e+00 |v|=0.00e+00 goal-dist=2.0000 force-residual=0.00e+00\n"
+        "           deadlocked=True active: [row0: 8.0000]\n"
+        "  robot 1: |u*|=0.00e+00 |v|=0.00e+00 goal-dist=2.5000 force-residual=0.00e+00\n"
+        "           deadlocked=True active: [row0: 10.0000]\n"
+        "  system deadlock: True\n"
+        "  boundary membership (h = 0 on active pairs): True\n"
+        "  pair (0,1): distance=0.500000 h=0.00e+00\n"
+        "  boundedness residual: 0.00e+00\n"
+    ),
+    "threeA": (
+        "family threeA: 3 robots, Ds=0.5\n"
+        "  robot 0: |u*|=2.57e-16 |v|=0.00e+00 goal-dist=2.2887 force-residual=3.14e-16\n"
+        "           deadlocked=True active: [row0: 5.2855, row1: 5.2855]\n"
+        "  robot 1: |u*|=2.22e-16 |v|=0.00e+00 goal-dist=2.2887 force-residual=2.72e-16\n"
+        "           deadlocked=True active: [row0: 5.2855, row1: 5.2855]\n"
+        "  robot 2: |u*|=0.00e+00 |v|=0.00e+00 goal-dist=2.2887 force-residual=6.54e-17\n"
+        "           deadlocked=True active: [row0: 5.2855, row1: 5.2855]\n"
+        "  system deadlock: True\n"
+        "  boundary membership (h = 0 on active pairs): True\n"
+        "  pair (0,1): distance=0.500000 h=0.00e+00\n"
+        "  pair (0,2): distance=0.500000 h=0.00e+00\n"
+        "  pair (1,2): distance=0.500000 h=0.00e+00\n"
+        "  category: A\n"
+    ),
+    "threeB": (
+        "family threeB: 3 robots, Ds=0.5\n"
+        "  robot 0: |u*|=2.45e-16 |v|=0.00e+00 goal-dist=2.5000 force-residual=2.45e-16\n"
+        "           deadlocked=True active: [row0: 10.0000]\n"
+        "  robot 1: |u*|=0.00e+00 |v|=0.00e+00 goal-dist=2.0000 force-residual=0.00e+00\n"
+        "           deadlocked=True active: [row0: 8.0000, row1: 8.0000]\n"
+        "  robot 2: |u*|=8.01e-16 |v|=0.00e+00 goal-dist=2.5000 force-residual=8.01e-16\n"
+        "           deadlocked=True active: [row1: 10.0000]\n"
+        "  system deadlock: True\n"
+        "  boundary membership (h = 0 on active pairs): True\n"
+        "  pair (0,1): distance=0.500000 h=0.00e+00\n"
+        "  pair (0,2): distance=0.866025 h=2.71e+00\n"
+        "  pair (1,2): distance=0.500000 h=0.00e+00\n"
+        "  category: B (center 1)\n"
+    ),
+    "threeB-param": (
+        "family threeB-param: 3 robots, Ds=0.5\n"
+        "  robot 0: |u*|=1.11e-16 |v|=0.00e+00 goal-dist=1.8662 force-residual=1.11e-16\n"
+        "           deadlocked=True active: [row0: 7.4647]\n"
+        "  robot 1: |u*|=4.97e-16 |v|=0.00e+00 goal-dist=2.1534 force-residual=5.55e-16\n"
+        "           deadlocked=True active: [row0: 9.2413, row1: 3.2966]\n"
+        "  robot 2: |u*|=9.93e-16 |v|=0.00e+00 goal-dist=3.2266 force-residual=9.93e-16\n"
+        "           deadlocked=True active: [row1: 12.9062]\n"
+        "  system deadlock: True\n"
+        "  boundary membership (h = 0 on active pairs): True\n"
+        "  pair (0,1): distance=0.500000 h=0.00e+00\n"
+        "  pair (0,2): distance=0.825336 h=2.55e+00\n"
+        "  pair (1,2): distance=0.500000 h=0.00e+00\n"
+        "  category: B (center 1)\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES_STDOUT))
+def test_families_stdout_is_pinned(family, capsys):
+    assert main(["families", family]) == 0
+    assert capsys.readouterr().out == FAMILIES_STDOUT[family]

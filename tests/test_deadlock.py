@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrdeadlock import (
     DeadlockThresholds,
@@ -19,6 +21,7 @@ from mrdeadlock import (
     classify_three_robot,
     collinear_family,
     detect_deadlock,
+    safety_index_signed,
     solve_qp,
     system_deadlock,
     three_robot_family_catA,
@@ -27,9 +30,10 @@ from mrdeadlock import (
     verify_boundary_membership,
 )
 from mrdeadlock.core import v_norm, v_sub
-from mrdeadlock.errors import SafetyViolationError, ZeroVectorError
+from mrdeadlock.errors import SafetyViolationError, ToolkitError, ZeroVectorError
 from mrdeadlock.qp import QPProblem
 from mrdeadlock.cbf import box_rows, ConstraintRow, NeighborKind
+from test_pair_field import worlds
 
 PARAMS2 = Params(kp=1.0, kv=3.0, ds=0.5, alpha=(5.0, 5.0))
 PARAMS3 = Params(kp=1.0, kv=3.0, ds=0.5, alpha=(5.0, 5.0, 5.0))
@@ -346,3 +350,90 @@ def test_thresholds_validation_and_defaults():
     assert th.eps_goal == pytest.approx(0.1 * PARAMS2.ds)
     with pytest.raises(ValueError):
         DeadlockThresholds(eps_u=0.0, eps_v=1e-3, eps_goal=0.05, eps_mu=1e-6)
+
+
+def _boundary_oracle(world, goals, params, tol=1e-8):
+    """verify_boundary_membership assembled robot by robot from the scalar functions."""
+    active_pairs = set()
+    for i in range(world.n):
+        problem = assemble_qp(i, world, goals, params)
+        sol = solve_qp(problem)
+        if sol.status != "optimal":
+            return False
+        mine = [problem.rows[k] for k in sol.active_set if problem.rows[k].is_neighbor]
+        if not mine:
+            return False
+        for row in mine:
+            j = row.kind.j
+            active_pairs.add((min(i, j), max(i, j)))
+    for i, j in sorted(active_pairs):
+        if abs(safety_index_signed(world.robots[i], world.robots[j], params, i, j)) > tol:
+            return False
+    return True
+
+
+def _same_outcome(world, goals, params):
+    try:
+        expected = _boundary_oracle(world, goals, params)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as err:
+            verify_boundary_membership(world, goals, params)
+        assert str(err.value) == str(exc)
+        return
+    try:
+        got = verify_boundary_membership(world, goals, params)
+    except ToolkitError as exc:
+        # every QP is built before the first solve; the oracle stopped at an
+        # earlier robot without an active neighbor row and never reached the
+        # rejected pair, which building every QP rejects with the same error
+        assert expected is False
+        with pytest.raises(type(exc)) as err:
+            [assemble_qp(i, world, goals, params) for i in range(world.n)]
+        assert str(err.value) == str(exc)
+    else:
+        assert got is expected
+
+
+def _family_members():
+    members = []
+    for a in (0.2, 0.5, 0.8):
+        members.append((WorldState(robots=collinear_family(GOALS2, PARAMS2, a)), GOALS2, PARAMS2))
+    for build in (three_robot_family_catA, three_robot_family_catB):
+        members.append((*build(PARAMS3, 2.0), PARAMS3))
+    for theta, angle in ((-0.1, 0.6), (-0.25, 1.0), (-0.3, 0.9), (-0.45, 1.4)):
+        members.append((*catB_parametrized(PARAMS3, 2.0, theta, angle), PARAMS3))
+    return members
+
+
+FAMILY_MEMBERS = _family_members()
+
+
+@pytest.mark.parametrize("member", range(len(FAMILY_MEMBERS)))
+def test_boundary_membership_of_family_members_matches_oracle(member):
+    world, goals, params = FAMILY_MEMBERS[member]
+    assert verify_boundary_membership(world, goals, params)
+    _same_outcome(world, goals, params)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    st.sampled_from(FAMILY_MEMBERS),
+    st.integers(-12, -6).map(lambda e: 10.0 ** e),
+    st.lists(st.floats(-1.0, 1.0), min_size=12, max_size=12),
+)
+def test_boundary_membership_of_nudged_family_members_matches_oracle(member, scale, nudges):
+    world, goals, params = member
+    robots = tuple(
+        RobotState(
+            p=(z.p[0] + scale * nudges[4 * i], z.p[1] + scale * nudges[4 * i + 1]),
+            v=(z.v[0] + scale * nudges[4 * i + 2], z.v[1] + scale * nudges[4 * i + 3]),
+        )
+        for i, z in enumerate(world.robots)
+    )
+    _same_outcome(WorldState(robots=robots), goals, params)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(worlds())
+def test_boundary_membership_of_random_worlds_matches_oracle(case):
+    _same_outcome(*case)

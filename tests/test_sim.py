@@ -160,7 +160,7 @@ def test_audit_recomputation_agrees_and_detects_tampering():
     assert report.h_match_max <= 1e-12
     assert report.kkt_max_residual is not None and report.kkt_max_residual <= 1e-8
     log.h[5, 0] += 1e-6
-    assert not audit_log(log, kkt_stride=50, check_kkt=False).ok
+    assert not audit_log(log, kkt_stride=50).ok
 
 
 def test_pd_only_head_on_aborts_on_safety_violation():
@@ -168,6 +168,24 @@ def test_pd_only_head_on_aborts_on_safety_violation():
     with pytest.raises(SimulationAbort) as err:
         run_scenario(scen)
     assert err.value.kind == "safety-violation"
+
+
+def test_overflowing_state_aborts_with_the_last_finite_snapshot():
+    # kp = 1e300 is finite, but the second step's control overflows to -inf
+    scen = Scenario(
+        params=Params(kp=1e300, kv=3.0, ds=0.5, alpha=(5.0, 5.0)),
+        initial=(RobotState.at_rest((-2.0, 0.0)), RobotState.at_rest((2.0, 0.0))),
+        goals=GoalSpec(pd=((2.0, 0.0), (-2.0, 0.0))),
+        controller="pd-only",
+        t_max=1.0,
+    )
+    with pytest.raises(SimulationAbort) as err:
+        run_scenario(scen)
+    assert err.value.kind == "non-finite-state"
+    snap = err.value.snapshot
+    assert snap["t"] == scen.dt
+    assert all(math.isfinite(x) for vec in (*snap["p"], *snap["v"]) for x in vec)
+    assert snap["p"][0][0] > 1e290   # the first step's overshoot, still finite
 
 
 @pytest.mark.parametrize("controller", ["cbf-qp-only", "three-phase"])
