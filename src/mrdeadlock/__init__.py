@@ -13,9 +13,7 @@ The package is organized module-per-concern:
 """
 
 from .cbf import (
-    BoxFaceKind,
     ConstraintRow,
-    NeighborKind,
     assemble_qp,
     constraint_bound,
     decentralized_rows,

@@ -39,22 +39,9 @@ BOUNDARY_SNAP = 1e-12
 EPS_NUM = 1e-9
 
 
-@dataclass(frozen=True)
-class NeighborKind:
-    """Row provenance: collision-avoidance constraint against robot j."""
-
-    j: int
-
-
-@dataclass(frozen=True)
-class BoxFaceKind:
-    """Row provenance: acceleration box face (axis in {0, 1}, sign in {+1, -1})."""
-
-    axis: int
-    sign: int
-
-
-RowKind = NeighborKind | BoxFaceKind
+# Outward normals of the four acceleration-box rows, in their fixed order
+# +x, +y, -x, -y.  Every QP ends with these rows.
+BOX_NORMALS = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
 
 
 @dataclass(frozen=True)
@@ -63,11 +50,11 @@ class ConstraintRow:
 
     a: Vec2
     b_hat: float
-    kind: RowKind
 
-    @property
-    def is_neighbor(self) -> bool:
-        return isinstance(self.kind, NeighborKind)
+
+def row_neighbor(i: int, k: int) -> int:
+    """The robot that neighbor row k of robot i's QP faces: the rows skip i."""
+    return k + (k >= i)
 
 
 def _pair_scalars(zi: RobotState, zj: RobotState) -> tuple[Vec2, Vec2, float, float]:
@@ -158,27 +145,22 @@ def decentralized_rows(
     dp = v_sub(zi.p, zj.p)
     ai, aj = params.alpha_of(i), params.alpha_of(j)
     asum = ai + aj
-    row_i = ConstraintRow(a=(-dp[0], -dp[1]), b_hat=(ai / asum) * b, kind=NeighborKind(j))
-    row_j = ConstraintRow(a=(dp[0], dp[1]), b_hat=(aj / asum) * b, kind=NeighborKind(i))
+    row_i = ConstraintRow(a=(-dp[0], -dp[1]), b_hat=(ai / asum) * b)
+    row_j = ConstraintRow(a=(dp[0], dp[1]), b_hat=(aj / asum) * b)
     return row_i, row_j
 
 
 def box_rows(alpha_i: float) -> tuple[ConstraintRow, ...]:
     """The four acceleration-limit rows, in the fixed order +x, +y, -x, -y."""
-    return (
-        ConstraintRow(a=(1.0, 0.0), b_hat=alpha_i, kind=BoxFaceKind(axis=0, sign=+1)),
-        ConstraintRow(a=(0.0, 1.0), b_hat=alpha_i, kind=BoxFaceKind(axis=1, sign=+1)),
-        ConstraintRow(a=(-1.0, 0.0), b_hat=alpha_i, kind=BoxFaceKind(axis=0, sign=-1)),
-        ConstraintRow(a=(0.0, -1.0), b_hat=alpha_i, kind=BoxFaceKind(axis=1, sign=-1)),
-    )
+    return tuple(ConstraintRow(a, alpha_i) for a in BOX_NORMALS)
 
 
 def assemble_qp(i: int, world: WorldState, goals: GoalSpec, params: Params):
     """Build robot i's QP: objective center u_hat and M + 4 constraint rows.
 
     Every other robot is a neighbor.  Row order is fixed (neighbors by
-    ascending id, then box faces +x, +y, -x, -y) so active-set indices are
-    reproducible across runs.
+    ascending id, so row k faces row_neighbor(i, k), then the box faces
+    BOX_NORMALS) so active-set indices are reproducible across runs.
     """
     from .qp import QPProblem  # local import to keep the module DAG acyclic
 
@@ -213,12 +195,11 @@ class _PairConstants:
     pairs: tuple[tuple[int, int], ...]
     asum: tuple[float, ...]
     shares: tuple[tuple[float, float], ...]      # (alpha_i, alpha_j) / (alpha_i + alpha_j)
-    kinds: tuple[NeighborKind, ...]              # NeighborKind(j) for every robot j
     boxes: tuple[tuple[ConstraintRow, ...], ...]  # box_rows(alpha_i) for every robot i
 
 
-# One entry per (params, n), so the box rows and row kinds are built once per
-# run and shared, immutable, by every step of it.
+# One entry per (params, n), so the box rows are built once per run and
+# shared, immutable, by every step of it.
 @functools.lru_cache(maxsize=4)
 def _pair_constants(params: Params, n: int) -> _PairConstants:
     pairs = pair_indices(n)
@@ -228,7 +209,6 @@ def _pair_constants(params: Params, n: int) -> _PairConstants:
         pairs=pairs,
         asum=asum,
         shares=tuple((alpha[i] / s, alpha[j] / s) for (i, j), s in zip(pairs, asum)),
-        kinds=tuple(NeighborKind(j) for j in range(n)),
         boxes=tuple(box_rows(alpha[i]) for i in range(n)),
     )
 
@@ -335,12 +315,11 @@ class PairField:
         bounds = self.bounds()
         const = self._const
         robots = self._robots
-        kinds = const.kinds
         rows: list[list[ConstraintRow]] = [[] for _ in robots]
         for (i, j), (share_i, share_j), b in zip(const.pairs, const.shares, bounds):
             (pix, piy), (pjx, pjy) = robots[i].p, robots[j].p
-            rows[i].append(ConstraintRow((-(pix - pjx), -(piy - pjy)), share_i * b, kinds[j]))
-            rows[j].append(ConstraintRow((-(pjx - pix), -(pjy - piy)), share_j * b, kinds[i]))
+            rows[i].append(ConstraintRow((-(pix - pjx), -(piy - pjy)), share_i * b))
+            rows[j].append(ConstraintRow((-(pjx - pix), -(pjy - piy)), share_j * b))
         return tuple(
             QPProblem(u_hat=u_hat[i], rows=(*rows[i], *box)) for i, box in enumerate(const.boxes)
         )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 # assemble_qp and safety_index_signed are bound here only for the perfbench
 # span tracer; the analysis builds its QPs and h from PairField.
-from .cbf import PairField, assemble_qp, pair_indices, safety_index_signed  # noqa: F401
+from .cbf import PairField, assemble_qp, pair_indices, row_neighbor, safety_index_signed  # noqa: F401
 from .core import (
     GoalSpec,
     Params,
@@ -109,7 +109,7 @@ def detect_deadlock(
     """Evaluate the four deadlock conditions for robot i.
 
     ``problem`` is the QP that produced ``qp_solution``; its rows give the
-    force-balance residual and tell the neighbor-row multipliers apart.
+    force-balance residual, and its first m_neighbors rows are the neighbors.
     """
     if qp_solution.status != "optimal":
         raise ValueError("detect_deadlock expects an optimal QP solution")
@@ -124,7 +124,7 @@ def detect_deadlock(
     for k in qp_solution.active_set:
         mu = qp_solution.mu_star[k]
         active.append((k, mu))
-        if problem.rows[k].is_neighbor:
+        if k < problem.m_neighbors:
             max_neighbor_mu = max(max_neighbor_mu, mu)
     for k, row in enumerate(problem.rows):
         mu = qp_solution.mu_star[k]
@@ -326,10 +326,8 @@ def verify_boundary_membership(
         sol = solve_qp(problem)
         if sol.status != "optimal":
             return False
-        mine = [problem.rows[k] for k in sol.active_set if problem.rows[k].is_neighbor]
+        mine = [row_neighbor(i, k) for k in sol.active_set if k < problem.m_neighbors]
         if not mine:
             return False
-        for row in mine:
-            j = row.kind.j
-            active_pairs.add((min(i, j), max(i, j)))
+        active_pairs.update((min(i, j), max(i, j)) for j in mine)
     return all(abs(h) <= tol for pair, h in zip(pair_indices(world.n), field.h) if pair in active_pairs)

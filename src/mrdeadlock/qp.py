@@ -1,6 +1,6 @@
 """Exact primal-dual solver for the 2-variable safety QP.
 
-    minimize ||u - u_hat||^2  subject to  A u <= b   (M neighbor rows + 4 box rows)
+    minimize ||u - u_hat||^2  subject to  A u <= b   (M neighbor rows, then 4 box rows)
 
 With u in R^2 at most two linearly independent rows are active at a
 nondegenerate optimum, so candidate working sets of size 0, 1, 2 are
@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cbf import BoxFaceKind, ConstraintRow, NeighborKind
+from .cbf import BOX_NORMALS, ConstraintRow
 from .core import Vec2, v_dot, v_norm, v_sub
 from .errors import QPInfeasibleError
 
@@ -41,29 +41,25 @@ INFEAS_TOL = -1e-9
 # aside before enumeration (see _kept_rows for the terms it scales).
 IMPLIED_TOL = 1e-6
 
-# Outward normal of each box face, keyed by BoxFaceKind (axis, sign).
-_FACE_NORMALS = {(0, +1): (1.0, 0.0), (1, +1): (0.0, 1.0), (0, -1): (-1.0, 0.0), (1, -1): (0.0, -1.0)}
-
 
 @dataclass(frozen=True)
 class QPProblem:
-    """Objective center u_hat and stacked rows (M neighbors, then 4 box faces)."""
+    """Objective center u_hat and stacked rows: m_neighbors neighbor rows, then the 4 box rows."""
 
     u_hat: Vec2
     rows: tuple[ConstraintRow, ...]
 
     def __post_init__(self):
-        n_box = 0
-        box_positive = True
-        for r in self.rows:
-            if not isinstance(r.kind, NeighborKind):
-                n_box += 1
-                if r.b_hat <= 0.0:
-                    box_positive = False
-        if n_box != 4:
-            raise ValueError("a well-formed problem carries exactly the 4 box rows")
-        if not box_positive:
+        # runs for every QP of every step: plain comparisons, no generators
+        box = self.rows[-4:]
+        if len(box) < 4 or (box[0].a, box[1].a, box[2].a, box[3].a) != BOX_NORMALS:
+            raise ValueError("a well-formed problem ends with the 4 box rows, normals +x, +y, -x, -y")
+        if box[0].b_hat <= 0.0 or box[1].b_hat <= 0.0 or box[2].b_hat <= 0.0 or box[3].b_hat <= 0.0:
             raise ValueError("box bounds must be strictly positive")
+
+    @property
+    def m_neighbors(self) -> int:
+        return len(self.rows) - 4
 
 
 @dataclass(frozen=True)
@@ -101,18 +97,17 @@ def solve_qp(problem: QPProblem) -> QPSolution:
     enumeration first; the result is the one the full enumeration returns.
     """
     rows = problem.rows
-    # QPProblem carries exactly 4 box rows, so len(rows) >= 6 means M >= 2:
-    # with fewer neighbor rows the pass costs more than it saves.
-    keep = _kept_rows(rows) if len(rows) >= 6 else range(len(rows))
+    # with fewer than two neighbor rows the pass costs more than it saves
+    keep = _kept_rows(rows) if problem.m_neighbors >= 2 else range(len(rows))
     return _enumerate(problem, keep)
 
 
 def _kept_rows(rows: tuple[ConstraintRow, ...]) -> list[int]:
     """Ascending indices of the rows not strictly implied by the acceleration box.
 
-    The box is read from the BoxFaceKind rows whose normal is the face's unit
-    axis vector; those rows are always kept.  Every other row a.u <= b is set
-    aside when
+    The box is read from the last four rows, which QPProblem has checked
+    are the faces +x, +y, -x, -y; they are always kept.  A neighbor row
+    a.u <= b is set aside when
 
         b - max_{u in box} a.u  >  IMPLIED_TOL (1 + |b| + |a|_1 (1 + beta + A))
 
@@ -132,38 +127,32 @@ def _kept_rows(rows: tuple[ConstraintRow, ...]) -> list[int]:
     candidate that passes the box rows, and is never active at the returned
     point.  The one gap is a 2x2 solve near the singularity threshold, whose
     rounding is not bounded this way; the property test of solve_qp against
-    the full enumeration covers it.  A NaN row, or a box that is open on a
-    side, keeps the row.
+    the full enumeration covers it.  A NaN row, or an infinite or NaN face
+    bound on a side the row leans on, keeps the row.
     """
-    hi = [math.inf, math.inf]   # u_x <= hi[0], u_y <= hi[1]
-    lo = [math.inf, math.inf]   # -u_x <= lo[0], -u_y <= lo[1]
-    faces = []
-    norms = []                  # |a|_1 of every row
-    a_max = 1.0
-    for k, row in enumerate(rows):
+    neighbors, box = rows[:-4], rows[-4:]
+    # u_x <= hx, u_y <= hy, -u_x <= lx, -u_y <= ly
+    hx, hy, lx, ly = box[0].b_hat, box[1].b_hat, box[2].b_hat, box[3].b_hat
+    norms = []                  # |a|_1 of every neighbor row
+    a_max = 1.0                 # |a|_1 of a box row
+    for row in neighbors:
         ax, ay = row.a
         norm = abs(ax) + abs(ay)
         norms.append(norm)
         if norm > a_max:
             a_max = norm
-        kind = row.kind
-        if isinstance(kind, BoxFaceKind) and row.a == _FACE_NORMALS.get((kind.axis, kind.sign)):
-            side = hi if kind.sign > 0 else lo
-            side[kind.axis] = min(side[kind.axis], row.b_hat)
-            faces.append(k)
-    (hx, hy), (lx, ly) = hi, lo
     widest = 1.0 + max(hx, hy, lx, ly) + a_max
     keep = []
-    for k, row, norm in zip(range(len(rows)), rows, norms):
-        if k not in faces:
-            ax, ay = row.a
-            b = row.b_hat
-            top = (ax * hx if ax > 0.0 else -ax * lx if ax < 0.0 else 0.0) + (
-                ay * hy if ay > 0.0 else -ay * ly if ay < 0.0 else 0.0
-            )
-            if b - top > IMPLIED_TOL * (1.0 + abs(b) + norm * widest):
-                continue
+    for k, row, norm in zip(range(len(neighbors)), neighbors, norms):
+        ax, ay = row.a
+        b = row.b_hat
+        top = (ax * hx if ax > 0.0 else -ax * lx if ax < 0.0 else 0.0) + (
+            ay * hy if ay > 0.0 else -ay * ly if ay < 0.0 else 0.0
+        )
+        if b - top > IMPLIED_TOL * (1.0 + abs(b) + norm * widest):
+            continue
         keep.append(k)
+    keep.extend(range(len(neighbors), len(rows)))
     return keep
 
 

@@ -375,6 +375,13 @@ _SCALAR_KEYS = {
     "abort_dist_tol": float,
 }
 _REQUIRED_KEYS = ("params", "robots", "goals")
+# How each ResolutionConfig field of a scenario file is read; null keeps the
+# default of the fields that default to None.
+_RESOLUTION_KEYS = {
+    **dict.fromkeys(("kp2", "kv2", "k1", "classify_tol"), lambda v: None if v is None else float(v)),
+    **dict.fromkeys(("k_h", "eps_theta", "eps_omega"), float),
+    "k_persist": _integer,
+}
 
 
 def _check_keys(d, where: str, known, required) -> None:
@@ -436,8 +443,10 @@ def scenario_from_dict(d: dict) -> Scenario:
         _check_fields(th, DeadlockThresholds, "thresholds")
         kwargs["thresholds"] = DeadlockThresholds(**{k: _read(th, k, float, "thresholds") for k in th})
     if "resolution" in d:
-        _check_fields(d["resolution"], ResolutionConfig, "resolution")
-        kwargs["resolution"] = ResolutionConfig(**d["resolution"])
+        r = d["resolution"]
+        _check_fields(r, ResolutionConfig, "resolution")
+        values = {k: _read(r, k, _RESOLUTION_KEYS[k], "resolution") for k in r}
+        kwargs["resolution"] = ResolutionConfig(**values)
     for key, read in _SCALAR_KEYS.items():
         if key in d:
             kwargs[key] = _read(d, key, read, "scenario")
@@ -517,14 +526,28 @@ def log_to_json(log: TrajectoryLog) -> str:
 
 
 def load_log(path: str) -> TrajectoryLog:
+    """Read a JSON log whose arrays hold len(t) records of the robots of meta["scenario"]."""
     with open(path, "r", encoding="utf-8") as fh:
         d = json.load(fh)
+    where = f"{path} is not a trajectory log:"
     if not isinstance(d, dict):
-        raise ValueError(f"{path} is not a trajectory log: its top level is not a mapping")
+        raise ValueError(f"{where} its top level is not a mapping")
     for key in (*_RECORD_LAYOUT, "meta", "events"):
         if key not in d:
-            raise ValueError(f"{path} is not a trajectory log: key {key!r} is missing")
-    arrays = {name: np.asarray(d[name], dtype=dtype) for name, (dtype, _) in _RECORD_LAYOUT.items()}
+            raise ValueError(f"{where} key {key!r} is missing")
+    if not isinstance(d["meta"], dict) or "scenario" not in d["meta"]:
+        raise ValueError(f"{where} meta is not a mapping with the key 'scenario'")
+    n = len(scenario_from_dict(d["meta"]["scenario"]).initial)
+    records = len(_read(d, "t", _list, where))
+    arrays = {}
+    for name, (dtype, shape) in _RECORD_LAYOUT.items():
+        try:
+            arrays[name] = np.asarray(d[name], dtype=dtype)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{where} array {name!r}: {' '.join(str(exc).split())}") from None
+        want = (records, *shape(n))
+        if arrays[name].shape != want:
+            raise ValueError(f"{where} array {name!r} has shape {arrays[name].shape}, not {want}")
     return TrajectoryLog(**arrays, events=d["events"], meta=d["meta"])
 
 
@@ -558,6 +581,8 @@ def audit_log(log: TrajectoryLog, kkt_stride: int = 1) -> AuditReport:
     kkt_stride-th phase-1 record from the same pair pass, against the
     logged controls and multipliers.
     """
+    if kkt_stride < 1:
+        raise ValueError(f"kkt_stride must be >= 1, got {kkt_stride}")
     scen = scenario_from_dict(log.meta["scenario"])
     params = scen.params
     goals = scen.goals.pd

@@ -51,7 +51,7 @@ from mrdeadlock import (
     verify_boundary_membership,
     verify_kkt,
 )
-from mrdeadlock.cbf import ConstraintRow, NeighborKind, box_rows, pair_indices
+from mrdeadlock.cbf import ConstraintRow, box_rows, pair_indices
 from mrdeadlock.graphenum import admissible_report
 from mrdeadlock.sim import audit_log
 
@@ -184,7 +184,7 @@ def _assert_family_member(world, goals, params, *, two_robot: bool) -> None:
         assert sol.status == "optimal"
         assert math.hypot(*sol.u_star) <= 1e-8
         active_neighbor_mus = [
-            sol.mu_star[k] for k in sol.active_set if problem.rows[k].is_neighbor
+            sol.mu_star[k] for k in sol.active_set if k < problem.m_neighbors
         ]
         assert active_neighbor_mus and min(active_neighbor_mus) > 1e-6
         report = detect_deadlock(i, world, goals, params, sol, thresholds, problem)
@@ -239,7 +239,7 @@ def test_criterion_5_dual_formula_oracle():
         b_hat = float(np.dot(a, u_hat) - rng.uniform(0.1, 1.5))
         problem = QPProblem(
             u_hat=u_hat,
-            rows=(ConstraintRow(a=a, b_hat=b_hat, kind=NeighborKind(1)),) + box_rows(50.0),
+            rows=(ConstraintRow(a=a, b_hat=b_hat),) + box_rows(50.0),
         )
         sol = solve_qp(problem)
         if sol.status != "optimal" or sol.active_set != (0,):
@@ -257,12 +257,12 @@ def test_criterion_5_dual_formula_oracle():
         alpha = float(rng.uniform(0.5, 5.0))
         u_hat = tuple(rng.uniform(-5.0, 5.0, 2))
         rows = []
-        for j in range(int(rng.integers(0, 4))):
+        for _ in range(int(rng.integers(0, 4))):
             a = rng.uniform(-1.0, 1.0, 2)
             while math.hypot(*a) < 1e-3:
                 a = rng.uniform(-1.0, 1.0, 2)
             rows.append(
-                ConstraintRow(a=tuple(a), b_hat=float(rng.uniform(-0.5, 2.0)), kind=NeighborKind(j))
+                ConstraintRow(a=tuple(a), b_hat=float(rng.uniform(-0.5, 2.0)))
             )
         problem = QPProblem(u_hat=u_hat, rows=tuple(rows) + box_rows(alpha))
         sol = solve_qp(problem)

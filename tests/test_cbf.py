@@ -18,7 +18,7 @@ from mrdeadlock import (
     safety_index,
     safety_index_signed,
 )
-from mrdeadlock.cbf import BoxFaceKind, NeighborKind, pair_indices
+from mrdeadlock.cbf import BOX_NORMALS, pair_indices, row_neighbor
 from mrdeadlock.errors import (
     BoundarySingularityError,
     CoincidentRobotsError,
@@ -117,8 +117,6 @@ def test_decentralized_rows_symmetric_split():
     # a_i = -(p_i - p_j), a_j = +(p_i - p_j)
     assert row_i.a == (-2.0, 0.0)
     assert row_j.a == (2.0, 0.0)
-    assert row_i.kind == NeighborKind(1)
-    assert row_j.kind == NeighborKind(0)
 
 
 def test_decentralized_rows_proportional_split():
@@ -144,10 +142,7 @@ def test_assemble_qp_single_robot_only_box_rows():
     world = WorldState(robots=(RobotState.at_rest((0.0, 0.0)),), t=0.0)
     problem = assemble_qp(0, world, GoalSpec(pd=((1.0, 0.0),)), params)
     assert len(problem.rows) == 4
-    kinds = [row.kind for row in problem.rows]
-    assert kinds == [
-        BoxFaceKind(0, 1), BoxFaceKind(1, 1), BoxFaceKind(0, -1), BoxFaceKind(1, -1),
-    ]
+    assert tuple(row.a for row in problem.rows) == BOX_NORMALS
     assert all(row.b_hat == 3.0 for row in problem.rows)
 
 
@@ -164,9 +159,10 @@ def test_assemble_qp_three_robots_row_order():
     goals = GoalSpec(pd=((1.0, 1.0), (2.0, 2.0), (3.0, 3.0)))
     problem = assemble_qp(1, world, goals, params)
     assert len(problem.rows) == 6
-    assert problem.rows[0].kind == NeighborKind(0)
-    assert problem.rows[1].kind == NeighborKind(2)
-    assert all(not row.is_neighbor for row in problem.rows[2:])
+    assert [row_neighbor(1, k) for k in range(problem.m_neighbors)] == [0, 2]
+    assert problem.rows[0].a == (-3.0, 0.0)    # -(p_1 - p_0)
+    assert problem.rows[1].a == (-3.0, 3.0)    # -(p_1 - p_2)
+    assert tuple(row.a for row in problem.rows[2:]) == BOX_NORMALS
 
 
 def test_assemble_qp_head_on_initial_row_matches_oracle():

@@ -119,10 +119,14 @@ def test_run_rejects_zero_persistence_with_one_line(tmp_path, capsys):
         (lambda d: d["params"].update(kp=None), "'kp'"),
         (lambda d: d.update(thresholds={"eps_u": None, "eps_v": 1e-3, "eps_goal": 0.05, "eps_mu": 1e-6}), "'eps_u'"),
         (lambda d: d.update(goals=7), "'goals'"),
+        (lambda d: d.update(resolution={"k_h": None}), "'k_h'"),
+        (lambda d: d.update(resolution={"eps_theta": None}), "'eps_theta'"),
+        (lambda d: d.update(resolution={"k_h": "fast"}), "'k_h'"),
     ],
     ids=[
         "missing-goals", "unknown-resolution-key", "one-number-position",
         "number-robots", "number-alpha", "null-kp", "null-threshold", "number-goals",
+        "null-k_h", "null-eps_theta", "word-k_h",
     ],
 )
 def test_malformed_scenario_exits_2_with_one_line(tmp_path, capsys, edit, named):
@@ -142,8 +146,16 @@ def test_malformed_scenario_exits_2_with_one_line(tmp_path, capsys, edit, named)
         (lambda log: {}, "'t'"),
         (lambda log: [1, 2], "not a mapping"),
         (lambda log: {k: v for k, v in log.items() if k != "mu"}, "'mu'"),
+        (lambda log: {**log, "meta": {}}, "'scenario'"),
+        (lambda log: {**log, "pos": log["pos"][:-1]}, "'pos'"),
+        (lambda log: {**log, "mu": log["mu"][:-1]}, "'mu'"),
+        # the two-robot scenario's log cut to robot 0
+        (lambda log: {**log, "pos": [r[:1] for r in log["pos"]], "vel": [r[:1] for r in log["vel"]]}, "'pos'"),
     ],
-    ids=["empty-mapping", "list", "log-without-mu"],
+    ids=[
+        "empty-mapping", "list", "log-without-mu", "meta-without-scenario",
+        "pos-one-record-short", "mu-one-record-short", "one-robot-of-two",
+    ],
 )
 def test_verify_non_log_exits_2_with_one_line(tmp_path, capsys, content, named):
     spath = tmp_path / "scenario.yaml"
@@ -155,6 +167,17 @@ def test_verify_non_log_exits_2_with_one_line(tmp_path, capsys, content, named):
     assert main(["verify", str(lpath)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and named in err
+
+
+def test_verify_zero_kkt_stride_exits_2_with_one_line(tmp_path, capsys):
+    spath = tmp_path / "scenario.yaml"
+    save_scenario(default_head_on_scenario(t_max=0.05), str(spath))
+    lpath = tmp_path / "log.json"
+    assert main(["run", str(spath), "--out", str(lpath)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(lpath), "--kkt-stride", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "kkt_stride" in err
 
 
 def test_invalid_yaml_exits_2_with_one_line(tmp_path, capsys):

@@ -32,7 +32,7 @@ from mrdeadlock import (
 from mrdeadlock.core import v_norm, v_sub
 from mrdeadlock.errors import SafetyViolationError, ToolkitError, ZeroVectorError
 from mrdeadlock.qp import QPProblem
-from mrdeadlock.cbf import box_rows, ConstraintRow, NeighborKind
+from mrdeadlock.cbf import box_rows, ConstraintRow, row_neighbor
 from test_pair_field import worlds
 
 PARAMS2 = Params(kp=1.0, kv=3.0, ds=0.5, alpha=(5.0, 5.0))
@@ -139,7 +139,7 @@ def test_two_robot_multiplier_agrees_with_solver_dual():
         b_hat = float(np.dot(a, u_hat) - rng.uniform(0.1, 1.5))
         problem = QPProblem(
             u_hat=u_hat,
-            rows=(ConstraintRow(a=a, b_hat=b_hat, kind=NeighborKind(1)),) + box_rows(50.0),
+            rows=(ConstraintRow(a=a, b_hat=b_hat),) + box_rows(50.0),
         )
         sol = solve_qp(problem)
         if sol.status != "optimal" or sol.active_set != (0,):
@@ -240,7 +240,7 @@ def test_catA_family_geometry_and_deadlock():
     assert system_deadlock(world, goals, PARAMS3, sols, th)
     for i in range(3):
         assert math.hypot(*sols[i].u_star) <= 1e-10
-        neighbor_mus = [mu for k, mu in enumerate(sols[i].mu_star) if problems[i].rows[k].is_neighbor]
+        neighbor_mus = sols[i].mu_star[:problems[i].m_neighbors]
         assert sum(mu > 1e-6 for mu in neighbor_mus) == 2
         report = detect_deadlock(i, world, goals, PARAMS3, sols[i], th, problems[i])
         assert report.force_balance_residual <= 1e-8
@@ -264,7 +264,7 @@ def test_catB_family_geometry_and_deadlock():
     assert system_deadlock(world, goals, PARAMS3, sols, th)
     # the center robot holds two active rows, the outer robots one each
     n_active_neighbors = [
-        sum(1 for k in sols[i].active_set if problems[i].rows[k].is_neighbor) for i in range(3)
+        sum(1 for k in sols[i].active_set if k < problems[i].m_neighbors) for i in range(3)
     ]
     assert n_active_neighbors == [1, 2, 1]
 
@@ -360,11 +360,11 @@ def _boundary_oracle(world, goals, params, tol=1e-8):
         sol = solve_qp(problem)
         if sol.status != "optimal":
             return False
-        mine = [problem.rows[k] for k in sol.active_set if problem.rows[k].is_neighbor]
+        mine = [k for k in sol.active_set if k < problem.m_neighbors]
         if not mine:
             return False
-        for row in mine:
-            j = row.kind.j
+        for k in mine:
+            j = row_neighbor(i, k)
             active_pairs.add((min(i, j), max(i, j)))
     for i, j in sorted(active_pairs):
         if abs(safety_index_signed(world.robots[i], world.robots[j], params, i, j)) > tol:

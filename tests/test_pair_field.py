@@ -17,7 +17,7 @@ from mrdeadlock import (
     pd_control,
     safety_index_signed,
 )
-from mrdeadlock.cbf import PairField, min_pair_distance, pair_indices
+from mrdeadlock.cbf import PairField, min_pair_distance, pair_indices, row_neighbor
 from mrdeadlock.errors import ToolkitError
 
 # Offsets of length exactly Ds in binary floating point; added to a dyadic
@@ -116,4 +116,28 @@ def test_pair_field_matches_scalar_oracles(case):
         assert repr(batch[i].rows[j - 1]) == repr(row_i)
         assert repr(batch[j].rows[i]) == repr(mirrored)
         assert repr(batch[j].rows[i].b_hat) == repr(row_j.b_hat)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(worlds())
+def test_row_layout_is_neighbors_then_box(case):
+    """Both QP builders give robot i its N-1 neighbor rows, then the four box faces."""
+    world, goals, params = case
+    robots = world.robots
+    u_hat = [pd_control(z, g, params) for z, g in zip(robots, goals.pd)]
+    try:
+        batch = PairField(world, params).problems(u_hat)
+    except ToolkitError:
+        return
+    box = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
+    for i in range(world.n):
+        (pix, piy) = robots[i].p
+        for problem in (batch[i], assemble_qp(i, world, goals, params)):
+            rows = problem.rows
+            assert len(rows) == world.n - 1 + 4
+            assert repr(tuple(row.a for row in rows[-4:])) == repr(box)
+            for k, row in enumerate(rows[:-4]):
+                j = row_neighbor(i, k)
+                (pjx, pjy) = robots[j].p
+                assert repr(row.a) == repr((-(pix - pjx), -(piy - pjy)))
 

@@ -19,13 +19,9 @@ from mrdeadlock import (
     solve_qp,
     verify_kkt,
 )
-from mrdeadlock.cbf import BoxFaceKind, ConstraintRow, NeighborKind, box_rows
+from mrdeadlock.cbf import BOX_NORMALS, ConstraintRow, box_rows
 from mrdeadlock.errors import ToolkitError
 from mrdeadlock.qp import IMPLIED_TOL, QPSolution, _enumerate, _kept_rows
-
-
-def neighbor_row(a, b_hat, j=0):
-    return ConstraintRow(a=a, b_hat=b_hat, kind=NeighborKind(j))
 
 
 def random_problem(rng, m=None, alpha=None):
@@ -33,11 +29,11 @@ def random_problem(rng, m=None, alpha=None):
     u_hat = tuple(rng.uniform(-5, 5, 2))
     m = int(rng.integers(0, 4)) if m is None else m
     rows = []
-    for j in range(m):
+    for _ in range(m):
         a = rng.uniform(-1, 1, 2)
         while math.hypot(*a) < 1e-3:
             a = rng.uniform(-1, 1, 2)
-        rows.append(neighbor_row(tuple(a), float(rng.uniform(-0.5, 2.0)), j))
+        rows.append(ConstraintRow(tuple(a), float(rng.uniform(-0.5, 2.0))))
     return QPProblem(u_hat=u_hat, rows=tuple(rows) + box_rows(alpha))
 
 
@@ -53,7 +49,7 @@ def test_unconstrained_optimum_inside_polytope():
 def test_single_row_projection_with_closed_form_dual():
     problem = QPProblem(
         u_hat=(1.0, 0.0),
-        rows=(neighbor_row((1.0, 0.0), 0.5),) + box_rows(10.0),
+        rows=(ConstraintRow((1.0, 0.0), 0.5),) + box_rows(10.0),
     )
     sol = solve_qp(problem)
     # mu = 2 (a.u_hat - b)/|a|^2 = 2*(1 - 0.5)/1 = 1; u* = u_hat - mu a / 2
@@ -90,7 +86,7 @@ def test_verify_kkt_self_consistency():
 def test_verify_kkt_detects_corrupted_dual():
     problem = QPProblem(
         u_hat=(1.0, 0.0),
-        rows=(neighbor_row((1.0, 0.0), 0.5),) + box_rows(10.0),
+        rows=(ConstraintRow((1.0, 0.0), 0.5),) + box_rows(10.0),
     )
     sol = solve_qp(problem)
     corrupted = QPSolution(
@@ -117,9 +113,8 @@ def test_randomized_optimality_oracle():
         alpha = problem.rows[-1].b_hat
         pts = rng.uniform(-alpha, alpha, size=(20_000, 2))
         feasible = np.ones(len(pts), dtype=bool)
-        for row in problem.rows:
-            if row.is_neighbor:
-                feasible &= pts @ np.asarray(row.a) <= row.b_hat + 1e-12
+        for row in problem.rows[:problem.m_neighbors]:
+            feasible &= pts @ np.asarray(row.a) <= row.b_hat + 1e-12
         if not feasible.any():
             continue
         u_hat = np.asarray(problem.u_hat)
@@ -145,7 +140,7 @@ def test_projection_idempotence():
 def test_infeasible_detection():
     problem = QPProblem(
         u_hat=(0.0, 0.0),
-        rows=(neighbor_row((1.0, 0.0), -20.0),) + box_rows(5.0),
+        rows=(ConstraintRow((1.0, 0.0), -20.0),) + box_rows(5.0),
     )
     sol = solve_qp(problem)
     assert sol.status == "infeasible"
@@ -155,8 +150,8 @@ def test_parallel_rows_are_skipped_not_fatal():
     problem = QPProblem(
         u_hat=(3.0, 0.0),
         rows=(
-            neighbor_row((1.0, 0.0), 1.0, 0),
-            neighbor_row((2.0, 0.0), 1.0, 1),
+            ConstraintRow((1.0, 0.0), 1.0),
+            ConstraintRow((2.0, 0.0), 1.0),
         ) + box_rows(10.0),
     )
     sol = solve_qp(problem)
@@ -189,7 +184,29 @@ def test_deadlock_bridge_stationarity():
 
 def test_qp_problem_requires_box_rows():
     with pytest.raises(ValueError):
-        QPProblem(u_hat=(0.0, 0.0), rows=(neighbor_row((1.0, 0.0), 1.0),))
+        QPProblem(u_hat=(0.0, 0.0), rows=(ConstraintRow((1.0, 0.0), 1.0),))
+
+
+BOX = box_rows(5.0)
+ROW_A, ROW_B = ConstraintRow((1.0, 0.0), 4.0), ConstraintRow((0.3, 0.4), 30.0)
+
+
+@pytest.mark.parametrize(
+    "u_hat, rows",
+    [
+        ((3.0, 7.0), BOX + (ROW_A,)),
+        ((3.0, 7.0), BOX[:2] + (ROW_A,) + BOX[2:] + (ROW_B,)),
+        ((0.0, 0.0), (ROW_A, BOX[2], BOX[1], BOX[0], BOX[3])),
+        # a +x face normal of (0.5, 0) would let u_x reach 10
+        ((12.0, 0.0), (ConstraintRow((1.0, 0.0), 5.001), ConstraintRow((0.0, 1.0), 50.0),
+                       ConstraintRow((0.5, 0.0), 5.0)) + BOX[1:]),
+        ((0.0, 0.0), BOX[1:]),
+    ],
+    ids=["faces-first", "faces-between-neighbors", "faces-out-of-order", "stretched-plus-x", "three-faces"],
+)
+def test_qp_problem_rejects_misplaced_box(u_hat, rows):
+    with pytest.raises(ValueError, match="box rows"):
+        QPProblem(u_hat=u_hat, rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -213,15 +230,9 @@ def _box_top(a, faces) -> float:
     return max(a[0] * hi_x, -a[0] * lo_x) + max(a[1] * hi_y, -a[1] * lo_y)
 
 
-def _face_rows(faces, stretch=1.0) -> tuple[ConstraintRow, ...]:
-    """The four box faces; stretch != 1 scales the +x normal, which no longer bounds u_x by hi_x."""
-    hi_x, hi_y, lo_x, lo_y = faces
-    return (
-        ConstraintRow(a=(stretch, 0.0), b_hat=hi_x, kind=BoxFaceKind(axis=0, sign=+1)),
-        ConstraintRow(a=(0.0, 1.0), b_hat=hi_y, kind=BoxFaceKind(axis=1, sign=+1)),
-        ConstraintRow(a=(-1.0, 0.0), b_hat=lo_x, kind=BoxFaceKind(axis=0, sign=-1)),
-        ConstraintRow(a=(0.0, -1.0), b_hat=lo_y, kind=BoxFaceKind(axis=1, sign=-1)),
-    )
+def _face_rows(faces) -> tuple[ConstraintRow, ...]:
+    """The four box faces with the bounds (hi_x, hi_y, lo_x, lo_y)."""
+    return tuple(ConstraintRow(a, b) for a, b in zip(BOX_NORMALS, faces))
 
 
 def _ulps(x: float, n: int) -> float:
@@ -236,17 +247,13 @@ face_bounds = st.one_of(st.sampled_from([0.5, 1.0, 5.0]), st.floats(0.1, 8.0))
 
 @st.composite
 def qp_problems(draw):
-    """Rows near the box-implied threshold, parallel and zero rows, infeasible sets.
-
-    The box rows are inserted before, between and after the neighbor rows,
-    and now and then one face normal is not a unit vector.
-    """
+    """Rows near the box-implied threshold, parallel and zero rows, infeasible sets."""
     if draw(st.booleans()):
         faces = (draw(face_bounds),) * 4
     else:
         faces = tuple(draw(face_bounds) for _ in range(4))
     rows: list[ConstraintRow] = []
-    for j in range(draw(st.integers(0, 7))):
+    for _ in range(draw(st.integers(0, 7))):
         shape = draw(st.sampled_from(["free", "free", "axis", "parallel", "zero"]))
         if shape == "zero":
             a = (0.0, 0.0)
@@ -280,9 +287,8 @@ def qp_problems(draw):
             b = -_box_top((-a[0], -a[1]), faces) - draw(st.floats(1e-6, 2.0))
         else:
             b = draw(st.floats(-2.0, 10.0))
-        rows.append(neighbor_row(a, b, j))
-    for face in _face_rows(faces, draw(st.sampled_from([1.0, 1.0, 1.0, 0.5]))):
-        rows.insert(draw(st.integers(0, len(rows))), face)
+        rows.append(ConstraintRow(a, b))
+    rows.extend(_face_rows(faces))
     u_hat = draw(st.one_of(
         st.tuples(st.floats(-12.0, 12.0), st.floats(-12.0, 12.0)),
         st.just((faces[0], faces[1])),   # a box corner
@@ -295,29 +301,23 @@ def qp_problems(draw):
 @given(qp_problems())
 # two rows exactly at the box maximum, one a parallel copy: kept, binding together
 @example(QPProblem(u_hat=(9.0, 9.0), rows=(
-    neighbor_row((1.0, 1.0), 10.0, 0), neighbor_row((2.0, 2.0), 20.0, 1)) + box_rows(5.0)))
+    ConstraintRow((1.0, 1.0), 10.0), ConstraintRow((2.0, 2.0), 20.0)) + box_rows(5.0)))
 # a zero row with a positive bound and a row implied by the box
 @example(QPProblem(u_hat=(9.0, -9.0), rows=(
-    neighbor_row((0.0, 0.0), 1.0, 0), neighbor_row((0.5, 0.5), 5.1, 1)) + box_rows(5.0)))
+    ConstraintRow((0.0, 0.0), 1.0), ConstraintRow((0.5, 0.5), 5.1)) + box_rows(5.0)))
 # infeasible: the first row excludes the whole box
 @example(QPProblem(u_hat=(0.0, 0.0), rows=(
-    neighbor_row((1.0, 0.0), -6.0, 0), neighbor_row((0.0, 1.0), 9.0, 1)) + box_rows(5.0)))
-# a +x face normal of (0.5, 0): the box reaches u_x = 10, so row 0 binds
-@example(QPProblem(u_hat=(12.0, 0.0), rows=(
-    neighbor_row((1.0, 0.0), 5.001, 0), neighbor_row((0.0, 1.0), 50.0, 1)) + _face_rows((5.0,) * 4, 0.5)))
-# box rows before and between the neighbor rows
-@example(QPProblem(u_hat=(3.0, 7.0), rows=box_rows(5.0)[:2] + (
-    neighbor_row((1.0, 0.0), 4.0, 0),) + box_rows(5.0)[2:] + (neighbor_row((0.3, 0.4), 30.0, 1),)))
+    ConstraintRow((1.0, 0.0), -6.0), ConstraintRow((0.0, 1.0), 9.0)) + box_rows(5.0)))
 def test_solve_qp_matches_full_enumeration(problem):
     assert _outcome(solve_qp, problem) == _outcome(_full_enumeration, problem)
 
 
 def test_kept_rows_sets_aside_only_rows_clear_of_the_box():
     rows = (
-        neighbor_row((1.0, 1.0), 10.0 + 1e-3, 0),   # clears the box max 10: set aside
-        neighbor_row((1.0, 1.0), 10.0, 1),         # touches the box corner: kept
-        neighbor_row((0.0, 0.0), 1.0, 2),          # zero row, positive bound: set aside
-        neighbor_row((0.0, 0.0), -1.0, 3),         # zero row, negative bound: kept
-        neighbor_row((-2.0, 0.0), 10.0 + 1e-9, 4),  # within the margin: kept
+        ConstraintRow((1.0, 1.0), 10.0 + 1e-3),    # clears the box max 10: set aside
+        ConstraintRow((1.0, 1.0), 10.0),           # touches the box corner: kept
+        ConstraintRow((0.0, 0.0), 1.0),            # zero row, positive bound: set aside
+        ConstraintRow((0.0, 0.0), -1.0),           # zero row, negative bound: kept
+        ConstraintRow((-2.0, 0.0), 10.0 + 1e-9),   # within the margin: kept
     ) + box_rows(5.0)
     assert _kept_rows(rows) == [1, 3, 4, 5, 6, 7, 8]

@@ -30,6 +30,7 @@ from mrdeadlock.errors import SimulationAbort
 from mrdeadlock.resolution import ResolutionConfig
 from mrdeadlock.sim import (
     _RECORD_LAYOUT,
+    _RESOLUTION_KEYS,
     _SCALAR_KEYS,
     TrajectoryLog,
     _Recorder,
@@ -314,6 +315,10 @@ def test_scenario_dict_round_trip_defaults():
 def test_scenario_keys_cover_every_scenario_field():
     structured = {"params", "initial", "goals", "thresholds", "resolution"}
     assert set(_SCALAR_KEYS) | structured == {f.name for f in fields(Scenario)}
+
+
+def test_resolution_keys_cover_every_resolution_field():
+    assert set(_RESOLUTION_KEYS) == {f.name for f in fields(ResolutionConfig)}
 
 
 def test_minimal_scenario_dict_takes_scenario_defaults():
