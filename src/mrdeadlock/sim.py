@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, Field, dataclass, field, fields
 
 import numpy as np
 import yaml
@@ -42,7 +42,7 @@ from .errors import (
     SimulationAbort,
     UnsupportedScenarioError,
 )
-from .qp import QPSolution, solve_qp, verify_kkt  # noqa: F401
+from .qp import QPSolution, _active_set, solve_qp, verify_kkt
 from .resolution import Filtering, Released, ResolutionConfig, supervisor_step
 
 # Every controller is the supervisor from its own starting state: the plain
@@ -137,27 +137,33 @@ def three_robot_cat_a_scenario(
 # trajectory log
 # ---------------------------------------------------------------------------
 
+def _record(dtype, shape) -> Field:
+    """A TrajectoryLog record array: its dtype and the shape of one record for n robots."""
+    return field(metadata={"record": (dtype, shape)})
+
+
 @dataclass
 class TrajectoryLog:
     """Dense per-step record arrays plus the event stream.
 
-    One array per _RECORD_LAYOUT entry, records first.  Pair columns of h
-    are in ascending (i, j) order; the N + 3 rows of mu and of the active
-    bitmask follow the fixed QP ordering (neighbors by ascending id, then box
-    faces +x, +y, -x, -y).  The bitmasks are Python ints in an object array:
-    at N >= 61 a box row's bit does not fit in int64.  Phase is 0 for
-    pd-only, 1 for cbf-qp-only, and the supervisor phase for three-phase runs.
+    Each record array, records first, declares its dtype and per-record shape
+    with _record.  Pair columns of h are in ascending (i, j) order; the N + 3
+    rows of mu and of the active bitmask follow the fixed QP ordering
+    (neighbors by ascending id, then box faces +x, +y, -x, -y).  The bitmasks
+    are Python ints in an object array: at N >= 61 a box row's bit does not
+    fit in int64.  Phase is 0 for pd-only, 1 for cbf-qp-only, and the
+    supervisor phase for three-phase runs.
     """
 
-    t: np.ndarray
-    pos: np.ndarray
-    vel: np.ndarray
-    u_star: np.ndarray
-    u_hat: np.ndarray
-    h: np.ndarray
-    mu: np.ndarray
-    active: np.ndarray
-    phase: np.ndarray
+    t: np.ndarray = _record(float, lambda n: ())
+    pos: np.ndarray = _record(float, lambda n: (n, 2))
+    vel: np.ndarray = _record(float, lambda n: (n, 2))
+    u_star: np.ndarray = _record(float, lambda n: (n, 2))
+    u_hat: np.ndarray = _record(float, lambda n: (n, 2))
+    h: np.ndarray = _record(float, lambda n: (n * (n - 1) // 2,))
+    mu: np.ndarray = _record(float, lambda n: (n, n + 3))
+    active: np.ndarray = _record(object, lambda n: (n,))
+    phase: np.ndarray = _record(np.int8, lambda n: ())
     events: list[dict]
     meta: dict
 
@@ -175,19 +181,9 @@ class TrajectoryLog:
         return WorldState(robots=robots, t=float(self.t[k]))
 
 
-# The record arrays of a TrajectoryLog: name -> (dtype, shape of one record
-# for n robots).  Allocation, trimming, JSON export and load all loop over it.
-_RECORD_LAYOUT = {
-    "t": (float, lambda n: ()),
-    "pos": (float, lambda n: (n, 2)),
-    "vel": (float, lambda n: (n, 2)),
-    "u_star": (float, lambda n: (n, 2)),
-    "u_hat": (float, lambda n: (n, 2)),
-    "h": (float, lambda n: (n * (n - 1) // 2,)),
-    "mu": (float, lambda n: (n, n + 3)),
-    "active": (object, lambda n: (n,)),
-    "phase": (np.int8, lambda n: ()),
-}
+# name -> (dtype, shape of one record for n robots) of every record array;
+# allocation, trimming, JSON export and load loop over it
+_RECORD_LAYOUT = {f.name: f.metadata["record"] for f in fields(TrajectoryLog) if "record" in f.metadata}
 
 
 class _Recorder:
@@ -283,7 +279,7 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
             events.append({"name": f"phase-{int(info['phase'])}-start", "t": world.t})
         if "solutions" in info:
             mu_rows = [sol.mu_star for sol in info["solutions"]]
-            masks = [_active_mask(sol) for sol in info["solutions"]]
+            masks = [_active_mask(sol.active_set) for sol in info["solutions"]]
         else:
             mu_rows, masks = zero_mu, zero_masks
         return controls, u_hat, mu_rows, masks, 0 if pd_only else int(info["phase"])
@@ -336,9 +332,9 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
     return rec.build(events, meta)
 
 
-def _active_mask(sol: QPSolution) -> int:
+def _active_mask(active_set) -> int:
     mask = 0
-    for k in sol.active_set:
+    for k in active_set:
         mask |= 1 << k
     return mask
 
@@ -363,25 +359,30 @@ def _list(value) -> list | tuple:
     return value
 
 
-# The scalar keys of a scenario file and how each is read.  A key left out
-# takes the Scenario default; params, robots and goals are required.
-_SCALAR_KEYS = {
-    "controller": str,
-    "dt": float,
-    "t_max": float,
-    "seed": _integer,
-    "stop_goal_tol": float,
-    "log_every": _integer,
-    "abort_dist_tol": float,
+# How a scenario-file value is read, by the annotation text of its dataclass
+# field (these modules postpone annotations, so Field.type is that text).
+_READERS = {
+    "float": float,
+    "int": _integer,
+    "str": str,
+    "float | None": lambda v: None if v is None else float(v),
+    "tuple[float, ...]": lambda v: [float(a) for a in _list(v)],
 }
-_REQUIRED_KEYS = ("params", "robots", "goals")
-# How each ResolutionConfig field of a scenario file is read; null keeps the
-# default of the fields that default to None.
-_RESOLUTION_KEYS = {
-    **dict.fromkeys(("kp2", "kv2", "k1", "classify_tol"), lambda v: None if v is None else float(v)),
-    **dict.fromkeys(("k_h", "eps_theta", "eps_omega"), float),
-    "k_persist": _integer,
-}
+# Fields that hold a mapping of a dataclass's own fields; None is left out of the file.
+_SECTIONS = {"Params": Params, "DeadlockThresholds | None": DeadlockThresholds, "ResolutionConfig": ResolutionConfig}
+_BY_HAND = {"initial": "robots", "goals": "goals"}   # Scenario fields spelled by hand, and their keys
+
+
+def _file_fields(cls) -> list[Field]:
+    """The fields of cls a scenario file holds by type; TypeError for a type without a reader."""
+    fs = [f for f in fields(cls) if f.name not in _BY_HAND]
+    for f in fs:
+        if f.type not in _READERS and f.type not in _SECTIONS:
+            raise TypeError(f"no scenario-file reader for {cls.__name__}.{f.name}: {f.type}")
+    return fs
+
+
+_FILE_FIELDS = {cls: _file_fields(cls) for cls in (Scenario, *_SECTIONS.values())}
 
 
 def _check_keys(d, where: str, known, required) -> None:
@@ -402,54 +403,51 @@ def _read(d: dict, key: str, read, where: str):
         raise ValueError(f"{where} key {key!r}: {exc}") from None
 
 
-def _check_fields(d, cls, where: str) -> None:
-    """_check_keys against the fields of the dataclass cls; those without a default are required."""
+def _read_fields(d, cls, where: str) -> dict:
+    """The keyword arguments of cls that the mapping d holds.
+
+    Each key is the field of that name, read by its annotated type.  A field
+    without a default is a required key; a key left out takes its default.
+    """
     fs = fields(cls)
-    required = [f.name for f in fs if f.default is MISSING and f.default_factory is MISSING]
-    _check_keys(d, where, {f.name for f in fs}, required)
+    keys = [_BY_HAND.get(f.name, f.name) for f in fs]
+    _check_keys(d, where, keys, [k for k, f in zip(keys, fs) if f.default is MISSING and f.default_factory is MISSING])
+    kwargs = {}
+    for f in _FILE_FIELDS[cls]:
+        if f.name in d and f.type in _SECTIONS:
+            kwargs[f.name] = _SECTIONS[f.type](**_read_fields(d[f.name], _SECTIONS[f.type], f.name))
+        elif f.name in d:
+            kwargs[f.name] = _read(d, f.name, _READERS[f.type], where)
+    return kwargs
+
+
+def _fields_to_dict(obj) -> dict:
+    """The mapping _read_fields reads obj from, less the fields spelled by hand."""
+    d = {}
+    for f in _FILE_FIELDS[type(obj)]:
+        value = getattr(obj, f.name)
+        if f.type in _SECTIONS and value is not None:
+            d[f.name] = _fields_to_dict(value)
+        elif f.type in _READERS:
+            d[f.name] = list(value) if isinstance(value, tuple) else value
+    return d
 
 
 def scenario_to_dict(s: Scenario) -> dict:
-    d = {
-        "params": {"kp": s.params.kp, "kv": s.params.kv, "ds": s.params.ds, "alpha": list(s.params.alpha)},
-        "robots": [{"p": list(z.p), "v": list(z.v)} for z in s.initial],
-        "goals": [list(g) for g in s.goals.pd],
-        "resolution": asdict(s.resolution),
-    }
-    d.update((key, getattr(s, key)) for key in _SCALAR_KEYS)
-    if s.thresholds is not None:
-        d["thresholds"] = asdict(s.thresholds)
+    d = _fields_to_dict(s)
+    d["robots"] = [{"p": list(z.p), "v": list(z.v)} for z in s.initial]
+    d["goals"] = [list(g) for g in s.goals.pd]
     return d
 
 
 def scenario_from_dict(d: dict) -> Scenario:
     """The Scenario of a scenario_to_dict mapping; unknown and missing keys raise ValueError."""
-    _check_keys(d, "scenario", {*_REQUIRED_KEYS, "thresholds", "resolution", *_SCALAR_KEYS}, _REQUIRED_KEYS)
-    p = d["params"]
-    _check_fields(p, Params, "params")
+    kwargs = _read_fields(d, Scenario, "scenario")
     robots = _read(d, "robots", _list, "scenario")
     for r in robots:
         _check_keys(r, "robot", ("p", "v"), ("p",))
-    kwargs = {
-        "params": Params(
-            **{k: _read(p, k, float, "params") for k in ("kp", "kv", "ds")},
-            alpha=_read(p, "alpha", lambda v: [float(a) for a in _list(v)], "params"),
-        ),
-        "initial": tuple(RobotState(p=r["p"], v=r.get("v", (0.0, 0.0))) for r in robots),
-        "goals": GoalSpec(pd=tuple(_read(d, "goals", _list, "scenario"))),
-    }
-    if "thresholds" in d:
-        th = d["thresholds"]
-        _check_fields(th, DeadlockThresholds, "thresholds")
-        kwargs["thresholds"] = DeadlockThresholds(**{k: _read(th, k, float, "thresholds") for k in th})
-    if "resolution" in d:
-        r = d["resolution"]
-        _check_fields(r, ResolutionConfig, "resolution")
-        values = {k: _read(r, k, _RESOLUTION_KEYS[k], "resolution") for k in r}
-        kwargs["resolution"] = ResolutionConfig(**values)
-    for key, read in _SCALAR_KEYS.items():
-        if key in d:
-            kwargs[key] = _read(d, key, read, "scenario")
+    kwargs["initial"] = tuple(RobotState(p=r["p"], v=r.get("v", (0.0, 0.0))) for r in robots)
+    kwargs["goals"] = GoalSpec(pd=tuple(_read(d, "goals", _list, "scenario")))
     return Scenario(**kwargs)
 
 
@@ -563,6 +561,7 @@ class AuditReport:
     h_match_max: float      # max |logged h - recomputed h|
     h_min: float            # min recomputed h over all pairs and steps
     kkt_max_residual: float
+    bad_records: int        # records whose phase, u_hat, mu or active masks do not fit the run
     ok: bool
 
 
@@ -571,46 +570,75 @@ class AuditReport:
 AUDIT_H_MATCH_TOL = 1e-12
 AUDIT_H_FLOOR = -1e-3
 AUDIT_KKT_TOL = 1e-8
+# The phases a controller's records may carry; no run's phase ever decreases.
+_PHASES = {"pd-only": (0,), "cbf-qp-only": (1,), "three-phase": (1, 2, 3)}
 
 
 def audit_log(log: TrajectoryLog, kkt_stride: int = 1) -> AuditReport:
-    """Recompute h from logged states and re-verify logged QP optima.
+    """Recompute h, the PD references and the logged QP optima from the logged states.
 
     The h recomputation is independent of the in-loop values (fresh pass
-    over the raw states).  The KKT pass re-assembles the QPs of every
-    kkt_stride-th phase-1 record from the same pair pass, against the
-    logged controls and multipliers.
+    over the raw states).  A record is bad when its phase does not fit the
+    controller (_PHASES), its u_hat is not pd_control of its state, or its
+    mu and active masks do not fit its phase.  The KKT pass re-assembles the
+    QPs of every kkt_stride-th phase-1 record from the same pair pass,
+    against the logged controls and multipliers; the active masks must be
+    the rows active at the logged controls.  Off phase 1, mu and the masks
+    are zero, except on the record of a three-phase run's deadlock
+    detection: that step solved its QPs before it left phase 1, and the
+    audit solves them again.
     """
     if kkt_stride < 1:
         raise ValueError(f"kkt_stride must be >= 1, got {kkt_stride}")
     scen = scenario_from_dict(log.meta["scenario"])
     params = scen.params
     goals = scen.goals.pd
+    detected = {e["t"] for e in log.events if e["name"] == "deadlock-detected"}
 
     h_match = 0.0
     h_min = math.inf
     kkt_max = 0.0
+    bad_records = 0
     phases = log.phase.tolist()
+    allowed = _PHASES[scen.controller]
+    u_hats, u_stars, mus, masks = log.u_hat.tolist(), log.u_star.tolist(), log.mu.tolist(), log.active.tolist()
+    mu_set = np.any(log.mu != 0.0, axis=(1, 2)).tolist()
     for k in range(log.n_records):
         world = log.world_at(k)
         pair_field = PairField(world, params)
         for h, h_logged in zip(pair_field.h, log.h[k].tolist()):
             h_match = max(h_match, abs(h - h_logged))
             h_min = min(h_min, h)
-        if k % kkt_stride or phases[k] != 1:
-            continue
         u_hat = [pd_control(z, goal, params) for z, goal in zip(world.robots, goals)]
-        for i, problem in enumerate(pair_field.problems(u_hat)):
-            # verify_kkt reads the multipliers, not the active set
-            sol = QPSolution(tuple(log.u_star[k, i].tolist()), tuple(log.mu[k, i].tolist()), (), "optimal")
-            kkt_max = max(kkt_max, verify_kkt(problem, sol).max_residual())
+        phase = phases[k]
+        bad = phase not in allowed or (k > 0 and phase < phases[k - 1])
+        bad |= list(map(list, u_hat)) != u_hats[k]
+        if phase != 1 and world.t in detected:
+            # the deadlock-detection step solved its QPs before it left phase 1
+            sols = [solve_qp(problem) for problem in pair_field.problems(u_hat)]
+            bad |= masks[k] != [_active_mask(sol.active_set) for sol in sols]
+            bad |= mus[k] != [list(sol.mu_star) for sol in sols]
+        elif phase != 1:
+            bad |= mu_set[k] or any(masks[k])
+        elif k % kkt_stride == 0:
+            for i, problem in enumerate(pair_field.problems(u_hat)):
+                # verify_kkt reads the multipliers, not the active set
+                sol = QPSolution(tuple(u_stars[k][i]), tuple(mus[k][i]), (), "optimal")
+                kkt_max = max(kkt_max, verify_kkt(problem, sol).max_residual())
+                active = _active_set(range(len(problem.rows)), problem.rows, sol.u_star)
+                bad |= masks[k][i] != _active_mask(active)
+        bad_records += bad
 
     # without pairs h_min stays inf and passes the floor
-    ok = h_match <= AUDIT_H_MATCH_TOL and h_min >= AUDIT_H_FLOOR and kkt_max <= AUDIT_KKT_TOL
+    ok = (
+        h_match <= AUDIT_H_MATCH_TOL and h_min >= AUDIT_H_FLOOR and kkt_max <= AUDIT_KKT_TOL
+        and bad_records == 0
+    )
     return AuditReport(
         n_records=log.n_records,
         h_match_max=h_match,
         h_min=h_min,
         kkt_max_residual=kkt_max,
+        bad_records=bad_records,
         ok=ok,
     )

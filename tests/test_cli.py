@@ -7,7 +7,7 @@ import json
 import pytest
 import yaml
 
-from mrdeadlock import default_head_on_scenario, load_log, save_scenario
+from mrdeadlock import default_head_on_scenario, export_log, load_log, save_scenario
 from mrdeadlock.cli import main
 
 
@@ -72,13 +72,24 @@ def test_verify_rejects_tampered_log(tmp_path, capsys):
     save_scenario(scen, str(spath))
     lpath = tmp_path / "log.json"
     assert main(["run", str(spath), "--out", str(lpath)]) == 0
-    log = load_log(str(lpath))
-    log.h[3, 0] += 1e-6
-    from mrdeadlock import export_log
-
-    export_log(log, "json", str(lpath))
-    assert main(["verify", str(lpath), "--kkt-stride", "50"]) == 1
-    assert "audit FAILED" in capsys.readouterr().out
+    h = load_log(str(lpath)).h[3, 0]
+    # (array, index, value) edits: one h off by 1e-6; every record made a
+    # pd-only record (phase 0, u_star (3, 3), mu 0); every u_hat (9, 9); every
+    # active mask 12345
+    tamperings = [
+        [("h", (3, 0), h + 1e-6)],
+        [("phase", ..., 0), ("u_star", ..., 3.0), ("mu", ..., 0.0)],
+        [("u_hat", ..., 9.0)],
+        [("active", ..., 12345)],
+    ]
+    tpath = tmp_path / "tampered.json"
+    for edits in tamperings:
+        log = load_log(str(lpath))
+        for name, index, value in edits:
+            getattr(log, name)[index] = value
+        export_log(log, "json", str(tpath))
+        assert main(["verify", str(tpath), "--kkt-stride", "50"]) == 1, edits
+        assert "audit FAILED" in capsys.readouterr().out
 
 
 def test_aborting_run_exits_nonzero_with_diagnostic(tmp_path, capsys):

@@ -3,7 +3,8 @@
 A change that claims to leave results alone (a faster solver, a leaner
 recorder) must leave these logs byte-identical.  The three demo scenarios
 are the runs conftest.py shares with the acceptance suite; each YAML file is
-checked to load to that same scenario, so the pin covers the demo files too.
+checked to load to that same scenario and to save back byte for byte, so the
+pin covers the demo files and the scenario writer too.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from mrdeadlock import (
     default_head_on_scenario,
     load_scenario,
     run_scenario,
+    save_scenario,
     three_robot_cat_a_scenario,
     three_robot_family_catB,
 )
@@ -50,8 +52,11 @@ def _sha256(log) -> str:
     ],
     ids=["head_on_cbf_only", "head_on_three_phase", "three_robot_cat_a"],
 )
-def test_demo_scenario_log_is_pinned(request, yaml_name, scenario, fixture, digest):
-    assert load_scenario(str(DEMOS / yaml_name)) == scenario
+def test_demo_scenario_log_is_pinned(request, tmp_path, yaml_name, scenario, fixture, digest):
+    loaded = load_scenario(str(DEMOS / yaml_name))
+    assert loaded == scenario
+    save_scenario(loaded, str(tmp_path / yaml_name))
+    assert (tmp_path / yaml_name).read_bytes() == (DEMOS / yaml_name).read_bytes()
     log, _ = request.getfixturevalue(fixture)
     assert _sha256(log) == digest
 

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrdeadlock import (
     GoalSpec,
@@ -25,14 +27,14 @@ from mrdeadlock import (
     run_scenario,
     save_scenario,
 )
+from mrdeadlock import resolution
 from mrdeadlock.cbf import pair_indices
+from mrdeadlock.deadlock import DeadlockThresholds
 from mrdeadlock.errors import SimulationAbort
 from mrdeadlock.resolution import ResolutionConfig
 from mrdeadlock.sim import (
     _RECORD_LAYOUT,
-    _RESOLUTION_KEYS,
-    _SCALAR_KEYS,
-    TrajectoryLog,
+    _file_fields,
     _Recorder,
     log_to_json,
     scenario_from_dict,
@@ -142,10 +144,6 @@ def test_json_round_trip(tmp_path):
 
 
 def test_record_layout_lists_every_log_array():
-    # a TrajectoryLog array missing from the table would be neither allocated,
-    # exported nor loaded
-    arrays = [f.name for f in fields(TrajectoryLog) if f.name not in ("events", "meta")]
-    assert arrays == list(_RECORD_LAYOUT)
     log = run_scenario(default_head_on_scenario(t_max=0.05))
     assert set(json.loads(log_to_json(log))) == {*_RECORD_LAYOUT, "meta", "events"}
     for name, (dtype, shape) in _RECORD_LAYOUT.items():
@@ -274,7 +272,17 @@ def test_infeasible_qp_aborts_with_diagnostic():
     assert "t" in err.value.snapshot
 
 
-def test_phase2_newton_abort_carries_the_failing_step(monkeypatch):
+def _record_snapshot(log, k: int) -> dict:
+    """The abort snapshot of the state of record k."""
+    return {
+        "t": float(log.t[k]),
+        "p": [tuple(p) for p in log.pos[k].tolist()],
+        "v": [tuple(v) for v in log.vel[k].tolist()],
+    }
+
+
+def _collinear_resolution():
+    """A three-phase run from the collinear deadlock: its scenario, its log and its phase-2 entry record."""
     params = Params(kp=1.0, kv=3.0, ds=0.5, alpha=(5.0, 5.0))
     goals = GoalSpec(pd=((2.0, 0.0), (-2.0, 0.0)))
     scen = Scenario(
@@ -283,6 +291,11 @@ def test_phase2_newton_abort_carries_the_failing_step(monkeypatch):
     )
     log = run_scenario(scen)
     k = int(np.argmax(log.phase == 2))  # phase 2 starts on the deadlock-detection step
+    return scen, log, k
+
+
+def test_phase2_newton_abort_carries_the_failing_step(monkeypatch):
+    scen, log, k = _collinear_resolution()
 
     def singular(*_):
         raise np.linalg.LinAlgError("Singular matrix")
@@ -292,11 +305,65 @@ def test_phase2_newton_abort_carries_the_failing_step(monkeypatch):
         run_scenario(scen)
     assert err.value.kind == "phase2-singular"
     assert str(err.value) == "[phase2-singular] phase-2 Newton Jacobian singular: Singular matrix"
-    assert err.value.snapshot == {
-        "t": float(log.t[k]),
-        "p": [tuple(p) for p in log.pos[k].tolist()],
-        "v": [tuple(v) for v in log.vel[k].tolist()],
-    }
+    assert err.value.snapshot == _record_snapshot(log, k)
+
+
+def test_phase2_newton_without_progress_aborts_as_diverged(monkeypatch):
+    scen, log, k = _collinear_resolution()
+    monkeypatch.setattr(np.linalg, "solve", lambda jac, f: np.zeros_like(f))
+    with pytest.raises(SimulationAbort) as err:
+        run_scenario(scen)
+    assert err.value.kind == "phase2-diverged"
+    assert str(err.value).startswith("[phase2-diverged] phase-2 Newton stalled at residual ")
+    assert err.value.snapshot == _record_snapshot(log, k)
+
+
+# (robots at, goals, message) of deadlocks the supervisor cannot resolve:
+# four robots, and three robots far from contact (neither category A nor B)
+UNSUPPORTED_CASES = {
+    "four-robots": (
+        ((-2.0, -2.0), (2.0, -2.0), (2.0, 2.0), (-2.0, 2.0)),
+        ((2.0, 2.0), (-2.0, 2.0), (-2.0, -2.0), (2.0, -2.0)),
+        "implemented for N in {2, 3}, got N=4",
+    ),
+    "three-apart": (
+        ((-2.0, 0.0), (2.0, 0.0), (0.0, 3.0)),
+        ((2.0, 0.0), (-2.0, 0.0), (0.0, -3.0)),
+        "matches neither category",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNSUPPORTED_CASES))
+def test_unsupported_deadlock_aborts_with_snapshot(monkeypatch, case):
+    points, goals, message = UNSUPPORTED_CASES[case]
+    scen = Scenario(
+        params=Params(kp=1.0, kv=3.0, ds=0.5, alpha=(5.0,) * len(points)),
+        initial=tuple(RobotState.at_rest(p) for p in points),
+        goals=GoalSpec(pd=goals),
+        controller="three-phase",
+        t_max=0.02,
+    )
+    log = run_scenario(scen)
+    # with every step deadlocked, step k_persist - 1 detects the deadlock
+    monkeypatch.setattr(resolution, "system_deadlock", lambda *_: True)
+    with pytest.raises(SimulationAbort) as err:
+        run_scenario(scen)
+    assert err.value.kind == "unsupported-deadlock"
+    assert message in str(err.value)
+    assert err.value.snapshot == _record_snapshot(log, scen.resolution.k_persist - 1)
+
+
+def test_audit_checks_the_qp_records_off_phase_one():
+    _, log, k = _collinear_resolution()
+    assert audit_log(log).ok
+    # the detection record carries the phase-1 QPs its step solved; later
+    # phase-2 records carry none
+    for record in (k, k + 1):
+        tampered = replace(log, mu=log.mu.copy())
+        tampered.mu[record, 0, 0] += 1.0
+        report = audit_log(tampered)
+        assert not report.ok and report.bad_records == 1
 
 
 def test_scenario_yaml_round_trip(tmp_path):
@@ -312,13 +379,61 @@ def test_scenario_dict_round_trip_defaults():
     assert scenario_from_dict(scenario_to_dict(scen)) == scen
 
 
-def test_scenario_keys_cover_every_scenario_field():
-    structured = {"params", "initial", "goals", "thresholds", "resolution"}
-    assert set(_SCALAR_KEYS) | structured == {f.name for f in fields(Scenario)}
+def _floats(lo: float, hi: float):
+    return st.floats(min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False)
 
 
-def test_resolution_keys_cover_every_resolution_field():
-    assert set(_RESOLUTION_KEYS) == {f.name for f in fields(ResolutionConfig)}
+@st.composite
+def overridden_scenarios(draw) -> Scenario:
+    """Valid scenarios whose every defaulted field, and every resolution field, is off its default."""
+    base = default_head_on_scenario()
+    params = Params(kp=draw(_floats(0.1, 2.0)), kv=3.0, ds=0.5, alpha=(draw(_floats(0.5, 9.0)), 5.0))
+    eps = _floats(1e-9, 1.0)
+    return Scenario(
+        params=params,
+        initial=base.initial,
+        goals=base.goals,
+        controller=draw(st.sampled_from(["three-phase", "pd-only"])),
+        dt=draw(_floats(1e-6, 9e-4)),
+        t_max=draw(_floats(31.0, 1e4)),
+        thresholds=DeadlockThresholds(draw(eps), draw(eps), draw(eps), draw(eps)),
+        seed=draw(st.integers(1, 2**40)),
+        stop_goal_tol=draw(_floats(2e-4, 1e-1)),
+        log_every=draw(st.integers(2, 10**6)),
+        abort_dist_tol=draw(_floats(2e-6, 1e-2)),
+        resolution=ResolutionConfig(
+            kp2=draw(_floats(1e-3, 1e3)),
+            kv2=draw(_floats(1e-3, 1e3)),
+            k1=draw(_floats(1e-3, 1e3)),
+            k_h=draw(_floats(8.5, 1e3)),
+            eps_theta=draw(_floats(2e-3, 1.0)),
+            eps_omega=draw(_floats(1e-9, 9e-4)),
+            k_persist=draw(st.integers(11, 10**4)),
+            classify_tol=draw(_floats(1e-9, 1.0)),
+        ),
+    )
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(overridden_scenarios())
+def test_scenario_round_trips_with_every_default_overridden(tmp_path_factory, scen):
+    defaults = Scenario(scen.params, scen.initial, scen.goals)
+    same = [f.name for f in fields(Scenario) if getattr(scen, f.name) == getattr(defaults, f.name)]
+    assert same == ["params", "initial", "goals"]
+    assert all(getattr(scen.resolution, f.name) != f.default for f in fields(ResolutionConfig))
+    assert scenario_from_dict(scenario_to_dict(scen)) == scen
+    path = tmp_path_factory.getbasetemp() / "overridden.yaml"
+    save_scenario(scen, str(path))
+    assert load_scenario(str(path)) == scen
+
+
+def test_scenario_field_without_a_reader_is_rejected():
+    @dataclass(frozen=True)
+    class Odd:
+        gain: complex
+
+    with pytest.raises(TypeError, match="no scenario-file reader for Odd.gain: complex"):
+        _file_fields(Odd)
 
 
 def test_minimal_scenario_dict_takes_scenario_defaults():
