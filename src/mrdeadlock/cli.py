@@ -98,7 +98,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     log = load_log(args.log)
-    report = audit_log(log, kkt_stride=args.kkt_stride)
+    report = audit_log(log)
     print(f"records: {report.n_records}")
     print(f"h recompute match: {report.h_match_max:.3e}")
     h_min = report.h_min if math.isfinite(report.h_min) else float("inf")
@@ -137,7 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="post-hoc safety and KKT audit of a JSON log")
     p_ver.add_argument("log", help="JSON log produced by `run --format json`")
-    p_ver.add_argument("--kkt-stride", type=int, default=1)
     p_ver.set_defaults(func=_cmd_verify)
     return parser
 

@@ -51,7 +51,7 @@ def _finite_vec2(value, what: str) -> Vec2:
     try:
         x, y = value
         vec = (float(x), float(y))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{what} must be two numbers, got {value!r}") from None
     if not (math.isfinite(vec[0]) and math.isfinite(vec[1])):
         raise ValueError(f"{what} must be finite, got {value!r}")

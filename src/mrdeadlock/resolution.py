@@ -78,7 +78,6 @@ class ResolutionConfig:
 
     kp2: float | None = None        # bearing stiffness (defaults to params.kp)
     kv2: float | None = None        # bearing damping (defaults to params.kv)
-    k1: float | None = None         # distance-rate gain of the continuous law (defaults 10 kv)
     k_h: float = 8.0                # boundary-acquisition decay rate (1/s)
     eps_theta: float = 1e-3         # bearing alignment threshold (rad)
     eps_omega: float = 1e-3         # bearing rate threshold (rad/s)
@@ -98,9 +97,6 @@ class ResolutionConfig:
             self.kp2 if self.kp2 is not None else params.kp,
             self.kv2 if self.kv2 is not None else params.kv,
         )
-
-    def distance_gain(self, params: Params) -> float:
-        return self.k1 if self.k1 is not None else 10.0 * params.kv
 
     def classification_tol(self, params: Params) -> float:
         return self.classify_tol if self.classify_tol is not None else 2e-2 * params.ds
@@ -537,11 +533,13 @@ def supervisor_step(
     ``state`` is one of the per-mode states (``Filtering``, ``Regularizing``,
     ``Rotating``, ``Released``); the step dispatches on its type.  The
     returned info dict carries ``phase``, the phase whose controls were
-    returned; on a phase-1 step, ``solutions``, the per-robot QP solutions;
-    and on the step that detects a deadlock or finishes a category-B
-    regularization, ``event``, a ``(name, t)`` pair.  ``pairs`` (the pair
-    pass of ``world``) and ``u_hat`` (the PD references) may be passed by a
-    caller that already has them; they are computed otherwise.
+    returned; ``solutions``, the per-robot QP solutions, only when the
+    returned controls are those solutions (the step that detects a deadlock
+    and returns phase-2 controls has none); and on the step that detects a
+    deadlock or finishes a category-B regularization, ``event``, a
+    ``(name, t)`` pair.  ``pairs`` (the pair pass of ``world``) and
+    ``u_hat`` (the PD references) may be passed by a caller that already has
+    them; they are computed otherwise.
     """
     n = world.n
     t = world.t
@@ -560,25 +558,24 @@ def supervisor_step(
                     f"robot {i} QP infeasible at t={t:.6f}",
                     snapshot={"t": t, "robot": i, "world": world},
                 )
+        # nothing reads the persistence count once the deadlock is announced
+        if not state.announced:
+            in_deadlock = (
+                n >= 2
+                and system_deadlock(world, goals, params, solutions, thresholds, problems)
+            )
+            persist = state.persist_counter + 1 if in_deadlock else 0
+            if persist >= config.k_persist:
+                info["event"] = ("deadlock-detected", t)
+                if state.resolve:
+                    # the phase-2 controls replace the QP solutions of this step
+                    new_state = _enter_phase_two(world, goals, params, config, t, pairs.h)
+                    return _phase_two_step(new_state, world, goals, params, dt, config, info, pairs, u_hat)
+                state = replace(state, persist_counter=persist, announced=True)
+            elif persist != state.persist_counter:
+                state = replace(state, persist_counter=persist)
         info["solutions"] = solutions
-        controls = tuple(sol.u_star for sol in solutions)
-        if state.announced:
-            # nothing reads the persistence count once the deadlock is announced
-            return controls, state, info
-        in_deadlock = (
-            n >= 2
-            and system_deadlock(world, goals, params, solutions, thresholds, problems)
-        )
-        persist = state.persist_counter + 1 if in_deadlock else 0
-        if persist >= config.k_persist:
-            info["event"] = ("deadlock-detected", t)
-            if not state.resolve:
-                return controls, replace(state, persist_counter=persist, announced=True), info
-            new_state = _enter_phase_two(world, goals, params, config, t, pairs.h)
-            return _phase_two_step(new_state, world, goals, params, dt, config, info, pairs, u_hat)
-        if persist != state.persist_counter:
-            state = replace(state, persist_counter=persist)
-        return controls, state, info
+        return tuple(sol.u_star for sol in solutions), state, info
 
     if isinstance(state, Released):
         return tuple(u_hat), state, info

@@ -42,7 +42,7 @@ from .errors import (
     SimulationAbort,
     UnsupportedScenarioError,
 )
-from .qp import QPSolution, _active_set, solve_qp, verify_kkt
+from .qp import QPSolution, _active_set, solve_qp, verify_kkt  # noqa: F401
 from .resolution import Filtering, Released, ResolutionConfig, supervisor_step
 
 # Every controller is the supervisor from its own starting state: the plain
@@ -66,7 +66,6 @@ class Scenario:
     dt: float = 1e-3
     t_max: float = 30.0
     thresholds: DeadlockThresholds | None = None
-    seed: int = 0
     stop_goal_tol: float = 1e-4
     log_every: int = 1
     abort_dist_tol: float = 1e-6
@@ -151,8 +150,12 @@ class TrajectoryLog:
     rows of mu and of the active bitmask follow the fixed QP ordering
     (neighbors by ascending id, then box faces +x, +y, -x, -y).  The bitmasks
     are Python ints in an object array: at N >= 61 a box row's bit does not
-    fit in int64.  Phase is 0 for pd-only, 1 for cbf-qp-only, and the
-    supervisor phase for three-phase runs.
+    fit in int64.  Phase is the supervisor phase of the step: 1 throughout a
+    cbf-qp-only run, 3 throughout a pd-only run.  A record holds only what
+    its step ran: mu and the masks are those of the QPs whose solutions are
+    the step's controls, and zero on a step whose controls are not QP
+    solutions (phase 2 and 3, and the step that detects a deadlock and
+    returns phase-2 controls).
     """
 
     t: np.ndarray = _record(float, lambda n: ())
@@ -186,14 +189,23 @@ class TrajectoryLog:
 _RECORD_LAYOUT = {f.name: f.metadata["record"] for f in fields(TrajectoryLog) if "record" in f.metadata}
 
 
+# Records a recorder allocates at most up front; past them it doubles its
+# capacity whenever it fills, so a long run allocates only what it logs.
+_FIRST_CAPACITY = 2**16
+
+
 class _Recorder:
     def __init__(self, n: int, capacity: int):
         self.rows = 0
         for name, (dtype, shape) in _RECORD_LAYOUT.items():
-            setattr(self, name, np.empty((capacity, *shape(n)), dtype=dtype))
+            setattr(self, name, np.empty((min(capacity, _FIRST_CAPACITY), *shape(n)), dtype=dtype))
 
     def push(self, t, world, u_star, u_hat, h_vals, mu_rows, active_masks, phase):
         k = self.rows
+        if k == len(self.t):
+            for name in _RECORD_LAYOUT:
+                array = getattr(self, name)
+                setattr(self, name, np.concatenate((array, np.empty_like(array))))
         self.t[k] = t
         for i, z in enumerate(world.robots):
             self.pos[k, i] = z.p
@@ -257,8 +269,7 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
     rec = _Recorder(n, n_steps // scenario.log_every + 2)
     events: list[dict] = []
     phase_state = _START_STATES[scenario.controller]
-    pd_only = scenario.controller == "pd-only"
-    zero_mu = [(0.0,) * (n + 3)] * n   # the multipliers of a step without QPs
+    zero_mu = [(0.0,) * (n + 3)] * n   # the multipliers of a step whose controls are no QP solutions
     zero_masks = [0] * n
 
     def snapshot() -> dict:
@@ -282,7 +293,7 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
             masks = [_active_mask(sol.active_set) for sol in info["solutions"]]
         else:
             mu_rows, masks = zero_mu, zero_masks
-        return controls, u_hat, mu_rows, masks, 0 if pd_only else int(info["phase"])
+        return controls, u_hat, mu_rows, masks, int(info["phase"])
 
     step = 0
     reached = False   # every robot within stop_goal_tol: record this state, then stop
@@ -396,10 +407,10 @@ def _check_keys(d, where: str, known, required) -> None:
 
 
 def _read(d: dict, key: str, read, where: str):
-    """read(d[key]); its TypeError or ValueError becomes a ValueError naming the key."""
+    """read(d[key]); its TypeError, ValueError or OverflowError becomes a ValueError naming the key."""
     try:
         return read(d[key])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{where} key {key!r}: {exc}") from None
 
 
@@ -541,12 +552,24 @@ def load_log(path: str) -> TrajectoryLog:
     for name, (dtype, shape) in _RECORD_LAYOUT.items():
         try:
             arrays[name] = np.asarray(d[name], dtype=dtype)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{where} array {name!r}: {' '.join(str(exc).split())}") from None
         want = (records, *shape(n))
         if arrays[name].shape != want:
             raise ValueError(f"{where} array {name!r} has shape {arrays[name].shape}, not {want}")
-    return TrajectoryLog(**arrays, events=d["events"], meta=d["meta"])
+    events = _read(d, "events", _list, where)
+    for k, event in enumerate(events):
+        if not (isinstance(event, dict) and isinstance(event.get("name"), str) and _finite(event.get("t"))):
+            raise ValueError(f"{where} event {k} is not a mapping with a string 'name' and a finite 't'")
+    return TrajectoryLog(**arrays, events=events, meta=d["meta"])
+
+
+def _finite(x) -> bool:
+    """x is a finite number (a bool or a number too large for a float is not)."""
+    try:
+        return not isinstance(x, bool) and math.isfinite(x)
+    except (TypeError, OverflowError):
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -571,29 +594,23 @@ AUDIT_H_MATCH_TOL = 1e-12
 AUDIT_H_FLOOR = -1e-3
 AUDIT_KKT_TOL = 1e-8
 # The phases a controller's records may carry; no run's phase ever decreases.
-_PHASES = {"pd-only": (0,), "cbf-qp-only": (1,), "three-phase": (1, 2, 3)}
+_PHASES = {"pd-only": (3,), "cbf-qp-only": (1,), "three-phase": (1, 2, 3)}
 
 
-def audit_log(log: TrajectoryLog, kkt_stride: int = 1) -> AuditReport:
+def audit_log(log: TrajectoryLog) -> AuditReport:
     """Recompute h, the PD references and the logged QP optima from the logged states.
 
     The h recomputation is independent of the in-loop values (fresh pass
     over the raw states).  A record is bad when its phase does not fit the
     controller (_PHASES), its u_hat is not pd_control of its state, or its
-    mu and active masks do not fit its phase.  The KKT pass re-assembles the
-    QPs of every kkt_stride-th phase-1 record from the same pair pass,
-    against the logged controls and multipliers; the active masks must be
-    the rows active at the logged controls.  Off phase 1, mu and the masks
-    are zero, except on the record of a three-phase run's deadlock
-    detection: that step solved its QPs before it left phase 1, and the
-    audit solves them again.
+    mu and active masks break the one rule for every record: a phase-1
+    record's QPs, re-assembled from the same pair pass, pass the KKT check
+    at the logged controls and multipliers and its masks are the rows
+    active at the logged controls; any other record has zero mu and masks.
     """
-    if kkt_stride < 1:
-        raise ValueError(f"kkt_stride must be >= 1, got {kkt_stride}")
     scen = scenario_from_dict(log.meta["scenario"])
     params = scen.params
     goals = scen.goals.pd
-    detected = {e["t"] for e in log.events if e["name"] == "deadlock-detected"}
 
     h_match = 0.0
     h_min = math.inf
@@ -613,20 +630,15 @@ def audit_log(log: TrajectoryLog, kkt_stride: int = 1) -> AuditReport:
         phase = phases[k]
         bad = phase not in allowed or (k > 0 and phase < phases[k - 1])
         bad |= list(map(list, u_hat)) != u_hats[k]
-        if phase != 1 and world.t in detected:
-            # the deadlock-detection step solved its QPs before it left phase 1
-            sols = [solve_qp(problem) for problem in pair_field.problems(u_hat)]
-            bad |= masks[k] != [_active_mask(sol.active_set) for sol in sols]
-            bad |= mus[k] != [list(sol.mu_star) for sol in sols]
-        elif phase != 1:
-            bad |= mu_set[k] or any(masks[k])
-        elif k % kkt_stride == 0:
+        if phase == 1:
             for i, problem in enumerate(pair_field.problems(u_hat)):
                 # verify_kkt reads the multipliers, not the active set
                 sol = QPSolution(tuple(u_stars[k][i]), tuple(mus[k][i]), (), "optimal")
                 kkt_max = max(kkt_max, verify_kkt(problem, sol).max_residual())
                 active = _active_set(range(len(problem.rows)), problem.rows, sol.u_star)
                 bad |= masks[k][i] != _active_mask(active)
+        else:
+            bad |= mu_set[k] or any(masks[k])
         bad_records += bad
 
     # without pairs h_min stays inf and passes the floor

@@ -52,7 +52,7 @@ def test_run_and_verify_round_trip(tmp_path, capsys):
     lpath = tmp_path / "log.json"
     assert main(["run", str(spath), "--out", str(lpath), "--format", "json"]) == 0
     assert lpath.exists()
-    assert main(["verify", str(lpath), "--kkt-stride", "20"]) == 0
+    assert main(["verify", str(lpath)]) == 0
     assert "audit PASSED" in capsys.readouterr().out
 
 
@@ -74,11 +74,11 @@ def test_verify_rejects_tampered_log(tmp_path, capsys):
     assert main(["run", str(spath), "--out", str(lpath)]) == 0
     h = load_log(str(lpath)).h[3, 0]
     # (array, index, value) edits: one h off by 1e-6; every record made a
-    # pd-only record (phase 0, u_star (3, 3), mu 0); every u_hat (9, 9); every
+    # pd-only record (phase 3, u_star (3, 3), mu 0); every u_hat (9, 9); every
     # active mask 12345
     tamperings = [
         [("h", (3, 0), h + 1e-6)],
-        [("phase", ..., 0), ("u_star", ..., 3.0), ("mu", ..., 0.0)],
+        [("phase", ..., 3), ("u_star", ..., 3.0), ("mu", ..., 0.0)],
         [("u_hat", ..., 9.0)],
         [("active", ..., 12345)],
     ]
@@ -88,7 +88,7 @@ def test_verify_rejects_tampered_log(tmp_path, capsys):
         for name, index, value in edits:
             getattr(log, name)[index] = value
         export_log(log, "json", str(tpath))
-        assert main(["verify", str(tpath), "--kkt-stride", "50"]) == 1, edits
+        assert main(["verify", str(tpath)]) == 1, edits
         assert "audit FAILED" in capsys.readouterr().out
 
 
@@ -133,11 +133,17 @@ def test_run_rejects_zero_persistence_with_one_line(tmp_path, capsys):
         (lambda d: d.update(resolution={"k_h": None}), "'k_h'"),
         (lambda d: d.update(resolution={"eps_theta": None}), "'eps_theta'"),
         (lambda d: d.update(resolution={"k_h": "fast"}), "'k_h'"),
+        (lambda d: d["params"].update(kp=10**400), "'kp'"),
+        (lambda d: d["robots"][0].update(p=[-(10**400), 0.0]), "robot position"),
+        # keys of files written before they were dropped
+        (lambda d: d.update(seed=0), "'seed'"),
+        (lambda d: d["resolution"].update(k1=None), "'k1'"),
     ],
     ids=[
         "missing-goals", "unknown-resolution-key", "one-number-position",
         "number-robots", "number-alpha", "null-kp", "null-threshold", "number-goals",
-        "null-k_h", "null-eps_theta", "word-k_h",
+        "null-k_h", "null-eps_theta", "word-k_h", "401-digit-kp", "401-digit-position",
+        "old-seed", "old-k1",
     ],
 )
 def test_malformed_scenario_exits_2_with_one_line(tmp_path, capsys, edit, named):
@@ -162,10 +168,16 @@ def test_malformed_scenario_exits_2_with_one_line(tmp_path, capsys, edit, named)
         (lambda log: {**log, "mu": log["mu"][:-1]}, "'mu'"),
         # the two-robot scenario's log cut to robot 0
         (lambda log: {**log, "pos": [r[:1] for r in log["pos"]], "vel": [r[:1] for r in log["vel"]]}, "'pos'"),
+        (lambda log: {**log, "phase": [300] * len(log["phase"])}, "'phase'"),
+        (lambda log: {**log, "t": [10**400] + log["t"][1:]}, "'t'"),
+        (lambda log: {**log, "events": 5}, "'events'"),
+        (lambda log: {**log, "events": [1]}, "event 0"),
+        (lambda log: {**log, "events": [{"name": "x"}]}, "event 0"),
     ],
     ids=[
         "empty-mapping", "list", "log-without-mu", "meta-without-scenario",
         "pos-one-record-short", "mu-one-record-short", "one-robot-of-two",
+        "phase-300", "401-digit-t", "number-events", "number-event", "event-without-t",
     ],
 )
 def test_verify_non_log_exits_2_with_one_line(tmp_path, capsys, content, named):
@@ -178,17 +190,6 @@ def test_verify_non_log_exits_2_with_one_line(tmp_path, capsys, content, named):
     assert main(["verify", str(lpath)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and named in err
-
-
-def test_verify_zero_kkt_stride_exits_2_with_one_line(tmp_path, capsys):
-    spath = tmp_path / "scenario.yaml"
-    save_scenario(default_head_on_scenario(t_max=0.05), str(spath))
-    lpath = tmp_path / "log.json"
-    assert main(["run", str(spath), "--out", str(lpath)]) == 0
-    capsys.readouterr()
-    assert main(["verify", str(lpath), "--kkt-stride", "0"]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "kkt_stride" in err
 
 
 def test_invalid_yaml_exits_2_with_one_line(tmp_path, capsys):

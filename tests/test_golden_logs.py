@@ -33,7 +33,7 @@ from mrdeadlock.resolution import ResolutionConfig
 from mrdeadlock.sim import log_to_json
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
-RING32_SHA256 = "d453b1b9ef473b9a9f6525f9080c6c71f92232a35419195a594d6e9263b42275"
+RING32_SHA256 = "9c24e0bcc44fdea9886c9956b5ff3e8739c47f526d6198bb58ec40b0737dbf9b"
 
 
 def _sha256(log) -> str:
@@ -44,11 +44,11 @@ def _sha256(log) -> str:
     "yaml_name, scenario, fixture, digest",
     [
         ("head_on_cbf_only.yaml", HEAD_ON, "head_on_log",
-         "47a7eeb86432081ef28b2de406288f9055d467dfcb0b69280aa42b512b98b0ab"),
+         "6cb438bfd23a299783b6dc6a031bcdfc59915b77de21671ed970ed7b72e28519"),
         ("head_on_three_phase.yaml", TWO_ROBOT_RESOLUTION, "two_robot_resolution_log",
-         "7f258ceff670931a9b727d4fd3d5960ff927122e038162993ffb90396341f3b0"),
+         "c037f21e831840f5fa78feece303a59a199cee4398bd7e672d5c24bf22551602"),
         ("three_robot_cat_a.yaml", THREE_ROBOT_RESOLUTION, "three_robot_resolution_log",
-         "80e1e7bb911f746b2c58f7ee00d3e886056648c791b3d65cb3db05b5ef31dc27"),
+         "57f676be6c0d9f8c27690ea0a3792b97040c6c9a6ee8e374466acb059ddb22fb"),
     ],
     ids=["head_on_cbf_only", "head_on_three_phase", "three_robot_cat_a"],
 )
@@ -90,13 +90,13 @@ def test_pd_only_run_to_goals_is_pinned():
     )
     log = run_scenario(scenario)
     assert log.events == [{"name": "goals-reached", "t": 10.603999999999562}]
-    assert _sha256(log) == "df8006ad234bccf6a99bba668fb7144594e1b9931dabfcbde0f9c45e7f54c7f5"
+    assert _sha256(log) == "6d2e9d930c5c585463ec1f49cbdea37a9ca856003b68e630ec5a3aa9023b0354"
 
 
 def test_cbf_qp_only_three_robot_log_is_pinned():
     log = run_scenario(three_robot_cat_a_scenario(controller="cbf-qp-only", t_max=5.0))
     assert log.events == [{"name": "deadlock-detected", "t": 0.009000000000000001}]
-    assert _sha256(log) == "f1bf983778c7f00c19479546a60e21cf1182d6470d0d5dc3566a79cdb69637ed"
+    assert _sha256(log) == "e4f824b5e7669a6c83c8e77e7f7b8761503c096a7b7c12a1851dd24fa3e6047a"
 
 
 def test_category_b_resolution_log_is_pinned():
@@ -114,7 +114,7 @@ def test_category_b_resolution_log_is_pinned():
         {"name": "regularized", "t": 3.9809999999996726},
         {"name": "phase-3-start", "t": 8.503000000000727},
     ]
-    assert _sha256(log) == "3dbcc051a16a32b129125e6bda94dce2e4d4b4fb8353b69a1d09c5d45555e3b7"
+    assert _sha256(log) == "fcd45cb3d40f3334cab7b4372b5406129fd160125c00f3f916d878eee1dc8e65"
 
 
 def test_pd_only_head_on_abort_is_pinned():

@@ -384,5 +384,4 @@ def test_resolution_config_rejects_unreachable_thresholds(kwargs):
 def test_resolution_config_defaults():
     cfg = ResolutionConfig()
     assert cfg.bearing_gains(PARAMS2) == (PARAMS2.kp, PARAMS2.kv)
-    assert cfg.distance_gain(PARAMS2) == pytest.approx(30.0)
     assert cfg.k_persist == 10

@@ -27,7 +27,7 @@ from mrdeadlock import (
     run_scenario,
     save_scenario,
 )
-from mrdeadlock import resolution
+from mrdeadlock import resolution, sim
 from mrdeadlock.cbf import pair_indices
 from mrdeadlock.deadlock import DeadlockThresholds
 from mrdeadlock.errors import SimulationAbort
@@ -102,22 +102,45 @@ def test_single_robot_pd_only_monotone_convergence():
         assert err[k] == pytest.approx(err[0] * kernel, rel=2e-3)
 
 
+def _csv_rows(log, path) -> tuple[list[str], list[list[str]]]:
+    export_log(log, "csv", str(path))
+    lines = path.read_text().strip().split("\n")
+    return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+def _assert_phase_h_mu_cells(log, header, rows):
+    # one row per record per robot; the phase, h_i_j and mu_i_j cells of record k
+    assert len(rows) == log.n_records * log.n_robots
+    for r, row in enumerate(rows):
+        k = r // log.n_robots
+        cells = dict(zip(header, row))
+        assert cells["phase"] == repr(log.phase[k].item())
+        for c, (i, j) in enumerate(pair_indices(log.n_robots)):
+            assert cells[f"h_{i}_{j}"] == repr(log.h[k, c].item())
+            assert cells[f"mu_{i}_{j}"] == repr(log.mu[k, i, j - 1].item())
+
+
 def test_csv_export_shape_and_columns(tmp_path):
     from mrdeadlock import three_robot_cat_a_scenario
 
     scen = three_robot_cat_a_scenario(controller="cbf-qp-only", t_max=0.1)
     log = run_scenario(scen)
     assert log.n_records == 101
-    path = tmp_path / "log.csv"
-    export_log(log, "csv", str(path))
-    lines = path.read_text().strip().split("\n")
-    header = lines[0].split(",")
+    header, rows = _csv_rows(log, tmp_path / "log.csv")
     assert header[:11] == [
         "t", "robot_id", "px", "py", "vx", "vy",
         "ux_star", "uy_star", "ux_hat", "uy_hat", "phase",
     ]
     assert header[11:] == ["h_0_1", "h_0_2", "h_1_2", "mu_0_1", "mu_0_2", "mu_1_2"]
-    assert len(lines) - 1 == 101 * 3  # one row per record per robot
+    assert log.mu.max() > 0.0
+    _assert_phase_h_mu_cells(log, header, rows)
+
+
+def test_csv_export_pd_only_cells(tmp_path):
+    log = run_scenario(default_head_on_scenario(controller="pd-only", t_max=0.05))
+    header, rows = _csv_rows(log, tmp_path / "log.csv")
+    assert {row[header.index("phase")] for row in rows} == {"3"}
+    _assert_phase_h_mu_cells(log, header, rows)
 
 
 def test_csv_export_empty_log_header_only(tmp_path):
@@ -127,6 +150,17 @@ def test_csv_export_empty_log_header_only(tmp_path):
     export_log(log, "csv", str(path))
     lines = path.read_text().strip().split("\n")
     assert len(lines) == 1 and lines[0].startswith("t,robot_id,")
+
+
+def test_recorder_past_its_first_capacity_logs_the_same(monkeypatch):
+    scen = default_head_on_scenario(t_max=0.02)
+    expected = log_to_json(run_scenario(scen))
+    monkeypatch.setattr(sim, "_FIRST_CAPACITY", 4)   # 21 records: the recorder doubles three times
+    assert log_to_json(run_scenario(scen)) == expected
+
+
+def test_recorder_of_a_run_too_long_to_preallocate_constructs():
+    assert _Recorder(2, 10**15).rows == 0
 
 
 def test_json_round_trip(tmp_path):
@@ -154,12 +188,12 @@ def test_record_layout_lists_every_log_array():
 def test_audit_recomputation_agrees_and_detects_tampering():
     scen = default_head_on_scenario(t_max=1.0)
     log = run_scenario(scen)
-    report = audit_log(log, kkt_stride=50)
+    report = audit_log(log)
     assert report.ok
     assert report.h_match_max <= 1e-12
     assert report.kkt_max_residual is not None and report.kkt_max_residual <= 1e-8
     log.h[5, 0] += 1e-6
-    assert not audit_log(log, kkt_stride=50).ok
+    assert not audit_log(log).ok
 
 
 def test_pd_only_head_on_aborts_on_safety_violation():
@@ -357,8 +391,8 @@ def test_unsupported_deadlock_aborts_with_snapshot(monkeypatch, case):
 def test_audit_checks_the_qp_records_off_phase_one():
     _, log, k = _collinear_resolution()
     assert audit_log(log).ok
-    # the detection record carries the phase-1 QPs its step solved; later
-    # phase-2 records carry none
+    # phase-2 controls are no QP solutions: neither the detection record nor
+    # the next phase-2 record may carry multipliers
     for record in (k, k + 1):
         tampered = replace(log, mu=log.mu.copy())
         tampered.mu[record, 0, 0] += 1.0
@@ -397,14 +431,12 @@ def overridden_scenarios(draw) -> Scenario:
         dt=draw(_floats(1e-6, 9e-4)),
         t_max=draw(_floats(31.0, 1e4)),
         thresholds=DeadlockThresholds(draw(eps), draw(eps), draw(eps), draw(eps)),
-        seed=draw(st.integers(1, 2**40)),
         stop_goal_tol=draw(_floats(2e-4, 1e-1)),
         log_every=draw(st.integers(2, 10**6)),
         abort_dist_tol=draw(_floats(2e-6, 1e-2)),
         resolution=ResolutionConfig(
             kp2=draw(_floats(1e-3, 1e3)),
             kv2=draw(_floats(1e-3, 1e3)),
-            k1=draw(_floats(1e-3, 1e3)),
             k_h=draw(_floats(8.5, 1e3)),
             eps_theta=draw(_floats(2e-3, 1.0)),
             eps_omega=draw(_floats(1e-9, 9e-4)),
@@ -449,6 +481,7 @@ def test_minimal_scenario_dict_takes_scenario_defaults():
         (lambda d: d.pop("params"), "scenario key 'params' is missing"),
         (lambda d: d.pop("robots"), "scenario key 'robots' is missing"),
         (lambda d: d.update(t_maxx=3.0), "unknown scenario key 't_maxx'"),
+        (lambda d: d.update(seed=3), "unknown scenario key 'seed'"),
         (lambda d: d["params"].pop("kv"), "params key 'kv' is missing"),
         (lambda d: d["params"].update(kd=1.0), "unknown params key 'kd'"),
         (lambda d: d["robots"][1].update(vel=[1.0, 0.0]), "unknown robot key 'vel'"),
@@ -463,8 +496,8 @@ def test_minimal_scenario_dict_takes_scenario_defaults():
         (lambda d: d.update(t_max=math.inf), "need finite dt > 0 and t_max > dt"),
         (lambda d: d.update(log_every=2.5), "scenario key 'log_every': expected an integer"),
         (lambda d: d.update(log_every="2"), "scenario key 'log_every': expected an integer"),
-        (lambda d: d.update(seed=1.7), "scenario key 'seed': expected an integer"),
-        (lambda d: d.update(seed=True), "scenario key 'seed': expected an integer"),
+        (lambda d: d.update(log_every=1.7), "scenario key 'log_every': expected an integer"),
+        (lambda d: d.update(log_every=True), "scenario key 'log_every': expected an integer"),
     ],
 )
 def test_scenario_from_dict_names_the_bad_key(edit, message):
@@ -496,9 +529,9 @@ def test_scenario_requires_integer_log_every(log_every):
 
 def test_scenario_file_int_keys_accept_integral_floats():
     d = scenario_to_dict(default_head_on_scenario())
-    d.update(log_every=2.0, seed=7.0)
+    d.update(log_every=2.0)
     scen = scenario_from_dict(d)
-    assert (scen.log_every, scen.seed) == (2, 7) and type(scen.log_every) is int
+    assert scen.log_every == 2 and type(scen.log_every) is int
 
 
 def test_scenario_validation():
