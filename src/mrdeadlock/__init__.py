@@ -1,10 +1,12 @@
 """Multirobot CBF-QP collision avoidance with deadlock analysis and resolution.
 
-The package is organized module-per-concern:
+The package is organized module-per-concern, listed in layer order: a
+module imports only the modules above it, and only at its top.
 
-* ``core``       domain types, gains, PD goal controller
+* ``errors``     the typed ToolkitError hierarchy
+* ``core``       domain types, gains, PD goal controller, the Euler step
+* ``qp``         the QP row layout and its exact primal-dual solver
 * ``cbf``        pairwise safety index and per-robot constraint assembly
-* ``qp``         exact primal-dual solver for the 2-variable safety QP
 * ``deadlock``   detection, set membership, analytical deadlock families
 * ``graphenum``  contact-graph counting, enumeration and planar embedding
 * ``resolution`` three-phase deadlock resolution supervisor
@@ -13,7 +15,6 @@ The package is organized module-per-concern:
 """
 
 from .cbf import (
-    ConstraintRow,
     assemble_qp,
     constraint_bound,
     decentralized_rows,
@@ -69,7 +70,7 @@ from .graphenum import (
     lower_bound,
     upper_bound,
 )
-from .qp import KKTReport, QPProblem, QPSolution, solve_qp, verify_kkt
+from .qp import ConstraintRow, KKTReport, QPProblem, QPSolution, solve_qp, verify_kkt
 from .resolution import (
     Phase,
     PhaseState,

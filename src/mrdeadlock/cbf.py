@@ -21,13 +21,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .core import GoalSpec, Params, RobotState, Vec2, WorldState, pd_control, v_dot, v_norm, v_sub
 from .errors import BoundarySingularityError, CoincidentRobotsError, SafetyViolationError
-
-if TYPE_CHECKING:
-    from .qp import QPProblem
+from .qp import ConstraintRow, QPProblem, box_rows
 
 # Width of the band around ||dp|| = Ds treated as exactly on the boundary.
 # sqrt() amplifies float noise near the boundary (sqrt(20 * 1ulp) ~ 5e-8), so
@@ -39,22 +37,14 @@ BOUNDARY_SNAP = 1e-12
 EPS_NUM = 1e-9
 
 
-# Outward normals of the four acceleration-box rows, in their fixed order
-# +x, +y, -x, -y.  Every QP ends with these rows.
-BOX_NORMALS = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
-
-
-@dataclass(frozen=True)
-class ConstraintRow:
-    """One linear inequality a.u <= b_hat of a per-robot QP."""
-
-    a: Vec2
-    b_hat: float
-
-
 def row_neighbor(i: int, k: int) -> int:
     """The robot that neighbor row k of robot i's QP faces: the rows skip i."""
     return k + (k >= i)
+
+
+def neighbor_row(i: int, j: int) -> int:
+    """The neighbor row of robot i's QP that faces robot j != i (row_neighbor's inverse)."""
+    return j - (j > i)
 
 
 def _pair_scalars(zi: RobotState, zj: RobotState) -> tuple[Vec2, Vec2, float, float]:
@@ -150,20 +140,13 @@ def decentralized_rows(
     return row_i, row_j
 
 
-def box_rows(alpha_i: float) -> tuple[ConstraintRow, ...]:
-    """The four acceleration-limit rows, in the fixed order +x, +y, -x, -y."""
-    return tuple(ConstraintRow(a, alpha_i) for a in BOX_NORMALS)
-
-
-def assemble_qp(i: int, world: WorldState, goals: GoalSpec, params: Params):
+def assemble_qp(i: int, world: WorldState, goals: GoalSpec, params: Params) -> QPProblem:
     """Build robot i's QP: objective center u_hat and M + 4 constraint rows.
 
     Every other robot is a neighbor.  Row order is fixed (neighbors by
     ascending id, so row k faces row_neighbor(i, k), then the box faces
     BOX_NORMALS) so active-set indices are reproducible across runs.
     """
-    from .qp import QPProblem  # local import to keep the module DAG acyclic
-
     zi = world.robots[i]
     u_hat = pd_control(zi, goals.pd[i], params)
     rows: list[ConstraintRow] = []
@@ -310,8 +293,6 @@ class PairField:
         from -(p_j - p_i), not from dp_ij, so a zero component keeps the
         sign assemble_qp gives it.
         """
-        from .qp import QPProblem  # local import to keep the module DAG acyclic
-
         bounds = self.bounds()
         const = self._const
         robots = self._robots

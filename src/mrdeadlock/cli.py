@@ -104,7 +104,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     h_min = report.h_min if math.isfinite(report.h_min) else float("inf")
     print(f"min h over run: {h_min:.6e}")
     print(f"max KKT residual: {report.kkt_max_residual:.3e}")
-    print(f"records with a bad phase, u_hat, mu or active mask: {report.bad_records}")
+    print(f"records with a non-finite value or a bad t, phase, u_hat, mu or active mask: {report.bad_records}")
     print(f"audit {'PASSED' if report.ok else 'FAILED'}")
     return 0 if report.ok else 1
 

@@ -176,6 +176,12 @@ def pd_control(state: RobotState, goal: Vec2, params: Params) -> Vec2:
     )
 
 
+def euler_step(p: Vec2, v: Vec2, u: Vec2, dt: float) -> tuple[Vec2, Vec2]:
+    """Semi-implicit Euler step of the double integrator: v+ = v + u dt, then p+ = p + v+ dt."""
+    v_next = (v[0] + dt * u[0], v[1] + dt * u[1])
+    return (p[0] + dt * v_next[0], p[1] + dt * v_next[1]), v_next
+
+
 def goal_separation(goals: GoalSpec, i: int, j: int) -> float:
     """Distance D_G between the goals of robots i and j."""
     return v_norm(v_sub(goals.pd[j], goals.pd[i]))

@@ -1,6 +1,9 @@
-"""Exact primal-dual solver for the 2-variable safety QP.
+"""The per-robot QP's row layout and its exact primal-dual solver.
 
     minimize ||u - u_hat||^2  subject to  A u <= b   (M neighbor rows, then 4 box rows)
+
+A row is a ConstraintRow; box_rows builds the four box rows, whose normals
+are BOX_NORMALS, and QPProblem checks that a problem ends with them.
 
 With u in R^2 at most two linearly independent rows are active at a
 nondegenerate optimum, so candidate working sets of size 0, 1, 2 are
@@ -25,7 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cbf import BOX_NORMALS, ConstraintRow
+from scipy.optimize import linprog
+
 from .core import Vec2, v_dot, v_norm, v_sub
 from .errors import QPInfeasibleError
 
@@ -40,6 +44,24 @@ INFEAS_TOL = -1e-9
 # Relative margin by which a row must clear the acceleration box to be set
 # aside before enumeration (see _kept_rows for the terms it scales).
 IMPLIED_TOL = 1e-6
+
+
+# Outward normals of the four acceleration-box rows, in their fixed order
+# +x, +y, -x, -y.  Every QP ends with these rows.
+BOX_NORMALS = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
+
+
+@dataclass(frozen=True)
+class ConstraintRow:
+    """One linear inequality a.u <= b_hat of a per-robot QP."""
+
+    a: Vec2
+    b_hat: float
+
+
+def box_rows(alpha_i: float) -> tuple[ConstraintRow, ...]:
+    """The four acceleration-limit rows, in the fixed order +x, +y, -x, -y."""
+    return tuple(ConstraintRow(a, alpha_i) for a in BOX_NORMALS)
 
 
 @dataclass(frozen=True)
@@ -237,8 +259,6 @@ def _enumerate(problem: QPProblem, keep) -> QPSolution:
 
 def _max_min_slack(rows: tuple[ConstraintRow, ...]) -> float:
     """Optimum of  max_u min_k (b_k - a_k.u)  via an LP in (u, s)."""
-    from scipy.optimize import linprog
-
     # maximize s  s.t.  a_k.u + s <= b_k  ->  minimize -s
     a_ub = [[row.a[0], row.a[1], 1.0] for row in rows]
     b_ub = [row.b_hat for row in rows]

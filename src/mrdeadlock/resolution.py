@@ -41,6 +41,7 @@ from .core import (
     RobotState,
     Vec2,
     WorldState,
+    euler_step,
     goal_bearing,
     pd_control,
     unit_vector,
@@ -356,11 +357,6 @@ def _pair_residual(dp: Vec2, dv: Vec2, h_target: float, asum: float, ds: float) 
     return 2.0 * asum * (r - ds) - q * abs(q)
 
 
-def _predict(z: RobotState, u: Vec2, dt: float) -> tuple[Vec2, Vec2]:
-    v = (z.v[0] + dt * u[0], z.v[1] + dt * u[1])
-    return (z.p[0] + dt * v[0], z.p[1] + dt * v[1]), v
-
-
 def _newton_solve(func, w0: list[float], f_tol: float = 1e-12, max_iter: int = 12) -> list[float]:
     """Damped-free Newton with forward-difference Jacobian on a tiny system."""
     w = list(w0)
@@ -410,17 +406,16 @@ def _pin_controls(
     pair's predicted signed safety index at its target (``_pair_residual``,
     in pair order), then the mode's angle residuals.  ``controls_of(w)`` maps
     w to every robot's control; ``angles(pred)`` maps the predicted
-    ``(p, v)`` of every robot to the angle residuals.  Returns the controls
-    and w, the next step's warm start.
+    ``(p, v)`` of every robot, the euler_step the integrator will take, to
+    the angle residuals.  Returns the controls and w, the next step's warm
+    start.
     """
     z = world.robots
     ds = params.ds
     terms = [(i, j, h_t, params.alpha_of(i) + params.alpha_of(j)) for (i, j), h_t in zip(pairs, h_ts)]
 
     def residuals(w: list[float]) -> list[float]:
-        pred = []
-        for zi, u in zip(z, controls_of(w)):
-            pred.append(_predict(zi, u, dt))
+        pred = [euler_step(zi.p, zi.v, u, dt) for zi, u in zip(z, controls_of(w))]
         out = []
         for i, j, h_t, asum in terms:
             (pi, vi), (pj, vj) = pred[i], pred[j]

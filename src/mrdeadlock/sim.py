@@ -20,20 +20,21 @@ import yaml
 
 # assemble_qp, min_pair_distance and safety_index_signed are bound here only
 # for the perfbench span tracer; sim reads pair geometry from PairField.
-from .cbf import PairField, assemble_qp, min_pair_distance, pair_indices, safety_index_signed  # noqa: F401
+from .cbf import PairField, assemble_qp, min_pair_distance, neighbor_row, pair_indices, safety_index_signed  # noqa: F401
 from .core import (
     GoalSpec,
     Params,
     RobotState,
     Vec2,
     WorldState,
+    euler_step,
     pd_control,
     v_norm,
     v_sub,
 )
 # supervisor_step calls solve_qp and system_deadlock; they stay bound here for
 # callers that look them up on this module.
-from .deadlock import DeadlockThresholds, system_deadlock  # noqa: F401
+from .deadlock import DeadlockThresholds, system_deadlock, three_robot_family_catA  # noqa: F401
 from .errors import (
     BoundarySingularityError,
     CoincidentRobotsError,
@@ -93,6 +94,11 @@ class Scenario:
                     f"initial robots {i},{j} start {d:.6f} apart, inside the margin {self.params.ds}"
                 )
 
+    @property
+    def n_steps(self) -> int:
+        """Integrator steps of a run that does not stop early: t_max / dt, rounded."""
+        return int(round(self.t_max / self.dt))
+
     def effective_thresholds(self) -> DeadlockThresholds:
         return self.thresholds if self.thresholds is not None else DeadlockThresholds.from_params(self.params)
 
@@ -118,8 +124,6 @@ def three_robot_cat_a_scenario(
     controller: str = "three-phase", r_goal: float = 2.0, t_max: float = 60.0, **overrides
 ) -> Scenario:
     """Three robots starting in the equilateral deadlock against symmetric goals."""
-    from .deadlock import three_robot_family_catA
-
     params = Params(kp=1.0, kv=3.0, ds=0.5, alpha=(5.0, 5.0, 5.0))
     world, goals = three_robot_family_catA(params, r_goal)
     return Scenario(
@@ -224,13 +228,9 @@ class _Recorder:
 
 
 def integrate_step(world: WorldState, controls: tuple[Vec2, ...], dt: float) -> WorldState:
-    """Semi-implicit Euler: v+ = v + u dt, then p+ = p + v+ dt."""
-    robots = []
-    for z, u in zip(world.robots, controls):
-        v = (z.v[0] + dt * u[0], z.v[1] + dt * u[1])
-        p = (z.p[0] + dt * v[0], z.p[1] + dt * v[1])
-        robots.append(RobotState(p=p, v=v))
-    return WorldState(robots=tuple(robots), t=world.t + dt)
+    """Every robot advanced by one euler_step, and the time by dt."""
+    robots = tuple(RobotState(*euler_step(z.p, z.v, u, dt)) for z, u in zip(world.robots, controls))
+    return WorldState(robots=robots, t=world.t + dt)
 
 
 # Geometry errors of the pair pass and the supervisor, and the abort kind
@@ -265,7 +265,7 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
     n = len(scenario.initial)
     world = WorldState(robots=scenario.initial, t=0.0)
     pair_field = PairField(world, params)
-    n_steps = int(round(scenario.t_max / scenario.dt))
+    n_steps = scenario.n_steps
     rec = _Recorder(n, n_steps // scenario.log_every + 2)
     events: list[dict] = []
     phase_state = _START_STATES[scenario.controller]
@@ -512,10 +512,7 @@ def _export_csv(log: TrajectoryLog, path: str) -> None:
         for k in range(log.n_records):
             pair_cells = [repr(float(log.h[k, c])) for c in range(len(pairs))]
             # mu_ij column: the lower-id robot's multiplier for its row against j
-            mu_cells = []
-            for i, j in pairs:
-                # i < j: robot i's neighbor rows skip i, so its row against j is j - 1
-                mu_cells.append(repr(float(log.mu[k, i, j - 1])))
+            mu_cells = [repr(float(log.mu[k, i, neighbor_row(i, j)])) for i, j in pairs]
             for i in range(n):
                 cells = [
                     repr(float(log.t[k])), str(i),
@@ -551,7 +548,7 @@ def load_log(path: str) -> TrajectoryLog:
     arrays = {}
     for name, (dtype, shape) in _RECORD_LAYOUT.items():
         try:
-            arrays[name] = np.asarray(d[name], dtype=dtype)
+            arrays[name] = _record_array(d[name], dtype)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{where} array {name!r}: {' '.join(str(exc).split())}") from None
         want = (records, *shape(n))
@@ -562,6 +559,27 @@ def load_log(path: str) -> TrajectoryLog:
         if not (isinstance(event, dict) and isinstance(event.get("name"), str) and _finite(event.get("t"))):
             raise ValueError(f"{where} event {k} is not a mapping with a string 'name' and a finite 't'")
     return TrajectoryLog(**arrays, events=events, meta=d["meta"])
+
+
+def _record_array(values, dtype) -> np.ndarray:
+    """values as a record array of dtype, checked before a cast could coerce 1.9, true or "0.1".
+
+    A float array must read as numbers, by NumPy's dtype kind of the uncast
+    array: a scan of its elements would add about a third to the load.  The
+    phases and masks are scanned: each must be an int (a bool is not), and
+    each mask non-negative.
+    """
+    if dtype is float:
+        array = np.asarray(values)
+        if array.size and array.dtype.kind not in "iuf":
+            raise ValueError(f"holds {array.dtype} values, not numbers")
+        return array.astype(float, copy=False)
+    array = np.asarray(values, dtype=object)
+    masks = dtype is object
+    if not all(type(x) is int and (x >= 0 or not masks) for x in array.flat):
+        raise ValueError(f"holds a {'mask that is not a non-negative int' if masks else 'value that is not an int'}")
+    # phase is cast from the values, where an int8 overflow raises instead of wrapping
+    return array if masks else np.asarray(values, dtype=dtype)
 
 
 def _finite(x) -> bool:
@@ -584,7 +602,7 @@ class AuditReport:
     h_match_max: float      # max |logged h - recomputed h|
     h_min: float            # min recomputed h over all pairs and steps
     kkt_max_residual: float
-    bad_records: int        # records whose phase, u_hat, mu or active masks do not fit the run
+    bad_records: int        # records whose values, time, phase, u_hat, mu or masks do not fit the run
     ok: bool
 
 
@@ -601,12 +619,15 @@ def audit_log(log: TrajectoryLog) -> AuditReport:
     """Recompute h, the PD references and the logged QP optima from the logged states.
 
     The h recomputation is independent of the in-loop values (fresh pass
-    over the raw states).  A record is bad when its phase does not fit the
-    controller (_PHASES), its u_hat is not pd_control of its state, or its
-    mu and active masks break the one rule for every record: a phase-1
-    record's QPs, re-assembled from the same pair pass, pass the KKT check
-    at the logged controls and multipliers and its masks are the rows
-    active at the logged controls; any other record has zero mu and masks.
+    over the raw states).  A record is bad, and not checked further, when it
+    holds a non-finite float or its t is off the run's clock: t starts at 0,
+    rises, and ends at most half a step past the run's last step.  A record
+    is also bad when its phase does not fit the controller (_PHASES), its
+    u_hat is not pd_control of its state, or its mu and active masks break
+    the one rule for every record: a phase-1 record's QPs, re-assembled
+    from the same pair pass, pass the KKT check at the logged controls and
+    multipliers and its masks are the rows active at the logged controls;
+    any other record has zero mu and masks.
     """
     scen = scenario_from_dict(log.meta["scenario"])
     params = scen.params
@@ -620,7 +641,19 @@ def audit_log(log: TrajectoryLog) -> AuditReport:
     allowed = _PHASES[scen.controller]
     u_hats, u_stars, mus, masks = log.u_hat.tolist(), log.u_star.tolist(), log.mu.tolist(), log.active.tolist()
     mu_set = np.any(log.mu != 0.0, axis=(1, 2)).tolist()
+    t = log.t
+    sound = t <= scen.n_steps * scen.dt + scen.dt / 2
+    sound[1:] &= t[1:] > t[:-1]
+    sound[:1] &= t[:1] == 0.0
+    for name, (dtype, _) in _RECORD_LAYOUT.items():
+        if dtype is float:
+            array = getattr(log, name)
+            sound &= np.isfinite(array).all(axis=tuple(range(1, array.ndim)))
+    sound = sound.tolist()
     for k in range(log.n_records):
+        if not sound[k]:
+            bad_records += 1
+            continue
         world = log.world_at(k)
         pair_field = PairField(world, params)
         for h, h_logged in zip(pair_field.h, log.h[k].tolist()):

@@ -51,8 +51,9 @@ from mrdeadlock import (
     verify_boundary_membership,
     verify_kkt,
 )
-from mrdeadlock.cbf import ConstraintRow, box_rows, pair_indices
+from mrdeadlock.cbf import pair_indices
 from mrdeadlock.graphenum import admissible_report
+from mrdeadlock.qp import ConstraintRow, box_rows
 from mrdeadlock.sim import audit_log
 
 DS = 0.5

@@ -18,12 +18,13 @@ from mrdeadlock import (
     safety_index,
     safety_index_signed,
 )
-from mrdeadlock.cbf import BOX_NORMALS, pair_indices, row_neighbor
+from mrdeadlock.cbf import pair_indices, row_neighbor
 from mrdeadlock.errors import (
     BoundarySingularityError,
     CoincidentRobotsError,
     SafetyViolationError,
 )
+from mrdeadlock.qp import BOX_NORMALS
 from mrdeadlock.sim import default_head_on_scenario, run_scenario
 
 P11 = Params(kp=1.0, kv=1.0, ds=1.0, alpha=(1.0, 1.0))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 import yaml
@@ -73,14 +74,22 @@ def test_verify_rejects_tampered_log(tmp_path, capsys):
     lpath = tmp_path / "log.json"
     assert main(["run", str(spath), "--out", str(lpath)]) == 0
     h = load_log(str(lpath)).h[3, 0]
+    t = load_log(str(lpath)).t
     # (array, index, value) edits: one h off by 1e-6; every record made a
     # pd-only record (phase 3, u_star (3, 3), mu 0); every u_hat (9, 9); every
     # active mask 12345
+    # and: one NaN in h, mu or u_star; every t 0; t reversed; t 100 s late
     tamperings = [
         [("h", (3, 0), h + 1e-6)],
         [("phase", ..., 3), ("u_star", ..., 3.0), ("mu", ..., 0.0)],
         [("u_hat", ..., 9.0)],
         [("active", ..., 12345)],
+        [("h", (3, 0), math.nan)],
+        [("mu", (3, 0, 0), math.nan)],
+        [("u_star", (3, 0, 0), math.nan)],
+        [("t", ..., 0.0)],
+        [("t", ..., t[::-1].copy())],
+        [("t", ..., t + 100.0)],
     ]
     tpath = tmp_path / "tampered.json"
     for edits in tamperings:
@@ -173,11 +182,18 @@ def test_malformed_scenario_exits_2_with_one_line(tmp_path, capsys, edit, named)
         (lambda log: {**log, "events": 5}, "'events'"),
         (lambda log: {**log, "events": [1]}, "event 0"),
         (lambda log: {**log, "events": [{"name": "x"}]}, "event 0"),
+        # values a cast would coerce into numbers
+        (lambda log: {**log, "phase": [1.9] * len(log["phase"])}, "'phase'"),
+        (lambda log: {**log, "phase": [True] * len(log["phase"])}, "'phase'"),
+        (lambda log: {**log, "t": [repr(t) for t in log["t"]]}, "'t'"),
+        (lambda log: {**log, "active": [[False] * len(masks) for masks in log["active"]]}, "'active'"),
+        (lambda log: {**log, "phase": [True] + log["phase"][1:]}, "'phase'"),
     ],
     ids=[
         "empty-mapping", "list", "log-without-mu", "meta-without-scenario",
         "pos-one-record-short", "mu-one-record-short", "one-robot-of-two",
         "phase-300", "401-digit-t", "number-events", "number-event", "event-without-t",
+        "phase-1.9", "phase-true", "string-t", "false-masks", "phase-one-true",
     ],
 )
 def test_verify_non_log_exits_2_with_one_line(tmp_path, capsys, content, named):

@@ -31,8 +31,8 @@ from mrdeadlock import (
 )
 from mrdeadlock.core import v_norm, v_sub
 from mrdeadlock.errors import SafetyViolationError, ToolkitError, ZeroVectorError
-from mrdeadlock.qp import QPProblem
-from mrdeadlock.cbf import box_rows, ConstraintRow, row_neighbor
+from mrdeadlock.qp import ConstraintRow, QPProblem, box_rows
+from mrdeadlock.cbf import row_neighbor
 from test_pair_field import worlds
 
 PARAMS2 = Params(kp=1.0, kv=3.0, ds=0.5, alpha=(5.0, 5.0))

@@ -1,0 +1,48 @@
+"""The package's modules import one way, down the layer order, and only at their top."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mrdeadlock"
+
+# A module may import only the modules before it; the package __init__ comes last.
+LAYERS = ("errors", "core", "qp", "cbf", "deadlock", "graphenum", "resolution", "sim", "cli", "__init__")
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
+
+
+def _tree(module: str) -> ast.Module:
+    return ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def test_every_module_has_a_layer():
+    assert sorted(LAYERS) == MODULES
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_imports_are_statements_of_the_module_body(module):
+    # an import in a function, a class or an `if TYPE_CHECKING` block hides a dependency
+    tree = _tree(module)
+    top = {id(node) for node in tree.body}
+    hidden = [
+        f"{module}.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
+    ]
+    assert hidden == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_relative_imports_follow_the_layer_order(module):
+    rank = LAYERS.index(module)
+    upward = []
+    for node in ast.walk(_tree(module)):
+        if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+            continue
+        # `from .qp import x` names the module; `from . import qp` names it in the alias
+        targets = [node.module] if node.module else [alias.name for alias in node.names]
+        upward += [f"{module}.py:{node.lineno} imports {t}" for t in targets if LAYERS.index(t) >= rank]
+    assert upward == []

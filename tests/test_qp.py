@@ -19,9 +19,8 @@ from mrdeadlock import (
     solve_qp,
     verify_kkt,
 )
-from mrdeadlock.cbf import BOX_NORMALS, ConstraintRow, box_rows
 from mrdeadlock.errors import ToolkitError
-from mrdeadlock.qp import IMPLIED_TOL, QPSolution, _enumerate, _kept_rows
+from mrdeadlock.qp import BOX_NORMALS, IMPLIED_TOL, ConstraintRow, QPSolution, _enumerate, _kept_rows, box_rows
 
 
 def random_problem(rng, m=None, alpha=None):

@@ -196,6 +196,21 @@ def test_audit_recomputation_agrees_and_detects_tampering():
     assert not audit_log(log).ok
 
 
+def test_audit_reads_the_clock_of_a_run_that_ends_half_a_step_late():
+    # 0.0095 / 0.001 rounds up to 10 steps: the last record sits at 0.010000000000000002,
+    # past t_max + dt / 2, yet it is the run's own last step
+    log = run_scenario(default_head_on_scenario(t_max=0.0095))
+    assert log.t[-1] > 0.0095 + 0.001 / 2
+    assert audit_log(log).ok
+
+
+def test_audit_counts_a_nan_position_as_a_bad_record():
+    log = run_scenario(default_head_on_scenario(t_max=0.05))
+    log.pos[3, 1, 0] = math.nan
+    report = audit_log(log)
+    assert not report.ok and report.bad_records == 1
+
+
 def test_pd_only_head_on_aborts_on_safety_violation():
     scen = default_head_on_scenario(controller="pd-only", t_max=10.0)
     with pytest.raises(SimulationAbort) as err:
