@@ -9,8 +9,16 @@ from __future__ import annotations
 import time
 
 import pytest
+from hypothesis import settings
 
 from mrdeadlock import default_head_on_scenario, run_scenario, three_robot_cat_a_scenario
+
+# Example counts of the property tests that take theirs from the profile
+# (test_audit.py's oracle comparison): tier-1 runs the small "tier1" profile,
+# CI reruns that test with --hypothesis-profile=ci.
+settings.register_profile("tier1", max_examples=30)
+settings.register_profile("ci", max_examples=1000, derandomize=True)
+settings.load_profile("tier1")
 
 HEAD_ON = default_head_on_scenario(t_max=30.0)
 TWO_ROBOT_RESOLUTION = default_head_on_scenario(controller="three-phase", t_max=80.0)

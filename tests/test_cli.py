@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import json
-import math
 
 import pytest
 import yaml
+from audit_oracle import tampered, tamperings
 
-from mrdeadlock import default_head_on_scenario, export_log, load_log, save_scenario
+from mrdeadlock import default_head_on_scenario, export_log, load_log, run_scenario, save_scenario
 from mrdeadlock.cli import main
 
 
@@ -73,32 +73,23 @@ def test_verify_rejects_tampered_log(tmp_path, capsys):
     save_scenario(scen, str(spath))
     lpath = tmp_path / "log.json"
     assert main(["run", str(spath), "--out", str(lpath)]) == 0
-    h = load_log(str(lpath)).h[3, 0]
-    t = load_log(str(lpath)).t
-    # (array, index, value) edits: one h off by 1e-6; every record made a
-    # pd-only record (phase 3, u_star (3, 3), mu 0); every u_hat (9, 9); every
-    # active mask 12345
-    # and: one NaN in h, mu or u_star; every t 0; t reversed; t 100 s late
-    tamperings = [
-        [("h", (3, 0), h + 1e-6)],
-        [("phase", ..., 3), ("u_star", ..., 3.0), ("mu", ..., 0.0)],
-        [("u_hat", ..., 9.0)],
-        [("active", ..., 12345)],
-        [("h", (3, 0), math.nan)],
-        [("mu", (3, 0, 0), math.nan)],
-        [("u_star", (3, 0, 0), math.nan)],
-        [("t", ..., 0.0)],
-        [("t", ..., t[::-1].copy())],
-        [("t", ..., t + 100.0)],
-    ]
     tpath = tmp_path / "tampered.json"
-    for edits in tamperings:
-        log = load_log(str(lpath))
-        for name, index, value in edits:
-            getattr(log, name)[index] = value
-        export_log(log, "json", str(tpath))
+    log = load_log(str(lpath))
+    for edits in tamperings(log):
+        export_log(tampered(log, edits), "json", str(tpath))
         assert main(["verify", str(tpath)]) == 1, edits
         assert "audit FAILED" in capsys.readouterr().out
+
+
+def test_verify_counts_a_record_inside_the_margin_as_bad(tmp_path, capsys):
+    # a phase-1 record whose QPs cannot be rebuilt is a bad record, not an error
+    lpath = tmp_path / "log.json"
+    log = run_scenario(default_head_on_scenario(t_max=0.3))
+    log.pos[3, 1] = log.pos[3, 0] + (0.3, 0.0)   # 0.3 m apart, inside Ds = 0.5
+    export_log(log, "json", str(lpath))
+    assert main(["verify", str(lpath)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2].endswith(": 1") and out[-1] == "audit FAILED"
 
 
 def test_aborting_run_exits_nonzero_with_diagnostic(tmp_path, capsys):

@@ -18,6 +18,7 @@ from mrdeadlock import (
     Scenario,
     WorldState,
     audit_log,
+    catB_parametrized,
     collinear_family,
     default_head_on_scenario,
     export_log,
@@ -26,6 +27,7 @@ from mrdeadlock import (
     load_scenario,
     run_scenario,
     save_scenario,
+    three_robot_family_catA,
 )
 from mrdeadlock import resolution, sim
 from mrdeadlock.cbf import pair_indices
@@ -256,12 +258,47 @@ def test_penetration_below_abort_tolerance_aborts_with_snapshot(controller):
 
 
 # (ds, robot 1 at, robot 1 velocity, abort kind): on the margin plus 1e-10
-# while closing at 0.1 m/s, the bound's middle term is singular; with a
-# 1e-10 margin, Scenario accepts two coincident robots.
+# while closing at 0.5 mm/s, the bound's middle term is singular (closing
+# faster would start outside the safe set: h below AUDIT_H_FLOOR, which
+# Scenario rejects); with a 1e-10 margin, Scenario accepts two coincident
+# robots.
 GEOMETRY_CASES = {
-    "boundary-singularity": (0.5, (0.5 + 1e-10, 0.0), (-0.1, 0.0)),
+    "boundary-singularity": (0.5, (0.5 + 1e-10, 0.0), (-5e-4, 0.0)),
     "coincident-robots": (1e-10, (0.0, 0.0), (0.0, 0.0)),
 }
+
+
+def test_scenario_rejects_a_start_outside_the_safe_set():
+    # 0.564 m apart, outside Ds, but closing so fast that h(0) = -0.0337: the
+    # run's log would fail its own audit on the floor
+    params = Params(kp=1.0, kv=2.0, ds=0.5, alpha=(1.0, 1.0))
+    initial = (
+        RobotState(p=(-2.6129850240880828, -2.5131567296204693), v=(-0.3178989990273644, -0.12578286025481833)),
+        RobotState(p=(-2.1410527163829163, -2.8225773207216682), v=(-0.4823188413530537, 0.6099857289422843)),
+    )
+    goals = GoalSpec(pd=((-0.746052048048806, -0.12313706986750805), (0.13658240372139874, -2.1888249173916394)))
+    with pytest.raises(ValueError, match=r"initial robots 0,1 start outside the safe set: h = -0\.0336831 < -0\.001"):
+        Scenario(params=params, initial=initial, goals=goals, t_max=3.0)
+    # 0.51 m apart, closing at 3 m/s
+    initial = (RobotState(p=(0.0, 0.0), v=(1.5, 0.0)), RobotState(p=(0.51, 0.0), v=(-1.5, 0.0)))
+    with pytest.raises(ValueError, match=r"initial robots 0,1 start outside the safe set: h = -2\.55279"):
+        Scenario(params=Params(kp=1.0, kv=3.0, ds=0.5, alpha=(5.0, 5.0)), initial=initial, goals=goals)
+
+
+def test_scenario_admits_the_deadlock_family_starts():
+    # their contact pairs have h = 0 up to rounding
+    params2 = Params(kp=1.0, kv=3.0, ds=0.5, alpha=(5.0, 5.0))
+    goals2 = GoalSpec(pd=((2.0, 0.0), (-2.0, 0.0)))
+    params3 = Params(kp=1.0, kv=3.0, ds=0.5, alpha=(5.0,) * 3)
+    starts = [(params2, collinear_family(goals2, params2, float(a)), goals2) for a in np.linspace(0.0, 1.0, 12)[1:-1]]
+    world, goals = three_robot_family_catA(params3, 2.0)
+    starts.append((params3, world.robots, goals))
+    for theta in np.linspace(-math.pi / 6, 0.0, 7)[1:-1]:
+        for alpha_angle in np.linspace(math.pi / 6, math.pi / 2, 7)[1:-1]:
+            world, goals = catB_parametrized(params3, 2.0, float(theta), float(alpha_angle))
+            starts.append((params3, world.robots, goals))
+    for params, initial, goals in starts:
+        Scenario(params=params, initial=initial, goals=goals, controller="three-phase")
 
 
 @pytest.mark.parametrize("kind", sorted(GEOMETRY_CASES))
@@ -304,12 +341,15 @@ def test_64_robot_ring_log_round_trips(tmp_path):
 
 
 def test_infeasible_qp_aborts_with_diagnostic():
+    # 1e-6 outside the margin, closing at 5 mm/s: h(0) = -5.3e-4 is above the
+    # start check's floor, but the bound's middle term asks robot 0 for more
+    # than its box can brake (b = -5.59)
     params = Params(kp=1.0, kv=3.0, ds=0.5, alpha=(5.0, 5.0))
     scen = Scenario(
         params=params,
         initial=(
-            RobotState(p=(0.0, 0.0), v=(1.5, 0.0)),
-            RobotState(p=(0.51, 0.0), v=(-1.5, 0.0)),
+            RobotState(p=(0.0, 0.0), v=(0.0025, 0.0)),
+            RobotState(p=(0.5 + 1e-6, 0.0), v=(-0.0025, 0.0)),
         ),
         goals=GoalSpec(pd=((2.0, 0.0), (-2.0, 0.0))),
         controller="cbf-qp-only",
