@@ -14,20 +14,22 @@ Two phase-2 controller forms are provided:
   outputs).  They are exact in continuous time and are what the tests
   differentiate numerically.
 * The supervisor itself advances a discrete bearing/boundary reference each
-  step and solves a small Newton system for the controls that place the
-  *next integrator state* exactly on the target manifold (|h| at the
-  reference value, bearing at the reference angle, controls summing to
-  zero).  Integrating the continuous law directly would let the pair
-  distance random-walk off the boundary at O(dt^2) per step, which the
-  square root in h amplifies catastrophically; pinning the discrete
-  successor state avoids that entirely.
+  step and solves a small Newton system, with its exact Jacobian, for the
+  controls that place the *next integrator state* exactly on the target
+  manifold (|h| at the reference value, bearing at the reference angle,
+  controls summing to zero).  Integrating the continuous law directly would
+  let the pair distance random-walk off the boundary at O(dt^2) per step,
+  which the square root in h amplifies catastrophically; pinning the
+  discrete successor state avoids that entirely.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from enum import IntEnum
+from functools import cached_property
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
@@ -251,15 +253,11 @@ def phase2_control_three(
     if world.n != 3:
         raise ValueError("three robots required")
     ps = world.positions()
-    vs = world.velocities()
     c = v_scale(v_add(v_add(ps[0], ps[1]), ps[2]), 1.0 / 3.0)
-    vc = v_scale(v_add(v_add(vs[0], vs[1]), vs[2]), 1.0 / 3.0)
     rho = [v_sub(p, c) for p in ps]
     if any(v_norm(r) < 1e-12 for r in rho):
         raise DegenerateGeometryError("robot coincides with the assembly centroid")
-    r0 = rho[0]
-    theta = math.atan2(r0[1], r0[0])
-    theta_dot = v_cross(r0, v_sub(vs[0], vc)) / v_dot(r0, r0)
+    theta, theta_dot = _measured_bearing(world)
     theta_dd = -kp * (theta - beta_ref) - kv * theta_dot
     w2 = theta_dot * theta_dot
     controls = tuple(
@@ -341,107 +339,161 @@ def simulate_relative_pd(
 # discrete phase-2 manifold controller (supervisor internals)
 # ---------------------------------------------------------------------------
 
-def _pair_residual(dp: Vec2, dv: Vec2, h_target: float, asum: float, ds: float) -> float:
-    """Residual that vanishes exactly when the signed safety index equals h_target.
+# A mode's angle residuals of the predicted positions, each with its gradient in w.
+Angles = Callable[[list[Vec2]], list[tuple[float, Sequence[float]]]]
 
-    sign(eps) sqrt(2 asum |eps|) + y/r = h_t  (eps = r - Ds, y = dp.dv)
-    is algebraically equivalent to  2 asum eps = q |q|  with q = h_t - y/r.
-    The polynomial form is used because the square root has unbounded slope
-    on the boundary itself, which is exactly where phase 2 operates.
+
+def _lead(row: Sequence[float]) -> float:
+    return abs(row[0])
+
+
+@dataclass(frozen=True)
+class _ControlMap:
+    """A phase-2 mode's free controls w, one 2-vector block per robot of ``blocks`` (at most two).
+
+    The ``balance`` robot, if any, takes minus their sum (a static
+    centroid); any other robot u = 0.
     """
-    r = v_norm(dp)
-    if r == 0.0:
-        raise CoincidentRobotsError("predicted coincident robots in phase 2")
-    y = v_dot(dp, dv)
-    q = h_target - y / r
-    return 2.0 * asum * (r - ds) - q * abs(q)
+
+    n: int
+    pairs: tuple[tuple[int, int], ...]     # the pinned pairs
+    blocks: tuple[int, ...]
+    balance: int | None = None
+
+    @cached_property
+    def pair_coef(self) -> tuple[tuple[int, ...], ...]:
+        """d (u_j - u_i) / d w of each pinned pair, one entry per component of w."""
+        du = [[(k == rb) - (k == self.balance) for rb in self.blocks] for k in range(self.n)]   # d u_k / d block
+        return tuple(tuple(cj - ci for ci, cj in zip(du[i], du[j]) for _ in "xy") for i, j in self.pairs)
+
+    def controls(self, w: Sequence[float]) -> list[Vec2]:
+        us = [(0.0, 0.0)] * self.n
+        bx = by = -0.0      # a lone block's balance is -w, signed zeros included
+        for k, x, y in zip(self.blocks, w[0::2], w[1::2]):
+            us[k] = (x, y)
+            bx, by = bx - x, by - y
+        if self.balance is not None:
+            us[self.balance] = (bx, by)
+        return us
 
 
-def _newton_solve(func, w0: list[float], f_tol: float = 1e-12, max_iter: int = 12) -> list[float]:
-    """Damped-free Newton with forward-difference Jacobian on a tiny system."""
+def _solve(a: list[Sequence[float]], b: list[float]) -> list[float]:
+    """x with a x = b: Cramer's rule on a 2x2, Gaussian elimination with partial pivoting on a 4x4.
+
+    Each elimination stage pivots on the remaining row of largest leading
+    entry.  A zero determinant or pivot raises phase2-singular.
+    """
+    try:
+        if len(b) == 2:
+            (a00, a01), (a10, a11) = a
+            det = a00 * a11 - a01 * a10
+            return [(b[0] * a11 - a01 * b[1]) / det, (a00 * b[1] - a10 * b[0]) / det]
+        rows = [(*row, bi) for row, bi in zip(a, b)]
+        p = max(rows, key=_lead)
+        rows.remove(p)
+        p0, p1, p2, p3, pb = p
+        sub = []
+        for r0, r1, r2, r3, rb in rows:
+            f = r0 / p0
+            sub.append((r1 - f * p1, r2 - f * p2, r3 - f * p3, rb - f * pb))
+        q = max(sub, key=_lead)
+        sub.remove(q)
+        q0, q1, q2, qb = q
+        (s0, s1, s2, sb), (t0, t1, t2, tb) = sub
+        f, g = s0 / q0, t0 / q0
+        (u0, u1, ub), (v0, v1, vb) = sorted(
+            [(s1 - f * q1, s2 - f * q2, sb - f * qb), (t1 - g * q1, t2 - g * q2, tb - g * qb)], key=_lead, reverse=True)
+        f = v0 / u0
+        x3 = (vb - f * ub) / (v1 - f * u1)
+        x2 = (ub - u1 * x3) / u0
+        x1 = (qb - q1 * x2 - q2 * x3) / q0
+        return [(pb - p1 * x1 - p2 * x2 - p3 * x3) / p0, x1, x2, x3]
+    except ZeroDivisionError:
+        raise SimulationAbort("phase2-singular", "phase-2 Newton Jacobian singular: Singular matrix") from None
+
+
+def _newton_solve(system, w0: list[float], f_tol: float = 1e-12, max_iter: int = 12) -> list[float]:
+    """Newton on a tiny system; ``system(w)`` returns the residuals and their Jacobian in w."""
     w = list(w0)
-    n = len(w)
-    fw = func(w)
+    fw, jac = system(w)
     for _ in range(max_iter):
-        err = max(abs(f) for f in fw)
-        if err <= f_tol:
+        if max(map(abs, fw)) <= f_tol:
             return w
-        jac = np.empty((n, n))
-        delta = 1e-4
-        for k in range(n):
-            wk = list(w)
-            wk[k] += delta
-            fk = func(wk)
-            for r in range(n):
-                jac[r, k] = (fk[r] - fw[r]) / delta
-        try:
-            step = np.linalg.solve(jac, np.asarray(fw))
-        except np.linalg.LinAlgError as exc:
-            raise SimulationAbort("phase2-singular", f"phase-2 Newton Jacobian singular: {exc}")
-        w = [w[k] - float(step[k]) for k in range(n)]
-        fw = func(w)
-    err = max(abs(f) for f in fw)
+        w = [wk - sk for wk, sk in zip(w, _solve(jac, fw))]
+        fw, jac = system(w)
+    err = max(map(abs, fw))
     if err > 1e-9:
         raise SimulationAbort("phase2-diverged", f"phase-2 Newton stalled at residual {err:.3e}")
     return w
 
 
-def _h_targets(state: Rotating | Regularizing, t_next: float, k_h: float) -> tuple[float, ...]:
-    out = []
-    for h0 in state.h_entry:
-        h = h0 * math.exp(-k_h * (t_next - state.t_ref0))
-        out.append(h if abs(h) > H_TARGET_FLOOR else 0.0)
-    return tuple(out)
+def _phase2_system(world: WorldState, params: Params, control: _ControlMap, angles: Angles,
+                   h_ts: tuple[float, ...], dt: float):
+    """The residuals that pin the next integrator state, and their Jacobian, as one function of w.
+
+    The residuals are every pinned pair's, then the mode's angle residuals,
+    at the (p, v) of the euler_step the integrator will take: p moves by
+    dt^2 u and v by dt u.  Pair (i, j) is pinned by 2 asum (r - Ds) - q |q|
+    with q = h_t - y / r, dp = p_j - p_i, dv = v_j - v_i, y = dp.dv, which
+    vanishes exactly when its signed safety index is h_t and, unlike that
+    index, has a bounded slope on the boundary, where phase 2 operates.  Its
+    gradient is 2 asum dp / r + s (dv - y dp / r^2) in dp and s dp in dv,
+    with s = 2 |q| / r.  ``angles(ps)`` gives each angle residual of the
+    predicted positions ps with its gradient in w.
+    """
+    z = world.robots
+    ds, dt2 = params.ds, dt * dt
+    terms = [(i, j, h_t, params.alpha_of(i) + params.alpha_of(j), c)
+             for (i, j), h_t, c in zip(control.pairs, h_ts, control.pair_coef)]
+
+    def system(w: list[float]) -> tuple[list[float], list[Sequence[float]]]:
+        pred = [euler_step(zi.p, zi.v, u, dt) for zi, u in zip(z, control.controls(w))]
+        fw, jac = [], []
+        for i, j, h_t, asum, c in terms:
+            (pi, vi), (pj, vj) = pred[i], pred[j]
+            dpx, dpy, dvx, dvy = pj[0] - pi[0], pj[1] - pi[1], vj[0] - vi[0], vj[1] - vi[1]
+            r = math.hypot(dpx, dpy)
+            if r == 0.0:
+                raise CoincidentRobotsError("predicted coincident robots in phase 2")
+            y = dpx * dvx + dpy * dvy
+            q = h_t - y / r
+            fw.append(2.0 * asum * (r - ds) - q * abs(q))
+            s = 2.0 * abs(q) / r
+            g = dt2 * (2.0 * asum - s * y / r) / r + dt * s
+            gx, gy = g * dpx + dt2 * s * dvx, g * dpy + dt2 * s * dvy
+            jac.append(list(map(operator.mul, c, (gx, gy, gx, gy))))
+        for value, grad in angles([p for p, _ in pred]):
+            fw.append(value)
+            jac.append(grad)
+        return fw, jac
+
+    return system
 
 
 def _pin_controls(
-    world: WorldState, params: Params, pairs: tuple[tuple[int, int], ...], h_ts: tuple[float, ...],
-    controls_of: Callable[[list[float]], Sequence[Vec2]],
-    angles: Callable[[list[tuple[Vec2, Vec2]]], list[float]],
-    warm: tuple[float, ...], dt: float,
+    world: WorldState, params: Params, control: _ControlMap, angles: Angles,
+    h_ts: tuple[float, ...], warm: tuple[float, ...], dt: float,
 ) -> tuple[tuple[Vec2, ...], tuple[float, ...]]:
-    """Controls that put the next integrator state on the phase-2 manifold.
-
-    Newton solves for the 2 (n - 1) free control components w: every pinned
-    pair's predicted signed safety index at its target (``_pair_residual``,
-    in pair order), then the mode's angle residuals.  ``controls_of(w)`` maps
-    w to every robot's control; ``angles(pred)`` maps the predicted
-    ``(p, v)`` of every robot, the euler_step the integrator will take, to
-    the angle residuals.  Returns the controls and w, the next step's warm
-    start.
-    """
-    z = world.robots
-    ds = params.ds
-    terms = [(i, j, h_t, params.alpha_of(i) + params.alpha_of(j)) for (i, j), h_t in zip(pairs, h_ts)]
-
-    def residuals(w: list[float]) -> list[float]:
-        pred = [euler_step(zi.p, zi.v, u, dt) for zi, u in zip(z, controls_of(w))]
-        out = []
-        for i, j, h_t, asum in terms:
-            (pi, vi), (pj, vj) = pred[i], pred[j]
-            out.append(_pair_residual(v_sub(pj, pi), v_sub(vj, vi), h_t, asum, ds))
-        out += angles(pred)
-        return out
-
-    w = _newton_solve(residuals, list(warm) if warm else [0.0] * (2 * world.n - 2))
-    return tuple(controls_of(w)), tuple(w)
+    """The controls whose next state zeroes the _phase2_system residuals, and w (the next warm start)."""
+    system = _phase2_system(world, params, control, angles, h_ts, dt)
+    w = _newton_solve(system, warm or [0.0] * (2 * len(control.blocks)))
+    return tuple(control.controls(w)), tuple(w)
 
 
 # ---------------------------------------------------------------------------
 # measured assembly state (for transitions)
 # ---------------------------------------------------------------------------
 
+def _assembly_vector(ps: Sequence[Vec2]) -> Vec2:
+    """p_1 - p_0 (two robots) or p_0 - centroid (three) of positions or velocities: the bearing vector."""
+    if len(ps) == 2:
+        return v_sub(ps[1], ps[0])
+    return v_sub(ps[0], v_scale(v_add(v_add(ps[0], ps[1]), ps[2]), 1.0 / 3.0))
+
+
 def _measured_bearing(world: WorldState) -> tuple[float, float]:
-    """Bearing and its rate of p_1 - p_0 (two robots) or of robot 0 about the centroid (three)."""
-    z = world.robots
-    if world.n == 2:
-        dp = v_sub(z[1].p, z[0].p)
-        dv = v_sub(z[1].v, z[0].v)
-    else:
-        c = v_scale(v_add(v_add(z[0].p, z[1].p), z[2].p), 1.0 / 3.0)
-        vc = v_scale(v_add(v_add(z[0].v, z[1].v), z[2].v), 1.0 / 3.0)
-        dp = v_sub(z[0].p, c)
-        dv = v_sub(z[0].v, vc)
+    """Bearing of the assembly vector and its rate."""
+    dp, dv = _assembly_vector(world.positions()), _assembly_vector(world.velocities())
     return math.atan2(dp[1], dp[0]), v_cross(dp, dv) / v_dot(dp, dp)
 
 
@@ -454,17 +506,21 @@ def _center_pairs(center: int) -> tuple[tuple[int, int], ...]:
     return tuple(p for p in pair_indices(3) if center in p)
 
 
+def _chain(ps: Sequence[Vec2], center: int) -> tuple[Vec2, Vec2, float, float]:
+    """rho_a and rho_b, the outer robots' positions about ``center``, the bearing of rho_a and the opening angle."""
+    a, b = _outer(center)
+    rho_a, rho_b = v_sub(ps[a], ps[center]), v_sub(ps[b], ps[center])
+    th_a = math.atan2(rho_a[1], rho_a[0])
+    return rho_a, rho_b, th_a, wrap_angle(math.atan2(rho_b[1], rho_b[0]) - th_a)
+
+
 def _measured_gamma(world: WorldState, center: int) -> tuple[float, float, float]:
     """Opening angle of the chain about ``center``, its rate, and its bisector."""
     a, b = _outer(center)
-    pm, vm = world.robots[center].p, world.robots[center].v
-    rho_a = v_sub(world.robots[a].p, pm)
-    rho_b = v_sub(world.robots[b].p, pm)
-    th_a = math.atan2(rho_a[1], rho_a[0])
-    th_b = math.atan2(rho_b[1], rho_b[0])
+    rho_a, rho_b, th_a, gamma = _chain(world.positions(), center)
+    vm = world.robots[center].v
     wa = v_cross(rho_a, v_sub(world.robots[a].v, vm)) / v_dot(rho_a, rho_a)
     wb = v_cross(rho_b, v_sub(world.robots[b].v, vm)) / v_dot(rho_b, rho_b)
-    gamma = wrap_angle(th_b - th_a)
     return gamma, wb - wa, th_a + 0.5 * gamma
 
 
@@ -502,12 +558,11 @@ def _enter_phase_two(
 def _enter_rotating(world: WorldState, goals: GoalSpec, t: float, h: tuple[float, ...]) -> Rotating:
     """Rotation toward the goal bearing from the measured one; h as in _enter_phase_two."""
     theta, omega = _measured_bearing(world)
-    pd = goals.pd
     if world.n == 2:
         beta_raw = goal_bearing(goals, 0, 1)
     else:
-        gc = v_scale(v_add(v_add(pd[0], pd[1]), pd[2]), 1.0 / 3.0)
-        beta_raw = math.atan2(pd[0][1] - gc[1], pd[0][0] - gc[0])
+        d = _assembly_vector(goals.pd)
+        beta_raw = math.atan2(d[1], d[0])
     beta_ref = theta + wrap_angle(beta_raw - theta)
     return Rotating(beta_ref=beta_ref, h_entry=h, t_ref0=t, theta_ref=theta, omega_ref=omega)
 
@@ -594,7 +649,8 @@ def _phase_two_step(
     if isinstance(state, Regularizing) and _aligned(state, world, config):
         state = _enter_rotating(world, goals, t, pairs.h)
         info["event"] = ("regularized", t)
-    h_ts = _h_targets(state, t + dt, config.k_h)
+    decay = math.exp(-config.k_h * (t + dt - state.t_ref0))
+    h_ts = tuple(h if abs(h) > H_TARGET_FLOOR else 0.0 for h in (h0 * decay for h0 in state.h_entry))
     if isinstance(state, Rotating) and _aligned(state, world, config) and all(h == 0.0 for h in h_ts):
         info["phase"] = Phase.THREE
         return tuple(u_hat), Released(), info
@@ -602,8 +658,8 @@ def _phase_two_step(
     kp2, kv2 = config.bearing_gains(params)
     omega_ref = state.omega_ref + dt * (-kp2 * (state.theta_ref - state.beta_ref) - kv2 * state.omega_ref)
     theta_ref = state.theta_ref + dt * omega_ref
-    pinned, controls_of, angles = _manifold(state, world.n, theta_ref)
-    controls, warm = _pin_controls(world, params, pinned, h_ts, controls_of, angles, state.newton_warm, dt)
+    control, angles = _manifold(state, world.n, theta_ref, dt)
+    controls, warm = _pin_controls(world, params, control, angles, h_ts, state.newton_warm, dt)
     return controls, replace(state, theta_ref=theta_ref, omega_ref=omega_ref, newton_warm=warm), info
 
 
@@ -616,41 +672,41 @@ def _aligned(state: Rotating | Regularizing, world: WorldState, config: Resoluti
     return abs(wrap_angle(angle - state.beta_ref)) <= config.eps_theta and abs(rate) <= config.eps_omega
 
 
-def _manifold(state: Rotating | Regularizing, n: int, theta_ref: float):
-    """The mode's pinned pairs, control map and angle residuals (see _pin_controls) at theta_ref."""
+_ROTATING = {n: _ControlMap(n, pair_indices(n), tuple(range(n - 1)), n - 1) for n in (2, 3)}
+_REGULARIZING = tuple(_ControlMap(3, _center_pairs(m), _outer(m)) for m in range(3))
+# d (assembly vector) / d (each component of w) over dt^2: p_1 - p_0 moves
+# by u_1 - u_0 = -2 u_0, and p_0 - centroid by u_0 (the centroid is static)
+_BEARING_WEIGHTS = {2: (-2.0, -2.0), 3: (1.0, 1.0, 0.0, 0.0)}
+
+
+def _manifold(state: Rotating | Regularizing, n: int, theta_ref: float, dt: float) -> tuple[_ControlMap, Angles]:
+    """The mode's control map and angle residuals (see _phase2_system) at theta_ref.
+
+    The residuals depend on w through the predicted positions alone, which
+    w moves by dt^2 along the control map.
+    """
+    dt2 = dt * dt
     if isinstance(state, Regularizing):
         m = state.center
-        a, b = _outer(m)
 
-        def controls_of(w):
-            us = [(0.0, 0.0)] * 3
-            us[a] = (w[0], w[1])
-            us[b] = (w[2], w[3])
-            return us
+        def angles(ps: list[Vec2]) -> list[tuple[float, Sequence[float]]]:
+            # the opening angle and its bisector; d atan2(rho) / d rho = (-rho_y, rho_x) / |rho|^2,
+            # and w moves the outer robots a and b, one block each
+            rho_a, rho_b, th_a, gamma = _chain(ps, m)
+            ra, rb = v_dot(rho_a, rho_a) / dt2, v_dot(rho_b, rho_b) / dt2
+            ga, gb = (-rho_a[1] / ra, rho_a[0] / ra), (-rho_b[1] / rb, rho_b[0] / rb)
+            return [
+                (wrap_angle(gamma - theta_ref), (-ga[0], -ga[1], gb[0], gb[1])),
+                (wrap_angle(th_a + 0.5 * gamma - state.psi_hold), (0.5 * ga[0], 0.5 * ga[1], 0.5 * gb[0], 0.5 * gb[1])),
+            ]
 
-        def angles(pred):
-            pm = pred[m][0]
-            rho_a = v_sub(pred[a][0], pm)
-            rho_b = v_sub(pred[b][0], pm)
-            th_a = math.atan2(rho_a[1], rho_a[0])
-            gamma = wrap_angle(math.atan2(rho_b[1], rho_b[0]) - th_a)
-            return [wrap_angle(gamma - theta_ref), wrap_angle(th_a + 0.5 * gamma - state.psi_hold)]
+        return _REGULARIZING[m], angles
 
-        return _center_pairs(m), controls_of, angles
-
+    # et x the assembly vector
     et = unit_vector(theta_ref)
-    if n == 2:
-        def controls_of(w):
-            return (w[0], w[1]), (-w[0], -w[1])
+    grad = list(map(operator.mul, _BEARING_WEIGHTS[n], (-dt2 * et[1], dt2 * et[0]) * 2))
 
-        def angles(pred):
-            return [v_cross(et, v_sub(pred[1][0], pred[0][0]))]
-    else:
-        def controls_of(w):
-            return (w[0], w[1]), (w[2], w[3]), (-w[0] - w[2], -w[1] - w[3])
+    def angles(ps: list[Vec2]) -> list[tuple[float, Sequence[float]]]:
+        return [(v_cross(et, _assembly_vector(ps)), grad)]
 
-        def angles(pred):
-            cx = (pred[0][0][0] + pred[1][0][0] + pred[2][0][0]) / 3.0
-            cy = (pred[0][0][1] + pred[1][0][1] + pred[2][0][1]) / 3.0
-            return [v_cross(et, (pred[0][0][0] - cx, pred[0][0][1] - cy))]
-    return pair_indices(n), controls_of, angles
+    return _ROTATING[n], angles

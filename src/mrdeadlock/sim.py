@@ -638,9 +638,10 @@ def audit_log(log: TrajectoryLog) -> AuditReport:
     A record is bad, and not checked further, when it holds a non-finite
     float or its t is off the run's clock: t starts at 0, rises, and ends at
     most half a step past the run's last step.  It is bad, and left out of
-    h_match_max and h_min, when h or its QPs are undefined: two robots
-    coincide, or on a phase-1 record a pair lies inside the margin beyond
-    BOUNDARY_SNAP, or on the boundary with |dp.dv| >= EPS_NUM.  A record is
+    h_match_max, when h or its QPs are undefined: two robots coincide, or on
+    a phase-1 record a pair lies inside the margin beyond BOUNDARY_SNAP, or
+    on the boundary with |dp.dv| >= EPS_NUM; h_min leaves out only the
+    records with coincident robots, so it shows the worst state.  A record is
     also bad when its phase does not fit the controller (_PHASES), its u_hat
     is not pd_control of its state, or its mu and active masks break the one
     rule for every record: a phase-1 record's QPs, rebuilt from its state,
@@ -738,11 +739,11 @@ def _audit_chunk(log: TrajectoryLog, rec: slice, lay: _AuditLayout, sound: np.nd
     # scalar arithmetic does; a record whose h or bounds would raise there is
     # broken, and masked out
     with np.errstate(all="ignore"):
-        h, bound, broken = _pair_pass(pos, vel, lay, phase1)
+        h, bound, coincident, broken = _pair_pass(pos, vel, lay, phase1)
         broken &= sound
         checked = sound & ~broken
         h_match = np.fmax.reduce(np.abs(h - log.h[rec])[checked], axis=None, initial=0.0)
-        h_min = np.fmin.reduce(h[checked], axis=None, initial=math.inf)
+        h_min = np.fmin.reduce(h[sound & ~coincident], axis=None, initial=math.inf)
         del h   # the QP rows below are the chunk's largest arrays
         u_hat = -lay.kp * (pos - lay.goals) - lay.kv * vel
         # every record's QPs are rebuilt; only the checked phase-1 records' count
@@ -762,7 +763,7 @@ def _audit_chunk(log: TrajectoryLog, rec: slice, lay: _AuditLayout, sound: np.nd
 
 
 def _pair_pass(pos: np.ndarray, vel: np.ndarray, lay: _AuditLayout, phase1: np.ndarray):
-    """The signed h and the bound b_ij of every pair of every record, and the records they break.
+    """The signed h and bound b_ij of every pair of every record, the records with coincident robots, the broken ones.
 
     h = +-sqrt(2 (a_i + a_j) |r - Ds|) + dp.dv / r, its root 0 within
     BOUNDARY_SNAP of the margin, with dp = p_i - p_j, dv = v_i - v_j,
@@ -776,10 +777,11 @@ def _pair_pass(pos: np.ndarray, vel: np.ndarray, lay: _AuditLayout, phase1: np.n
     root = np.copysign(np.sqrt(2.0 * lay.asum * np.abs(eps)), eps)
     h = np.where(np.abs(eps) <= BOUNDARY_SNAP, 0.0, root) + pv / r
     undefined = (eps < -BOUNDARY_SNAP) | ((eps < EPS_NUM) & ~(np.abs(pv) < EPS_NUM))
-    broken = (r == 0.0).any(axis=1) | (phase1 & undefined.any(axis=1))
+    coincident = (r == 0.0).any(axis=1)
+    broken = coincident | (phase1 & undefined.any(axis=1))
     middle = np.where(eps < EPS_NUM, 0.0, lay.asum * pv / np.sqrt(2.0 * lay.asum * eps))
     bound = r * h * h * h + middle + dvv - (pv * pv) / (r * r)
-    return h, bound, broken
+    return h, bound, coincident, broken
 
 
 def _pair_scalars(pos: np.ndarray, vel: np.ndarray, lay: _AuditLayout):

@@ -4,7 +4,9 @@ It rebuilds a PairField and the N per-robot QPs of every record and checks
 them with qp.verify_kkt and qp._active_set, one record at a time.  It raises
 the pair pass's geometry error (CoincidentRobotsError, SafetyViolationError,
 BoundarySingularityError) on a record whose h or QPs are undefined, where
-audit_log counts the record as bad instead.
+audit_log counts the record as bad instead.  Its h_min takes the h of every
+sound record, also of one whose QPs then raise, as audit_log's h_min takes
+every sound record without coincident robots.
 """
 
 from __future__ import annotations

@@ -14,8 +14,9 @@ from hypothesis import settings
 from mrdeadlock import default_head_on_scenario, run_scenario, three_robot_cat_a_scenario
 
 # Example counts of the property tests that take theirs from the profile
-# (test_audit.py's oracle comparison): tier-1 runs the small "tier1" profile,
-# CI reruns that test with --hypothesis-profile=ci.
+# (test_audit.py's oracle comparison, test_phase2_newton.py's Jacobian check):
+# tier-1 runs the small "tier1" profile, CI reruns those tests with
+# --hypothesis-profile=ci.
 settings.register_profile("tier1", max_examples=30)
 settings.register_profile("ci", max_examples=1000, derandomize=True)
 settings.load_profile("tier1")

@@ -27,7 +27,7 @@ from mrdeadlock import (
     three_robot_family_catB,
 )
 from mrdeadlock.errors import BoundarySingularityError, CoincidentRobotsError, SafetyViolationError
-from mrdeadlock.sim import CONTROLLERS, TrajectoryLog, scenario_to_dict
+from mrdeadlock.sim import CONTROLLERS, TrajectoryLog, scenario_from_dict, scenario_to_dict
 
 # the oracle raises these where audit_log counts a bad record
 GEOMETRY_ERRORS = (CoincidentRobotsError, SafetyViolationError, BoundarySingularityError)
@@ -195,6 +195,20 @@ def test_audit_counts_a_record_with_undefined_geometry_as_bad(offset, error):
     report = audit_log(log)
     # the record's logged h no longer fits its state, but it is left out
     assert report.bad_records == 1 and report.h_match_max == 0.0 and not report.ok
+
+
+def test_audit_h_min_shows_a_record_inside_the_margin():
+    # robot 1 of record 3 put 0.3 m ahead of robot 0, 0.2 m inside the margin:
+    # the record is bad, and its h is the lowest of the log
+    log = run_scenario(default_head_on_scenario(t_max=0.3))
+    log.pos[3, 1] = log.pos[3, 0] + (0.3, 0.0)
+    with pytest.raises(SafetyViolationError):
+        oracle_audit(log)
+    params = scenario_from_dict(log.meta["scenario"]).params
+    lowest = min(min(cbf.PairField(log.world_at(k), params).h) for k in range(log.n_records))
+    report = audit_log(log)
+    assert report.h_min == lowest < 0.0
+    assert report.bad_records == 1 and not report.ok
 
 
 # ---------------------------------------------------------------------------

@@ -46,9 +46,9 @@ def _sha256(log) -> str:
         ("head_on_cbf_only.yaml", HEAD_ON, "head_on_log",
          "6cb438bfd23a299783b6dc6a031bcdfc59915b77de21671ed970ed7b72e28519"),
         ("head_on_three_phase.yaml", TWO_ROBOT_RESOLUTION, "two_robot_resolution_log",
-         "c037f21e831840f5fa78feece303a59a199cee4398bd7e672d5c24bf22551602"),
+         "e59c949efb8dbeef24313326871f8241bd2f6e05bacdb176ed4e3d36e4d58383"),
         ("three_robot_cat_a.yaml", THREE_ROBOT_RESOLUTION, "three_robot_resolution_log",
-         "57f676be6c0d9f8c27690ea0a3792b97040c6c9a6ee8e374466acb059ddb22fb"),
+         "ba458ea9e6d77a987061e68e9ec98bdd65cda25c4174fab54dbf1efade1575de"),
     ],
     ids=["head_on_cbf_only", "head_on_three_phase", "three_robot_cat_a"],
 )
@@ -114,7 +114,7 @@ def test_category_b_resolution_log_is_pinned():
         {"name": "regularized", "t": 3.9809999999996726},
         {"name": "phase-3-start", "t": 8.503000000000727},
     ]
-    assert _sha256(log) == "fcd45cb3d40f3334cab7b4372b5406129fd160125c00f3f916d878eee1dc8e65"
+    assert _sha256(log) == "012d08c051bb00f9d5e627d80591df7a827a6ac49964951adb5b60ca918c0edb"
 
 
 def test_pd_only_head_on_abort_is_pinned():

@@ -305,9 +305,9 @@ def test_category_b_states_open_the_chain_then_rotate_then_release(monkeypatch):
     warm_starts = []
     pin_controls = resolution._pin_controls
 
-    def spy(world, params, pairs, h_ts, controls_of, angles, warm, dt):
+    def spy(world, params, control, angles, h_ts, warm, dt):
         warm_starts.append(warm)
-        return pin_controls(world, params, pairs, h_ts, controls_of, angles, warm, dt)
+        return pin_controls(world, params, control, angles, h_ts, warm, dt)
 
     monkeypatch.setattr(resolution, "_pin_controls", spy)
     state, dt = Filtering(), 1e-3

@@ -385,11 +385,9 @@ def _collinear_resolution():
 
 def test_phase2_newton_abort_carries_the_failing_step(monkeypatch):
     scen, log, k = _collinear_resolution()
-
-    def singular(*_):
-        raise np.linalg.LinAlgError("Singular matrix")
-
-    monkeypatch.setattr(np.linalg, "solve", singular)
+    solve = resolution._solve
+    # the Newton step's own solve, handed an all-zero Jacobian
+    monkeypatch.setattr(resolution, "_solve", lambda jac, f: solve([[0.0] * len(f) for _ in f], f))
     with pytest.raises(SimulationAbort) as err:
         run_scenario(scen)
     assert err.value.kind == "phase2-singular"
@@ -399,7 +397,7 @@ def test_phase2_newton_abort_carries_the_failing_step(monkeypatch):
 
 def test_phase2_newton_without_progress_aborts_as_diverged(monkeypatch):
     scen, log, k = _collinear_resolution()
-    monkeypatch.setattr(np.linalg, "solve", lambda jac, f: np.zeros_like(f))
+    monkeypatch.setattr(resolution, "_solve", lambda jac, f: [0.0] * len(f))
     with pytest.raises(SimulationAbort) as err:
         run_scenario(scen)
     assert err.value.kind == "phase2-diverged"
