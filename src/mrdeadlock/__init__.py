@@ -51,7 +51,6 @@ from .deadlock import (
 from .errors import (
     BoundarySingularityError,
     CoincidentRobotsError,
-    DegenerateGeometryError,
     QPInfeasibleError,
     SafetyViolationError,
     SimulationAbort,
@@ -75,10 +74,7 @@ from .resolution import (
     Phase,
     PhaseState,
     ResolutionConfig,
-    phase2_control_three,
-    phase2_control_two,
     phase3_closed_form,
-    rotate_frame,
     simulate_relative_pd,
     supervisor_step,
 )

@@ -150,10 +150,7 @@ def main(argv: list[str] | None = None) -> int:
     except SimulationAbort as exc:
         print(f"{exc.kind}: {exc}", file=sys.stderr)
         return 2
-    except ToolkitError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ToolkitError, ValueError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

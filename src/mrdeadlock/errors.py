@@ -37,10 +37,6 @@ class ZeroVectorError(ToolkitError):
     """An operation received a zero vector where a direction is required."""
 
 
-class DegenerateGeometryError(ToolkitError):
-    """A geometric construction is degenerate (e.g. robot on the assembly centroid)."""
-
-
 class QPInfeasibleError(ToolkitError):
     """The per-robot QP admits no feasible control."""
 

@@ -7,20 +7,16 @@ aligns with the goal bearing; phase 3 releases the plain PD controllers,
 under which the inter-robot distance is provably non-decreasing for
 overdamped gains and goal separation exceeding the safety margin.
 
-Two phase-2 controller forms are provided:
-
-* ``phase2_control_two`` / ``phase2_control_three`` are the closed-form
-  continuous-time feedback-linearization laws (distance-rate and bearing
-  outputs).  They are exact in continuous time and are what the tests
-  differentiate numerically.
-* The supervisor itself advances a discrete bearing/boundary reference each
-  step and solves a small Newton system, with its exact Jacobian, for the
-  controls that place the *next integrator state* exactly on the target
-  manifold (|h| at the reference value, bearing at the reference angle,
-  controls summing to zero).  Integrating the continuous law directly would
-  let the pair distance random-walk off the boundary at O(dt^2) per step,
-  which the square root in h amplifies catastrophically; pinning the
-  discrete successor state avoids that entirely.
+Phase 2 realizes the paper's continuous-time bearing law,
+theta'' = -kp2 (theta - beta) - kv2 theta', in discrete time.  Each step the
+supervisor advances a bearing reference (while a category-B chain opens, an
+opening-angle reference) by one semi-implicit Euler step of that law.  It
+then solves a small Newton system, with its exact Jacobian, for the controls
+that place the *next integrator state* exactly on the target manifold (|h| at
+the reference value, the angle at its reference).  Integrating the continuous
+law directly would let the pair distance random-walk off the boundary at
+O(dt^2) per step, which the square root in h amplifies catastrophically;
+pinning the discrete successor state avoids that entirely.
 """
 
 from __future__ import annotations
@@ -40,7 +36,6 @@ from .cbf import PairField, assemble_qp, pair_indices, safety_index_signed  # no
 from .core import (
     GoalSpec,
     Params,
-    RobotState,
     Vec2,
     WorldState,
     euler_step,
@@ -50,7 +45,6 @@ from .core import (
     v_add,
     v_cross,
     v_dot,
-    v_norm,
     v_scale,
     v_sub,
     wrap_angle,
@@ -58,7 +52,6 @@ from .core import (
 from .deadlock import DeadlockThresholds, classify_three_robot, system_deadlock
 from .errors import (
     CoincidentRobotsError,
-    DegenerateGeometryError,
     QPInfeasibleError,
     SimulationAbort,
     UnsupportedScenarioError,
@@ -67,6 +60,11 @@ from .qp import solve_qp
 
 # Boundary targets below this are flushed to exactly zero.
 H_TARGET_FLOOR = 1e-12
+# Phase-2 Newton: stop once every residual is within NEWTON_F_TOL; after
+# NEWTON_MAX_ITER iterations, abort as phase2-diverged above NEWTON_STALL_TOL.
+NEWTON_F_TOL = 1e-12
+NEWTON_MAX_ITER = 12
+NEWTON_STALL_TOL = 1e-9
 
 
 class Phase(IntEnum):
@@ -172,100 +170,6 @@ class Released:
 PhaseState = Filtering | Rotating | Regularizing | Released
 
 
-@dataclass(frozen=True)
-class FeedbackLinState:
-    """Instantaneous phase-2 output coordinates of a robot pair.
-
-    r is the separation, r_half = r^2 / 2 the squared-distance coordinate,
-    y_o1 = d(r_half)/dt the distance-rate output and y_o2 the bearing-rate
-    output (the planar cross product over r_half; equal to 2 theta_dot).
-    """
-
-    theta: float
-    theta_dot: float
-    r: float
-    r_half: float
-    y_o1: float
-    y_o2: float
-
-
-def pair_outputs(z1: RobotState, z2: RobotState) -> FeedbackLinState:
-    """Output coordinates of the ordered pair (1, 2) with dp = p2 - p1."""
-    dp = v_sub(z2.p, z1.p)
-    dv = v_sub(z2.v, z1.v)
-    r = v_norm(dp)
-    if r == 0.0:
-        raise CoincidentRobotsError("pair outputs undefined for coincident robots")
-    r_half = 0.5 * r * r
-    cross = v_cross(dp, dv)
-    return FeedbackLinState(
-        theta=math.atan2(dp[1], dp[0]),
-        theta_dot=cross / (r * r),
-        r=r,
-        r_half=r_half,
-        y_o1=v_dot(dp, dv),
-        y_o2=cross / r_half,
-    )
-
-
-# ---------------------------------------------------------------------------
-# continuous-time phase-2 laws
-# ---------------------------------------------------------------------------
-
-def phase2_control_two(
-    world: WorldState, params: Params, beta_ref: float, k1: float, kp: float, kv: float
-) -> tuple[Vec2, Vec2]:
-    """Feedback-linearized pair rotation: distance-rate and bearing outputs.
-
-    Imposes d(y_o1)/dt = -k1 y_o1 and d(y_o2)/dt = -kp (theta - beta) - kv y_o2
-    through the 2x2 system A u1 = (b1, b2) with u2 = -u1 (static centroid),
-    where A = [[-2 dx, -2 dy], [2 dy, -2 dx]].
-    """
-    if world.n < 2:
-        raise ValueError("two robots required")
-    z1, z2 = world.robots[0], world.robots[1]
-    dp = v_sub(z2.p, z1.p)
-    dv = v_sub(z2.v, z1.v)
-    det = 4.0 * v_dot(dp, dp)
-    if det == 0.0:
-        raise CoincidentRobotsError("feedback linearization singular: coincident robots")
-    out = pair_outputs(z1, z2)
-    b1 = -k1 * out.y_o1 - v_dot(dv, dv)
-    b2 = out.y_o1 * out.y_o2 - kp * out.r_half * (out.theta - beta_ref) - kv * out.r_half * out.y_o2
-    # closed-form inverse of [[-2dx, -2dy], [2dy, -2dx]]
-    u1 = (
-        (-2.0 * dp[0] * b1 + 2.0 * dp[1] * b2) / det,
-        (-2.0 * dp[1] * b1 - 2.0 * dp[0] * b2) / det,
-    )
-    return u1, (-u1[0], -u1[1])
-
-
-def phase2_control_three(
-    world: WorldState, params: Params, beta_ref: float, kp: float, kv: float
-) -> tuple[Vec2, Vec2, Vec2]:
-    """Rigid-body rotation of three touching robots about their (static) centroid.
-
-    Each robot tracks the shared assembly angle theta with commanded
-    dynamics theta_ddot = -kp (theta - beta) - kv theta_dot; the control is
-    the acceleration of a point rigidly rotating about the centroid, so the
-    three controls sum to zero and all pairwise distances are invariant.
-    """
-    if world.n != 3:
-        raise ValueError("three robots required")
-    ps = world.positions()
-    c = v_scale(v_add(v_add(ps[0], ps[1]), ps[2]), 1.0 / 3.0)
-    rho = [v_sub(p, c) for p in ps]
-    if any(v_norm(r) < 1e-12 for r in rho):
-        raise DegenerateGeometryError("robot coincides with the assembly centroid")
-    theta, theta_dot = _measured_bearing(world)
-    theta_dd = -kp * (theta - beta_ref) - kv * theta_dot
-    w2 = theta_dot * theta_dot
-    controls = tuple(
-        (-theta_dd * r[1] - w2 * r[0], theta_dd * r[0] - w2 * r[1]) for r in rho
-    )
-    return controls  # type: ignore[return-value]
-
-
 # ---------------------------------------------------------------------------
 # phase-3 closed form
 # ---------------------------------------------------------------------------
@@ -294,12 +198,6 @@ def phase3_closed_form(tau: float, ds: float, d_g: float, kp: float, kv: float) 
     return c1 * e1 + c2 * e2 + d_g, c1 * w1 * e1 + c2 * w2 * e2
 
 
-def rotate_frame(v: Vec2, beta: float) -> Vec2:
-    """Rotate a vector by -beta (into the frame whose x-axis points along beta)."""
-    c, s = math.cos(beta), math.sin(beta)
-    return (c * v[0] + s * v[1], -s * v[0] + c * v[1])
-
-
 def simulate_relative_pd(
     dp0: Vec2,
     dv0: Vec2,
@@ -315,23 +213,15 @@ def simulate_relative_pd(
     d(dp)/dt = dv,  d(dv)/dt = -kp (dp - dpd) - kv dv.  Returns sampled
     times, relative positions and relative velocities (including t = 0).
     """
-    px, py = dp0
-    vx, vy = dv0
     gx, gy = dpd
-    ts = [0.0]
-    ps = [(px, py)]
-    vs = [(vx, vy)]
+    p, v = dp0, dv0
+    ts, ps, vs = [0.0], [p], [v]
     for k in range(1, n_steps + 1):
-        ax = -kp * (px - gx) - kv * vx
-        ay = -kp * (py - gy) - kv * vy
-        vx += dt * ax
-        vy += dt * ay
-        px += dt * vx
-        py += dt * vy
+        p, v = euler_step(p, v, (-kp * (p[0] - gx) - kv * v[0], -kp * (p[1] - gy) - kv * v[1]), dt)
         if k % sample_every == 0 or k == n_steps:
             ts.append(k * dt)
-            ps.append((px, py))
-            vs.append((vx, vy))
+            ps.append(p)
+            vs.append(v)
     return np.asarray(ts), np.asarray(ps), np.asarray(vs)
 
 
@@ -412,17 +302,17 @@ def _solve(a: list[Sequence[float]], b: list[float]) -> list[float]:
         raise SimulationAbort("phase2-singular", "phase-2 Newton Jacobian singular: Singular matrix") from None
 
 
-def _newton_solve(system, w0: list[float], f_tol: float = 1e-12, max_iter: int = 12) -> list[float]:
+def _newton_solve(system, w0: list[float]) -> list[float]:
     """Newton on a tiny system; ``system(w)`` returns the residuals and their Jacobian in w."""
     w = list(w0)
     fw, jac = system(w)
-    for _ in range(max_iter):
-        if max(map(abs, fw)) <= f_tol:
+    for _ in range(NEWTON_MAX_ITER):
+        if max(map(abs, fw)) <= NEWTON_F_TOL:
             return w
         w = [wk - sk for wk, sk in zip(w, _solve(jac, fw))]
         fw, jac = system(w)
     err = max(map(abs, fw))
-    if err > 1e-9:
+    if err > NEWTON_STALL_TOL:
         raise SimulationAbort("phase2-diverged", f"phase-2 Newton stalled at residual {err:.3e}")
     return w
 

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mrdeadlock"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "mrdeadlock"
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 # A module may import only the modules before it; the package __init__ comes last.
 LAYERS = ("errors", "core", "qp", "cbf", "deadlock", "graphenum", "resolution", "sim", "cli", "__init__")
@@ -46,3 +49,31 @@ def test_relative_imports_follow_the_layer_order(module):
         targets = [node.module] if node.module else [alias.name for alias in node.names]
         upward += [f"{module}.py:{node.lineno} imports {t}" for t in targets if LAYERS.index(t) >= rank]
     assert upward == []
+
+
+def _traced_bindings() -> set[tuple[str, str]]:
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return {(module, attr) for module, attr, _ in tracer.BINDINGS}
+
+
+# the package __init__ imports only to re-export: its imports are the public API
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "__init__"])
+def test_every_import_is_used_or_traced(module):
+    # a name bound only for the benchmark's span tracer must be one it wraps
+    tree = _tree(module)
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported.update({(a.asname or a.name.split(".")[0]): node.lineno for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update({(a.asname or a.name): node.lineno for a in node.names})
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    traced = _traced_bindings()
+    unused = [
+        f"{module}.py:{line} imports {name}"
+        for name, line in imported.items()
+        if name not in used and (f"mrdeadlock.{module}", name) not in traced
+    ]
+    assert unused == []

@@ -13,26 +13,23 @@ from mrdeadlock import (
     RobotState,
     WorldState,
     collinear_family,
-    phase2_control_three,
-    phase2_control_two,
+    default_head_on_scenario,
     phase3_closed_form,
-    rotate_frame,
     simulate_relative_pd,
     supervisor_step,
-    three_robot_family_catA,
+    three_robot_cat_a_scenario,
     three_robot_family_catB,
 )
 from mrdeadlock import resolution
-from mrdeadlock.core import v_norm, v_sub, wrap_angle
+from mrdeadlock.core import wrap_angle
 from mrdeadlock.deadlock import DeadlockThresholds
-from mrdeadlock.errors import CoincidentRobotsError
 from mrdeadlock.resolution import (
+    NEWTON_F_TOL,
     Filtering,
     Regularizing,
     Released,
     ResolutionConfig,
     Rotating,
-    pair_outputs,
 )
 from mrdeadlock.sim import Scenario, integrate_step, run_scenario
 
@@ -41,27 +38,8 @@ GOALS2 = GoalSpec(pd=((2.0, 0.0), (-2.0, 0.0)))
 
 
 # ---------------------------------------------------------------------------
-# rotate_frame / phase3_closed_form
+# phase3_closed_form
 # ---------------------------------------------------------------------------
-
-def test_rotate_frame_identity_at_zero():
-    assert rotate_frame((0.3, -0.7), 0.0) == pytest.approx((0.3, -0.7))
-
-
-def test_rotate_frame_alignment():
-    beta = 0.7
-    ds = 0.5
-    v = (ds * math.cos(beta), ds * math.sin(beta))
-    assert rotate_frame(v, beta) == pytest.approx((ds, 0.0), abs=1e-15)
-
-
-def test_rotate_frame_preserves_norm():
-    rng = np.random.default_rng(1)
-    for _ in range(100):
-        v = tuple(rng.uniform(-3, 3, 2))
-        beta = float(rng.uniform(-7, 7))
-        assert math.hypot(*rotate_frame(v, beta)) == pytest.approx(math.hypot(*v), abs=1e-12)
-
 
 def test_phase3_closed_form_initial_condition():
     p, v = phase3_closed_form(0.0, 0.5, 2.0, 1.0, 3.0)
@@ -99,150 +77,6 @@ def test_simulated_relative_dynamics_match_closed_form():
     assert np.abs(ps[:, 0] - ref[:, 0]).max() / np.abs(ref[:, 0]).max() <= 1e-4
     assert np.abs(vs[:, 0] - ref[:, 1]).max() / np.abs(ref[:, 1]).max() <= 1e-4
     assert np.abs(ps[:, 1]).max() <= 1e-14  # y stays identically zero
-
-
-# ---------------------------------------------------------------------------
-# continuous phase-2 laws
-# ---------------------------------------------------------------------------
-
-def test_phase2_two_zero_when_aligned_and_static():
-    world = WorldState(
-        robots=(RobotState.at_rest((0.0, 0.0)), RobotState.at_rest((1.0, 0.0))), t=0.0
-    )
-    u1, u2 = phase2_control_two(world, PARAMS2, beta_ref=0.0, k1=10.0, kp=1.0, kv=2.0)
-    assert u1 == (0.0, 0.0)
-    assert u2 == (0.0, 0.0)
-
-
-def test_phase2_two_hand_solved_example():
-    # dp = (1,0), dv = 0, beta = pi/2, kp = 1, kv = 2, R = 1/2:
-    # b = (0, pi/4), A = [[-2,0],[0,-2]]  =>  u1 = (0, -pi/8), u2 = (0, pi/8)
-    world = WorldState(
-        robots=(RobotState.at_rest((0.0, 0.0)), RobotState.at_rest((1.0, 0.0))), t=0.0
-    )
-    u1, u2 = phase2_control_two(world, PARAMS2, beta_ref=math.pi / 2, k1=10.0, kp=1.0, kv=2.0)
-    assert u1 == pytest.approx((0.0, -math.pi / 8), abs=1e-15)
-    assert u2 == pytest.approx((0.0, math.pi / 8), abs=1e-15)
-
-
-def test_phase2_two_coincident_error():
-    world = WorldState(
-        robots=(RobotState.at_rest((1.0, 1.0)), RobotState.at_rest((1.0, 1.0))), t=0.0
-    )
-    with pytest.raises(CoincidentRobotsError):
-        phase2_control_two(world, PARAMS2, 0.0, 10.0, 1.0, 2.0)
-
-
-def _flow(world: WorldState, controls, dt: float) -> WorldState:
-    # exact constant-acceleration flow for finite-difference checks
-    robots = []
-    for z, u in zip(world.robots, controls):
-        p = (z.p[0] + z.v[0] * dt + 0.5 * u[0] * dt * dt, z.p[1] + z.v[1] * dt + 0.5 * u[1] * dt * dt)
-        v = (z.v[0] + u[0] * dt, z.v[1] + u[1] * dt)
-        robots.append(RobotState(p=p, v=v))
-    return WorldState(robots=tuple(robots), t=world.t + dt)
-
-
-def test_phase2_two_imposed_output_dynamics_finite_difference():
-    # the law imposes dy1/dt = -k1 y1 and dy2/dt = -kp (theta - beta) - kv y2
-    k1, kp, kv, beta = 7.0, 1.3, 2.5, 1.1
-    world = WorldState(
-        robots=(
-            RobotState(p=(0.1, -0.2), v=(0.05, 0.12)),
-            RobotState(p=(0.55, 0.31), v=(-0.08, 0.02)),
-        ),
-        t=0.0,
-    )
-    u1, u2 = phase2_control_two(world, PARAMS2, beta, k1, kp, kv)
-    out0 = pair_outputs(world.robots[0], world.robots[1])
-    dt = 1e-7
-    nxt = _flow(world, (u1, u2), dt)
-    out1 = pair_outputs(nxt.robots[0], nxt.robots[1])
-    y1_dot_fd = (out1.y_o1 - out0.y_o1) / dt
-    y2_dot_fd = (out1.y_o2 - out0.y_o2) / dt
-    assert y1_dot_fd == pytest.approx(-k1 * out0.y_o1, abs=1e-4)
-    assert y2_dot_fd == pytest.approx(-kp * (out0.theta - beta) - kv * out0.y_o2, abs=1e-4)
-
-
-def test_pair_outputs_bearing_rate_convention():
-    # y_o2 is the cross product over R = r^2/2, i.e. exactly twice theta_dot
-    z1 = RobotState(p=(0.0, 0.0), v=(0.0, -0.15))
-    z2 = RobotState(p=(0.6, 0.0), v=(0.0, 0.25))
-    out = pair_outputs(z1, z2)
-    assert out.y_o2 == pytest.approx(2.0 * out.theta_dot, rel=1e-12)
-
-
-def test_phase2_two_centroid_and_distance_hold_under_integration():
-    z1, z2 = collinear_family(GOALS2, PARAMS2, 0.5)
-    world = WorldState(robots=(z1, z2), t=0.0)
-    beta = math.pi  # rotate half a turn
-    dt = 1e-4
-    c0 = (0.5 * (z1.p[0] + z2.p[0]), 0.5 * (z1.p[1] + z2.p[1]))
-    r0 = v_norm(v_sub(z2.p, z1.p))
-    for _ in range(5000):
-        u1, u2 = phase2_control_two(world, PARAMS2, beta, 30.0, PARAMS2.kp, PARAMS2.kv)
-        robots = []
-        for z, u in zip(world.robots, (u1, u2)):
-            v = (z.v[0] + dt * u[0], z.v[1] + dt * u[1])
-            p = (z.p[0] + dt * v[0], z.p[1] + dt * v[1])
-            robots.append(RobotState(p=p, v=v))
-        world = WorldState(robots=tuple(robots), t=world.t + dt)
-    c1 = (
-        0.5 * (world.robots[0].p[0] + world.robots[1].p[0]),
-        0.5 * (world.robots[0].p[1] + world.robots[1].p[1]),
-    )
-    r1 = v_norm(v_sub(world.robots[1].p, world.robots[0].p))
-    assert math.dist(c0, c1) <= 1e-12  # u2 = -u1 keeps the centroid exactly static
-    assert abs(r1 - r0) <= 1e-4        # distance drifts only at O(dt) per unit time
-
-
-def test_phase2_three_zero_when_aligned_and_static():
-    world, goals = three_robot_family_catA(Params(kp=1.0, kv=3.0, ds=0.5, alpha=(5.0,) * 3), 2.0)
-    # assembly bearing of robot 0 about the centroid is pi
-    us = phase2_control_three(world, Params(kp=1.0, kv=3.0, ds=0.5, alpha=(5.0,) * 3), math.pi, 1.0, 3.0)
-    for u in us:
-        assert v_norm(u) <= 1e-12
-
-
-def test_phase2_three_controls_sum_to_zero():
-    params = Params(kp=1.0, kv=3.0, ds=0.5, alpha=(5.0,) * 3)
-    world, _ = three_robot_family_catA(params, 2.0)
-    # spin the assembly: give each robot the rigid tangential velocity
-    omega = 0.4
-    robots = []
-    for z in world.robots:
-        robots.append(RobotState(p=z.p, v=(-omega * z.p[1], omega * z.p[0])))
-    spinning = WorldState(robots=tuple(robots), t=0.0)
-    us = phase2_control_three(spinning, params, 0.3, 1.0, 3.0)
-    total = (sum(u[0] for u in us), sum(u[1] for u in us))
-    assert v_norm(total) <= 1e-12
-
-
-def test_phase2_three_rigid_rotation_under_integration():
-    params = Params(kp=1.0, kv=3.0, ds=0.5, alpha=(5.0,) * 3)
-    world, _ = three_robot_family_catA(params, 2.0)
-    beta = math.pi + 0.8
-    dt = 1e-4
-    d0 = [
-        v_norm(v_sub(world.robots[i].p, world.robots[j].p))
-        for i, j in ((0, 1), (0, 2), (1, 2))
-    ]
-    c0 = tuple(np.mean([z.p for z in world.robots], axis=0))
-    for _ in range(3000):
-        us = phase2_control_three(world, params, beta, params.kp, params.kv)
-        robots = []
-        for z, u in zip(world.robots, us):
-            v = (z.v[0] + dt * u[0], z.v[1] + dt * u[1])
-            p = (z.p[0] + dt * v[0], z.p[1] + dt * v[1])
-            robots.append(RobotState(p=p, v=v))
-        world = WorldState(robots=tuple(robots), t=world.t + dt)
-    d1 = [
-        v_norm(v_sub(world.robots[i].p, world.robots[j].p))
-        for i, j in ((0, 1), (0, 2), (1, 2))
-    ]
-    c1 = tuple(np.mean([z.p for z in world.robots], axis=0))
-    assert max(abs(a - b) for a, b in zip(d0, d1)) <= 1e-4
-    assert math.dist(c0, c1) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +186,45 @@ def test_supervisor_handoff_alignment_two_robot():
     dv = log.vel[k3, 1] - log.vel[k3, 0]
     r = math.hypot(*dp)
     assert abs(dp[0] * dv[1] - dp[1] * dv[0]) / (r * r) <= 1.1e-3
+
+
+@pytest.mark.parametrize(
+    "fixture, scenario",
+    [
+        ("two_robot_resolution_log", default_head_on_scenario(controller="three-phase", t_max=80.0)),
+        ("three_robot_resolution_log", three_robot_cat_a_scenario(t_max=60.0)),
+    ],
+    ids=["two-robot", "category-A"],
+)
+def test_pinned_bearing_follows_the_discrete_second_order_law(request, fixture, scenario):
+    # The bearing reference starts at the bearing of the first phase-2 record
+    # and takes one semi-implicit Euler step of
+    # theta'' = -kp2 (theta - beta) - kv2 theta' per step, and Newton pins
+    # every later state to it.  So the logged, unwrapped bearing obeys
+    # omega+ = omega + dt (-kp2 (theta - beta) - kv2 omega), theta+ = theta + dt omega+,
+    # with omega = (theta - theta-) / dt.
+    log, _ = request.getfixturevalue(fixture)
+    dt, goals = scenario.dt, scenario.goals
+    kp2, kv2 = scenario.resolution.bearing_gains(scenario.params)
+    i2 = np.where(log.phase == 2)[0]
+    assert i2.size > 2 and np.all(np.diff(i2) == 1)
+    pos = log.pos[i2[0]: i2[-1] + 2]        # the entry state, then the pinned states
+    if log.n_robots == 2:
+        a, d = pos[:, 1] - pos[:, 0], np.subtract(goals.pd[1], goals.pd[0])
+    else:
+        a, d = pos[:, 0] - pos.mean(axis=1), np.subtract(goals.pd[0], np.mean(goals.pd, axis=0))
+    theta = np.unwrap(np.arctan2(a[:, 1], a[:, 0]))
+    beta = theta[0] + wrap_angle(math.atan2(d[1], d[0]) - theta[0])
+    omega = np.diff(theta)[:-1] / dt
+    omega_next = omega + dt * (-kp2 * (theta[1:-1] - beta) - kv2 * omega)
+    err = np.abs(theta[2:] - (theta[1:-1] + dt * omega_next))
+    # Newton stops once the bearing residual |a| sin(theta - theta_ref) is
+    # within NEWTON_F_TOL, so each pinned theta is within NEWTON_F_TOL / |a|
+    # of its reference; one check combines three of them with weights of
+    # magnitude at most 1, 2 and 1.  1e-14 covers the rounding of arctan2
+    # and of the check itself at |theta| < 2 pi.
+    tol = 4.0 * NEWTON_F_TOL / np.hypot(a[:, 0], a[:, 1]).min() + 1e-14
+    assert err.max() <= tol, (err.max(), tol)
 
 
 def test_supervisor_category_b_run_is_safe_and_converges():
