@@ -44,7 +44,7 @@ def check(tag, world, goals, params, extra=""):
         worst_u = max(worst_u, report.u_star_norm)
         worst_balance = max(worst_balance, report.force_balance_residual)
         min_mu = min(min_mu, max(mu for _, mu in report.active_multipliers))
-    boundary = verify_boundary_membership(world, goals, params, tol=1e-8)
+    boundary = verify_boundary_membership(world, goals, params)
     print(f"{tag:<42s} deadlock={all(verdicts)!s:<5}  |u*|<={worst_u:.1e}  "
           f"balance<={worst_balance:.1e}  min mu={min_mu:.2f}  on-boundary={boundary}{extra}")
 

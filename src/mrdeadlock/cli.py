@@ -72,7 +72,7 @@ def _cmd_families(args: argparse.Namespace) -> int:
             f"goal-dist={report.goal_dist:.4f} force-residual={report.force_balance_residual:.2e}"
         )
         print(f"           deadlocked={report.verdict} active: [{mus}]")
-    boundary = verify_boundary_membership(world, goals, params, tol=1e-8)
+    boundary = verify_boundary_membership(world, goals, params)
     print(f"  system deadlock: {all_dl}")
     print(f"  boundary membership (h = 0 on active pairs): {boundary}")
     for (i, j), d, h in zip(pair_indices(world.n), field.distances, field.h):

@@ -34,6 +34,8 @@ from .core import (
 from .errors import SafetyViolationError, ZeroVectorError
 from .qp import QPProblem, QPSolution, solve_qp
 
+BOUNDARY_TOL = 1e-8   # verify_boundary_membership's bound on |h| of every active pair
+
 
 @dataclass(frozen=True)
 class DeadlockThresholds:
@@ -308,15 +310,13 @@ def catB_parametrized(
     return WorldState(robots=robots, t=0.0), _symmetric_goals(r_goal)
 
 
-def verify_boundary_membership(
-    world: WorldState, goals: GoalSpec, params: Params, tol: float = 1e-8
-) -> bool:
+def verify_boundary_membership(world: WorldState, goals: GoalSpec, params: Params) -> bool:
     """Check that a system-deadlock candidate sits on the safe-set boundary.
 
     Solves each robot's QP and requires (a) every robot to carry at least
     one active collision-avoidance row (otherwise the state is not a
-    deadlock candidate at all) and (b) |h_ij| <= tol for every pair whose
-    constraint is active.
+    deadlock candidate at all) and (b) |h_ij| <= BOUNDARY_TOL for every pair
+    whose constraint is active.
     """
     field = PairField(world, params)
     # every QP is built before h is read: a world the QPs reject raises their error
@@ -330,4 +330,4 @@ def verify_boundary_membership(
         if not mine:
             return False
         active_pairs.update((min(i, j), max(i, j)) for j in mine)
-    return all(abs(h) <= tol for pair, h in zip(pair_indices(world.n), field.h) if pair in active_pairs)
+    return all(abs(h) <= BOUNDARY_TOL for pair, h in zip(pair_indices(world.n), field.h) if pair in active_pairs)

@@ -20,8 +20,9 @@ from scipy.optimize import minimize
 
 Edge = tuple[int, int]
 
-# Non-edges must exceed Ds strictly; the optimizer is given this finite gap.
-NONEDGE_MARGIN_FACTOR = 1e-3
+# Whether a graph embeds does not depend on Ds, so embeddings use Ds = 1.
+NONEDGE_MARGIN = 1e-3   # non-edges must exceed 1 strictly; the optimizer is given this finite gap
+EMBED_TOL = 1e-6        # an embedding is feasible once no distance is off by more than this
 
 
 @dataclass(frozen=True)
@@ -153,18 +154,18 @@ def graph_seed(g: LabeledGraph, attempt: int) -> int:
     return (zlib.crc32(key) << 16) ^ attempt
 
 
-def _violation(g: LabeledGraph, pos: np.ndarray, ds: float, margin: float) -> float:
+def _violation(g: LabeledGraph, pos: np.ndarray) -> float:
     worst = 0.0
     for u, v in g.edges:
         d = float(np.hypot(*(pos[u] - pos[v])))
-        worst = max(worst, abs(d - ds))
+        worst = max(worst, abs(d - 1.0))
     for u, v in g.non_edges():
         d = float(np.hypot(*(pos[u] - pos[v])))
-        worst = max(worst, max(0.0, ds + margin - d))
+        worst = max(worst, max(0.0, 1.0 + NONEDGE_MARGIN - d))
     return worst
 
 
-def _objective(x: np.ndarray, g: LabeledGraph, ds: float, margin: float) -> tuple[float, np.ndarray]:
+def _objective(x: np.ndarray, g: LabeledGraph) -> tuple[float, np.ndarray]:
     pos = x.reshape(g.n, 2)
     f = 0.0
     grad = np.zeros_like(pos)
@@ -173,12 +174,12 @@ def _objective(x: np.ndarray, g: LabeledGraph, ds: float, margin: float) -> tupl
         d = math.hypot(diff[0], diff[1])
         if d < 1e-12:
             d = 1e-12
-        err = d - ds
+        err = d - 1.0
         f += err * err
         gvec = (2.0 * err / d) * diff
         grad[u] += gvec
         grad[v] -= gvec
-    gap = ds + margin
+    gap = 1.0 + NONEDGE_MARGIN
     for u, v in g.non_edges():
         diff = pos[u] - pos[v]
         d = math.hypot(diff[0], diff[1])
@@ -193,8 +194,8 @@ def _objective(x: np.ndarray, g: LabeledGraph, ds: float, margin: float) -> tupl
     return f, grad.ravel()
 
 
-def embed_graph(g: LabeledGraph, ds: float, attempts: int = 200, tol: float = 1e-6) -> EmbeddingResult:
-    """Search for planar positions with edge distances Ds and non-edges > Ds.
+def embed_graph(g: LabeledGraph, attempts: int = 200) -> EmbeddingResult:
+    """Search for planar positions with edge distances 1 and non-edges > 1.
 
     Penalized least squares from seeded random restarts; feasibility is
     declared from a post-hoc re-check of all pairwise distances, independent
@@ -203,32 +204,29 @@ def embed_graph(g: LabeledGraph, ds: float, attempts: int = 200, tol: float = 1e
     """
     if not g.is_connected():
         raise ValueError("embed_graph expects a connected graph")
-    if ds <= 0.0:
-        raise ValueError("ds must be positive")
-    margin = NONEDGE_MARGIN_FACTOR * ds
     if g.n == 1:
         return EmbeddingResult(feasible=True, positions=((0.0, 0.0),), max_violation=0.0)
 
     best = math.inf
     best_pos: np.ndarray | None = None
-    span = ds * max(1.0, math.sqrt(g.n))
+    span = max(1.0, math.sqrt(g.n))
     for attempt in range(attempts):
         rng = np.random.default_rng(graph_seed(g, attempt))
         x0 = rng.uniform(-span, span, size=2 * g.n)
         res = minimize(
             _objective,
             x0,
-            args=(g, ds, margin),
+            args=(g,),
             jac=True,
             method="L-BFGS-B",
             options={"maxiter": 500, "ftol": 1e-16, "gtol": 1e-12},
         )
         pos = res.x.reshape(g.n, 2)
-        worst = _violation(g, pos, ds, margin)
+        worst = _violation(g, pos)
         if worst < best:
             best = worst
             best_pos = pos
-        if worst <= tol:
+        if worst <= EMBED_TOL:
             return EmbeddingResult(
                 feasible=True,
                 positions=tuple((float(p[0]), float(p[1])) for p in pos),
@@ -241,21 +239,19 @@ def embed_graph(g: LabeledGraph, ds: float, attempts: int = 200, tol: float = 1e
     )
 
 
-def admissible_report(
-    n: int, ds: float = 1.0, attempts: int = 200, tol: float = 1e-6
-) -> list[tuple[LabeledGraph, EmbeddingResult]]:
+def admissible_report(n: int, attempts: int = 200) -> list[tuple[LabeledGraph, EmbeddingResult]]:
     """Embedding verdict for every connected labeled graph on n vertices."""
     if n > 4:
         raise ValueError("the admissibility census is limited to n <= 4")
-    return [(g, embed_graph(g, ds, attempts, tol)) for g in enumerate_connected(n)]
+    return [(g, embed_graph(g, attempts)) for g in enumerate_connected(n)]
 
 
-def count_admissible(n: int, ds: float = 1.0, attempts: int = 200) -> int:
+def count_admissible(n: int, attempts: int = 200) -> int:
     """Number of connected labeled graphs on n vertices that embed feasibly."""
-    return sum(1 for _, res in admissible_report(n, ds, attempts) if res.feasible)
+    return sum(1 for _, res in admissible_report(n, attempts) if res.feasible)
 
 
-def census_table(n_max: int = 4, ds: float = 1.0, attempts: int = 200) -> list[dict]:
+def census_table(n_max: int = 4, attempts: int = 200) -> list[dict]:
     """Rows of the enumeration table: n, upper, connected, admissible, lower."""
     rows = []
     for n in range(1, n_max + 1):
@@ -264,7 +260,7 @@ def census_table(n_max: int = 4, ds: float = 1.0, attempts: int = 200) -> list[d
                 "n": n,
                 "upper": upper_bound(n),
                 "connected": connected_count(n),
-                "admissible": count_admissible(n, ds, attempts),
+                "admissible": count_admissible(n, attempts),
                 "lower": lower_bound(n),
             }
         )

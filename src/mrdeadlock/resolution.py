@@ -65,6 +65,11 @@ H_TARGET_FLOOR = 1e-12
 NEWTON_F_TOL = 1e-12
 NEWTON_MAX_ITER = 12
 NEWTON_STALL_TOL = 1e-9
+K_H = 8.0             # decay rate (1/s) of the phase-2 boundary targets
+EPS_THETA = 1e-3      # phase 2 ends once the bearing (or opening angle) is this close (rad) to its goal
+EPS_OMEGA = 1e-3      # and turns slower than this (rad/s)
+K_PERSIST = 10        # consecutive deadlocked steps that announce a deadlock
+CLASSIFY_TOL = 2e-2   # margin tolerance, a fraction of Ds, that classifies a three-robot deadlock
 
 
 class Phase(IntEnum):
@@ -75,32 +80,23 @@ class Phase(IntEnum):
 
 @dataclass(frozen=True)
 class ResolutionConfig:
-    """Supervisor gains and thresholds; phase-2 gains default to the PD gains."""
+    """Phase-2 bearing gains; each defaults to its PD gain."""
 
     kp2: float | None = None        # bearing stiffness (defaults to params.kp)
     kv2: float | None = None        # bearing damping (defaults to params.kv)
-    k_h: float = 8.0                # boundary-acquisition decay rate (1/s)
-    eps_theta: float = 1e-3         # bearing alignment threshold (rad)
-    eps_omega: float = 1e-3         # bearing rate threshold (rad/s)
-    k_persist: int = 10             # consecutive deadlock steps before phase 2
-    classify_tol: float | None = None  # margin-classification tolerance (defaults 2e-2 Ds)
 
     def __post_init__(self):
-        # k_persist = 0 would announce a deadlock on the very first step, and
-        # eps <= 0 would make the phase-3 release unreachable
-        if not (isinstance(self.k_persist, int) and self.k_persist >= 1):
-            raise ValueError(f"k_persist must be an integer >= 1, got {self.k_persist!r}")
-        if not (self.eps_theta > 0.0 and self.eps_omega > 0.0):
-            raise ValueError(f"eps_theta and eps_omega must be > 0, got {self.eps_theta!r}, {self.eps_omega!r}")
+        # as Params requires of kp and kv: a gain <= 0 never settles the
+        # bearing, and a non-finite one breaks the phase-2 step
+        for name, gain in (("kp2", self.kp2), ("kv2", self.kv2)):
+            if gain is not None and not 0.0 < gain < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {gain!r}")
 
     def bearing_gains(self, params: Params) -> tuple[float, float]:
         return (
             self.kp2 if self.kp2 is not None else params.kp,
             self.kv2 if self.kv2 is not None else params.kv,
         )
-
-    def classification_tol(self, params: Params) -> float:
-        return self.classify_tol if self.classify_tol is not None else 2e-2 * params.ds
 
 
 # Supervisor states, one per mode, threaded through supervisor_step.  A run
@@ -419,13 +415,12 @@ def _measured_gamma(world: WorldState, center: int) -> tuple[float, float, float
 # ---------------------------------------------------------------------------
 
 def _enter_phase_two(
-    world: WorldState, goals: GoalSpec, params: Params, config: ResolutionConfig, t: float,
-    h: tuple[float, ...],
+    world: WorldState, goals: GoalSpec, params: Params, t: float, h: tuple[float, ...],
 ) -> Rotating | Regularizing:
     """Phase-2 entry state; h is the signed safety index of every pair, in pair order."""
     n = world.n
     if n == 3:
-        cat = classify_three_robot(world, params, config.classification_tol(params))
+        cat = classify_three_robot(world, params, CLASSIFY_TOL * params.ds)
         if cat.category == "B":
             center = cat.center
             assert center is not None
@@ -505,11 +500,11 @@ def supervisor_step(
                 and system_deadlock(world, goals, params, solutions, thresholds, problems)
             )
             persist = state.persist_counter + 1 if in_deadlock else 0
-            if persist >= config.k_persist:
+            if persist >= K_PERSIST:
                 info["event"] = ("deadlock-detected", t)
                 if state.resolve:
                     # the phase-2 controls replace the QP solutions of this step
-                    new_state = _enter_phase_two(world, goals, params, config, t, pairs.h)
+                    new_state = _enter_phase_two(world, goals, params, t, pairs.h)
                     return _phase_two_step(new_state, world, goals, params, dt, config, info, pairs, u_hat)
                 state = replace(state, persist_counter=persist, announced=True)
             elif persist != state.persist_counter:
@@ -536,12 +531,12 @@ def _phase_two_step(
     """Advance the mode's angle reference toward beta_ref and pin the next state to it."""
     t = world.t
     info["phase"] = Phase.TWO
-    if isinstance(state, Regularizing) and _aligned(state, world, config):
+    if isinstance(state, Regularizing) and _aligned(state, world):
         state = _enter_rotating(world, goals, t, pairs.h)
         info["event"] = ("regularized", t)
-    decay = math.exp(-config.k_h * (t + dt - state.t_ref0))
+    decay = math.exp(-K_H * (t + dt - state.t_ref0))
     h_ts = tuple(h if abs(h) > H_TARGET_FLOOR else 0.0 for h in (h0 * decay for h0 in state.h_entry))
-    if isinstance(state, Rotating) and _aligned(state, world, config) and all(h == 0.0 for h in h_ts):
+    if isinstance(state, Rotating) and _aligned(state, world) and all(h == 0.0 for h in h_ts):
         info["phase"] = Phase.THREE
         return tuple(u_hat), Released(), info
 
@@ -553,13 +548,13 @@ def _phase_two_step(
     return controls, replace(state, theta_ref=theta_ref, omega_ref=omega_ref, newton_warm=warm), info
 
 
-def _aligned(state: Rotating | Regularizing, world: WorldState, config: ResolutionConfig) -> bool:
+def _aligned(state: Rotating | Regularizing, world: WorldState) -> bool:
     """The measured bearing (Rotating) or opening angle (Regularizing) settled at beta_ref."""
     if isinstance(state, Rotating):
         angle, rate = _measured_bearing(world)
     else:
         angle, rate, _ = _measured_gamma(world, state.center)
-    return abs(wrap_angle(angle - state.beta_ref)) <= config.eps_theta and abs(rate) <= config.eps_omega
+    return abs(wrap_angle(angle - state.beta_ref)) <= EPS_THETA and abs(rate) <= EPS_OMEGA
 
 
 _ROTATING = {n: _ControlMap(n, pair_indices(n), tuple(range(n - 1)), n - 1) for n in (2, 3)}

@@ -58,6 +58,10 @@ _START_STATES = {
 }
 CONTROLLERS = tuple(_START_STATES)
 
+STOP_GOAL_TOL = 1e-4    # a run stops once every robot is this close to its goal
+ABORT_DIST_TOL = 1e-6   # and aborts once a pair is closer than Ds less this
+START_DIST_TOL = 1e-9   # no pair may start closer than Ds less this
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -69,10 +73,7 @@ class Scenario:
     controller: str = "cbf-qp-only"
     dt: float = 1e-3
     t_max: float = 30.0
-    thresholds: DeadlockThresholds | None = None
-    stop_goal_tol: float = 1e-4
     log_every: int = 1
-    abort_dist_tol: float = 1e-6
     resolution: ResolutionConfig = field(default_factory=ResolutionConfig)
 
     def __post_init__(self):
@@ -92,7 +93,7 @@ class Scenario:
             raise ValueError("three-phase control requires kv^2 - 4 kp > 0")
         pair_field = PairField(WorldState(robots=self.initial), self.params)
         for (i, j), d in zip(pair_indices(len(self.initial)), pair_field.distances):
-            if d < self.params.ds - 1e-9:
+            if d < self.params.ds - START_DIST_TOL:
                 raise ValueError(
                     f"initial robots {i},{j} start {d:.6f} apart, inside the margin {self.params.ds}"
                 )
@@ -109,9 +110,6 @@ class Scenario:
     def n_steps(self) -> int:
         """Integrator steps of a run that does not stop early: t_max / dt, rounded."""
         return int(round(self.t_max / self.dt))
-
-    def effective_thresholds(self) -> DeadlockThresholds:
-        return self.thresholds if self.thresholds is not None else DeadlockThresholds.from_params(self.params)
 
 
 def default_head_on_scenario(controller: str = "cbf-qp-only", t_max: float = 30.0, **overrides) -> Scenario:
@@ -254,11 +252,11 @@ _GEOMETRY_ABORTS = {
 
 
 def run_scenario(scenario: Scenario) -> TrajectoryLog:
-    """Simulate until t_max or until every robot is within stop_goal_tol of its goal.
+    """Simulate until t_max or until every robot is within STOP_GOAL_TOL of its goal.
 
     Aborts with SimulationAbort (diagnostic kind "qp-infeasible" or
     "safety-violation") when the QP has no solution, a pair dips below
-    Ds - abort_dist_tol, or a QP is assembled for a pair inside the margin;
+    Ds - ABORT_DIST_TOL, or a QP is assembled for a pair inside the margin;
     a bound evaluated on the margin with nonzero radial velocity and
     coincident robots abort as "boundary-singularity" and "coincident-robots".
     The supervisor aborts as "unsupported-deadlock" on a deadlock it cannot
@@ -272,7 +270,7 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
     """
     params = scenario.params
     goals = scenario.goals
-    thresholds = scenario.effective_thresholds()
+    thresholds = DeadlockThresholds.from_params(params)
     n = len(scenario.initial)
     world = WorldState(robots=scenario.initial, t=0.0)
     pair_field = PairField(world, params)
@@ -307,7 +305,7 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
         return controls, u_hat, mu_rows, masks, int(info["phase"])
 
     step = 0
-    reached = False   # every robot within stop_goal_tol: record this state, then stop
+    reached = False   # every robot within STOP_GOAL_TOL: record this state, then stop
     try:
         while True:
             controls, u_hat, mu_rows, masks, phase = controller_outputs()
@@ -324,14 +322,14 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
                 raise SimulationAbort("non-finite-state", f"{exc} after t={world.t:.6f}", snapshot()) from exc
             pair_field = PairField(world, params)
             step += 1
-            if pair_field.min_distance < params.ds - scenario.abort_dist_tol:
+            if pair_field.min_distance < params.ds - ABORT_DIST_TOL:
                 raise SimulationAbort(
                     "safety-violation",
                     f"pair distance {pair_field.min_distance:.9f} below margin at t={world.t:.6f}",
                     snapshot(),
                 )
             reached = all(
-                v_norm(v_sub(world.robots[i].p, goals.pd[i])) <= scenario.stop_goal_tol for i in range(n)
+                v_norm(v_sub(world.robots[i].p, goals.pd[i])) <= STOP_GOAL_TOL for i in range(n)
             )
     except SimulationAbort as exc:
         # the phase-2 Newton step aborts without the state
@@ -390,8 +388,8 @@ _READERS = {
     "float | None": lambda v: None if v is None else float(v),
     "tuple[float, ...]": lambda v: [float(a) for a in _list(v)],
 }
-# Fields that hold a mapping of a dataclass's own fields; None is left out of the file.
-_SECTIONS = {"Params": Params, "DeadlockThresholds | None": DeadlockThresholds, "ResolutionConfig": ResolutionConfig}
+# Fields that hold a mapping of a dataclass's own fields.
+_SECTIONS = {"Params": Params, "ResolutionConfig": ResolutionConfig}
 _BY_HAND = {"initial": "robots", "goals": "goals"}   # Scenario fields spelled by hand, and their keys
 
 
@@ -448,9 +446,9 @@ def _fields_to_dict(obj) -> dict:
     d = {}
     for f in _FILE_FIELDS[type(obj)]:
         value = getattr(obj, f.name)
-        if f.type in _SECTIONS and value is not None:
+        if f.type in _SECTIONS:
             d[f.name] = _fields_to_dict(value)
-        elif f.type in _READERS:
+        else:
             d[f.name] = list(value) if isinstance(value, tuple) else value
     return d
 
@@ -545,7 +543,10 @@ def log_to_json(log: TrajectoryLog) -> str:
 def load_log(path: str) -> TrajectoryLog:
     """Read a JSON log whose arrays hold len(t) records of the robots of meta["scenario"]."""
     with open(path, "r", encoding="utf-8") as fh:
-        d = json.load(fh)
+        text = fh.read()
+    d = json.loads(text)
+    # no log field is a bool, so only a log whose text holds one is scanned for it
+    bools = "true" in text or "false" in text
     where = f"{path} is not a trajectory log:"
     if not isinstance(d, dict):
         raise ValueError(f"{where} its top level is not a mapping")
@@ -559,7 +560,7 @@ def load_log(path: str) -> TrajectoryLog:
     arrays = {}
     for name, (dtype, shape) in _RECORD_LAYOUT.items():
         try:
-            arrays[name] = _record_array(d[name], dtype)
+            arrays[name] = _record_array(d[name], dtype, bools)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{where} array {name!r}: {' '.join(str(exc).split())}") from None
         want = (records, *shape(n))
@@ -572,18 +573,21 @@ def load_log(path: str) -> TrajectoryLog:
     return TrajectoryLog(**arrays, events=events, meta=d["meta"])
 
 
-def _record_array(values, dtype) -> np.ndarray:
+def _record_array(values, dtype, bools: bool) -> np.ndarray:
     """values as a record array of dtype, checked before a cast could coerce 1.9, true or "0.1".
 
     A float array must read as numbers, by NumPy's dtype kind of the uncast
-    array: a scan of its elements would add about a third to the load.  The
-    phases and masks are scanned: each must be an int (a bool is not), and
-    each mask non-negative.
+    array; it is scanned for a bool, which reads as a number among numbers,
+    only if ``bools`` (a scan adds about a third to the load).  The phases
+    and masks are scanned: each must be an int (a bool is not), and each mask
+    non-negative.
     """
     if dtype is float:
         array = np.asarray(values)
         if array.size and array.dtype.kind not in "iuf":
             raise ValueError(f"holds {array.dtype} values, not numbers")
+        if bools and any(type(x) is bool for x in np.asarray(values, dtype=object).flat):
+            raise ValueError("holds a bool, not a number")
         return array.astype(float, copy=False)
     array = np.asarray(values, dtype=object)
     masks = dtype is object

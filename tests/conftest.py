@@ -1,6 +1,6 @@
 """Expensive canonical runs, shared by the acceptance criteria and the golden-log pins.
 
-Each fixture returns (log, seconds the run took); the scenarios are the ones
+Each fixture returns (result, seconds the run took); the scenarios are the ones
 demos/scenarios/*.yaml describe.
 """
 
@@ -11,7 +11,12 @@ import time
 import pytest
 from hypothesis import settings
 
-from mrdeadlock import default_head_on_scenario, run_scenario, three_robot_cat_a_scenario
+from mrdeadlock import (
+    default_head_on_scenario,
+    run_scenario,
+    simulate_relative_pd,
+    three_robot_cat_a_scenario,
+)
 
 # Example counts of the property tests that take theirs from the profile
 # (test_audit.py's oracle comparison, test_phase2_newton.py's Jacobian check):
@@ -26,10 +31,14 @@ TWO_ROBOT_RESOLUTION = default_head_on_scenario(controller="three-phase", t_max=
 THREE_ROBOT_RESOLUTION = three_robot_cat_a_scenario(t_max=60.0)
 
 
-def _timed_run(scenario):
+def _timed(run, *args):
     t0 = time.perf_counter()
-    log = run_scenario(scenario)
-    return log, time.perf_counter() - t0
+    result = run(*args)
+    return result, time.perf_counter() - t0
+
+
+def _timed_run(scenario):
+    return _timed(run_scenario, scenario)
 
 
 @pytest.fixture(scope="session")
@@ -45,3 +54,15 @@ def two_robot_resolution_log():
 @pytest.fixture(scope="session")
 def three_robot_resolution_log():
     return _timed_run(THREE_ROBOT_RESOLUTION)
+
+
+@pytest.fixture(scope="session")
+def phase3_relative_run():
+    """The phase-3 relative dynamics from Ds = 0.5 at rest to D_G = 2 along x, kp = 1, kv = 3.
+
+    500 000 semi-implicit Euler steps of dt = 2e-5 (10 s), sampled every 500
+    steps; (ts, ps, vs)[::4] and [::5] are the samples every 2 000 and 2 500 steps.
+    """
+    dt = 2e-5
+    n = int(round(10.0 / dt))
+    return _timed(simulate_relative_pd, (0.5, 0.0), (0.0, 0.0), (2.0, 0.0), 1.0, 3.0, dt, n, n // 1000)

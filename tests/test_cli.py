@@ -108,7 +108,8 @@ def test_bad_scenario_file_exits_nonzero(tmp_path, capsys):
 
 
 def test_run_rejects_zero_persistence_with_one_line(tmp_path, capsys):
-    # k_persist = 0 would announce a deadlock at t = 0, with the robots 4 m apart
+    # the persistence count is the constant K_PERSIST: a file that sets it is
+    # rejected, not run with a deadlock announced at t = 0
     spath = tmp_path / "scenario.yaml"
     save_scenario(default_head_on_scenario(controller="three-phase", t_max=0.5), str(spath))
     data = yaml.safe_load(spath.read_text())
@@ -128,22 +129,23 @@ def test_run_rejects_zero_persistence_with_one_line(tmp_path, capsys):
         (lambda d: d.update(robots=5), "'robots'"),
         (lambda d: d["params"].update(alpha=5.0), "'alpha'"),
         (lambda d: d["params"].update(kp=None), "'kp'"),
-        (lambda d: d.update(thresholds={"eps_u": None, "eps_v": 1e-3, "eps_goal": 0.05, "eps_mu": 1e-6}), "'eps_u'"),
         (lambda d: d.update(goals=7), "'goals'"),
+        (lambda d: d["params"].update(kp=10**400), "'kp'"),
+        (lambda d: d["robots"][0].update(p=[-(10**400), 0.0]), "robot position"),
+        (lambda d: d.update(resolution={"kp2": float("inf")}), "kp2"),
+        # keys of files written before they were dropped or became constants
+        (lambda d: d.update(seed=0), "'seed'"),
+        (lambda d: d["resolution"].update(k1=None), "'k1'"),
+        (lambda d: d.update(thresholds={"eps_u": None, "eps_v": 1e-3, "eps_goal": 0.05, "eps_mu": 1e-6}),
+         "'thresholds'"),
         (lambda d: d.update(resolution={"k_h": None}), "'k_h'"),
         (lambda d: d.update(resolution={"eps_theta": None}), "'eps_theta'"),
         (lambda d: d.update(resolution={"k_h": "fast"}), "'k_h'"),
-        (lambda d: d["params"].update(kp=10**400), "'kp'"),
-        (lambda d: d["robots"][0].update(p=[-(10**400), 0.0]), "robot position"),
-        # keys of files written before they were dropped
-        (lambda d: d.update(seed=0), "'seed'"),
-        (lambda d: d["resolution"].update(k1=None), "'k1'"),
     ],
     ids=[
         "missing-goals", "unknown-resolution-key", "one-number-position",
-        "number-robots", "number-alpha", "null-kp", "null-threshold", "number-goals",
-        "null-k_h", "null-eps_theta", "word-k_h", "401-digit-kp", "401-digit-position",
-        "old-seed", "old-k1",
+        "number-robots", "number-alpha", "null-kp", "number-goals", "401-digit-kp", "401-digit-position",
+        "infinite-kp2", "old-seed", "old-k1", "null-threshold", "null-k_h", "null-eps_theta", "word-k_h",
     ],
 )
 def test_malformed_scenario_exits_2_with_one_line(tmp_path, capsys, edit, named):
@@ -155,6 +157,13 @@ def test_malformed_scenario_exits_2_with_one_line(tmp_path, capsys, edit, named)
     assert main(["run", str(spath)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and named in err
+
+
+def _with_false_mu(mu):
+    """mu with one multiplier, 0.0 in the run, made a JSON false."""
+    assert mu[3][0][1] == 0.0
+    mu[3][0][1] = False
+    return mu
 
 
 @pytest.mark.parametrize(
@@ -179,12 +188,13 @@ def test_malformed_scenario_exits_2_with_one_line(tmp_path, capsys, edit, named)
         (lambda log: {**log, "t": [repr(t) for t in log["t"]]}, "'t'"),
         (lambda log: {**log, "active": [[False] * len(masks) for masks in log["active"]]}, "'active'"),
         (lambda log: {**log, "phase": [True] + log["phase"][1:]}, "'phase'"),
+        (lambda log: {**log, "mu": _with_false_mu(log["mu"])}, "'mu'"),
     ],
     ids=[
         "empty-mapping", "list", "log-without-mu", "meta-without-scenario",
         "pos-one-record-short", "mu-one-record-short", "one-robot-of-two",
         "phase-300", "401-digit-t", "number-events", "number-event", "event-without-t",
-        "phase-1.9", "phase-true", "string-t", "false-masks", "phase-one-true",
+        "phase-1.9", "phase-true", "string-t", "false-masks", "phase-one-true", "false-mu",
     ],
 )
 def test_verify_non_log_exits_2_with_one_line(tmp_path, capsys, content, named):

@@ -30,6 +30,7 @@ from mrdeadlock import (
     verify_boundary_membership,
 )
 from mrdeadlock.core import v_norm, v_sub
+from mrdeadlock.deadlock import BOUNDARY_TOL
 from mrdeadlock.errors import SafetyViolationError, ToolkitError, ZeroVectorError
 from mrdeadlock.qp import ConstraintRow, QPProblem, box_rows
 from mrdeadlock.cbf import row_neighbor
@@ -305,16 +306,16 @@ def test_catB_parametrized_range_checks():
 def test_boundary_membership():
     z1, z2 = collinear_family(GOALS2, PARAMS2, 0.5)
     world = WorldState(robots=(z1, z2), t=0.0)
-    assert verify_boundary_membership(world, GOALS2, PARAMS2, tol=1e-8)
+    assert verify_boundary_membership(world, GOALS2, PARAMS2)
 
     # robots at rest 1.5 Ds apart carry no active rows: not on the deadlock boundary
     apart = WorldState(
         robots=(RobotState.at_rest((0.0, 0.0)), RobotState.at_rest((0.75, 0.0))), t=0.0
     )
-    assert not verify_boundary_membership(apart, GOALS2, PARAMS2, tol=1e-8)
+    assert not verify_boundary_membership(apart, GOALS2, PARAMS2)
 
     world_a, goals_a = three_robot_family_catA(PARAMS3, 2.0)
-    assert verify_boundary_membership(world_a, goals_a, PARAMS3, tol=1e-8)
+    assert verify_boundary_membership(world_a, goals_a, PARAMS3)
 
 
 def test_margin_contact_whenever_both_robots_detected():
@@ -324,7 +325,7 @@ def test_margin_contact_whenever_both_robots_detected():
     from mrdeadlock.sim import default_head_on_scenario, run_scenario
 
     scen = default_head_on_scenario(t_max=8.0)
-    th = scen.effective_thresholds()
+    th = DeadlockThresholds.from_params(scen.params)
     log = run_scenario(scen)
     u_norm = np.hypot(log.u_star[:, :, 0], log.u_star[:, :, 1])
     v_norm_arr = np.hypot(log.vel[:, :, 0], log.vel[:, :, 1])
@@ -352,7 +353,7 @@ def test_thresholds_validation_and_defaults():
         DeadlockThresholds(eps_u=0.0, eps_v=1e-3, eps_goal=0.05, eps_mu=1e-6)
 
 
-def _boundary_oracle(world, goals, params, tol=1e-8):
+def _boundary_oracle(world, goals, params):
     """verify_boundary_membership assembled robot by robot from the scalar functions."""
     active_pairs = set()
     for i in range(world.n):
@@ -367,7 +368,7 @@ def _boundary_oracle(world, goals, params, tol=1e-8):
             j = row_neighbor(i, k)
             active_pairs.add((min(i, j), max(i, j)))
     for i, j in sorted(active_pairs):
-        if abs(safety_index_signed(world.robots[i], world.robots[j], params, i, j)) > tol:
+        if abs(safety_index_signed(world.robots[i], world.robots[j], params, i, j)) > BOUNDARY_TOL:
             return False
     return True
 

@@ -33,7 +33,7 @@ from mrdeadlock.resolution import ResolutionConfig
 from mrdeadlock.sim import log_to_json
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
-RING32_SHA256 = "9c24e0bcc44fdea9886c9956b5ff3e8739c47f526d6198bb58ec40b0737dbf9b"
+RING32_SHA256 = "1f12fb51ad8236363c12b27ae432b476df2f42ca97c620afc20643ac0f4f74d5"
 
 
 def _sha256(log) -> str:
@@ -44,11 +44,11 @@ def _sha256(log) -> str:
     "yaml_name, scenario, fixture, digest",
     [
         ("head_on_cbf_only.yaml", HEAD_ON, "head_on_log",
-         "6cb438bfd23a299783b6dc6a031bcdfc59915b77de21671ed970ed7b72e28519"),
+         "73f959b373114ca4c26571bc2655a362049429cb42e0e41d2af6aeb0ff3f5ef2"),
         ("head_on_three_phase.yaml", TWO_ROBOT_RESOLUTION, "two_robot_resolution_log",
-         "e59c949efb8dbeef24313326871f8241bd2f6e05bacdb176ed4e3d36e4d58383"),
+         "4b84b2bcc0c8943c822e5788b995edf722875668ba1c2a350e2217f5c60f6832"),
         ("three_robot_cat_a.yaml", THREE_ROBOT_RESOLUTION, "three_robot_resolution_log",
-         "ba458ea9e6d77a987061e68e9ec98bdd65cda25c4174fab54dbf1efade1575de"),
+         "0cc35046948759b3ab18aa06ef1ea1d43b1822403b90f9eb4dee63c223a2039e"),
     ],
     ids=["head_on_cbf_only", "head_on_three_phase", "three_robot_cat_a"],
 )
@@ -90,13 +90,13 @@ def test_pd_only_run_to_goals_is_pinned():
     )
     log = run_scenario(scenario)
     assert log.events == [{"name": "goals-reached", "t": 10.603999999999562}]
-    assert _sha256(log) == "6d2e9d930c5c585463ec1f49cbdea37a9ca856003b68e630ec5a3aa9023b0354"
+    assert _sha256(log) == "0a42ae0c7a99d8f77b2b0e3ff1af3a006132710953459a3e8488a62c5f18e5da"
 
 
 def test_cbf_qp_only_three_robot_log_is_pinned():
     log = run_scenario(three_robot_cat_a_scenario(controller="cbf-qp-only", t_max=5.0))
     assert log.events == [{"name": "deadlock-detected", "t": 0.009000000000000001}]
-    assert _sha256(log) == "e4f824b5e7669a6c83c8e77e7f7b8761503c096a7b7c12a1851dd24fa3e6047a"
+    assert _sha256(log) == "544d139161923eae697c7de0d646e13e9f717c288c87254d47ed233a3f82435d"
 
 
 def test_category_b_resolution_log_is_pinned():
@@ -114,7 +114,7 @@ def test_category_b_resolution_log_is_pinned():
         {"name": "regularized", "t": 3.9809999999996726},
         {"name": "phase-3-start", "t": 8.503000000000727},
     ]
-    assert _sha256(log) == "012d08c051bb00f9d5e627d80591df7a827a6ac49964951adb5b60ca918c0edb"
+    assert _sha256(log) == "d2d2d7591783858a056d935cbcdf66384dc7b4d3eaf035c6c097ab6603d23951"
 
 
 def test_pd_only_head_on_abort_is_pinned():

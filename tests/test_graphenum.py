@@ -71,7 +71,7 @@ def test_labeled_graph_validation():
 
 def test_embed_triangle_feasible():
     g = LabeledGraph(n=3, edges=((0, 1), (0, 2), (1, 2)))
-    res = embed_graph(g, ds=1.0, attempts=50)
+    res = embed_graph(g, attempts=50)
     assert res.feasible
     assert res.positions is not None
     for u, v in g.edges:
@@ -81,7 +81,7 @@ def test_embed_triangle_feasible():
 
 def test_embed_path_feasible_with_open_ends():
     g = LabeledGraph(n=3, edges=((0, 1), (1, 2)))
-    res = embed_graph(g, ds=1.0, attempts=50)
+    res = embed_graph(g, attempts=50)
     assert res.feasible
     d02 = math.dist(res.positions[0], res.positions[2])
     assert d02 > 1.0  # strictly beyond the margin
@@ -89,7 +89,7 @@ def test_embed_path_feasible_with_open_ends():
 
 def test_embed_k4_infeasible():
     g = LabeledGraph(n=4, edges=tuple((i, j) for i in range(4) for j in range(i + 1, 4)))
-    res = embed_graph(g, ds=1.0, attempts=60)
+    res = embed_graph(g, attempts=60)
     assert not res.feasible
     assert res.max_violation > 1e-2  # far from realizable, not a tolerance accident
 
@@ -97,13 +97,13 @@ def test_embed_k4_infeasible():
 def test_embed_requires_connected():
     g = LabeledGraph(n=4, edges=((0, 1),))
     with pytest.raises(ValueError):
-        embed_graph(g, ds=1.0)
+        embed_graph(g)
 
 
 def test_embed_deterministic_given_seeding():
     g = LabeledGraph(n=4, edges=((0, 1), (1, 2), (2, 3)))
-    r1 = embed_graph(g, ds=1.0, attempts=10)
-    r2 = embed_graph(g, ds=1.0, attempts=10)
+    r1 = embed_graph(g, attempts=10)
+    r2 = embed_graph(g, attempts=10)
     assert r1.feasible == r2.feasible
     assert r1.positions == r2.positions
     assert graph_seed(g, 3) == graph_seed(g, 3)

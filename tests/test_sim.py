@@ -31,11 +31,11 @@ from mrdeadlock import (
 )
 from mrdeadlock import resolution, sim
 from mrdeadlock.cbf import pair_indices
-from mrdeadlock.deadlock import DeadlockThresholds
 from mrdeadlock.errors import SimulationAbort
-from mrdeadlock.resolution import ResolutionConfig
+from mrdeadlock.resolution import K_PERSIST, ResolutionConfig
 from mrdeadlock.sim import (
     _RECORD_LAYOUT,
+    STOP_GOAL_TOL,
     _file_fields,
     _Recorder,
     log_to_json,
@@ -89,7 +89,6 @@ def test_single_robot_pd_only_monotone_convergence():
         goals=GoalSpec(pd=((1.5, -0.5),)),
         controller="pd-only",
         t_max=35.0,
-        stop_goal_tol=1e-4,
     )
     log = run_scenario(scen)
     assert [e["name"] for e in log.events] == ["goals-reached"]
@@ -241,7 +240,7 @@ def test_overflowing_state_aborts_with_the_last_finite_snapshot():
 @pytest.mark.parametrize("controller", ["cbf-qp-only", "three-phase"])
 def test_penetration_below_abort_tolerance_aborts_with_snapshot(controller):
     # inside the margin by more than the boundary snap but less than
-    # abort_dist_tol: Scenario accepts the start, assembling the first QP fails
+    # ABORT_DIST_TOL: Scenario accepts the start, assembling the first QP fails
     params = Params(kp=1.0, kv=3.0, ds=0.5, alpha=(5.0, 5.0))
     scen = Scenario(
         params=params,
@@ -432,13 +431,13 @@ def test_unsupported_deadlock_aborts_with_snapshot(monkeypatch, case):
         t_max=0.02,
     )
     log = run_scenario(scen)
-    # with every step deadlocked, step k_persist - 1 detects the deadlock
+    # with every step deadlocked, step K_PERSIST - 1 detects the deadlock
     monkeypatch.setattr(resolution, "system_deadlock", lambda *_: True)
     with pytest.raises(SimulationAbort) as err:
         run_scenario(scen)
     assert err.value.kind == "unsupported-deadlock"
     assert message in str(err.value)
-    assert err.value.snapshot == _record_snapshot(log, scen.resolution.k_persist - 1)
+    assert err.value.snapshot == _record_snapshot(log, K_PERSIST - 1)
 
 
 def test_audit_checks_the_qp_records_off_phase_one():
@@ -475,7 +474,6 @@ def overridden_scenarios(draw) -> Scenario:
     """Valid scenarios whose every defaulted field, and every resolution field, is off its default."""
     base = default_head_on_scenario()
     params = Params(kp=draw(_floats(0.1, 2.0)), kv=3.0, ds=0.5, alpha=(draw(_floats(0.5, 9.0)), 5.0))
-    eps = _floats(1e-9, 1.0)
     return Scenario(
         params=params,
         initial=base.initial,
@@ -483,19 +481,8 @@ def overridden_scenarios(draw) -> Scenario:
         controller=draw(st.sampled_from(["three-phase", "pd-only"])),
         dt=draw(_floats(1e-6, 9e-4)),
         t_max=draw(_floats(31.0, 1e4)),
-        thresholds=DeadlockThresholds(draw(eps), draw(eps), draw(eps), draw(eps)),
-        stop_goal_tol=draw(_floats(2e-4, 1e-1)),
         log_every=draw(st.integers(2, 10**6)),
-        abort_dist_tol=draw(_floats(2e-6, 1e-2)),
-        resolution=ResolutionConfig(
-            kp2=draw(_floats(1e-3, 1e3)),
-            kv2=draw(_floats(1e-3, 1e3)),
-            k_h=draw(_floats(8.5, 1e3)),
-            eps_theta=draw(_floats(2e-3, 1.0)),
-            eps_omega=draw(_floats(1e-9, 9e-4)),
-            k_persist=draw(st.integers(11, 10**4)),
-            classify_tol=draw(_floats(1e-9, 1.0)),
-        ),
+        resolution=ResolutionConfig(kp2=draw(_floats(1e-3, 1e3)), kv2=draw(_floats(1e-3, 1e3))),
     )
 
 
@@ -539,11 +526,12 @@ def test_minimal_scenario_dict_takes_scenario_defaults():
         (lambda d: d["params"].update(kd=1.0), "unknown params key 'kd'"),
         (lambda d: d["robots"][1].update(vel=[1.0, 0.0]), "unknown robot key 'vel'"),
         (lambda d: d["robots"][1].pop("p"), "robot key 'p' is missing"),
-        (lambda d: d.update(thresholds={"eps_u": 1e-3, "eps_v": 1e-3, "eps_goal": 0.05}),
-         "thresholds key 'eps_mu' is missing"),
-        (lambda d: d.update(thresholds={"eps_u": 1e-3, "eps_v": 1e-3, "eps_goal": 0.05, "eps_mu": 1e-6, "e": 1}),
-         "unknown thresholds key 'e'"),
-        (lambda d: d.update(resolution={"k_persist": 5, "kp3": 1.0}), "unknown resolution key 'kp3'"),
+        (lambda d: d.update(resolution={"kp2": 5.0, "kp3": 1.0}), "unknown resolution key 'kp3'"),
+        # keys of files written before they became module constants
+        (lambda d: d.update(thresholds={"eps_u": 1e-3, "eps_v": 1e-3, "eps_goal": 0.05, "eps_mu": 1e-6}),
+         "unknown scenario key 'thresholds'"),
+        (lambda d: d.update(stop_goal_tol=1e-4), "unknown scenario key 'stop_goal_tol'"),
+        (lambda d: d.update(resolution={"k_persist": 5}), "unknown resolution key 'k_persist'"),
         (lambda d: d.update(resolution=[1, 2]), "resolution must be a mapping"),
         (lambda d: d.update(dt="fast"), "scenario key 'dt'"),
         (lambda d: d.update(t_max=math.inf), "need finite dt > 0 and t_max > dt"),
@@ -562,8 +550,8 @@ def test_scenario_from_dict_names_the_bad_key(edit, message):
 
 def test_scenario_from_dict_keeps_partial_resolution_defaults():
     d = scenario_to_dict(default_head_on_scenario())
-    d["resolution"] = {"k_persist": 5}
-    assert scenario_from_dict(d).resolution == ResolutionConfig(k_persist=5)
+    d["resolution"] = {"kp2": 5.0}
+    assert scenario_from_dict(d).resolution == ResolutionConfig(kp2=5.0)
 
 
 @pytest.mark.parametrize(
@@ -636,12 +624,11 @@ def test_goal_stop_event_and_time_bound():
         goals=GoalSpec(pd=((0.2, 0.0),)),
         controller="pd-only",
         t_max=60.0,
-        stop_goal_tol=1e-3,
     )
     log = run_scenario(scen)
     assert log.events[-1]["name"] == "goals-reached"
     assert log.t[-1] < 60.0
-    assert math.dist(tuple(log.pos[-1, 0]), (0.2, 0.0)) <= 1e-3
+    assert math.dist(tuple(log.pos[-1, 0]), (0.2, 0.0)) <= STOP_GOAL_TOL
 
 
 def test_log_every_decimation():
