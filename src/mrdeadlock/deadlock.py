@@ -99,6 +99,21 @@ class ThreeRobotCategory:
     center: int | None = None
 
 
+def _deadlocked(
+    z: RobotState, goal: Vec2, qp_solution: QPSolution, m_neighbors: int, thresholds: DeadlockThresholds,
+) -> bool:
+    """The verdict of the four deadlock conditions, each evaluated only if those before it hold."""
+    if qp_solution.status != "optimal":
+        raise ValueError("detect_deadlock expects an optimal QP solution")
+    mu = qp_solution.mu_star
+    return (
+        v_norm(qp_solution.u_star) <= thresholds.eps_u
+        and v_norm(z.v) <= thresholds.eps_v
+        and v_norm(v_sub(z.p, goal)) >= thresholds.eps_goal
+        and any(mu[k] > thresholds.eps_mu for k in qp_solution.active_set if k < m_neighbors)
+    )
+
+
 def detect_deadlock(
     i: int,
     world: WorldState,
@@ -108,45 +123,27 @@ def detect_deadlock(
     thresholds: DeadlockThresholds,
     problem: QPProblem,
 ) -> DeadlockReport:
-    """Evaluate the four deadlock conditions for robot i.
+    """Evaluate the four deadlock conditions for robot i, with every quantity behind them.
 
     ``problem`` is the QP that produced ``qp_solution``; its rows give the
     force-balance residual, and its first m_neighbors rows are the neighbors.
     """
-    if qp_solution.status != "optimal":
-        raise ValueError("detect_deadlock expects an optimal QP solution")
     z = world.robots[i]
-    u_star_norm = v_norm(qp_solution.u_star)
-    vel_norm = v_norm(z.v)
-    goal_dist = v_norm(v_sub(z.p, goals.pd[i]))
-
-    active = []
+    verdict = _deadlocked(z, goals.pd[i], qp_solution, problem.m_neighbors, thresholds)
+    active = tuple((k, qp_solution.mu_star[k]) for k in qp_solution.active_set)
     force = list(pd_control(z, goals.pd[i], params))
-    max_neighbor_mu = 0.0
-    for k in qp_solution.active_set:
-        mu = qp_solution.mu_star[k]
-        active.append((k, mu))
-        if k < problem.m_neighbors:
-            max_neighbor_mu = max(max_neighbor_mu, mu)
     for k, row in enumerate(problem.rows):
         mu = qp_solution.mu_star[k]
         if mu != 0.0:
             force[0] -= 0.5 * mu * row.a[0]
             force[1] -= 0.5 * mu * row.a[1]
-
-    verdict = (
-        u_star_norm <= thresholds.eps_u
-        and vel_norm <= thresholds.eps_v
-        and goal_dist >= thresholds.eps_goal
-        and max_neighbor_mu > thresholds.eps_mu
-    )
     return DeadlockReport(
         robot=i,
         verdict=verdict,
-        u_star_norm=u_star_norm,
-        v_norm=vel_norm,
-        goal_dist=goal_dist,
-        active_multipliers=tuple(active),
+        u_star_norm=v_norm(qp_solution.u_star),
+        v_norm=v_norm(z.v),
+        goal_dist=v_norm(v_sub(z.p, goals.pd[i])),
+        active_multipliers=active,
         force_balance_residual=v_norm((force[0], force[1])),
     )
 
@@ -159,12 +156,12 @@ def system_deadlock(
     thresholds: DeadlockThresholds,
     problems: tuple[QPProblem, ...] | None = None,
 ) -> bool:
-    """True iff every robot is in deadlock; ``problems`` are built from the pair pass if not given."""
+    """True iff every robot is in deadlock, up to the first that is not; ``problems`` are built if not given."""
     if problems is None:
         u_hat = [pd_control(z, g, params) for z, g in zip(world.robots, goals.pd)]
         problems = PairField(world, params).problems(u_hat)
     for i in range(world.n):
-        if not detect_deadlock(i, world, goals, params, solutions[i], thresholds, problems[i]).verdict:
+        if not _deadlocked(world.robots[i], goals.pd[i], solutions[i], problems[i].m_neighbors, thresholds):
             return False
     return True
 

@@ -95,8 +95,9 @@ class QPSolution:
 
 
 def _feasible(rows: tuple[ConstraintRow, ...], u: Vec2) -> bool:
+    """Every row holds at u within FEAS_TOL.  A NaN a.u holds for no row, so a non-finite u fails a box row."""
     for row in rows:
-        if v_dot(row.a, u) > row.b_hat + FEAS_TOL * (1.0 + abs(row.b_hat)):
+        if not v_dot(row.a, u) <= row.b_hat + FEAS_TOL * (1.0 + abs(row.b_hat)):
             return False
     return True
 

@@ -42,10 +42,8 @@ from .core import (
     goal_bearing,
     pd_control,
     unit_vector,
-    v_add,
     v_cross,
     v_dot,
-    v_scale,
     v_sub,
     wrap_angle,
 )
@@ -229,10 +227,6 @@ def simulate_relative_pd(
 Angles = Callable[[list[Vec2]], list[tuple[float, Sequence[float]]]]
 
 
-def _lead(row: Sequence[float]) -> float:
-    return abs(row[0])
-
-
 @dataclass(frozen=True)
 class _ControlMap:
     """A phase-2 mode's free controls w, one 2-vector block per robot of ``blocks`` (at most two).
@@ -248,9 +242,9 @@ class _ControlMap:
 
     @cached_property
     def pair_coef(self) -> tuple[tuple[int, ...], ...]:
-        """d (u_j - u_i) / d w of each pinned pair, one entry per component of w."""
+        """d (u_j - u_i) / d w of each pinned pair, one entry per block of w (the same for its x and y)."""
         du = [[(k == rb) - (k == self.balance) for rb in self.blocks] for k in range(self.n)]   # d u_k / d block
-        return tuple(tuple(cj - ci for ci, cj in zip(du[i], du[j]) for _ in "xy") for i, j in self.pairs)
+        return tuple(tuple(cj - ci for ci, cj in zip(du[i], du[j])) for i, j in self.pairs)
 
     def controls(self, w: Sequence[float]) -> list[Vec2]:
         us = [(0.0, 0.0)] * self.n
@@ -263,11 +257,20 @@ class _ControlMap:
         return us
 
 
+def _pop_pivot(rows: list[tuple[float, ...]]) -> tuple[float, ...]:
+    """Remove and return the first row of largest |leading entry|, the row max() would pick."""
+    k = 0
+    for i in range(1, len(rows)):
+        if abs(rows[i][0]) > abs(rows[k][0]):
+            k = i
+    return rows.pop(k)
+
+
 def _solve(a: list[Sequence[float]], b: list[float]) -> list[float]:
     """x with a x = b: Cramer's rule on a 2x2, Gaussian elimination with partial pivoting on a 4x4.
 
-    Each elimination stage pivots on the remaining row of largest leading
-    entry.  A zero determinant or pivot raises phase2-singular.
+    Each elimination stage pivots on the first remaining row of largest
+    leading entry.  A zero determinant or pivot raises phase2-singular.
     """
     try:
         if len(b) == 2:
@@ -275,20 +278,18 @@ def _solve(a: list[Sequence[float]], b: list[float]) -> list[float]:
             det = a00 * a11 - a01 * a10
             return [(b[0] * a11 - a01 * b[1]) / det, (a00 * b[1] - a10 * b[0]) / det]
         rows = [(*row, bi) for row, bi in zip(a, b)]
-        p = max(rows, key=_lead)
-        rows.remove(p)
-        p0, p1, p2, p3, pb = p
+        p0, p1, p2, p3, pb = _pop_pivot(rows)
         sub = []
         for r0, r1, r2, r3, rb in rows:
             f = r0 / p0
             sub.append((r1 - f * p1, r2 - f * p2, r3 - f * p3, rb - f * pb))
-        q = max(sub, key=_lead)
-        sub.remove(q)
-        q0, q1, q2, qb = q
+        q0, q1, q2, qb = _pop_pivot(sub)
         (s0, s1, s2, sb), (t0, t1, t2, tb) = sub
         f, g = s0 / q0, t0 / q0
-        (u0, u1, ub), (v0, v1, vb) = sorted(
-            [(s1 - f * q1, s2 - f * q2, sb - f * qb), (t1 - g * q1, t2 - g * q2, tb - g * qb)], key=_lead, reverse=True)
+        u0, u1, ub = s1 - f * q1, s2 - f * q2, sb - f * qb
+        v0, v1, vb = t1 - g * q1, t2 - g * q2, tb - g * qb
+        if abs(v0) > abs(u0):
+            (u0, u1, ub), (v0, v1, vb) = (v0, v1, vb), (u0, u1, ub)
         f = v0 / u0
         x3 = (vb - f * ub) / (v1 - f * u1)
         x2 = (ub - u1 * x3) / u0
@@ -318,8 +319,9 @@ def _phase2_system(world: WorldState, params: Params, control: _ControlMap, angl
     """The residuals that pin the next integrator state, and their Jacobian, as one function of w.
 
     The residuals are every pinned pair's, then the mode's angle residuals,
-    at the (p, v) of the euler_step the integrator will take: p moves by
-    dt^2 u and v by dt u.  Pair (i, j) is pinned by 2 asum (r - Ds) - q |q|
+    at the (p, v) of the euler_step the integrator will take, which each pass
+    redoes on plain floats in euler_step's order (v + dt u, then p + dt v).
+    Pair (i, j) is pinned by 2 asum (r - Ds) - q |q|
     with q = h_t - y / r, dp = p_j - p_i, dv = v_j - v_i, y = dp.dv, which
     vanishes exactly when its signed safety index is h_t and, unlike that
     index, has a bounded slope on the boundary, where phase 2 operates.  Its
@@ -327,17 +329,22 @@ def _phase2_system(world: WorldState, params: Params, control: _ControlMap, angl
     with s = 2 |q| / r.  ``angles(ps)`` gives each angle residual of the
     predicted positions ps with its gradient in w.
     """
-    z = world.robots
-    ds, dt2 = params.ds, dt * dt
-    terms = [(i, j, h_t, params.alpha_of(i) + params.alpha_of(j), c)
+    ds, dt2, alpha = params.ds, dt * dt, params.alpha
+    states = [(*z.p, *z.v) for z in world.robots]
+    wide = len(control.blocks) == 2    # with one block, c[0] and c[-1] are its one coefficient
+    terms = [(i, j, h_t, alpha[i] + alpha[j], c[0], c[-1])
              for (i, j), h_t, c in zip(control.pairs, h_ts, control.pair_coef)]
 
     def system(w: list[float]) -> tuple[list[float], list[Sequence[float]]]:
-        pred = [euler_step(zi.p, zi.v, u, dt) for zi, u in zip(z, control.controls(w))]
+        ps, vs = [], []
+        for (px, py, vx, vy), (ux, uy) in zip(states, control.controls(w)):
+            vx, vy = vx + dt * ux, vy + dt * uy
+            ps.append((px + dt * vx, py + dt * vy))
+            vs.append((vx, vy))
         fw, jac = [], []
-        for i, j, h_t, asum, c in terms:
-            (pi, vi), (pj, vj) = pred[i], pred[j]
-            dpx, dpy, dvx, dvy = pj[0] - pi[0], pj[1] - pi[1], vj[0] - vi[0], vj[1] - vi[1]
+        for i, j, h_t, asum, ca, cb in terms:
+            (pix, piy), (vix, viy), (pjx, pjy), (vjx, vjy) = ps[i], vs[i], ps[j], vs[j]
+            dpx, dpy, dvx, dvy = pjx - pix, pjy - piy, vjx - vix, vjy - viy
             r = math.hypot(dpx, dpy)
             if r == 0.0:
                 raise CoincidentRobotsError("predicted coincident robots in phase 2")
@@ -347,8 +354,8 @@ def _phase2_system(world: WorldState, params: Params, control: _ControlMap, angl
             s = 2.0 * abs(q) / r
             g = dt2 * (2.0 * asum - s * y / r) / r + dt * s
             gx, gy = g * dpx + dt2 * s * dvx, g * dpy + dt2 * s * dvy
-            jac.append(list(map(operator.mul, c, (gx, gy, gx, gy))))
-        for value, grad in angles([p for p, _ in pred]):
+            jac.append((ca * gx, ca * gy, cb * gx, cb * gy) if wide else (ca * gx, ca * gy))
+        for value, grad in angles(ps):
             fw.append(value)
             jac.append(grad)
         return fw, jac
@@ -373,8 +380,10 @@ def _pin_controls(
 def _assembly_vector(ps: Sequence[Vec2]) -> Vec2:
     """p_1 - p_0 (two robots) or p_0 - centroid (three) of positions or velocities: the bearing vector."""
     if len(ps) == 2:
-        return v_sub(ps[1], ps[0])
-    return v_sub(ps[0], v_scale(v_add(v_add(ps[0], ps[1]), ps[2]), 1.0 / 3.0))
+        (x0, y0), (x1, y1) = ps
+        return (x1 - x0, y1 - y0)
+    (x0, y0), (x1, y1), (x2, y2) = ps
+    return (x0 - (x0 + x1 + x2) * (1.0 / 3.0), y0 - (y0 + y1 + y2) * (1.0 / 3.0))
 
 
 def _measured_bearing(world: WorldState) -> tuple[float, float]:
@@ -536,7 +545,8 @@ def _phase_two_step(
         info["event"] = ("regularized", t)
     decay = math.exp(-K_H * (t + dt - state.t_ref0))
     h_ts = tuple(h if abs(h) > H_TARGET_FLOOR else 0.0 for h in (h0 * decay for h0 in state.h_entry))
-    if isinstance(state, Rotating) and _aligned(state, world) and all(h == 0.0 for h in h_ts):
+    # every boundary target has decayed to zero (no h is truthy) and the bearing has settled
+    if isinstance(state, Rotating) and not any(h_ts) and _aligned(state, world):
         info["phase"] = Phase.THREE
         return tuple(u_hat), Released(), info
 
@@ -545,7 +555,10 @@ def _phase_two_step(
     theta_ref = state.theta_ref + dt * omega_ref
     control, angles = _manifold(state, world.n, theta_ref, dt)
     controls, warm = _pin_controls(world, params, control, angles, h_ts, state.newton_warm, dt)
-    return controls, replace(state, theta_ref=theta_ref, omega_ref=omega_ref, newton_warm=warm), info
+    if isinstance(state, Rotating):
+        return controls, Rotating(state.beta_ref, state.h_entry, state.t_ref0, theta_ref, omega_ref, warm), info
+    return controls, Regularizing(
+        state.center, state.h_entry, state.t_ref0, theta_ref, omega_ref, state.beta_ref, state.psi_hold, warm), info
 
 
 def _aligned(state: Rotating | Regularizing, world: WorldState) -> bool:

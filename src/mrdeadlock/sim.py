@@ -237,9 +237,21 @@ class _Recorder:
 
 
 def integrate_step(world: WorldState, controls: tuple[Vec2, ...], dt: float) -> WorldState:
-    """Every robot advanced by one euler_step, and the time by dt."""
-    robots = tuple(RobotState(*euler_step(z.p, z.v, u, dt)) for z, u in zip(world.robots, controls))
-    return WorldState(robots=robots, t=world.t + dt)
+    """Every robot advanced by one euler_step, and the time by dt.
+
+    euler_step's new floats are not coerced again, only checked once with
+    math.isfinite; RobotState raises its ValueError for a non-finite one.
+    """
+    robots = []
+    for z, u in zip(world.robots, controls):
+        p, v = euler_step(z.p, z.v, u, dt)
+        if not (math.isfinite(p[0]) and math.isfinite(p[1]) and math.isfinite(v[0]) and math.isfinite(v[1])):
+            RobotState(p, v)   # raises, naming the position or the velocity
+        robot = object.__new__(RobotState)   # set as the frozen class's own __init__ sets them
+        object.__setattr__(robot, "p", p)
+        object.__setattr__(robot, "v", v)
+        robots.append(robot)
+    return WorldState(robots=tuple(robots), t=world.t + dt)
 
 
 # Geometry errors of the pair pass and the supervisor, and the abort kind
@@ -372,6 +384,13 @@ def _integer(value) -> int:
     raise ValueError(f"expected an integer, got {value!r}")
 
 
+def _number(value) -> float:
+    """value as a float; an int or a float passes, true or "0.001" does not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _list(value) -> list | tuple:
     """value if it is a list or a tuple (a string or a single number is not)."""
     if not isinstance(value, (list, tuple)):
@@ -382,11 +401,11 @@ def _list(value) -> list | tuple:
 # How a scenario-file value is read, by the annotation text of its dataclass
 # field (these modules postpone annotations, so Field.type is that text).
 _READERS = {
-    "float": float,
+    "float": _number,
     "int": _integer,
     "str": str,
-    "float | None": lambda v: None if v is None else float(v),
-    "tuple[float, ...]": lambda v: [float(a) for a in _list(v)],
+    "float | None": lambda v: None if v is None else _number(v),
+    "tuple[float, ...]": lambda v: [_number(a) for a in _list(v)],
 }
 # Fields that hold a mapping of a dataclass's own fields.
 _SECTIONS = {"Params": Params, "ResolutionConfig": ResolutionConfig}
@@ -600,8 +619,8 @@ def _record_array(values, dtype, bools: bool) -> np.ndarray:
 def _finite(x) -> bool:
     """x is a finite number (a bool or a number too large for a float is not)."""
     try:
-        return not isinstance(x, bool) and math.isfinite(x)
-    except (TypeError, OverflowError):
+        return math.isfinite(_number(x))
+    except (ValueError, OverflowError):
         return False
 
 

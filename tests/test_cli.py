@@ -141,11 +141,17 @@ def test_run_rejects_zero_persistence_with_one_line(tmp_path, capsys):
         (lambda d: d.update(resolution={"k_h": None}), "'k_h'"),
         (lambda d: d.update(resolution={"eps_theta": None}), "'eps_theta'"),
         (lambda d: d.update(resolution={"k_h": "fast"}), "'k_h'"),
+        # a bool or a string where a number belongs is rejected, not coerced
+        (lambda d: d["params"].update(kp=True), "'kp'"),
+        (lambda d: d.update(dt="0.001"), "'dt'"),
+        (lambda d: d.update(resolution={"kp2": True}), "'kp2'"),
+        (lambda d: d["params"].update(alpha=[True, 5.0]), "'alpha'"),
     ],
     ids=[
         "missing-goals", "unknown-resolution-key", "one-number-position",
         "number-robots", "number-alpha", "null-kp", "number-goals", "401-digit-kp", "401-digit-position",
         "infinite-kp2", "old-seed", "old-k1", "null-threshold", "null-k_h", "null-eps_theta", "word-k_h",
+        "bool-kp", "string-dt", "bool-kp2", "bool-alpha",
     ],
 )
 def test_malformed_scenario_exits_2_with_one_line(tmp_path, capsys, edit, named):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,11 +30,12 @@ from mrdeadlock import (
     two_robot_multiplier,
     verify_boundary_membership,
 )
-from mrdeadlock.core import v_norm, v_sub
-from mrdeadlock.deadlock import BOUNDARY_TOL
+from mrdeadlock.core import pd_control, v_norm, v_sub
+from mrdeadlock.deadlock import BOUNDARY_TOL, _deadlocked
 from mrdeadlock.errors import SafetyViolationError, ToolkitError, ZeroVectorError
 from mrdeadlock.qp import ConstraintRow, QPProblem, box_rows
-from mrdeadlock.cbf import row_neighbor
+from mrdeadlock.cbf import PairField, row_neighbor
+from conftest import HEAD_ON
 from test_pair_field import worlds
 
 PARAMS2 = Params(kp=1.0, kv=3.0, ds=0.5, alpha=(5.0, 5.0))
@@ -108,6 +110,58 @@ def test_system_deadlock_requires_every_robot():
     assert detect_deadlock(1, world, goals, PARAMS3, sols[1], th, problems[1]).verdict
     assert not detect_deadlock(2, world, goals, PARAMS3, sols[2], th, problems[2]).verdict
     assert not system_deadlock(world, goals, PARAMS3, sols, th)
+
+
+def _verdicts(world, goals, params, th):
+    """(the verdict-only predicate, detect_deadlock's verdict) of every robot of world."""
+    problems, sols = solve_all(world, goals, params)
+    return [
+        (_deadlocked(world.robots[i], goals.pd[i], sols[i], problems[i].m_neighbors, th),
+         detect_deadlock(i, world, goals, params, sols[i], th, problems[i]).verdict)
+        for i in range(world.n)
+    ]
+
+
+def _family_worlds():
+    for alpha in (0.3, 0.5, 0.7):
+        yield WorldState(robots=collinear_family(GOALS2, PARAMS2, alpha)), GOALS2, PARAMS2
+    yield (*three_robot_family_catA(PARAMS3, 2.0), PARAMS3)
+    yield (*three_robot_family_catB(PARAMS3, 2.0), PARAMS3)
+    yield (*catB_parametrized(PARAMS3, 2.0, -0.3, 1.0), PARAMS3)
+
+
+@pytest.mark.parametrize("fails", [None, "eps_u", "eps_v", "eps_goal", "eps_mu"])
+def test_verdict_predicate_matches_detect_deadlock_on_the_families(fails):
+    # every family member is deadlocked.  eps_goal and eps_mu moved past every
+    # measure fail their condition; eps_u and eps_v at 1e-300 test the
+    # condition at a measure of (near) zero
+    moved = {"eps_u": 1e-300, "eps_v": 1e-300, "eps_goal": 1e3, "eps_mu": 1e6}
+    for world, goals, params in _family_worlds():
+        th = DeadlockThresholds.from_params(params)
+        if fails is not None:
+            th = replace(th, **{fails: moved[fails]})
+        verdicts = _verdicts(world, goals, params, th)
+        assert all(fast == full for fast, full in verdicts), verdicts
+        if fails in (None, "eps_goal", "eps_mu"):
+            assert all(fast == (fails is None) for fast, _ in verdicts)
+
+
+def test_verdict_predicate_matches_detect_deadlock_along_the_pinned_head_on_log(head_on_log):
+    log, _ = head_on_log
+    params, goals = HEAD_ON.params, HEAD_ON.goals
+    th = DeadlockThresholds.from_params(params)
+    seen = set()
+    for k in range(0, log.n_records, 97):
+        world = log.world_at(k)
+        problems = PairField(world, params).problems([pd_control(z, g, params) for z, g in zip(world.robots, goals.pd)])
+        sols = [solve_qp(p) for p in problems]
+        for i in range(world.n):
+            fast = _deadlocked(world.robots[i], goals.pd[i], sols[i], problems[i].m_neighbors, th)
+            assert fast == detect_deadlock(i, world, goals, params, sols[i], th, problems[i]).verdict, (k, i)
+            seen.add(fast)
+        assert system_deadlock(world, goals, params, tuple(sols), th, tuple(problems)) == all(
+            detect_deadlock(i, world, goals, params, sols[i], th, problems[i]).verdict for i in range(world.n))
+    assert seen == {False, True}
 
 
 def test_two_robot_multiplier_examples():

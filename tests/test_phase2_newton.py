@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from mrdeadlock import Params, RobotState, WorldState
@@ -118,6 +118,49 @@ def test_solve_matches_numpy_on_well_conditioned_systems(system):
     expected = np.linalg.solve(np.array(a), np.array(b))
     x = _solve(a, b)
     assert np.allclose(x, expected, rtol=1e-12, atol=1e-12)
+
+
+def _solve_by_max_and_sorted(a, b):
+    """The 4x4 elimination with its pivots picked by max and a stable reverse sort on |leading entry|."""
+    lead = lambda row: abs(row[0])  # noqa: E731
+    rows = [(*row, bi) for row, bi in zip(a, b)]
+    p = max(rows, key=lead)
+    rows.remove(p)
+    p0, p1, p2, p3, pb = p
+    sub = [(r1 - r0 / p0 * p1, r2 - r0 / p0 * p2, r3 - r0 / p0 * p3, rb - r0 / p0 * pb) for r0, r1, r2, r3, rb in rows]
+    q = max(sub, key=lead)
+    sub.remove(q)
+    q0, q1, q2, qb = q
+    (s0, s1, s2, sb), (t0, t1, t2, tb) = sub
+    f, g = s0 / q0, t0 / q0
+    (u0, u1, ub), (v0, v1, vb) = sorted(
+        [(s1 - f * q1, s2 - f * q2, sb - f * qb), (t1 - g * q1, t2 - g * q2, tb - g * qb)], key=lead, reverse=True)
+    f = v0 / u0
+    x3 = (vb - f * ub) / (v1 - f * u1)
+    x2 = (ub - u1 * x3) / u0
+    x1 = (qb - q1 * x2 - q2 * x3) / q0
+    return [(pb - p1 * x1 - p2 * x2 - p3 * x3) / p0, x1, x2, x3]
+
+
+def _outcome(solve, a, b) -> str:
+    try:
+        return repr(solve(a, b))
+    except (SimulationAbort, ZeroDivisionError):
+        return "singular"
+
+
+# entries from a small set make tied leading entries (|a| equal, signs and zeros mixed) common
+tie_prone = st.one_of(st.sampled_from((-2.0, -1.0, -0.0, 0.0, 1.0, 2.0)), st.floats(-3.0, 3.0))
+
+
+@given(st.lists(st.lists(tie_prone, min_size=4, max_size=4), min_size=4, max_size=4),
+       st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4))
+# the last stage's two rows tie at |leading entry| 2: the first is the pivot
+@example([[3.0, 1.0, 0.0, 2.0], [1.0, -2.0, 0.0, 2.0], [1.0, 0.0, -2.0, -1.0], [-1.0, 0.0, 2.0, -1.0]],
+         [0.0, 1.0, -2.0, -1.0])
+def test_solve_pivots_as_max_and_a_stable_sort_did(a, b):
+    # plain comparisons pick the same pivots, ties included, so x is the same bit for bit
+    assert _outcome(_solve, a, b) == _outcome(_solve_by_max_and_sorted, a, b)
 
 
 @pytest.mark.parametrize(

@@ -307,6 +307,12 @@ def qp_problems(draw):
 # infeasible: the first row excludes the whole box
 @example(QPProblem(u_hat=(0.0, 0.0), rows=(
     ConstraintRow((1.0, 0.0), -6.0), ConstraintRow((0.0, 1.0), 9.0)) + box_rows(5.0)))
+# a row whose |a|^2 is subnormal: its multiplier overflows, and a candidate
+# with an infinite control must not pass the feasibility test (0 * inf = NaN)
+@example(QPProblem(u_hat=(0.5, 0.5), rows=(
+    ConstraintRow((0.0, 0.0), 0.0), ConstraintRow((0.0, 0.0), -1.0), ConstraintRow((0.0, 0.0), -1.0),
+    ConstraintRow((1.0, -1.0), 1.000011), ConstraintRow((0.0, 0.0), -1.0),
+    ConstraintRow((-8.925993836822974e-232, 9.39691959866434e-156), -1.0)) + box_rows(0.5)))
 def test_solve_qp_matches_full_enumeration(problem):
     assert _outcome(solve_qp, problem) == _outcome(_full_enumeration, problem)
 

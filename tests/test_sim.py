@@ -8,7 +8,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mrdeadlock import (
@@ -31,6 +31,7 @@ from mrdeadlock import (
 )
 from mrdeadlock import resolution, sim
 from mrdeadlock.cbf import pair_indices
+from mrdeadlock.core import euler_step
 from mrdeadlock.errors import SimulationAbort
 from mrdeadlock.resolution import K_PERSIST, ResolutionConfig
 from mrdeadlock.sim import (
@@ -57,6 +58,37 @@ def test_integrate_step_one_step_arithmetic():
     nxt = integrate_step(world, ((1.0, 0.0),), 0.1)
     assert nxt.robots[0].v == pytest.approx((0.1, 0.0))
     assert nxt.robots[0].p == pytest.approx((0.01, 0.0))
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+# moderate numbers, and any finite float (which often overflows the step)
+numbers = st.one_of(st.floats(-10.0, 10.0), finite)
+vectors = st.tuples(numbers, numbers)
+
+
+def _bits(robots) -> list[str]:
+    return [x.hex() for z in robots for x in (*z.p, *z.v)]
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(vectors, vectors, vectors), min_size=1, max_size=3), numbers, st.floats(0.0, 100.0))
+# the control overflows the velocity, and with it the position
+@example([((0.0, 0.0), (0.0, -0.0), (1e308, 0.0))], 10.0, 0.0)
+# signed zeros: -0.0 + dt * -0.0 stays -0.0
+@example([((-0.0, 0.0), (-0.0, -0.0), (-0.0, 0.0))], 0.001, 0.0)
+def test_integrate_step_is_euler_step_bit_for_bit(robots, dt, t):
+    world = WorldState(robots=tuple(RobotState(p, v) for p, v, _ in robots), t=t)
+    controls = tuple(u for _, _, u in robots)
+    try:
+        expected = [RobotState(*euler_step(z.p, z.v, u, dt)) for z, u in zip(world.robots, controls)]
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            integrate_step(world, controls, dt)
+        assert str(err.value) == str(exc)
+        return
+    nxt = integrate_step(world, controls, dt)
+    assert _bits(nxt.robots) == _bits(expected)
+    assert nxt.t.hex() == (t + dt).hex()
 
 
 def test_integrate_step_first_order_convergence():
