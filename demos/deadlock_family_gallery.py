@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 
 from mrdeadlock import (
-    DeadlockThresholds,
     GoalSpec,
     Params,
     WorldState,
@@ -31,7 +30,6 @@ from mrdeadlock import (
 
 
 def check(tag, world, goals, params, extra=""):
-    thresholds = DeadlockThresholds.from_params(params)
     worst_u = 0.0
     worst_balance = 0.0
     min_mu = math.inf
@@ -39,7 +37,7 @@ def check(tag, world, goals, params, extra=""):
     for i in range(world.n):
         problem = assemble_qp(i, world, goals, params)
         sol = solve_qp(problem)
-        report = detect_deadlock(i, world, goals, params, sol, thresholds, problem)
+        report = detect_deadlock(i, world, goals, params, sol, problem)
         verdicts.append(report.verdict)
         worst_u = max(worst_u, report.u_star_norm)
         worst_balance = max(worst_balance, report.force_balance_residual)

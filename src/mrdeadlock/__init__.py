@@ -35,7 +35,6 @@ from .core import (
 )
 from .deadlock import (
     DeadlockReport,
-    DeadlockThresholds,
     ThreeRobotCategory,
     boundedness_identity,
     catB_parametrized,

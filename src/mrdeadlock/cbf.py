@@ -67,7 +67,7 @@ def safety_index(zi: RobotState, zj: RobotState, params: Params, i: int = 0, j: 
     eps = r - params.ds
     if eps < -BOUNDARY_SNAP:
         raise SafetyViolationError(penetration=-eps, pair=(i, j))
-    asum = params.alpha_of(i) + params.alpha_of(j)
+    asum = params.alpha[i] + params.alpha[j]
     core = 0.0 if eps <= BOUNDARY_SNAP else math.sqrt(2.0 * asum * eps)
     return core + pv / r
 
@@ -84,7 +84,7 @@ def safety_index_signed(zi: RobotState, zj: RobotState, params: Params, i: int =
     if r == 0.0:
         raise CoincidentRobotsError(f"robots {i} and {j} coincide")
     eps = r - params.ds
-    asum = params.alpha_of(i) + params.alpha_of(j)
+    asum = params.alpha[i] + params.alpha[j]
     if abs(eps) <= BOUNDARY_SNAP:
         core = 0.0
     else:
@@ -109,7 +109,7 @@ def constraint_bound(zi: RobotState, zj: RobotState, params: Params, i: int = 0,
     eps = r - params.ds
     if eps < -BOUNDARY_SNAP:
         raise SafetyViolationError(penetration=-eps, pair=(i, j))
-    asum = params.alpha_of(i) + params.alpha_of(j)
+    asum = params.alpha[i] + params.alpha[j]
     if eps < EPS_NUM:
         if abs(pv) < EPS_NUM:
             middle = 0.0
@@ -133,7 +133,7 @@ def decentralized_rows(
     """
     b = constraint_bound(zi, zj, params, i, j)
     dp = v_sub(zi.p, zj.p)
-    ai, aj = params.alpha_of(i), params.alpha_of(j)
+    ai, aj = params.alpha[i], params.alpha[j]
     asum = ai + aj
     row_i = ConstraintRow(a=(-dp[0], -dp[1]), b_hat=(ai / asum) * b)
     row_j = ConstraintRow(a=(dp[0], dp[1]), b_hat=(aj / asum) * b)
@@ -155,7 +155,7 @@ def assemble_qp(i: int, world: WorldState, goals: GoalSpec, params: Params) -> Q
             continue
         row_i, _ = decentralized_rows(zi, world.robots[j], params, i, j)
         rows.append(row_i)
-    rows.extend(box_rows(params.alpha_of(i)))
+    rows.extend(box_rows(params.alpha[i]))
     return QPProblem(u_hat=u_hat, rows=tuple(rows))
 
 

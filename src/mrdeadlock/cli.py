@@ -8,7 +8,6 @@ import sys
 
 from .cbf import PairField, pair_indices
 from .deadlock import (
-    DeadlockThresholds,
     boundedness_identity,
     catB_parametrized,
     classify_three_robot,
@@ -57,14 +56,13 @@ def _family_world(args: argparse.Namespace):
 
 def _cmd_families(args: argparse.Namespace) -> int:
     world, goals, params = _family_world(args)
-    thresholds = DeadlockThresholds.from_params(params)
     print(f"family {args.family}: {world.n} robots, Ds={params.ds}")
     field = PairField(world, params)
     problems = field.problems([pd_control(z, g, params) for z, g in zip(world.robots, goals.pd)])
     all_dl = True
     for i, problem in enumerate(problems):
         sol = solve_qp(problem)
-        report = detect_deadlock(i, world, goals, params, sol, thresholds, problem)
+        report = detect_deadlock(i, world, goals, params, sol, problem)
         all_dl &= report.verdict
         mus = ", ".join(f"row{k}: {mu:.4f}" for k, mu in report.active_multipliers)
         print(

@@ -102,9 +102,6 @@ class Params:
         """kv^2 - 4 kp > 0; required by the phase-3 separation argument."""
         return self.kv * self.kv - 4.0 * self.kp > 0.0
 
-    def alpha_of(self, i: int) -> float:
-        return self.alpha[i]
-
 
 @dataclass(frozen=True)
 class RobotState:

@@ -36,36 +36,12 @@ from .qp import QPProblem, QPSolution, solve_qp
 
 BOUNDARY_TOL = 1e-8   # verify_boundary_membership's bound on |h| of every active pair
 
-
-@dataclass(frozen=True)
-class DeadlockThresholds:
-    """Numerical thresholds realizing the exact-equality deadlock conditions.
-
-    eps_u      control-norm threshold (m/s^2)
-    eps_v      velocity-norm threshold (m/s)
-    eps_goal   minimum distance-to-goal for a robot to count as stuck (m)
-    eps_mu     minimum neighbor-multiplier magnitude
-    """
-
-    eps_u: float
-    eps_v: float
-    eps_goal: float
-    eps_mu: float
-
-    def __post_init__(self):
-        if min(self.eps_u, self.eps_v, self.eps_goal, self.eps_mu) <= 0.0:
-            raise ValueError("all thresholds must be strictly positive")
-
-    @classmethod
-    def from_params(cls, params: Params) -> "DeadlockThresholds":
-        # Defaults scale with the problem data; the source only asks for
-        # "small thresholds".
-        return cls(
-            eps_u=1e-3 * params.kp * params.ds,
-            eps_v=1e-3,
-            eps_goal=0.1 * params.ds,
-            eps_mu=1e-6,
-        )
+# The "small thresholds" that realize the exact-equality deadlock conditions;
+# the control and goal thresholds scale with the problem data.
+EPS_U = 1e-3      # control norm, times kp Ds (m/s^2)
+EPS_V = 1e-3      # velocity norm (m/s)
+EPS_GOAL = 0.1    # distance to goal for a robot to count as stuck, times Ds (m)
+EPS_MU = 1e-6     # neighbor-multiplier magnitude
 
 
 def geometric_tol(params: Params) -> float:
@@ -99,18 +75,16 @@ class ThreeRobotCategory:
     center: int | None = None
 
 
-def _deadlocked(
-    z: RobotState, goal: Vec2, qp_solution: QPSolution, m_neighbors: int, thresholds: DeadlockThresholds,
-) -> bool:
+def _deadlocked(z: RobotState, goal: Vec2, qp_solution: QPSolution, m_neighbors: int, params: Params) -> bool:
     """The verdict of the four deadlock conditions, each evaluated only if those before it hold."""
     if qp_solution.status != "optimal":
         raise ValueError("detect_deadlock expects an optimal QP solution")
     mu = qp_solution.mu_star
     return (
-        v_norm(qp_solution.u_star) <= thresholds.eps_u
-        and v_norm(z.v) <= thresholds.eps_v
-        and v_norm(v_sub(z.p, goal)) >= thresholds.eps_goal
-        and any(mu[k] > thresholds.eps_mu for k in qp_solution.active_set if k < m_neighbors)
+        v_norm(qp_solution.u_star) <= EPS_U * params.kp * params.ds
+        and v_norm(z.v) <= EPS_V
+        and v_norm(v_sub(z.p, goal)) >= EPS_GOAL * params.ds
+        and any(mu[k] > EPS_MU for k in qp_solution.active_set if k < m_neighbors)
     )
 
 
@@ -120,7 +94,6 @@ def detect_deadlock(
     goals: GoalSpec,
     params: Params,
     qp_solution: QPSolution,
-    thresholds: DeadlockThresholds,
     problem: QPProblem,
 ) -> DeadlockReport:
     """Evaluate the four deadlock conditions for robot i, with every quantity behind them.
@@ -129,7 +102,7 @@ def detect_deadlock(
     force-balance residual, and its first m_neighbors rows are the neighbors.
     """
     z = world.robots[i]
-    verdict = _deadlocked(z, goals.pd[i], qp_solution, problem.m_neighbors, thresholds)
+    verdict = _deadlocked(z, goals.pd[i], qp_solution, problem.m_neighbors, params)
     active = tuple((k, qp_solution.mu_star[k]) for k in qp_solution.active_set)
     force = list(pd_control(z, goals.pd[i], params))
     for k, row in enumerate(problem.rows):
@@ -148,20 +121,15 @@ def detect_deadlock(
     )
 
 
-def system_deadlock(
-    world: WorldState,
-    goals: GoalSpec,
-    params: Params,
-    solutions: tuple[QPSolution, ...],
-    thresholds: DeadlockThresholds,
-    problems: tuple[QPProblem, ...] | None = None,
-) -> bool:
-    """True iff every robot is in deadlock, up to the first that is not; ``problems`` are built if not given."""
-    if problems is None:
-        u_hat = [pd_control(z, g, params) for z, g in zip(world.robots, goals.pd)]
-        problems = PairField(world, params).problems(u_hat)
+def system_deadlock(world: WorldState, goals: GoalSpec, params: Params, solutions: tuple[QPSolution, ...]) -> bool:
+    """True iff every robot is in deadlock, up to the first that is not.
+
+    ``solutions`` solve the QPs of the pair pass, whose first world.n - 1
+    rows are the neighbors.
+    """
+    m_neighbors = world.n - 1
     for i in range(world.n):
-        if not _deadlocked(world.robots[i], goals.pd[i], solutions[i], problems[i].m_neighbors, thresholds):
+        if not _deadlocked(world.robots[i], goals.pd[i], solutions[i], m_neighbors, params):
             return False
     return True
 

@@ -47,7 +47,7 @@ from .core import (
     v_sub,
     wrap_angle,
 )
-from .deadlock import DeadlockThresholds, classify_three_robot, system_deadlock
+from .deadlock import classify_three_robot, system_deadlock
 from .errors import (
     CoincidentRobotsError,
     QPInfeasibleError,
@@ -466,7 +466,6 @@ def supervisor_step(
     world: WorldState,
     goals: GoalSpec,
     params: Params,
-    thresholds: DeadlockThresholds,
     dt: float,
     config: ResolutionConfig = ResolutionConfig(),
     pairs: PairField | None = None,
@@ -504,10 +503,7 @@ def supervisor_step(
                 )
         # nothing reads the persistence count once the deadlock is announced
         if not state.announced:
-            in_deadlock = (
-                n >= 2
-                and system_deadlock(world, goals, params, solutions, thresholds, problems)
-            )
+            in_deadlock = n >= 2 and system_deadlock(world, goals, params, solutions)
             persist = state.persist_counter + 1 if in_deadlock else 0
             if persist >= K_PERSIST:
                 info["event"] = ("deadlock-detected", t)

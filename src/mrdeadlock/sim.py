@@ -34,7 +34,7 @@ from .core import (
 )
 # supervisor_step calls solve_qp and system_deadlock; they stay bound here for
 # callers that look them up on this module.
-from .deadlock import DeadlockThresholds, system_deadlock, three_robot_family_catA  # noqa: F401
+from .deadlock import system_deadlock, three_robot_family_catA  # noqa: F401
 from .errors import (
     BoundarySingularityError,
     CoincidentRobotsError,
@@ -81,7 +81,7 @@ class Scenario:
             raise ValueError(f"controller must be one of {CONTROLLERS}")
         if not 0.0 < self.dt < self.t_max < math.inf:
             raise ValueError(f"need finite dt > 0 and t_max > dt, got dt={self.dt!r}, t_max={self.t_max!r}")
-        if not (isinstance(self.log_every, int) and self.log_every >= 1):
+        if isinstance(self.log_every, bool) or not isinstance(self.log_every, int) or self.log_every < 1:
             raise ValueError(f"log_every must be an integer >= 1, got {self.log_every!r}")
         if len(self.initial) != len(self.goals):
             raise ValueError("one goal per robot required")
@@ -282,7 +282,6 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
     """
     params = scenario.params
     goals = scenario.goals
-    thresholds = DeadlockThresholds.from_params(params)
     n = len(scenario.initial)
     world = WorldState(robots=scenario.initial, t=0.0)
     pair_field = PairField(world, params)
@@ -301,7 +300,7 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
         u_hat = [pd_control(world.robots[i], goals.pd[i], params) for i in range(n)]
         prev_phase = phase_state.phase
         controls, phase_state, info = supervisor_step(
-            phase_state, world, goals, params, thresholds, scenario.dt, scenario.resolution,
+            phase_state, world, goals, params, scenario.dt, scenario.resolution,
             pairs=pair_field, u_hat=u_hat,
         )
         if "event" in info:
@@ -398,6 +397,11 @@ def _list(value) -> list | tuple:
     return value
 
 
+def _numbers(value) -> tuple[float, ...]:
+    """value as a tuple of floats, each read by _number."""
+    return tuple(_number(x) for x in _list(value))
+
+
 # How a scenario-file value is read, by the annotation text of its dataclass
 # field (these modules postpone annotations, so Field.type is that text).
 _READERS = {
@@ -405,7 +409,7 @@ _READERS = {
     "int": _integer,
     "str": str,
     "float | None": lambda v: None if v is None else _number(v),
-    "tuple[float, ...]": lambda v: [_number(a) for a in _list(v)],
+    "tuple[float, ...]": _numbers,
 }
 # Fields that hold a mapping of a dataclass's own fields.
 _SECTIONS = {"Params": Params, "ResolutionConfig": ResolutionConfig}
@@ -434,12 +438,12 @@ def _check_keys(d, where: str, known, required) -> None:
         raise ValueError(bad[0])
 
 
-def _read(d: dict, key: str, read, where: str):
-    """read(d[key]); its TypeError, ValueError or OverflowError becomes a ValueError naming the key."""
+def _read(value, read, what: str):
+    """read(value); its TypeError, ValueError or OverflowError becomes a ValueError naming what was read."""
     try:
-        return read(d[key])
+        return read(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{where} key {key!r}: {exc}") from None
+        raise ValueError(f"{what}: {exc}") from None
 
 
 def _read_fields(d, cls, where: str) -> dict:
@@ -456,7 +460,7 @@ def _read_fields(d, cls, where: str) -> dict:
         if f.name in d and f.type in _SECTIONS:
             kwargs[f.name] = _SECTIONS[f.type](**_read_fields(d[f.name], _SECTIONS[f.type], f.name))
         elif f.name in d:
-            kwargs[f.name] = _read(d, f.name, _READERS[f.type], where)
+            kwargs[f.name] = _read(d[f.name], _READERS[f.type], f"{where} key {f.name!r}")
     return kwargs
 
 
@@ -482,11 +486,16 @@ def scenario_to_dict(s: Scenario) -> dict:
 def scenario_from_dict(d: dict) -> Scenario:
     """The Scenario of a scenario_to_dict mapping; unknown and missing keys raise ValueError."""
     kwargs = _read_fields(d, Scenario, "scenario")
-    robots = _read(d, "robots", _list, "scenario")
+    robots = _read(d["robots"], _list, "scenario key 'robots'")
     for r in robots:
         _check_keys(r, "robot", ("p", "v"), ("p",))
-    kwargs["initial"] = tuple(RobotState(p=r["p"], v=r.get("v", (0.0, 0.0))) for r in robots)
-    kwargs["goals"] = GoalSpec(pd=tuple(_read(d, "goals", _list, "scenario")))
+    kwargs["initial"] = tuple(
+        RobotState(p=_read(r["p"], _numbers, f"robot position p of robot {k}"),
+                   v=_read(r.get("v", (0.0, 0.0)), _numbers, f"robot velocity v of robot {k}"))
+        for k, r in enumerate(robots)
+    )
+    goals = _read(d["goals"], _list, "scenario key 'goals'")
+    kwargs["goals"] = GoalSpec(pd=tuple(_read(g, _numbers, f"goal {k}") for k, g in enumerate(goals)))
     return Scenario(**kwargs)
 
 
@@ -575,7 +584,7 @@ def load_log(path: str) -> TrajectoryLog:
     if not isinstance(d["meta"], dict) or "scenario" not in d["meta"]:
         raise ValueError(f"{where} meta is not a mapping with the key 'scenario'")
     n = len(scenario_from_dict(d["meta"]["scenario"]).initial)
-    records = len(_read(d, "t", _list, where))
+    records = len(_read(d["t"], _list, f"{where} key 't'"))
     arrays = {}
     for name, (dtype, shape) in _RECORD_LAYOUT.items():
         try:
@@ -585,7 +594,7 @@ def load_log(path: str) -> TrajectoryLog:
         want = (records, *shape(n))
         if arrays[name].shape != want:
             raise ValueError(f"{where} array {name!r} has shape {arrays[name].shape}, not {want}")
-    events = _read(d, "events", _list, where)
+    events = _read(d["events"], _list, f"{where} key 'events'")
     for k, event in enumerate(events):
         if not (isinstance(event, dict) and isinstance(event.get("name"), str) and _finite(event.get("t"))):
             raise ValueError(f"{where} event {k} is not a mapping with a string 'name' and a finite 't'")

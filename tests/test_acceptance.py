@@ -24,7 +24,6 @@ import numpy as np
 import pytest
 
 from mrdeadlock import (
-    DeadlockThresholds,
     GoalSpec,
     Params,
     QPProblem,
@@ -175,9 +174,7 @@ def test_criterion_3_deadlock_reproduction(head_on_log):
 # ---------------------------------------------------------------------------
 
 def _assert_family_member(world, goals, params, *, two_robot: bool) -> None:
-    thresholds = DeadlockThresholds.from_params(params)
     solutions = []
-    problems = []
     for i in range(world.n):
         problem = assemble_qp(i, world, goals, params)
         sol = solve_qp(problem)
@@ -187,11 +184,10 @@ def _assert_family_member(world, goals, params, *, two_robot: bool) -> None:
             sol.mu_star[k] for k in sol.active_set if k < problem.m_neighbors
         ]
         assert active_neighbor_mus and min(active_neighbor_mus) > 1e-6
-        report = detect_deadlock(i, world, goals, params, sol, thresholds, problem)
+        report = detect_deadlock(i, world, goals, params, sol, problem)
         assert report.force_balance_residual <= 1e-8
-        problems.append(problem)
         solutions.append(sol)
-    assert system_deadlock(world, goals, params, tuple(solutions), thresholds, tuple(problems))
+    assert system_deadlock(world, goals, params, tuple(solutions))
     assert verify_boundary_membership(world, goals, params)
     if two_robot:
         assert boundedness_identity(world, goals, params) <= 1e-10

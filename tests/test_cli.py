@@ -146,12 +146,18 @@ def test_run_rejects_zero_persistence_with_one_line(tmp_path, capsys):
         (lambda d: d.update(dt="0.001"), "'dt'"),
         (lambda d: d.update(resolution={"kp2": True}), "'kp2'"),
         (lambda d: d["params"].update(alpha=[True, 5.0]), "'alpha'"),
+        (lambda d: d["robots"][0].update(p=["-2.0", 0.0]), "robot position p of robot 0"),
+        (lambda d: d["robots"][1].update(p=[2.0, True]), "robot position p of robot 1"),
+        (lambda d: d["robots"][0].update(v=[True, 0.0]), "robot velocity v of robot 0"),
+        (lambda d: d["goals"].__setitem__(0, ["2.0", 0.0]), "goal 0"),
+        (lambda d: d["goals"].__setitem__(1, [True, 0.0]), "goal 1"),
     ],
     ids=[
         "missing-goals", "unknown-resolution-key", "one-number-position",
         "number-robots", "number-alpha", "null-kp", "number-goals", "401-digit-kp", "401-digit-position",
         "infinite-kp2", "old-seed", "old-k1", "null-threshold", "null-k_h", "null-eps_theta", "word-k_h",
         "bool-kp", "string-dt", "bool-kp2", "bool-alpha",
+        "string-position", "bool-position", "bool-velocity", "string-goal", "bool-goal",
     ],
 )
 def test_malformed_scenario_exits_2_with_one_line(tmp_path, capsys, edit, named):

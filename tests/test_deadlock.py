@@ -3,15 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrdeadlock import (
-    DeadlockThresholds,
     GoalSpec,
     Params,
     RobotState,
@@ -31,7 +28,8 @@ from mrdeadlock import (
     verify_boundary_membership,
 )
 from mrdeadlock.core import pd_control, v_norm, v_sub
-from mrdeadlock.deadlock import BOUNDARY_TOL, _deadlocked
+from mrdeadlock import deadlock
+from mrdeadlock.deadlock import BOUNDARY_TOL, EPS_GOAL, EPS_MU, EPS_U, EPS_V, _deadlocked
 from mrdeadlock.errors import SafetyViolationError, ToolkitError, ZeroVectorError
 from mrdeadlock.qp import ConstraintRow, QPProblem, box_rows
 from mrdeadlock.cbf import PairField, row_neighbor
@@ -52,23 +50,21 @@ def test_detect_not_deadlocked_at_goal():
     world = WorldState(
         robots=(RobotState.at_rest((2.0, 0.0)), RobotState.at_rest((-2.0, 0.0))), t=0.0
     )
-    th = DeadlockThresholds.from_params(PARAMS2)
     problems, sols = solve_all(world, GOALS2, PARAMS2)
-    report = detect_deadlock(0, world, GOALS2, PARAMS2, sols[0], th, problems[0])
+    report = detect_deadlock(0, world, GOALS2, PARAMS2, sols[0], problems[0])
     assert not report.verdict
-    assert report.goal_dist < th.eps_goal
+    assert report.goal_dist < EPS_GOAL * PARAMS2.ds
 
 
 def test_detect_thm2_state_both_deadlocked():
     z1, z2 = collinear_family(GOALS2, PARAMS2, 0.4)
     world = WorldState(robots=(z1, z2), t=0.0)
-    th = DeadlockThresholds.from_params(PARAMS2)
     problems, sols = solve_all(world, GOALS2, PARAMS2)
     for i in range(2):
-        report = detect_deadlock(i, world, GOALS2, PARAMS2, sols[i], th, problems[i])
+        report = detect_deadlock(i, world, GOALS2, PARAMS2, sols[i], problems[i])
         assert report.verdict
         assert report.force_balance_residual <= 1e-8
-        assert max(mu for _, mu in report.active_multipliers) > th.eps_mu
+        assert max(mu for _, mu in report.active_multipliers) > EPS_MU
 
 
 def test_detect_moving_robot_not_deadlocked():
@@ -76,26 +72,23 @@ def test_detect_moving_robot_not_deadlocked():
     z1, z2 = collinear_family(GOALS2, PARAMS2, 0.4)
     moving = RobotState(p=z1.p, v=(0.0, 0.5))
     world = WorldState(robots=(moving, z2), t=0.0)
-    th = DeadlockThresholds.from_params(PARAMS2)
     problems, sols = solve_all(world, GOALS2, PARAMS2)
-    assert not detect_deadlock(0, world, GOALS2, PARAMS2, sols[0], th, problems[0]).verdict
+    assert not detect_deadlock(0, world, GOALS2, PARAMS2, sols[0], problems[0]).verdict
 
 
 def test_system_deadlock_all_at_goals_false():
     world = WorldState(
         robots=(RobotState.at_rest((2.0, 0.0)), RobotState.at_rest((-2.0, 0.0))), t=0.0
     )
-    th = DeadlockThresholds.from_params(PARAMS2)
     _, sols = solve_all(world, GOALS2, PARAMS2)
-    assert not system_deadlock(world, GOALS2, PARAMS2, sols, th)
+    assert not system_deadlock(world, GOALS2, PARAMS2, sols)
 
 
 def test_system_deadlock_thm2_true():
     z1, z2 = collinear_family(GOALS2, PARAMS2, 0.6)
     world = WorldState(robots=(z1, z2), t=0.0)
-    th = DeadlockThresholds.from_params(PARAMS2)
     _, sols = solve_all(world, GOALS2, PARAMS2)
-    assert system_deadlock(world, GOALS2, PARAMS2, sols, th)
+    assert system_deadlock(world, GOALS2, PARAMS2, sols)
 
 
 def test_system_deadlock_requires_every_robot():
@@ -104,20 +97,19 @@ def test_system_deadlock_requires_every_robot():
     flier = RobotState(p=(8.0, 5.0), v=(0.5, 0.0))
     world = WorldState(robots=(z1, z2, flier), t=0.0)
     goals = GoalSpec(pd=((2.0, 0.0), (-2.0, 0.0), (10.0, 5.0)))
-    th = DeadlockThresholds.from_params(PARAMS3)
     problems, sols = solve_all(world, goals, PARAMS3)
-    assert detect_deadlock(0, world, goals, PARAMS3, sols[0], th, problems[0]).verdict
-    assert detect_deadlock(1, world, goals, PARAMS3, sols[1], th, problems[1]).verdict
-    assert not detect_deadlock(2, world, goals, PARAMS3, sols[2], th, problems[2]).verdict
-    assert not system_deadlock(world, goals, PARAMS3, sols, th)
+    assert detect_deadlock(0, world, goals, PARAMS3, sols[0], problems[0]).verdict
+    assert detect_deadlock(1, world, goals, PARAMS3, sols[1], problems[1]).verdict
+    assert not detect_deadlock(2, world, goals, PARAMS3, sols[2], problems[2]).verdict
+    assert not system_deadlock(world, goals, PARAMS3, sols)
 
 
-def _verdicts(world, goals, params, th):
+def _verdicts(world, goals, params):
     """(the verdict-only predicate, detect_deadlock's verdict) of every robot of world."""
     problems, sols = solve_all(world, goals, params)
     return [
-        (_deadlocked(world.robots[i], goals.pd[i], sols[i], problems[i].m_neighbors, th),
-         detect_deadlock(i, world, goals, params, sols[i], th, problems[i]).verdict)
+        (_deadlocked(world.robots[i], goals.pd[i], sols[i], problems[i].m_neighbors, params),
+         detect_deadlock(i, world, goals, params, sols[i], problems[i]).verdict)
         for i in range(world.n)
     ]
 
@@ -131,16 +123,15 @@ def _family_worlds():
 
 
 @pytest.mark.parametrize("fails", [None, "eps_u", "eps_v", "eps_goal", "eps_mu"])
-def test_verdict_predicate_matches_detect_deadlock_on_the_families(fails):
+def test_verdict_predicate_matches_detect_deadlock_on_the_families(fails, monkeypatch):
     # every family member is deadlocked.  eps_goal and eps_mu moved past every
     # measure fail their condition; eps_u and eps_v at 1e-300 test the
     # condition at a measure of (near) zero
     moved = {"eps_u": 1e-300, "eps_v": 1e-300, "eps_goal": 1e3, "eps_mu": 1e6}
+    if fails is not None:
+        monkeypatch.setattr(deadlock, fails.upper(), moved[fails])
     for world, goals, params in _family_worlds():
-        th = DeadlockThresholds.from_params(params)
-        if fails is not None:
-            th = replace(th, **{fails: moved[fails]})
-        verdicts = _verdicts(world, goals, params, th)
+        verdicts = _verdicts(world, goals, params)
         assert all(fast == full for fast, full in verdicts), verdicts
         if fails in (None, "eps_goal", "eps_mu"):
             assert all(fast == (fails is None) for fast, _ in verdicts)
@@ -149,18 +140,17 @@ def test_verdict_predicate_matches_detect_deadlock_on_the_families(fails):
 def test_verdict_predicate_matches_detect_deadlock_along_the_pinned_head_on_log(head_on_log):
     log, _ = head_on_log
     params, goals = HEAD_ON.params, HEAD_ON.goals
-    th = DeadlockThresholds.from_params(params)
     seen = set()
     for k in range(0, log.n_records, 97):
         world = log.world_at(k)
         problems = PairField(world, params).problems([pd_control(z, g, params) for z, g in zip(world.robots, goals.pd)])
         sols = [solve_qp(p) for p in problems]
         for i in range(world.n):
-            fast = _deadlocked(world.robots[i], goals.pd[i], sols[i], problems[i].m_neighbors, th)
-            assert fast == detect_deadlock(i, world, goals, params, sols[i], th, problems[i]).verdict, (k, i)
+            fast = _deadlocked(world.robots[i], goals.pd[i], sols[i], problems[i].m_neighbors, params)
+            assert fast == detect_deadlock(i, world, goals, params, sols[i], problems[i]).verdict, (k, i)
             seen.add(fast)
-        assert system_deadlock(world, goals, params, tuple(sols), th, tuple(problems)) == all(
-            detect_deadlock(i, world, goals, params, sols[i], th, problems[i]).verdict for i in range(world.n))
+        assert system_deadlock(world, goals, params, tuple(sols)) == all(
+            detect_deadlock(i, world, goals, params, sols[i], problems[i]).verdict for i in range(world.n))
     assert seen == {False, True}
 
 
@@ -290,14 +280,13 @@ def test_catA_family_geometry_and_deadlock():
             assert v_norm(v_sub(world.robots[i].p, world.robots[j].p)) == pytest.approx(
                 PARAMS3.ds, abs=1e-12
             )
-    th = DeadlockThresholds.from_params(PARAMS3)
     problems, sols = solve_all(world, goals, PARAMS3)
-    assert system_deadlock(world, goals, PARAMS3, sols, th)
+    assert system_deadlock(world, goals, PARAMS3, sols)
     for i in range(3):
         assert math.hypot(*sols[i].u_star) <= 1e-10
         neighbor_mus = sols[i].mu_star[:problems[i].m_neighbors]
         assert sum(mu > 1e-6 for mu in neighbor_mus) == 2
-        report = detect_deadlock(i, world, goals, PARAMS3, sols[i], th, problems[i])
+        report = detect_deadlock(i, world, goals, PARAMS3, sols[i], problems[i])
         assert report.force_balance_residual <= 1e-8
         # radial force balance: u_hat is collinear with the robot's position ray
         u_hat = problems[i].u_hat
@@ -314,9 +303,8 @@ def test_catB_family_geometry_and_deadlock():
     assert d01 == pytest.approx(PARAMS3.ds, abs=1e-12)
     assert d12 == pytest.approx(PARAMS3.ds, abs=1e-12)
     assert d02 == pytest.approx(PARAMS3.ds * math.sqrt(3.0), abs=1e-12)
-    th = DeadlockThresholds.from_params(PARAMS3)
     problems, sols = solve_all(world, goals, PARAMS3)
-    assert system_deadlock(world, goals, PARAMS3, sols, th)
+    assert system_deadlock(world, goals, PARAMS3, sols)
     # the center robot holds two active rows, the outer robots one each
     n_active_neighbors = [
         sum(1 for k in sols[i].active_set if k < problems[i].m_neighbors) for i in range(3)
@@ -340,14 +328,13 @@ def test_catB_parametrized_geometry_sweep():
 
 
 def test_catB_parametrized_deadlock_grid():
-    th = DeadlockThresholds.from_params(PARAMS3)
     thetas = np.linspace(-math.pi / 6, 0.0, 7)[1:-1]
     alphas = np.linspace(math.pi / 6, math.pi / 2, 7)[1:-1]
     for th_v in thetas:
         for al_v in alphas:
             world, goals = catB_parametrized(PARAMS3, 2.0, float(th_v), float(al_v))
             _, sols = solve_all(world, goals, PARAMS3)
-            assert system_deadlock(world, goals, PARAMS3, sols, th)
+            assert system_deadlock(world, goals, PARAMS3, sols)
 
 
 def test_catB_parametrized_range_checks():
@@ -379,7 +366,7 @@ def test_margin_contact_whenever_both_robots_detected():
     from mrdeadlock.sim import default_head_on_scenario, run_scenario
 
     scen = default_head_on_scenario(t_max=8.0)
-    th = DeadlockThresholds.from_params(scen.params)
+    params = scen.params
     log = run_scenario(scen)
     u_norm = np.hypot(log.u_star[:, :, 0], log.u_star[:, :, 1])
     v_norm_arr = np.hypot(log.vel[:, :, 0], log.vel[:, :, 1])
@@ -389,22 +376,19 @@ def test_margin_contact_whenever_both_robots_detected():
     )
     mu_max = log.mu[:, :, 0]  # single neighbor row per robot
     detected = (
-        (u_norm <= th.eps_u)
-        & (v_norm_arr <= th.eps_v)
-        & (goal_dist >= th.eps_goal)
-        & (mu_max > th.eps_mu)
+        (u_norm <= EPS_U * params.kp * params.ds)
+        & (v_norm_arr <= EPS_V)
+        & (goal_dist >= EPS_GOAL * params.ds)
+        & (mu_max > EPS_MU)
     ).all(axis=1)
     assert detected.any()
     dist = np.hypot(log.pos[:, 0, 0] - log.pos[:, 1, 0], log.pos[:, 0, 1] - log.pos[:, 1, 1])
-    assert np.abs(dist[detected] - PARAMS2.ds).max() <= 10.0 * th.eps_v
+    assert np.abs(dist[detected] - PARAMS2.ds).max() <= 10.0 * EPS_V
 
 
 def test_thresholds_validation_and_defaults():
-    th = DeadlockThresholds.from_params(PARAMS2)
-    assert th.eps_u == pytest.approx(1e-3 * PARAMS2.kp * PARAMS2.ds)
-    assert th.eps_goal == pytest.approx(0.1 * PARAMS2.ds)
-    with pytest.raises(ValueError):
-        DeadlockThresholds(eps_u=0.0, eps_v=1e-3, eps_goal=0.05, eps_mu=1e-6)
+    assert EPS_U * PARAMS2.kp * PARAMS2.ds == pytest.approx(1e-3 * PARAMS2.kp * PARAMS2.ds)
+    assert EPS_GOAL * PARAMS2.ds == pytest.approx(0.1 * PARAMS2.ds)
 
 
 def _boundary_oracle(world, goals, params):

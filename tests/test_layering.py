@@ -1,12 +1,15 @@
-"""The package's modules import one way, down the layer order, and only at their top."""
+"""The package's modules import one way, down the layer order, and only at their top; it exports a pinned name set."""
 
 from __future__ import annotations
 
 import ast
 import importlib.util
+import types
 from pathlib import Path
 
 import pytest
+
+import mrdeadlock
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "mrdeadlock"
@@ -77,3 +80,32 @@ def test_every_import_is_used_or_traced(module):
         if name not in used and (f"mrdeadlock.{module}", name) not in traced
     ]
     assert unused == []
+
+
+PUBLIC_API = {
+    "AuditReport", "BoundarySingularityError", "CoincidentRobotsError", "ConstraintRow", "DeadlockReport",
+    "EmbeddingResult", "GoalSpec", "KKTReport", "LabeledGraph", "Params", "Phase", "PhaseState",
+    "QPInfeasibleError", "QPProblem", "QPSolution", "ResolutionConfig", "RobotState", "SafetyViolationError",
+    "Scenario", "SimulationAbort", "ThreeRobotCategory", "ToolkitError", "TrajectoryLog",
+    "UnsupportedScenarioError", "WorldState", "ZeroVectorError",
+    "assemble_qp", "audit_log", "boundedness_identity", "catB_parametrized", "census_table",
+    "classify_three_robot", "collinear_family", "connected_count", "constraint_bound", "count_admissible",
+    "decentralized_rows", "default_head_on_scenario", "detect_deadlock", "embed_graph", "enumerate_connected",
+    "export_log", "goal_bearing", "goal_direction", "goal_separation", "integrate_step", "load_log",
+    "load_scenario", "lower_bound", "pd_control", "phase3_closed_form", "run_scenario", "safety_index",
+    "safety_index_signed", "save_scenario", "simulate_relative_pd", "solve_qp", "supervisor_step",
+    "system_deadlock", "three_robot_cat_a_scenario", "three_robot_family_catA", "three_robot_family_catB",
+    "two_robot_multiplier", "unit_vector", "upper_bound", "verify_boundary_membership", "verify_kkt",
+    "wrap_angle",
+}
+
+
+def test_public_api_is_the_pinned_name_set():
+    # the package's public names, counted as the benchmark's `public_api`
+    # counts them: no leading underscore, no submodule
+    public = {
+        name for name, value in vars(mrdeadlock).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert len(PUBLIC_API) == 68
+    assert sorted(public - PUBLIC_API) == [] and sorted(PUBLIC_API - public) == []

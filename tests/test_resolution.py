@@ -21,7 +21,6 @@ from mrdeadlock import (
 )
 from mrdeadlock import resolution
 from mrdeadlock.core import wrap_angle
-from mrdeadlock.deadlock import DeadlockThresholds
 from mrdeadlock.resolution import (
     K_PERSIST,
     NEWTON_F_TOL,
@@ -113,14 +112,13 @@ def test_supervisor_immediate_transition_from_thm2_state():
 def test_supervisor_phase_monotone_and_beta_set_once():
     z1, z2 = collinear_family(GOALS2, PARAMS2, 0.5)
     world = WorldState(robots=(z1, z2), t=0.0)
-    th = DeadlockThresholds.from_params(PARAMS2)
     state = Filtering()
     dt = 1e-3
     betas = set()
     phases = []
 
     for _ in range(2000):
-        controls, state, _ = supervisor_step(state, world, GOALS2, PARAMS2, th, dt)
+        controls, state, _ = supervisor_step(state, world, GOALS2, PARAMS2, dt)
         world = integrate_step(world, controls, dt)
         phases.append(int(state.phase))
         if isinstance(state, Rotating):
@@ -132,7 +130,6 @@ def test_supervisor_phase_monotone_and_beta_set_once():
 def test_category_b_states_open_the_chain_then_rotate_then_release(monkeypatch):
     params = Params(kp=1.0, kv=3.0, ds=0.5, alpha=(5.0,) * 3)
     world, goals = three_robot_family_catB(params, 2.0)
-    th = DeadlockThresholds.from_params(params)
     config = ResolutionConfig(kp2=16.0, kv2=10.0)
     warm_starts = []
     pin_controls = resolution._pin_controls
@@ -145,7 +142,7 @@ def test_category_b_states_open_the_chain_then_rotate_then_release(monkeypatch):
     state, dt = Filtering(), 1e-3
     kinds = [Filtering]
     for _ in range(9500):
-        controls, state, info = supervisor_step(state, world, goals, params, th, dt, config)
+        controls, state, info = supervisor_step(state, world, goals, params, dt, config)
         world = integrate_step(world, controls, dt)
         if info.get("event", ("",))[0] == "regularized":
             # the rotation starts cold and pins all three pairs

@@ -594,7 +594,7 @@ def test_scenario_rejects_non_finite_times(times):
         default_head_on_scenario(**times)
 
 
-@pytest.mark.parametrize("log_every", [2.5, 2.0, 0, "2"])
+@pytest.mark.parametrize("log_every", [2.5, 2.0, 0, "2", True])
 def test_scenario_requires_integer_log_every(log_every):
     with pytest.raises(ValueError, match="log_every must be an integer >= 1"):
         default_head_on_scenario(log_every=log_every)

@@ -16,7 +16,6 @@ from mrdeadlock import (
     supervisor_step,
     three_robot_family_catB,
 )
-from mrdeadlock.deadlock import DeadlockThresholds
 from mrdeadlock.resolution import Filtering, Regularizing, Released
 from mrdeadlock.sim import integrate_step
 
@@ -44,15 +43,14 @@ def test_supervisor_step_classifier_reads_every_phase():
     classify = _load_tracer().CLASSIFIERS["resolution.supervisor_step"]
     params = Params(kp=1.0, kv=3.0, ds=0.5, alpha=(5.0, 5.0))
     goals = GoalSpec(pd=((2.0, 0.0), (-2.0, 0.0)))
-    thresholds = DeadlockThresholds.from_params(params)
     world = WorldState(robots=collinear_family(goals, params, 0.5), t=0.0)
     state, seen = Filtering(), []
     while seen.count("phase2") < 2:
-        out = supervisor_step(state, world, goals, params, thresholds, 1e-3)
+        out = supervisor_step(state, world, goals, params, 1e-3)
         seen.append(classify(out))
         state = out[1]
         world = integrate_step(world, out[0], 1e-3)
-    out = supervisor_step(Released(), world, goals, params, thresholds, 1e-3)
+    out = supervisor_step(Released(), world, goals, params, 1e-3)
     seen.append(classify(out))
     assert seen == ["phase1"] * 9 + ["phase2"] * 2 + ["phase3"]
 
@@ -61,7 +59,7 @@ def test_supervisor_step_classifier_reads_every_phase():
     world, goals = three_robot_family_catB(params, 2.0)
     state = Filtering()
     for _ in range(11):
-        out = supervisor_step(state, world, goals, params, DeadlockThresholds.from_params(params), 1e-3)
+        out = supervisor_step(state, world, goals, params, 1e-3)
         state = out[1]
         world = integrate_step(world, out[0], 1e-3)
     assert isinstance(state, Regularizing)
