@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .core import GoalSpec, Params, RobotState, Vec2, WorldState, pd_control, v_dot, v_norm, v_sub
 from .errors import BoundarySingularityError, CoincidentRobotsError, SafetyViolationError
-from .qp import ConstraintRow, QPProblem, box_rows
+from .qp import ConstraintRow, QPProblem, box_rows, flat_problem
 
 # Width of the band around ||dp|| = Ds treated as exactly on the boundary.
 # sqrt() amplifies float noise near the boundary (sqrt(20 * 1ulp) ~ 5e-8), so
@@ -173,15 +173,15 @@ def min_pair_distance(world: WorldState) -> float:
 
 @dataclass(frozen=True)
 class _PairConstants:
-    """Per-(params, n) data of the pair pass: pair order, alpha sums and shares, reusable rows."""
+    """Per-(params, n) data of the pair pass: pair order, alpha sums and shares, box faces."""
 
     pairs: tuple[tuple[int, int], ...]
     asum: tuple[float, ...]
     shares: tuple[tuple[float, float], ...]      # (alpha_i, alpha_j) / (alpha_i + alpha_j)
-    boxes: tuple[tuple[ConstraintRow, ...], ...]  # box_rows(alpha_i) for every robot i
+    boxes: tuple[tuple[float, ...], ...]         # the four face bounds of every robot i: alpha_i
 
 
-# One entry per (params, n), so the box rows are built once per run and
+# One entry per (params, n), so the box faces are built once per run and
 # shared, immutable, by every step of it.
 @functools.lru_cache(maxsize=4)
 def _pair_constants(params: Params, n: int) -> _PairConstants:
@@ -192,7 +192,7 @@ def _pair_constants(params: Params, n: int) -> _PairConstants:
         pairs=pairs,
         asum=asum,
         shares=tuple((alpha[i] / s, alpha[j] / s) for (i, j), s in zip(pairs, asum)),
-        boxes=tuple(box_rows(alpha[i]) for i in range(n)),
+        boxes=tuple((alpha[i],) * 4 for i in range(n)),
     )
 
 
@@ -289,18 +289,29 @@ class PairField:
     def problems(self, u_hat: Sequence[Vec2]) -> tuple[QPProblem, ...]:
         """All N per-robot QPs (assemble_qp for i = 0 .. N-1); u_hat[i] is robot i's PD reference.
 
-        Both shares of b_ij come from one bound.  Robot j's row is built
-        from -(p_j - p_i), not from dp_ij, so a zero component keeps the
-        sign assemble_qp gives it.
+        The rows are handed over flat (qp.flat_problem): both shares of b_ij
+        come from one bound, and both rows of a pair from one |a|_1, since
+        robot j's row is minus robot i's.  Robot j's row is built from
+        -(p_j - p_i), not from dp_ij, so a zero component keeps the sign
+        assemble_qp gives it.
         """
         bounds = self.bounds()
         const = self._const
         robots = self._robots
-        rows: list[list[ConstraintRow]] = [[] for _ in robots]
-        for (i, j), (share_i, share_j), b in zip(const.pairs, const.shares, bounds):
+        ax: list[list[float]] = [[] for _ in robots]
+        ay: list[list[float]] = [[] for _ in robots]
+        b: list[list[float]] = [[] for _ in robots]
+        norms: list[list[float]] = [[] for _ in robots]
+        for (i, j), (share_i, share_j), bound in zip(const.pairs, const.shares, bounds):
             (pix, piy), (pjx, pjy) = robots[i].p, robots[j].p
-            rows[i].append(ConstraintRow((-(pix - pjx), -(piy - pjy)), share_i * b))
-            rows[j].append(ConstraintRow((-(pjx - pix), -(pjy - piy)), share_j * b))
-        return tuple(
-            QPProblem(u_hat=u_hat[i], rows=(*rows[i], *box)) for i, box in enumerate(const.boxes)
-        )
+            dx, dy = pix - pjx, piy - pjy
+            ax[i].append(-dx)
+            ay[i].append(-dy)
+            b[i].append(share_i * bound)
+            ax[j].append(-(pjx - pix))
+            ay[j].append(-(pjy - piy))
+            b[j].append(share_j * bound)
+            norm = abs(dx) + abs(dy)
+            norms[i].append(norm)
+            norms[j].append(norm)
+        return tuple(map(flat_problem, u_hat, ax, ay, b, norms, const.boxes))

@@ -8,6 +8,7 @@ Vectors are 2-tuples ``(x, y)`` of floats throughout.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import ZeroVectorError
@@ -46,10 +47,30 @@ def v_norm(a: Vec2) -> float:
     return math.hypot(a[0], a[1])
 
 
+def _real(x) -> bool:
+    """x is an int, a float or a NumPy real scalar; a bool or a string is not."""
+    return type(x) is float or (isinstance(x, numbers.Real) and not isinstance(x, bool))
+
+
+def _positive(value, what: str) -> float:
+    """value as a finite float > 0; a ValueError naming `what` otherwise."""
+    if not _real(value):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:   # an int beyond the float range
+        x = math.inf
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"{what} must be finite and > 0, got {value!r}")
+    return x
+
+
 def _finite_vec2(value, what: str) -> Vec2:
     """value as a 2-tuple of finite floats; a ValueError naming `what` otherwise."""
     try:
         x, y = value
+        if not (_real(x) and _real(y)):
+            raise TypeError
         vec = (float(x), float(y))
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{what} must be two numbers, got {value!r}") from None
@@ -91,11 +112,15 @@ class Params:
     alpha: tuple[float, ...]
 
     def __post_init__(self):
-        if not (0.0 < self.kp < math.inf and 0.0 < self.kv < math.inf and 0.0 < self.ds < math.inf):
-            raise ValueError(f"kp, kv and ds must be finite and > 0, got {self.kp!r}, {self.kv!r}, {self.ds!r}")
-        if len(self.alpha) == 0 or not all(0.0 < a < math.inf for a in self.alpha):
-            raise ValueError(f"every per-robot alpha must be finite and > 0, got {self.alpha!r}")
-        object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
+        for name in ("kp", "kv", "ds"):
+            object.__setattr__(self, name, _positive(getattr(self, name), name))
+        try:
+            alpha = tuple(_positive(a, "every per-robot alpha") for a in self.alpha)
+        except TypeError:
+            raise ValueError(f"alpha must be a sequence of numbers, got {self.alpha!r}") from None
+        if not alpha:
+            raise ValueError("every per-robot alpha must be finite and > 0, got ()")
+        object.__setattr__(self, "alpha", alpha)
 
     @property
     def overdamped(self) -> bool:

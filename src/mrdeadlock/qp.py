@@ -3,7 +3,9 @@
     minimize ||u - u_hat||^2  subject to  A u <= b   (M neighbor rows, then 4 box rows)
 
 A row is a ConstraintRow; box_rows builds the four box rows, whose normals
-are BOX_NORMALS, and QPProblem checks that a problem ends with them.
+are BOX_NORMALS, and QPProblem checks that a problem ends with them.  A
+QPProblem holds its rows as plain floats, which the solver reads directly;
+the pair pass builds them in that form (flat_problem).
 
 With u in R^2 at most two linearly independent rows are active at a
 nondegenerate optimum, so candidate working sets of size 0, 1, 2 are
@@ -18,7 +20,7 @@ the dual convention of the source formulation so closed-form multiplier
 values match numerically.
 
 Before enumerating, neighbor rows that the acceleration box already implies
-by a margin are set aside (_kept_rows): such a row is never in a qualifying
+by a margin are set aside (_enumerated_rows): such a row is never in a qualifying
 working set, never active, and holds at every candidate that passes the box
 rows, so the enumerator returns the same solution, bit for bit, without them.
 """
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 from scipy.optimize import linprog
 
-from .core import Vec2, v_dot, v_norm, v_sub
+from .core import Vec2, v_norm
 from .errors import QPInfeasibleError
 
 # Scale-aware tolerance for classifying a row as active: |a.u - b| <= ACTIVE_TOL * (1 + |b|).
@@ -42,13 +44,15 @@ MU_TOL = 1e-9
 # Minimum slack below which the phase-I probe declares the polytope empty.
 INFEAS_TOL = -1e-9
 # Relative margin by which a row must clear the acceleration box to be set
-# aside before enumeration (see _kept_rows for the terms it scales).
+# aside before enumeration (see _enumerated_rows for the terms it scales).
 IMPLIED_TOL = 1e-6
 
 
 # Outward normals of the four acceleration-box rows, in their fixed order
 # +x, +y, -x, -y.  Every QP ends with these rows.
 BOX_NORMALS = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
+_BOX_AX = tuple(a[0] for a in BOX_NORMALS)
+_BOX_AY = tuple(a[1] for a in BOX_NORMALS)
 
 
 @dataclass(frozen=True)
@@ -64,24 +68,76 @@ def box_rows(alpha_i: float) -> tuple[ConstraintRow, ...]:
     return tuple(ConstraintRow(a, alpha_i) for a in BOX_NORMALS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False, repr=False, eq=False)
 class QPProblem:
-    """Objective center u_hat and stacked rows: m_neighbors neighbor rows, then the 4 box rows."""
+    """Objective center u_hat and stacked rows: m_neighbors neighbor rows, then the 4 box rows.
+
+    The rows are held as plain floats, which solve_qp reads; rows, the
+    ConstraintRow tuple, is built from them when first read.  Equality, hash
+    and repr are those of (u_hat, rows).  The lists are taken as given, not
+    copied: treat them as read-only.
+    """
 
     u_hat: Vec2
-    rows: tuple[ConstraintRow, ...]
+    ax: list[float]      # row k is ax[k] u_x + ay[k] u_y <= b[k]; the 4 box rows are last
+    ay: list[float]
+    b: list[float]
+    norms: list[float]   # |a|_1 of every neighbor row
+    _rows: tuple[ConstraintRow, ...] | None
 
-    def __post_init__(self):
-        # runs for every QP of every step: plain comparisons, no generators
-        box = self.rows[-4:]
+    def __init__(self, u_hat: Vec2, rows: tuple[ConstraintRow, ...]):
+        box = rows[-4:]
         if len(box) < 4 or (box[0].a, box[1].a, box[2].a, box[3].a) != BOX_NORMALS:
             raise ValueError("a well-formed problem ends with the 4 box rows, normals +x, +y, -x, -y")
-        if box[0].b_hat <= 0.0 or box[1].b_hat <= 0.0 or box[2].b_hat <= 0.0 or box[3].b_hat <= 0.0:
-            raise ValueError("box bounds must be strictly positive")
+        if not all(0.0 < row.b_hat < math.inf for row in box):
+            raise ValueError("box bounds must be finite and strictly positive")
+        _fill(self, u_hat, [row.a[0] for row in rows], [row.a[1] for row in rows], [row.b_hat for row in rows],
+              [abs(row.a[0]) + abs(row.a[1]) for row in rows[:-4]], rows)
+
+    @property
+    def rows(self) -> tuple[ConstraintRow, ...]:
+        if self._rows is None:
+            rows = tuple(ConstraintRow((x, y), b) for x, y, b in zip(self.ax, self.ay, self.b))
+            object.__setattr__(self, "_rows", rows)
+        return self._rows
 
     @property
     def m_neighbors(self) -> int:
-        return len(self.rows) - 4
+        return len(self.b) - 4
+
+    def __repr__(self) -> str:
+        return f"QPProblem(u_hat={self.u_hat!r}, rows={self.rows!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.u_hat, self.rows) == (other.u_hat, other.rows)
+
+    def __hash__(self) -> int:
+        return hash((self.u_hat, self.rows))
+
+
+def _fill(problem: QPProblem, u_hat: Vec2, ax: list, ay: list, b: list, norms: list, rows=None) -> QPProblem:
+    set_field = object.__setattr__   # as a frozen dataclass's own __init__ sets its fields
+    set_field(problem, "u_hat", u_hat)
+    set_field(problem, "ax", ax)
+    set_field(problem, "ay", ay)
+    set_field(problem, "b", b)
+    set_field(problem, "norms", norms)
+    set_field(problem, "_rows", rows)
+    return problem
+
+
+def flat_problem(u_hat: Vec2, ax: list, ay: list, b: list, norms: list, faces: tuple) -> QPProblem:
+    """A QPProblem from its neighbor rows in flat form and its four face bounds, without QPProblem()'s check.
+
+    Appends the box rows to ax, ay and b.  For the pair pass, whose face
+    bounds come from a validated Params.
+    """
+    ax.extend(_BOX_AX)
+    ay.extend(_BOX_AY)
+    b.extend(faces)
+    return _fill(object.__new__(QPProblem), u_hat, ax, ay, b, norms)
 
 
 @dataclass(frozen=True)
@@ -94,22 +150,6 @@ class QPSolution:
     status: str  # "optimal" | "infeasible"
 
 
-def _feasible(rows: tuple[ConstraintRow, ...], u: Vec2) -> bool:
-    """Every row holds at u within FEAS_TOL.  A NaN a.u holds for no row, so a non-finite u fails a box row."""
-    for row in rows:
-        if not v_dot(row.a, u) <= row.b_hat + FEAS_TOL * (1.0 + abs(row.b_hat)):
-            return False
-    return True
-
-
-def _active_set(keep, rows: tuple[ConstraintRow, ...], u: Vec2) -> tuple[int, ...]:
-    """Indices (from keep) of the rows, given in the same order, that are active at u."""
-    return tuple(
-        k for k, row in zip(keep, rows)
-        if abs(v_dot(row.a, u) - row.b_hat) <= ACTIVE_TOL * (1.0 + abs(row.b_hat))
-    )
-
-
 def solve_qp(problem: QPProblem) -> QPSolution:
     """Solve the QP exactly, returning status "infeasible" when the polytope is empty.
 
@@ -119,13 +159,12 @@ def solve_qp(problem: QPProblem) -> QPSolution:
     two or more neighbor rows, the rows the box implies are left out of the
     enumeration first; the result is the one the full enumeration returns.
     """
-    rows = problem.rows
     # with fewer than two neighbor rows the pass costs more than it saves
-    keep = _kept_rows(rows) if problem.m_neighbors >= 2 else range(len(rows))
+    keep = _enumerated_rows(problem) if len(problem.norms) >= 2 else range(len(problem.b))
     return _enumerate(problem, keep)
 
 
-def _kept_rows(rows: tuple[ConstraintRow, ...]) -> list[int]:
+def _enumerated_rows(problem: QPProblem) -> list[int]:
     """Ascending indices of the rows not strictly implied by the acceleration box.
 
     The box is read from the last four rows, which QPProblem has checked
@@ -150,103 +189,88 @@ def _kept_rows(rows: tuple[ConstraintRow, ...]) -> list[int]:
     candidate that passes the box rows, and is never active at the returned
     point.  The one gap is a 2x2 solve near the singularity threshold, whose
     rounding is not bounded this way; the property test of solve_qp against
-    the full enumeration covers it.  A NaN row, or an infinite or NaN face
-    bound on a side the row leans on, keeps the row.
+    the full enumeration covers it.  A NaN row is kept.
     """
-    neighbors, box = rows[:-4], rows[-4:]
+    norms = problem.norms
+    m = len(norms)
     # u_x <= hx, u_y <= hy, -u_x <= lx, -u_y <= ly
-    hx, hy, lx, ly = box[0].b_hat, box[1].b_hat, box[2].b_hat, box[3].b_hat
-    norms = []                  # |a|_1 of every neighbor row
-    a_max = 1.0                 # |a|_1 of a box row
-    for row in neighbors:
-        ax, ay = row.a
-        norm = abs(ax) + abs(ay)
-        norms.append(norm)
-        if norm > a_max:
-            a_max = norm
-    widest = 1.0 + max(hx, hy, lx, ly) + a_max
-    keep = []
-    for k, row, norm in zip(range(len(neighbors)), neighbors, norms):
-        ax, ay = row.a
-        b = row.b_hat
-        top = (ax * hx if ax > 0.0 else -ax * lx if ax < 0.0 else 0.0) + (
-            ay * hy if ay > 0.0 else -ay * ly if ay < 0.0 else 0.0
-        )
-        if b - top > IMPLIED_TOL * (1.0 + abs(b) + norm * widest):
-            continue
-        keep.append(k)
-    keep.extend(range(len(neighbors), len(rows)))
+    hx, hy, lx, ly = problem.b[m:]
+    widest = 1.0 + max(hx, hy, lx, ly) + max(1.0, *norms)
+    keep = [
+        k for k, ax, ay, b, norm in zip(range(m), problem.ax, problem.ay, problem.b, norms)
+        if not b - ((ax * hx if ax > 0.0 else -ax * lx if ax < 0.0 else 0.0)
+                    + (ay * hy if ay > 0.0 else -ay * ly if ay < 0.0 else 0.0))
+        > IMPLIED_TOL * (1.0 + abs(b) + norm * widest)
+    ]
+    keep.extend(range(m, m + 4))
     return keep
 
 
 def _enumerate(problem: QPProblem, keep) -> QPSolution:
-    """Working-set enumeration over the rows indexed by keep (ascending).
+    """Working-set enumeration over the rows indexed by keep (ascending, the four box rows last).
 
     Candidates are built, checked for feasibility and tested for active rows
     on the kept rows only; rows outside keep get mu = 0, and the phase-I probe
-    covers every row.  With keep = every index this is the full enumerator,
-    the oracle solve_qp is tested against.
+    covers every row.  A box row is checked by comparing one coordinate with
+    its face bound, which is what a.u - b comes to for a normal of +-1 and 0.
+    With keep = every index this is the full enumerator, the oracle solve_qp
+    is tested against.
     """
-    rows = problem.rows
-    u_hat = problem.u_hat
-    m = len(rows)
-    kept = rows if len(keep) == m else tuple(rows[k] for k in keep)
+    ax, ay, bs = problem.ax, problem.ay, problem.b
+    ux, uy = problem.u_hat
+    m = len(bs)
+    # (index, a_x, a_y, b, feasibility bound) of every kept neighbor row
+    rows = [(k, ax[k], ay[k], bs[k], bs[k] + FEAS_TOL * (1.0 + abs(bs[k]))) for k in keep[:-4]]
+    faces = [b + FEAS_TOL * (1.0 + b) for b in bs[m - 4:]]   # the box bounds are > 0
 
     # size 0: unconstrained optimum
-    if _feasible(kept, u_hat):
-        return QPSolution(
-            u_star=u_hat,
-            mu_star=(0.0,) * m,
-            active_set=_active_set(keep, kept, u_hat),
-            status="optimal",
-        )
+    if _feasible(rows, faces, ux, uy):
+        return _optimal(rows, bs, ux, uy, [0.0] * m)
 
     # size 1: single-row projection, mu = 2 (a.u_hat - b) / ||a||^2
     for k in keep:
-        a = rows[k].a
-        aa = v_dot(a, a)
+        kx, ky = ax[k], ay[k]
+        aa = kx * kx + ky * ky
         if aa <= 0.0:
             continue
-        mu = 2.0 * (v_dot(a, u_hat) - rows[k].b_hat) / aa
+        mu = 2.0 * (kx * ux + ky * uy - bs[k]) / aa
         if mu < -MU_TOL:
             continue
         mu = max(mu, 0.0)
-        u = (u_hat[0] - 0.5 * mu * a[0], u_hat[1] - 0.5 * mu * a[1])
-        if _feasible(kept, u):
+        x, y = ux - 0.5 * mu * kx, uy - 0.5 * mu * ky
+        if _feasible(rows, faces, x, y):
             mus = [0.0] * m
             mus[k] = mu
-            return QPSolution(u, tuple(mus), _active_set(keep, kept, u), "optimal")
+            return _optimal(rows, bs, x, y, mus)
 
     # size 2: solve the Gram system for (mu_k, mu_l)
     for pos, k in enumerate(keep):
-        ak = rows[k].a
-        g11 = v_dot(ak, ak)
-        r1 = v_dot(ak, u_hat) - rows[k].b_hat
+        kx, ky = ax[k], ay[k]
+        g11 = kx * kx + ky * ky
+        r1 = kx * ux + ky * uy - bs[k]
         for l in keep[pos + 1:]:
-            al = rows[l].a
-            g12 = v_dot(ak, al)
-            g22 = v_dot(al, al)
+            lx, ly = ax[l], ay[l]
+            g12 = kx * lx + ky * ly
+            g22 = lx * lx + ly * ly
             det = g11 * g22 - g12 * g12
             if abs(det) <= 1e-14 * max(g11 * g22, 1e-300):
                 continue  # degenerate (parallel) rows: skip this set
-            r2 = v_dot(al, u_hat) - rows[l].b_hat
+            r2 = lx * ux + ly * uy - bs[l]
             mu_k = 2.0 * (g22 * r1 - g12 * r2) / det
             mu_l = 2.0 * (g11 * r2 - g12 * r1) / det
             if mu_k < -MU_TOL or mu_l < -MU_TOL:
                 continue
             mu_k, mu_l = max(mu_k, 0.0), max(mu_l, 0.0)
-            u = (
-                u_hat[0] - 0.5 * (mu_k * ak[0] + mu_l * al[0]),
-                u_hat[1] - 0.5 * (mu_k * ak[1] + mu_l * al[1]),
-            )
-            if _feasible(kept, u):
+            x, y = ux - 0.5 * (mu_k * kx + mu_l * lx), uy - 0.5 * (mu_k * ky + mu_l * ly)
+            if _feasible(rows, faces, x, y):
                 mus = [0.0] * m
                 mus[k], mus[l] = mu_k, mu_l
-                return QPSolution(u, tuple(mus), _active_set(keep, kept, u), "optimal")
+                return _optimal(rows, bs, x, y, mus)
 
     # No working set produced a certificate; confirm emptiness with a
     # phase-I probe maximizing the minimum slack.
-    slack = _max_min_slack(rows)
+    all_rows = problem.rows
+    slack = _max_min_slack(all_rows)
     if slack < INFEAS_TOL:
         return QPSolution(
             u_star=(math.nan, math.nan), mu_star=(0.0,) * m, active_set=(), status="infeasible"
@@ -254,8 +278,30 @@ def _enumerate(problem: QPProblem, keep) -> QPSolution:
     raise QPInfeasibleError(
         "working-set enumeration failed on a feasible problem "
         f"(phase-I slack {slack:.3e}); the problem is numerically degenerate",
-        snapshot={"u_hat": u_hat, "rows": [(r.a, r.b_hat) for r in rows]},
+        snapshot={"u_hat": problem.u_hat, "rows": [(r.a, r.b_hat) for r in all_rows]},
     )
+
+
+def _feasible(rows: list, faces: list[float], x: float, y: float) -> bool:
+    """(x, y) holds the kept rows within FEAS_TOL; a NaN coordinate fails the box faces."""
+    hx, hy, lx, ly = faces
+    if not (x <= hx and y <= hy and -x <= lx and -y <= ly):
+        return False
+    for _, kx, ky, _, top in rows:
+        if not kx * x + ky * y <= top:
+            return False
+    return True
+
+
+def _optimal(rows: list, bs: list, x: float, y: float, mus: list[float]) -> QPSolution:
+    """The solution at (x, y): kept neighbor rows, then box rows, whose |a.u - b| is within ACTIVE_TOL."""
+    active = [k for k, kx, ky, b, _ in rows if abs(kx * x + ky * y - b) <= ACTIVE_TOL * (1.0 + abs(b))]
+    m = len(bs)
+    hx, hy, lx, ly = bs[m - 4:]
+    for k, slack, b in ((m - 4, x - hx, hx), (m - 3, y - hy, hy), (m - 2, -x - lx, lx), (m - 1, -y - ly, ly)):
+        if abs(slack) <= ACTIVE_TOL * (1.0 + b):
+            active.append(k)
+    return QPSolution((x, y), tuple(mus), tuple(active), "optimal")
 
 
 def _max_min_slack(rows: tuple[ConstraintRow, ...]) -> float:
@@ -297,15 +343,15 @@ def verify_kkt(problem: QPProblem, solution: QPSolution) -> KKTReport:
     """Residuals of stationarity, primal/dual feasibility and complementary slackness."""
     if solution.status != "optimal":
         raise ValueError("verify_kkt expects an optimal solution")
-    u = solution.u_star
-    grad = list(v_sub(u, problem.u_hat))
+    x, y = solution.u_star
+    grad = [x - problem.u_hat[0], y - problem.u_hat[1]]
     primal = 0.0
     dual = 0.0
     comp = 0.0
-    for row, mu in zip(problem.rows, solution.mu_star):
-        slack = v_dot(row.a, u) - row.b_hat
-        grad[0] += 0.5 * mu * row.a[0]
-        grad[1] += 0.5 * mu * row.a[1]
+    for ax, ay, b, mu in zip(problem.ax, problem.ay, problem.b, solution.mu_star):
+        slack = ax * x + ay * y - b
+        grad[0] += 0.5 * mu * ax
+        grad[1] += 0.5 * mu * ay
         primal = max(primal, slack)
         dual = max(dual, -mu)
         comp = max(comp, abs(mu * slack))

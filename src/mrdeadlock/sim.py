@@ -219,14 +219,14 @@ class _Recorder:
             for name in _RECORD_LAYOUT:
                 array = getattr(self, name)
                 setattr(self, name, np.concatenate((array, np.empty_like(array))))
+        robots = world.robots
         self.t[k] = t
-        for i, z in enumerate(world.robots):
-            self.pos[k, i] = z.p
-            self.vel[k, i] = z.v
-            self.u_star[k, i] = u_star[i]
-            self.u_hat[k, i] = u_hat[i]
-            self.mu[k, i] = mu_rows[i]
-            self.active[k, i] = active_masks[i]
+        self.pos[k] = [z.p for z in robots]
+        self.vel[k] = [z.v for z in robots]
+        self.u_star[k] = u_star
+        self.u_hat[k] = u_hat
+        self.mu[k] = mu_rows
+        self.active[k] = active_masks
         self.h[k] = h_vals
         self.phase[k] = phase
         self.rows += 1

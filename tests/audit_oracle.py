@@ -1,7 +1,7 @@
 """The record-by-record audit that sim.audit_log must reproduce exactly.
 
 It rebuilds a PairField and the N per-robot QPs of every record and checks
-them with qp.verify_kkt and qp._active_set, one record at a time.  It raises
+them with qp.verify_kkt and _active_set, one record at a time.  It raises
 the pair pass's geometry error (CoincidentRobotsError, SafetyViolationError,
 BoundarySingularityError) on a record whose h or QPs are undefined, where
 audit_log counts the record as bad instead.  Its h_min takes the h of every
@@ -17,7 +17,7 @@ import numpy as np
 
 from mrdeadlock.cbf import PairField
 from mrdeadlock.core import pd_control
-from mrdeadlock.qp import QPSolution, _active_set, verify_kkt
+from mrdeadlock.qp import ACTIVE_TOL, QPSolution, verify_kkt
 from mrdeadlock.sim import (
     _PHASES,
     _RECORD_LAYOUT,
@@ -29,6 +29,14 @@ from mrdeadlock.sim import (
     _active_mask,
     scenario_from_dict,
 )
+
+
+def _active_set(rows, u) -> tuple[int, ...]:
+    """Indices of the rows active at u: |a.u - b| <= ACTIVE_TOL (1 + |b|)."""
+    return tuple(
+        k for k, row in enumerate(rows)
+        if abs(row.a[0] * u[0] + row.a[1] * u[1] - row.b_hat) <= ACTIVE_TOL * (1.0 + abs(row.b_hat))
+    )
 
 
 def oracle_audit(log: TrajectoryLog) -> AuditReport:
@@ -71,7 +79,7 @@ def oracle_audit(log: TrajectoryLog) -> AuditReport:
                 # verify_kkt reads the multipliers, not the active set
                 sol = QPSolution(tuple(u_stars[k][i]), tuple(mus[k][i]), (), "optimal")
                 kkt_max = max(kkt_max, verify_kkt(problem, sol).max_residual())
-                active = _active_set(range(len(problem.rows)), problem.rows, sol.u_star)
+                active = _active_set(problem.rows, sol.u_star)
                 bad |= masks[k][i] != _active_mask(active)
         else:
             bad |= mu_set[k] or any(masks[k])

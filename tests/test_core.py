@@ -166,3 +166,40 @@ def test_types_are_immutable():
 def test_world_state_requires_a_robot():
     with pytest.raises(ValueError):
         WorldState(robots=(), t=0.0)
+
+
+@pytest.mark.parametrize(
+    "vec", [(True, "0.5"), ("1", False), (True, 0.0), (0.0, False), ("1", 0.0), (np.bool_(True), 0.0)]
+)
+def test_vectors_reject_bools_and_strings(vec):
+    with pytest.raises(ValueError, match="robot position must be two numbers"):
+        RobotState(p=vec, v=(0, 0))
+    with pytest.raises(ValueError, match="robot velocity must be two numbers"):
+        RobotState(p=(0, 0), v=vec)
+    with pytest.raises(ValueError, match="goal must be two numbers"):
+        GoalSpec(pd=(vec,))
+
+
+@pytest.mark.parametrize("gain", ["kp", "kv", "ds", "alpha"])
+@pytest.mark.parametrize("value", [True, "5", None, np.bool_(True), 10**400])
+def test_params_reject_bools_non_numbers_and_huge_ints(gain, value):
+    kwargs = {"kp": 1.0, "kv": 3.0, "ds": 0.5, "alpha": (5.0, 5.0)}
+    kwargs[gain] = (value, 5.0) if gain == "alpha" else value
+    with pytest.raises(ValueError, match=gain):
+        Params(**kwargs)
+
+
+@pytest.mark.parametrize("alpha", [5.0, None, "55"])
+def test_params_reject_an_alpha_that_is_no_sequence_of_numbers(alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        Params(kp=1.0, kv=3.0, ds=0.5, alpha=alpha)
+
+
+def test_ints_and_numpy_scalars_pass_as_floats():
+    z = RobotState(p=(1, np.float32(0.5)), v=(np.int64(-2), 0.25))
+    assert z == RobotState(p=(1.0, 0.5), v=(-2.0, 0.25))
+    assert all(type(c) is float for c in (*z.p, *z.v))
+    assert GoalSpec(pd=((np.int64(3), 1),)).pd == ((3.0, 1.0),)
+    params = Params(kp=1, kv=np.float64(3.0), ds=np.float32(0.5), alpha=(np.int64(5), 4))
+    assert params == Params(kp=1.0, kv=3.0, ds=0.5, alpha=(5.0, 4.0))
+    assert all(type(x) is float for x in (params.kp, params.kv, params.ds, *params.alpha))

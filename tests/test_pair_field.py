@@ -16,9 +16,11 @@ from mrdeadlock import (
     decentralized_rows,
     pd_control,
     safety_index_signed,
+    solve_qp,
 )
 from mrdeadlock.cbf import PairField, min_pair_distance, pair_indices, row_neighbor
 from mrdeadlock.errors import ToolkitError
+from mrdeadlock.qp import _enumerate
 
 # Offsets of length exactly Ds in binary floating point; added to a dyadic
 # position they put a pair exactly on the margin.
@@ -141,3 +143,32 @@ def test_row_layout_is_neighbors_then_box(case):
                 (pjx, pjy) = robots[j].p
                 assert repr(row.a) == repr((-(pix - pjx), -(piy - pjy)))
 
+
+def _outcome(solver, problem) -> str:
+    try:
+        return repr(solver(problem))
+    except ToolkitError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+# The example count comes from the hypothesis profile: tests/conftest.py.
+@settings(deadline=None, database=None)
+@given(worlds())
+@example(_case([(0.0, 1.0), (0.5, 1.0), (0.25, 3.0)], alpha=[4.0, 5.0, 6.0]))
+def test_pair_pass_qps_are_the_assembled_qps(case):
+    """The flat QPs of the pair pass solve, compare and print as assemble_qp's QPs."""
+    world, goals, params = case
+    u_hat = [pd_control(z, g, params) for z, g in zip(world.robots, goals.pd)]
+    try:
+        assembled = [assemble_qp(i, world, goals, params) for i in range(world.n)]
+    except ToolkitError as exc:
+        _same_error(lambda: PairField(world, params).problems(u_hat), exc)
+        return
+    for problem, oracle in zip(PairField(world, params).problems(u_hat), assembled):
+        # solved from the flat rows, before rows is first read
+        outcome = _outcome(solve_qp, problem)
+        assert outcome == _outcome(solve_qp, oracle)
+        assert outcome == _outcome(lambda p: _enumerate(p, range(len(p.rows))), oracle)
+        assert repr(problem) == repr(oracle)
+        assert repr(problem.norms) == repr(oracle.norms)
+        assert problem == oracle and hash(problem) == hash(oracle)

@@ -20,7 +20,17 @@ from mrdeadlock import (
     verify_kkt,
 )
 from mrdeadlock.errors import ToolkitError
-from mrdeadlock.qp import BOX_NORMALS, IMPLIED_TOL, ConstraintRow, QPSolution, _enumerate, _kept_rows, box_rows
+from mrdeadlock.qp import (
+    ACTIVE_TOL,
+    BOX_NORMALS,
+    FEAS_TOL,
+    IMPLIED_TOL,
+    ConstraintRow,
+    QPSolution,
+    _enumerate,
+    _enumerated_rows,
+    box_rows,
+)
 
 
 def random_problem(rng, m=None, alpha=None):
@@ -186,6 +196,12 @@ def test_qp_problem_requires_box_rows():
         QPProblem(u_hat=(0.0, 0.0), rows=(ConstraintRow((1.0, 0.0), 1.0),))
 
 
+@pytest.mark.parametrize("bound", [0.0, -1.0, math.inf, math.nan])
+def test_qp_problem_rejects_a_box_bound_not_finite_and_positive(bound):
+    with pytest.raises(ValueError, match="box bounds must be finite and strictly positive"):
+        QPProblem(u_hat=(0.0, 0.0), rows=box_rows(5.0)[:3] + (ConstraintRow((0.0, -1.0), bound),))
+
+
 BOX = box_rows(5.0)
 ROW_A, ROW_B = ConstraintRow((1.0, 0.0), 4.0), ConstraintRow((0.3, 0.4), 30.0)
 
@@ -317,6 +333,22 @@ def test_solve_qp_matches_full_enumeration(problem):
     assert _outcome(solve_qp, problem) == _outcome(_full_enumeration, problem)
 
 
+@settings(max_examples=400, deadline=None, database=None)
+@given(qp_problems())
+def test_solution_holds_and_marks_active_rows_row_by_row(problem):
+    """The solver's four box comparisons and its set-aside rows agree with a.u - b on every row."""
+    try:
+        sol = solve_qp(problem)
+    except ToolkitError:
+        return
+    if sol.status != "optimal":
+        return
+    x, y = sol.u_star
+    slacks = [(row.a[0] * x + row.a[1] * y - row.b_hat, row.b_hat) for row in problem.rows]
+    assert all(s <= FEAS_TOL * (1.0 + abs(b)) for s, b in slacks)
+    assert sol.active_set == tuple(k for k, (s, b) in enumerate(slacks) if abs(s) <= ACTIVE_TOL * (1.0 + abs(b)))
+
+
 def test_kept_rows_sets_aside_only_rows_clear_of_the_box():
     rows = (
         ConstraintRow((1.0, 1.0), 10.0 + 1e-3),    # clears the box max 10: set aside
@@ -325,4 +357,4 @@ def test_kept_rows_sets_aside_only_rows_clear_of_the_box():
         ConstraintRow((0.0, 0.0), -1.0),           # zero row, negative bound: kept
         ConstraintRow((-2.0, 0.0), 10.0 + 1e-9),   # within the margin: kept
     ) + box_rows(5.0)
-    assert _kept_rows(rows) == [1, 3, 4, 5, 6, 7, 8]
+    assert _enumerated_rows(QPProblem(u_hat=(0.0, 0.0), rows=rows)) == [1, 3, 4, 5, 6, 7, 8]
