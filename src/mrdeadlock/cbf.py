@@ -203,8 +203,9 @@ class PairField:
     dp = p_i - p_j, dv = v_i - v_j, ||dp|| and dp.dv once, and the minimum
     pair distance.  The signed safety index, the constraint bounds and the N
     per-robot QPs are derived from these on first use only, so a state that
-    never assembles a QP never raises the bound's errors.  Every value equals
-    its scalar oracle bit for bit (safety_index_signed, min_pair_distance,
+    never assembles a QP never raises the bound's errors.  The bounds' pass
+    takes sqrt(2 asum eps) once per pair and leaves h computed too.  Every
+    value equals its scalar oracle bit for bit (safety_index_signed, min_pair_distance,
     constraint_bound, assemble_qp).  The arithmetic stays in plain floats:
     np.hypot and math.hypot differ in the last bit on some inputs.
     """
@@ -263,6 +264,7 @@ class PairField:
         if self._bounds is None:
             ds = self._ds
             out = []
+            hs = []
             for (i, j), asum, r, pv, dvv in zip(
                 self._const.pairs, self._const.asum, self.distances, self._pv, self._dvv
             ):
@@ -271,6 +273,7 @@ class PairField:
                 eps = r - ds
                 if eps < -BOUNDARY_SNAP:
                     raise SafetyViolationError(penetration=-eps, pair=(i, j))
+                root = 0.0 if eps <= BOUNDARY_SNAP else math.sqrt(2.0 * asum * eps)
                 if eps < EPS_NUM:
                     if abs(pv) < EPS_NUM:
                         middle = 0.0
@@ -279,11 +282,13 @@ class PairField:
                             f"pair ({i},{j}): ||dp|| - Ds = {eps:.3e} with dp.dv = {pv:.3e}"
                         )
                 else:
-                    middle = asum * pv / math.sqrt(2.0 * asum * eps)
+                    middle = asum * pv / root
                 # the strict safety index, which here equals the signed one
-                h = (0.0 if eps <= BOUNDARY_SNAP else math.sqrt(2.0 * asum * eps)) + pv / r
+                h = root + pv / r
+                hs.append(h)
                 out.append(r * h * h * h + middle + dvv - (pv * pv) / (r * r))
             self._bounds = tuple(out)
+            self._h = tuple(hs)   # what h would compute, bit for bit
         return self._bounds
 
     def problems(self, u_hat: Sequence[Vec2]) -> tuple[QPProblem, ...]:

@@ -98,18 +98,17 @@ def detect_deadlock(
 ) -> DeadlockReport:
     """Evaluate the four deadlock conditions for robot i, with every quantity behind them.
 
-    ``problem`` is the QP that produced ``qp_solution``; its rows give the
-    force-balance residual, and its first m_neighbors rows are the neighbors.
+    ``problem`` is the QP that produced ``qp_solution``; its flat rows give the force
+    balance u_hat - 1/2 sum_k mu_k a_k, and its first m_neighbors rows are the neighbors.
     """
     z = world.robots[i]
     verdict = _deadlocked(z, goals.pd[i], qp_solution, problem.m_neighbors, params)
     active = tuple((k, qp_solution.mu_star[k]) for k in qp_solution.active_set)
     force = list(pd_control(z, goals.pd[i], params))
-    for k, row in enumerate(problem.rows):
-        mu = qp_solution.mu_star[k]
+    for mu, ax, ay in zip(qp_solution.mu_star, problem.ax, problem.ay):
         if mu != 0.0:
-            force[0] -= 0.5 * mu * row.a[0]
-            force[1] -= 0.5 * mu * row.a[1]
+            force[0] -= 0.5 * mu * ax
+            force[1] -= 0.5 * mu * ay
     return DeadlockReport(
         robot=i,
         verdict=verdict,

@@ -4,8 +4,10 @@
 
 A row is a ConstraintRow; box_rows builds the four box rows, whose normals
 are BOX_NORMALS, and QPProblem checks that a problem ends with them.  A
-QPProblem holds its rows as plain floats, which the solver reads directly;
-the pair pass builds them in that form (flat_problem).
+QPProblem stores its rows only as plain floats, which the solver, the
+phase-I probe and the force balance read directly; the pair pass builds them
+in that form (flat_problem).  QPProblem.rows is a ConstraintRow view of
+them, built on each read, for tests and oracles.
 
 With u in R^2 at most two linearly independent rows are active at a
 nondegenerate optimum, so candidate working sets of size 0, 1, 2 are
@@ -68,13 +70,13 @@ def box_rows(alpha_i: float) -> tuple[ConstraintRow, ...]:
     return tuple(ConstraintRow(a, alpha_i) for a in BOX_NORMALS)
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False, eq=False)
+@dataclass(frozen=True, slots=True, init=False)
 class QPProblem:
     """Objective center u_hat and stacked rows: m_neighbors neighbor rows, then the 4 box rows.
 
-    The rows are held as plain floats, which solve_qp reads; rows, the
-    ConstraintRow tuple, is built from them when first read.  Equality, hash
-    and repr are those of (u_hat, rows).  The lists are taken as given, not
+    The rows are stored only as plain floats, which solve_qp reads; rows, the
+    ConstraintRow tuple, is a view built from them on every read.  Equality
+    and repr are those of the fields.  The lists are taken as given, not
     copied: treat them as read-only.
     """
 
@@ -83,7 +85,6 @@ class QPProblem:
     ay: list[float]
     b: list[float]
     norms: list[float]   # |a|_1 of every neighbor row
-    _rows: tuple[ConstraintRow, ...] | None
 
     def __init__(self, u_hat: Vec2, rows: tuple[ConstraintRow, ...]):
         box = rows[-4:]
@@ -92,39 +93,27 @@ class QPProblem:
         if not all(0.0 < row.b_hat < math.inf for row in box):
             raise ValueError("box bounds must be finite and strictly positive")
         _fill(self, u_hat, [row.a[0] for row in rows], [row.a[1] for row in rows], [row.b_hat for row in rows],
-              [abs(row.a[0]) + abs(row.a[1]) for row in rows[:-4]], rows)
+              [abs(row.a[0]) + abs(row.a[1]) for row in rows[:-4]])
 
     @property
     def rows(self) -> tuple[ConstraintRow, ...]:
-        if self._rows is None:
-            rows = tuple(ConstraintRow((x, y), b) for x, y, b in zip(self.ax, self.ay, self.b))
-            object.__setattr__(self, "_rows", rows)
-        return self._rows
+        return tuple(ConstraintRow((x, y), b) for x, y, b in zip(self.ax, self.ay, self.b))
 
     @property
     def m_neighbors(self) -> int:
         return len(self.b) - 4
 
-    def __repr__(self) -> str:
-        return f"QPProblem(u_hat={self.u_hat!r}, rows={self.rows!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.u_hat, self.rows) == (other.u_hat, other.rows)
-
     def __hash__(self) -> int:
-        return hash((self.u_hat, self.rows))
+        return hash((self.u_hat, tuple(self.ax), tuple(self.ay), tuple(self.b)))
 
 
-def _fill(problem: QPProblem, u_hat: Vec2, ax: list, ay: list, b: list, norms: list, rows=None) -> QPProblem:
+def _fill(problem: QPProblem, u_hat: Vec2, ax: list, ay: list, b: list, norms: list) -> QPProblem:
     set_field = object.__setattr__   # as a frozen dataclass's own __init__ sets its fields
     set_field(problem, "u_hat", u_hat)
     set_field(problem, "ax", ax)
     set_field(problem, "ay", ay)
     set_field(problem, "b", b)
     set_field(problem, "norms", norms)
-    set_field(problem, "_rows", rows)
     return problem
 
 
@@ -269,8 +258,7 @@ def _enumerate(problem: QPProblem, keep) -> QPSolution:
 
     # No working set produced a certificate; confirm emptiness with a
     # phase-I probe maximizing the minimum slack.
-    all_rows = problem.rows
-    slack = _max_min_slack(all_rows)
+    slack = _max_min_slack(ax, ay, bs)
     if slack < INFEAS_TOL:
         return QPSolution(
             u_star=(math.nan, math.nan), mu_star=(0.0,) * m, active_set=(), status="infeasible"
@@ -278,7 +266,7 @@ def _enumerate(problem: QPProblem, keep) -> QPSolution:
     raise QPInfeasibleError(
         "working-set enumeration failed on a feasible problem "
         f"(phase-I slack {slack:.3e}); the problem is numerically degenerate",
-        snapshot={"u_hat": problem.u_hat, "rows": [(r.a, r.b_hat) for r in all_rows]},
+        snapshot={"u_hat": problem.u_hat, "rows": [((x, y), b) for x, y, b in zip(ax, ay, bs)]},
     )
 
 
@@ -304,15 +292,13 @@ def _optimal(rows: list, bs: list, x: float, y: float, mus: list[float]) -> QPSo
     return QPSolution((x, y), tuple(mus), tuple(active), "optimal")
 
 
-def _max_min_slack(rows: tuple[ConstraintRow, ...]) -> float:
+def _max_min_slack(ax: list[float], ay: list[float], b: list[float]) -> float:
     """Optimum of  max_u min_k (b_k - a_k.u)  via an LP in (u, s)."""
     # maximize s  s.t.  a_k.u + s <= b_k  ->  minimize -s
-    a_ub = [[row.a[0], row.a[1], 1.0] for row in rows]
-    b_ub = [row.b_hat for row in rows]
     res = linprog(
         c=[0.0, 0.0, -1.0],
-        A_ub=a_ub,
-        b_ub=b_ub,
+        A_ub=[[x, y, 1.0] for x, y in zip(ax, ay)],
+        b_ub=b,
         bounds=[(None, None), (None, None), (None, None)],
         method="highs",
     )

@@ -38,6 +38,7 @@ from .core import (
     Params,
     Vec2,
     WorldState,
+    _positive,
     euler_step,
     goal_bearing,
     pd_control,
@@ -86,9 +87,9 @@ class ResolutionConfig:
     def __post_init__(self):
         # as Params requires of kp and kv: a gain <= 0 never settles the
         # bearing, and a non-finite one breaks the phase-2 step
-        for name, gain in (("kp2", self.kp2), ("kv2", self.kv2)):
-            if gain is not None and not 0.0 < gain < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {gain!r}")
+        for name in ("kp2", "kv2"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _positive(getattr(self, name), name))
 
     def bearing_gains(self, params: Params) -> tuple[float, float]:
         return (

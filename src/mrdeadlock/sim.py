@@ -27,6 +27,7 @@ from .core import (
     RobotState,
     Vec2,
     WorldState,
+    _positive,
     euler_step,
     pd_control,
     v_norm,
@@ -79,7 +80,11 @@ class Scenario:
     def __post_init__(self):
         if self.controller not in CONTROLLERS:
             raise ValueError(f"controller must be one of {CONTROLLERS}")
-        if not 0.0 < self.dt < self.t_max < math.inf:
+        try:   # read as Params reads its gains, but kept as given: the log's meta does not move
+            ok = _positive(self.dt, "dt") < _positive(self.t_max, "t_max")
+        except ValueError:
+            ok = False
+        if not ok:
             raise ValueError(f"need finite dt > 0 and t_max > dt, got dt={self.dt!r}, t_max={self.t_max!r}")
         if isinstance(self.log_every, bool) or not isinstance(self.log_every, int) or self.log_every < 1:
             raise ValueError(f"log_every must be an integer >= 1, got {self.log_every!r}")

@@ -13,12 +13,17 @@ from mrdeadlock import (
     GoalSpec,
     Params,
     QPProblem,
+    Scenario,
     WorldState,
     assemble_qp,
     collinear_family,
+    detect_deadlock,
+    run_scenario,
     solve_qp,
+    verify_boundary_membership,
     verify_kkt,
 )
+from mrdeadlock.cli import main
 from mrdeadlock.errors import ToolkitError
 from mrdeadlock.qp import (
     ACTIVE_TOL,
@@ -349,7 +354,7 @@ def test_solution_holds_and_marks_active_rows_row_by_row(problem):
     assert sol.active_set == tuple(k for k, (s, b) in enumerate(slacks) if abs(s) <= ACTIVE_TOL * (1.0 + abs(b)))
 
 
-def test_kept_rows_sets_aside_only_rows_clear_of_the_box():
+def test_enumerated_rows_sets_aside_only_rows_clear_of_the_box():
     rows = (
         ConstraintRow((1.0, 1.0), 10.0 + 1e-3),    # clears the box max 10: set aside
         ConstraintRow((1.0, 1.0), 10.0),           # touches the box corner: kept
@@ -358,3 +363,26 @@ def test_kept_rows_sets_aside_only_rows_clear_of_the_box():
         ConstraintRow((-2.0, 0.0), 10.0 + 1e-9),   # within the margin: kept
     ) + box_rows(5.0)
     assert _enumerated_rows(QPProblem(u_hat=(0.0, 0.0), rows=rows)) == [1, 3, 4, 5, 6, 7, 8]
+
+
+def test_no_runtime_path_reads_the_rows_view(monkeypatch, capsys):
+    """The solver, its phase-I probe, the force balance and the runs read the flat rows only."""
+    goals = GoalSpec(pd=((2.0, 0.0), (-2.0, 0.0)))
+    params = Params(kp=1.0, kv=3.0, ds=0.5, alpha=(5.0, 5.0))
+    world = WorldState(robots=collinear_family(goals, params, 0.4), t=0.0)
+    problems = [assemble_qp(i, world, goals, params) for i in range(2)]
+    infeasible = QPProblem(u_hat=(0.0, 0.0), rows=(ConstraintRow((1.0, 0.0), -20.0),) + box_rows(5.0))
+
+    def no_rows(problem):
+        raise AssertionError("QPProblem.rows was read")
+
+    monkeypatch.setattr(QPProblem, "rows", property(no_rows))
+    for i, problem in enumerate(problems):
+        report = detect_deadlock(i, world, goals, params, solve_qp(problem), problem)
+        assert report.verdict and report.force_balance_residual <= 1e-8
+    assert solve_qp(infeasible).status == "infeasible"
+    assert verify_boundary_membership(world, goals, params)
+    assert main(["families", "two"]) == 0
+    assert "system deadlock: True" in capsys.readouterr().out
+    log = run_scenario(Scenario(params=params, initial=world.robots, goals=goals, controller="three-phase", t_max=0.05))
+    assert [e["name"] for e in log.events[:2]] == ["deadlock-detected", "phase-2-start"]

@@ -241,14 +241,24 @@ def test_supervisor_category_b_run_is_safe_and_converges():
 @pytest.mark.parametrize(
     "kwargs",
     [{"kp2": 0.0}, {"kp2": -3.0}, {"kv2": 0.0}, {"kv2": -1e-3}, {"kp2": math.inf}, {"kp2": math.nan},
-     {"kv2": math.inf}, {"kv2": math.nan}],
+     {"kv2": math.inf}, {"kv2": math.nan}, {"kp2": 10**400}, {"kp2": True}, {"kp2": "1"}],
 )
 def test_resolution_config_rejects_unreachable_thresholds(kwargs):
     # with a bearing gain <= 0 the bearing never settles within EPS_THETA and
     # EPS_OMEGA of the goal bearing, so phase 3 is never reached; an infinite
-    # gain breaks the first phase-2 step, a NaN one aborts the run later
-    with pytest.raises(ValueError, match="must be finite and > 0"):
+    # gain breaks the first phase-2 step, a NaN one aborts the run later.  An
+    # int past the float range is infinite; a bool or a string is no gain at
+    # all, and a bool would be logged as one its own log's reader rejects.
+    ((name, gain),) = kwargs.items()
+    reason = "a number" if isinstance(gain, (bool, str)) else "finite and > 0"
+    with pytest.raises(ValueError, match=f"{name} must be {reason}"):
         ResolutionConfig(**kwargs)
+
+
+def test_resolution_config_stores_gains_as_floats():
+    config = ResolutionConfig(kp2=16, kv2=np.float64(10.0))
+    assert type(config.kp2) is float and type(config.kv2) is float
+    assert config.bearing_gains(PARAMS2) == (16.0, 10.0)
 
 
 def test_resolution_config_defaults():

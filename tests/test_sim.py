@@ -587,11 +587,22 @@ def test_scenario_from_dict_keeps_partial_resolution_defaults():
 
 
 @pytest.mark.parametrize(
-    "times", [{"t_max": math.inf}, {"t_max": math.nan}, {"dt": math.inf}, {"dt": math.nan}]
+    "times",
+    [{"t_max": math.inf}, {"t_max": math.nan}, {"dt": math.inf}, {"dt": math.nan}, {"t_max": 10**400},
+     {"dt": True}, {"t_max": True}, {"dt": "0.001"}, {"t_max": "30"}],
 )
 def test_scenario_rejects_non_finite_times(times):
+    # an int past the float range is infinite: n_steps could not divide it.
+    # A bool or a string is no time: dt = True would run 1 s steps and log
+    # "dt": true, which load_log rejects
     with pytest.raises(ValueError, match="finite dt"):
         default_head_on_scenario(**times)
+
+
+def test_scenario_keeps_its_times_as_given():
+    scenario = default_head_on_scenario(t_max=30, dt=np.float64(0.001))
+    assert type(scenario.t_max) is int and type(scenario.dt) is np.float64
+    assert scenario.n_steps == 30000
 
 
 @pytest.mark.parametrize("log_every", [2.5, 2.0, 0, "2", True])
