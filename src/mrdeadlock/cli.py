@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from .cbf import PairField, pair_indices
@@ -99,8 +98,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     report = audit_log(log)
     print(f"records: {report.n_records}")
     print(f"h recompute match: {report.h_match_max:.3e}")
-    h_min = report.h_min if math.isfinite(report.h_min) else float("inf")
-    print(f"min h over run: {h_min:.6e}")
+    print(f"min h over run: {report.h_min:.6e}")
     print(f"max KKT residual: {report.kkt_max_residual:.3e}")
     print(f"records with a non-finite value, an undefined h or QP, or a bad t, phase, u_hat, mu or active mask: "
           f"{report.bad_records}")

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import minimize
@@ -82,7 +81,7 @@ class EmbeddingResult:
     """Outcome of the planar realizability search for one graph."""
 
     feasible: bool
-    positions: tuple[tuple[float, float], ...] | None
+    positions: tuple[tuple[float, float], ...]
     max_violation: float
 
 
@@ -110,22 +109,19 @@ def connected_count(n: int) -> int:
     """Exact number of connected graphs on n labeled vertices.
 
     d_N = 2^C(N,2) - (1/N) sum_{k=1}^{N-1} k C(N,k) 2^C(N-k,2) d_k
-    evaluated in exact rational arithmetic.
+    evaluated in integers: each sum is divided by N exactly, and a nonzero
+    remainder at any step raises ArithmeticError.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    d: list[Fraction] = [Fraction(0)] * (n + 1)
-    d[1] = Fraction(1)
+    d = [0, 1]
     for m in range(2, n + 1):
-        total = Fraction(2 ** math.comb(m, 2))
-        acc = Fraction(0)
-        for k in range(1, m):
-            acc += k * math.comb(m, k) * (2 ** math.comb(m - k, 2)) * d[k]
-        d[m] = total - acc / m
-    result = d[n]
-    if result.denominator != 1:
-        raise ArithmeticError(f"recurrence produced a non-integer count for n={n}")
-    return int(result)
+        acc = sum(k * math.comb(m, k) * 2 ** math.comb(m - k, 2) * d[k] for k in range(1, m))
+        quotient, remainder = divmod(acc, m)
+        if remainder:
+            raise ArithmeticError(f"recurrence produced a non-integer count for n={m}")
+        d.append(2 ** math.comb(m, 2) - quotient)
+    return d[n]
 
 
 def enumerate_connected(n: int) -> list[LabeledGraph]:
@@ -154,41 +150,32 @@ def graph_seed(g: LabeledGraph, attempt: int) -> int:
     return (zlib.crc32(key) << 16) ^ attempt
 
 
-def _violation(g: LabeledGraph, pos: np.ndarray) -> float:
+def _violation(pairs: list[tuple[int, int, bool]], pos: np.ndarray) -> float:
     worst = 0.0
-    for u, v in g.edges:
+    for u, v, is_edge in pairs:
         d = float(np.hypot(*(pos[u] - pos[v])))
-        worst = max(worst, abs(d - 1.0))
-    for u, v in g.non_edges():
-        d = float(np.hypot(*(pos[u] - pos[v])))
-        worst = max(worst, max(0.0, 1.0 + NONEDGE_MARGIN - d))
+        err = d - (1.0 if is_edge else 1.0 + NONEDGE_MARGIN)
+        if is_edge or err < 0.0:
+            worst = max(worst, abs(err))
     return worst
 
 
-def _objective(x: np.ndarray, g: LabeledGraph) -> tuple[float, np.ndarray]:
-    pos = x.reshape(g.n, 2)
+def _objective(x: np.ndarray, pairs: list[tuple[int, int, bool]]) -> tuple[float, np.ndarray]:
+    """Sum of squared pair residuals and its gradient in the flat positions x.
+
+    The residual is d - 1 on an edge and d - (1 + NONEDGE_MARGIN) on a shorter
+    non-edge, with d floored at 1e-12; a longer non-edge adds nothing.
+    """
+    pos = x.reshape(-1, 2)
     f = 0.0
     grad = np.zeros_like(pos)
-    for u, v in g.edges:
+    for u, v, is_edge in pairs:
         diff = pos[u] - pos[v]
-        d = math.hypot(diff[0], diff[1])
-        if d < 1e-12:
-            d = 1e-12
-        err = d - 1.0
-        f += err * err
-        gvec = (2.0 * err / d) * diff
-        grad[u] += gvec
-        grad[v] -= gvec
-    gap = 1.0 + NONEDGE_MARGIN
-    for u, v in g.non_edges():
-        diff = pos[u] - pos[v]
-        d = math.hypot(diff[0], diff[1])
-        if d < 1e-12:
-            d = 1e-12
-        short = gap - d
-        if short > 0.0:
-            f += short * short
-            gvec = (-2.0 * short / d) * diff
+        d = max(math.hypot(diff[0], diff[1]), 1e-12)
+        err = d - (1.0 if is_edge else 1.0 + NONEDGE_MARGIN)
+        if is_edge or err < 0.0:
+            f += err * err
+            gvec = (2.0 * err / d) * diff
             grad[u] += gvec
             grad[v] -= gvec
     return f, grad.ravel()
@@ -197,18 +184,22 @@ def _objective(x: np.ndarray, g: LabeledGraph) -> tuple[float, np.ndarray]:
 def embed_graph(g: LabeledGraph, attempts: int = 200) -> EmbeddingResult:
     """Search for planar positions with edge distances 1 and non-edges > 1.
 
-    Penalized least squares from seeded random restarts; feasibility is
-    declared from a post-hoc re-check of all pairwise distances, independent
-    of the optimizer's own residual.  Infeasibility is probabilistic: it is
-    only reported after every restart fails.
+    Penalized least squares over the vertex pairs, edges first, from
+    ``attempts`` (>= 1) seeded random restarts; feasibility is declared from a
+    post-hoc re-check of all pairwise distances, independent of the
+    optimizer's own residual.  The best restart is returned, the first within
+    EMBED_TOL ends the search, and infeasibility is probabilistic: it is only
+    reported after every restart fails.
     """
+    if attempts < 1:
+        raise ValueError(f"attempts must be >= 1, got {attempts}")
     if not g.is_connected():
         raise ValueError("embed_graph expects a connected graph")
     if g.n == 1:
         return EmbeddingResult(feasible=True, positions=((0.0, 0.0),), max_violation=0.0)
 
-    best = math.inf
-    best_pos: np.ndarray | None = None
+    pairs = [(u, v, True) for u, v in g.edges] + [(u, v, False) for u, v in g.non_edges()]
+    best, best_pos = math.inf, None
     span = max(1.0, math.sqrt(g.n))
     for attempt in range(attempts):
         rng = np.random.default_rng(graph_seed(g, attempt))
@@ -216,25 +207,20 @@ def embed_graph(g: LabeledGraph, attempts: int = 200) -> EmbeddingResult:
         res = minimize(
             _objective,
             x0,
-            args=(g,),
+            args=(pairs,),
             jac=True,
             method="L-BFGS-B",
             options={"maxiter": 500, "ftol": 1e-16, "gtol": 1e-12},
         )
         pos = res.x.reshape(g.n, 2)
-        worst = _violation(g, pos)
-        if worst < best:
-            best = worst
-            best_pos = pos
+        worst = _violation(pairs, pos)
+        if best_pos is None or worst < best:
+            best, best_pos = worst, pos
         if worst <= EMBED_TOL:
-            return EmbeddingResult(
-                feasible=True,
-                positions=tuple((float(p[0]), float(p[1])) for p in pos),
-                max_violation=worst,
-            )
+            break
     return EmbeddingResult(
-        feasible=False,
-        positions=tuple((float(p[0]), float(p[1])) for p in best_pos) if best_pos is not None else None,
+        feasible=best <= EMBED_TOL,
+        positions=tuple((float(p[0]), float(p[1])) for p in best_pos),
         max_violation=best,
     )
 
@@ -252,7 +238,9 @@ def count_admissible(n: int, attempts: int = 200) -> int:
 
 
 def census_table(n_max: int = 4, attempts: int = 200) -> list[dict]:
-    """Rows of the enumeration table: n, upper, connected, admissible, lower."""
+    """Rows of the enumeration table for n = 1..n_max (>= 1): n, upper, connected, admissible, lower."""
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     rows = []
     for n in range(1, n_max + 1):
         rows.append(

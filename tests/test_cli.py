@@ -20,6 +20,18 @@ def test_census_command(capsys):
     assert rows[2] == ["3", "8", "4", "4", "4"]
 
 
+@pytest.mark.parametrize(
+    "args, named",
+    [(["--attempts", "0"], "attempts"), (["--attempts", "-3"], "attempts"), (["--n-max", "0"], "n_max")],
+    ids=["zero-attempts", "negative-attempts", "zero-n-max"],
+)
+def test_census_rejects_non_positive_counts_with_one_line(capsys, args, named):
+    assert main(["census", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and named in captured.err
+
+
 def test_families_two(capsys):
     assert main(["families", "two", "--alpha", "0.4"]) == 0
     out = capsys.readouterr().out
@@ -90,6 +102,16 @@ def test_verify_counts_a_record_inside_the_margin_as_bad(tmp_path, capsys):
     assert main(["verify", str(lpath)]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[-2].endswith(": 1") and out[-1] == "audit FAILED"
+
+
+def test_verify_prints_a_minimum_h_of_minus_inf(tmp_path, capsys):
+    # closing at +-1.7e308 m/s: every logged float is finite, but dp.dv overflows
+    lpath = tmp_path / "log.json"
+    log = run_scenario(default_head_on_scenario(t_max=0.05))
+    log.vel[3] = ((1.7e308, 0.0), (-1.7e308, 0.0))
+    export_log(log, "json", str(lpath))
+    assert main(["verify", str(lpath)]) == 1
+    assert "min h over run: -inf\n" in capsys.readouterr().out
 
 
 def test_aborting_run_exits_nonzero_with_diagnostic(tmp_path, capsys):

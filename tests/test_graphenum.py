@@ -5,7 +5,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mrdeadlock import (
     LabeledGraph,
@@ -16,11 +19,21 @@ from mrdeadlock import (
     lower_bound,
     upper_bound,
 )
-from mrdeadlock.graphenum import admissible_report, census_table, graph_seed
+from mrdeadlock.graphenum import (
+    NONEDGE_MARGIN,
+    _objective,
+    _violation,
+    admissible_report,
+    census_table,
+    graph_seed,
+)
 
 
 def test_connected_count_small_values():
-    assert [connected_count(n) for n in (1, 2, 3, 4)] == [1, 1, 4, 38]
+    # OEIS A001187, n = 1..10
+    assert [connected_count(n) for n in range(1, 11)] == [
+        1, 1, 4, 38, 728, 26704, 1866256, 251548592, 66296291072, 34496488594816,
+    ]
 
 
 def test_connected_count_matches_exhaustive_enumeration():
@@ -137,3 +150,98 @@ def test_admissible_report_n4_k4_is_the_unique_failure():
     assert infeasible[0].edges == tuple(
         (i, j) for i in range(4) for j in range(i + 1, 4)
     )
+
+
+def test_embed_rejects_fewer_than_one_attempt():
+    g = LabeledGraph(n=2, edges=((0, 1),))
+    for attempts in (0, -3):
+        with pytest.raises(ValueError, match="attempts"):
+            embed_graph(g, attempts=attempts)
+    with pytest.raises(ValueError, match="attempts"):
+        embed_graph(LabeledGraph(n=1, edges=()), attempts=0)
+
+
+def test_census_table_rejects_fewer_than_one_row():
+    for n_max in (0, -1):
+        with pytest.raises(ValueError, match="n_max"):
+            census_table(n_max=n_max, attempts=10)
+
+
+# The two-loop penalty and re-check the one-loop pair walk replaced: the oracle
+# for bit-identical objective values, gradients and violations.
+def _violation_two_loops(g: LabeledGraph, pos: np.ndarray) -> float:
+    worst = 0.0
+    for u, v in g.edges:
+        d = float(np.hypot(*(pos[u] - pos[v])))
+        worst = max(worst, abs(d - 1.0))
+    for u, v in g.non_edges():
+        d = float(np.hypot(*(pos[u] - pos[v])))
+        worst = max(worst, max(0.0, 1.0 + NONEDGE_MARGIN - d))
+    return worst
+
+
+def _objective_two_loops(x: np.ndarray, g: LabeledGraph) -> tuple[float, np.ndarray]:
+    pos = x.reshape(g.n, 2)
+    f = 0.0
+    grad = np.zeros_like(pos)
+    for u, v in g.edges:
+        diff = pos[u] - pos[v]
+        d = math.hypot(diff[0], diff[1])
+        if d < 1e-12:
+            d = 1e-12
+        err = d - 1.0
+        f += err * err
+        gvec = (2.0 * err / d) * diff
+        grad[u] += gvec
+        grad[v] -= gvec
+    gap = 1.0 + NONEDGE_MARGIN
+    for u, v in g.non_edges():
+        diff = pos[u] - pos[v]
+        d = math.hypot(diff[0], diff[1])
+        if d < 1e-12:
+            d = 1e-12
+        short = gap - d
+        if short > 0.0:
+            f += short * short
+            gvec = (-2.0 * short / d) * diff
+            grad[u] += gvec
+            grad[v] -= gvec
+    return f, grad.ravel()
+
+
+GAP = 1.0 + NONEDGE_MARGIN
+# points exactly 1 and exactly 1 + NONEDGE_MARGIN apart, drawn often enough to coincide
+SPECIAL_POINTS = [(0.0, 0.0), (1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (GAP, 0.0), (0.0, -GAP), (1.0, GAP)]
+
+
+@st.composite
+def graphs_and_positions(draw):
+    n = draw(st.integers(2, 6))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}   # a spanning tree
+    others = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
+    edges |= {e for e, keep in zip(others, draw(st.lists(st.booleans(), min_size=len(others),
+                                                          max_size=len(others)))) if keep}
+    coord = st.floats(-3.0, 3.0, allow_nan=False)
+    point = st.one_of(st.sampled_from(SPECIAL_POINTS), st.tuples(coord, coord))
+    pos = draw(st.lists(point, min_size=n, max_size=n))
+    return LabeledGraph(n=n, edges=tuple(edges)), pos
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+# The example count comes from the hypothesis profile: tests/conftest.py.
+@settings(deadline=None, database=None)
+@given(graphs_and_positions())
+# an edge exactly 1 long, a coincident edge, a non-edge exactly 1 and one exactly 1 + NONEDGE_MARGIN long
+@example((LabeledGraph(n=4, edges=((0, 1), (1, 2), (2, 3))), [(0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (0.0, GAP)]))
+def test_pair_walk_matches_the_two_loop_penalty(case):
+    g, points = case
+    pos = np.array(points, dtype=float)
+    pairs = [(u, v, True) for u, v in g.edges] + [(u, v, False) for u, v in g.non_edges()]
+    f, grad = _objective(pos.ravel(), pairs)
+    f_ref, grad_ref = _objective_two_loops(pos.ravel(), g)
+    assert float(f).hex() == float(f_ref).hex()
+    assert _hex(grad) == _hex(grad_ref)
+    assert _violation(pairs, pos).hex() == _violation_two_loops(g, pos).hex()
