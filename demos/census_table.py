@@ -3,7 +3,9 @@
 Active pairwise constraints form a connected labeled graph whose edges must
 realize exactly the safety distance in the plane while non-edges stay
 strictly wider.  The table compares the combinatorial bounds with the
-geometric census; the search is restart-based and deterministic.
+geometric census.  A graph that breaks an exact penny-graph rule (the edge
+bound, a K4, or two vertices with three common neighbours) is certified not
+admissible; the rest go to a restart-based, deterministic search.
 
     python demos/census_table.py [--n-max 4] [--attempts 200]
 """
@@ -16,6 +18,7 @@ from collections import Counter
 from mrdeadlock.graphenum import (
     admissible_report,
     census_table,
+    obstruction,
 )
 
 
@@ -48,8 +51,9 @@ def main() -> None:
             print(f"  {names.get(deg, str(deg)):<22s} {count:>3} feasible")
         for g, r in infeas:
             deg = tuple(sorted(g.degree_sequence()))
-            print(f"  {names.get(deg, str(deg)):<22s}   1 infeasible "
-                  f"(best violation {r.max_violation:.3f}: no planar equidistant 4-point set)")
+            rule = obstruction(g)
+            why = f"certified: {rule}" if rule else f"search failed, best violation {r.max_violation:.3f}"
+            print(f"  {names.get(deg, str(deg)):<22s}   1 infeasible ({why})")
 
 
 if __name__ == "__main__":

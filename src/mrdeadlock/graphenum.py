@@ -4,12 +4,14 @@ An active pairwise constraint is an undirected edge between robot vertices,
 so candidate deadlock configurations are connected labeled graphs whose edges
 realize distance Ds in the plane and whose non-edges stay strictly farther
 apart.  This module provides the exact connected-graph recurrence, the
-combinatorial upper/lower bounds, exhaustive enumeration for small N and a
-restart-based geometric feasibility checker.
+combinatorial upper/lower bounds, exhaustive enumeration for small N, exact
+certificates that a graph has no such realization, and a restart-based
+geometric feasibility checker for the rest.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import zlib
 from dataclasses import dataclass
@@ -22,6 +24,7 @@ Edge = tuple[int, int]
 # Whether a graph embeds does not depend on Ds, so embeddings use Ds = 1.
 NONEDGE_MARGIN = 1e-3   # non-edges must exceed 1 strictly; the optimizer is given this finite gap
 EMBED_TOL = 1e-6        # an embedding is feasible once no distance is off by more than this
+CENSUS_N_MAX = 5        # every connected graph on n <= 5 vertices is certified or embedded
 
 
 @dataclass(frozen=True)
@@ -150,10 +153,39 @@ def graph_seed(g: LabeledGraph, attempt: int) -> int:
     return (zlib.crc32(key) << 16) ^ attempt
 
 
+def max_penny_edges(n: int) -> int:
+    """Most edges of a penny graph on n >= 1 vertices: floor(3n - sqrt(12n - 3)) (Harborth 1974)."""
+    return 3 * n - (math.isqrt(12 * n - 4) + 1)   # ceil(sqrt(k)) = isqrt(k - 1) + 1
+
+
+def obstruction(g: LabeledGraph) -> str | None:
+    """The first exact rule that proves g has no embedding, or None if none fires.
+
+    An embedding makes g a penny graph: equal disks touching along the edges
+    and overlapping nowhere.  "edge bound": more than max_penny_edges(n) edges.
+    "K4": four pairwise adjacent vertices, but no four points are pairwise 1
+    apart.  "K2,3": two vertices with three common neighbours, but two unit
+    circles meet in at most two points (Erdos 1946).
+    """
+    if len(g.edges) > max_penny_edges(g.n):
+        return "edge bound"
+    adj: list[set[int]] = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    if any(adj[w] & adj[u] & adj[v] for u, v in g.edges for w in adj[u] & adj[v]):
+        return "K4"
+    if any(len(adj[u] & adj[v]) >= 3 for u, v in itertools.combinations(range(g.n), 2)):
+        return "K2,3"
+    return None
+
+
 def _violation(pairs: list[tuple[int, int, bool]], pos: np.ndarray) -> float:
     worst = 0.0
     for u, v, is_edge in pairs:
         d = float(np.hypot(*(pos[u] - pos[v])))
+        if not math.isfinite(d):
+            return math.inf
         err = d - (1.0 if is_edge else 1.0 + NONEDGE_MARGIN)
         if is_edge or err < 0.0:
             worst = max(worst, abs(err))
@@ -226,21 +258,32 @@ def embed_graph(g: LabeledGraph, attempts: int = 200) -> EmbeddingResult:
 
 
 def admissible_report(n: int, attempts: int = 200) -> list[tuple[LabeledGraph, EmbeddingResult]]:
-    """Embedding verdict for every connected labeled graph on n vertices."""
-    if n > 4:
-        raise ValueError("the admissibility census is limited to n <= 4")
-    return [(g, embed_graph(g, attempts)) for g in enumerate_connected(n)]
+    """Embedding verdict for every connected labeled graph on n <= CENSUS_N_MAX vertices.
+
+    A graph that `obstruction` certifies is infeasible, with no positions and
+    an infinite violation, without a search: that "not admissible" is a proof.
+    Every other graph gets `embed_graph`'s verdict, whose "not admissible"
+    only means that every restart failed.
+    """
+    if n > CENSUS_N_MAX:
+        raise ValueError(f"the admissibility census is limited to n <= {CENSUS_N_MAX}")
+    certified = EmbeddingResult(feasible=False, positions=(), max_violation=math.inf)
+    return [(g, certified if obstruction(g) else embed_graph(g, attempts)) for g in enumerate_connected(n)]
 
 
 def count_admissible(n: int, attempts: int = 200) -> int:
-    """Number of connected labeled graphs on n vertices that embed feasibly."""
+    """Number of connected labeled graphs on n vertices that embed feasibly.
+
+    A graph left out is either certified by `obstruction` (a proof) or failed
+    every one of the search's restarts (see `admissible_report`).
+    """
     return sum(1 for _, res in admissible_report(n, attempts) if res.feasible)
 
 
 def census_table(n_max: int = 4, attempts: int = 200) -> list[dict]:
-    """Rows of the enumeration table for n = 1..n_max (>= 1): n, upper, connected, admissible, lower."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    """Rows of the enumeration table for n = 1..n_max (1..CENSUS_N_MAX): n, upper, connected, admissible, lower."""
+    if not 1 <= n_max <= CENSUS_N_MAX:
+        raise ValueError(f"n_max must be in 1..{CENSUS_N_MAX}, got {n_max}")
     rows = []
     for n in range(1, n_max + 1):
         rows.append(

@@ -32,6 +32,13 @@ def test_census_rejects_non_positive_counts_with_one_line(capsys, args, named):
     assert captured.err.count("\n") == 1 and named in captured.err
 
 
+def test_census_rejects_n_max_above_the_limit_with_one_line(capsys):
+    assert main(["census", "--n-max", "6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "n_max must be in 1..5, got 6" in captured.err
+
+
 def test_families_two(capsys):
     assert main(["families", "two", "--alpha", "0.4"]) == 0
     out = capsys.readouterr().out

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 
@@ -11,14 +12,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mrdeadlock import (
+    GoalSpec,
     LabeledGraph,
+    Params,
+    WorldState,
+    catB_parametrized,
+    collinear_family,
     connected_count,
     count_admissible,
     embed_graph,
     enumerate_connected,
     lower_bound,
+    three_robot_family_catA,
+    three_robot_family_catB,
     upper_bound,
 )
+from mrdeadlock.cbf import PairField, pair_indices
+from mrdeadlock.deadlock import geometric_tol
 from mrdeadlock.graphenum import (
     NONEDGE_MARGIN,
     _objective,
@@ -26,6 +36,8 @@ from mrdeadlock.graphenum import (
     admissible_report,
     census_table,
     graph_seed,
+    max_penny_edges,
+    obstruction,
 )
 
 
@@ -167,6 +179,93 @@ def test_census_table_rejects_fewer_than_one_row():
             census_table(n_max=n_max, attempts=10)
 
 
+def test_max_penny_edges_is_harborths_bound_in_integers():
+    assert [max_penny_edges(n) for n in range(1, 7)] == [0, 1, 3, 5, 7, 9]
+    for n in range(1, 2001):
+        assert max_penny_edges(n) == math.floor(3 * n - math.sqrt(12 * n - 3))
+
+
+K4 = tuple((i, j) for i in range(4) for j in range(i + 1, 4))
+
+
+@pytest.mark.parametrize(
+    "g, rule",
+    [
+        (LabeledGraph(n=4, edges=K4), "edge bound"),
+        (LabeledGraph(n=4, edges=((0, 1), (0, 2), (1, 2), (1, 3), (2, 3))), None),
+        (LabeledGraph(n=5, edges=K4 + ((3, 4),)), "K4"),
+        (LabeledGraph(n=5, edges=tuple((u, v) for u in (0, 1) for v in (2, 3, 4))), "K2,3"),
+        (LabeledGraph(n=4, edges=((0, 1), (1, 2), (2, 3), (0, 3))), None),
+        (LabeledGraph(n=5, edges=((0, 1), (1, 2), (2, 3), (3, 4))), None),
+    ],
+    ids=["K4", "diamond", "K4-plus-pendant", "K2,3", "C4", "5-path"],
+)
+def test_obstruction_names_the_rule_and_the_search_agrees(g, rule):
+    assert obstruction(g) == rule
+    assert embed_graph(g, attempts=40 if rule else 200).feasible == (rule is None)
+
+
+def _canonical_mask(g: LabeledGraph) -> int:
+    """The smallest edge bitmask over all relabelings: equal exactly for isomorphic graphs."""
+    bit = {pair: 1 << k for k, pair in enumerate(itertools.combinations(range(g.n), 2))}
+    return min(
+        sum(bit[min(p[u], p[v]), max(p[u], p[v])] for u, v in g.edges)
+        for p in itertools.permutations(range(g.n))
+    )
+
+
+def test_every_certificate_agrees_with_the_search_on_one_graph_per_class():
+    classes: dict[tuple[int, int], LabeledGraph] = {}
+    for n in range(1, 6):
+        for g in enumerate_connected(n):
+            classes.setdefault((n, _canonical_mask(g)), g)
+    assert Counter(n for n, _ in classes) == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21}   # OEIS A001349
+    certified = 0
+    for g in classes.values():
+        if obstruction(g):
+            certified += 1
+            assert not embed_graph(g, attempts=40).feasible, g
+        else:
+            assert embed_graph(g, attempts=200).feasible, g
+    assert certified == 9
+
+
+def test_count_admissible_n5_is_decided_in_full():
+    assert count_admissible(5, attempts=200) == 602
+    with pytest.raises(ValueError, match="n <= 5"):
+        admissible_report(6)
+    with pytest.raises(ValueError, match="n_max"):
+        census_table(n_max=6)
+
+
+def _contact_graph(world: WorldState, params: Params) -> LabeledGraph:
+    field = PairField(world, params)
+    tol = geometric_tol(params)
+    return LabeledGraph(n=world.n, edges=tuple(p for p, h in zip(pair_indices(world.n), field.h) if abs(h) <= tol))
+
+
+def _family_states():
+    params2 = Params(kp=1.0, kv=3.0, ds=0.5, alpha=(5.0, 5.0))
+    goals2 = GoalSpec(pd=((2.0, 0.0), (-2.0, 0.0)))
+    for alpha in (0.1, 0.5, 0.9):
+        yield WorldState(robots=collinear_family(goals2, params2, alpha), t=0.0), params2
+    params3 = Params(kp=1.0, kv=3.0, ds=0.5, alpha=(5.0, 5.0, 5.0))
+    yield three_robot_family_catA(params3, 2.0)[0], params3
+    yield three_robot_family_catB(params3, 2.0)[0], params3
+    for theta, alpha_angle in ((-0.3, 0.9), (-0.1, 1.4), (-0.5, 0.6)):
+        yield catB_parametrized(params3, 2.0, theta, alpha_angle)[0], params3
+
+
+def test_deadlocked_family_states_are_witnesses_the_census_counts():
+    # a deadlocked state is itself an embedding of its contact graph
+    feasible = {n: {g for g, r in admissible_report(n, attempts=200) if r.feasible} for n in (2, 3)}
+    graphs = [_contact_graph(world, params) for world, params in _family_states()]
+    assert {g.edges for g in graphs} == {((0, 1),), ((0, 1), (0, 2), (1, 2)), ((0, 1), (1, 2))}
+    for g in graphs:
+        assert obstruction(g) is None
+        assert g in feasible[g.n]
+
+
 # The two-loop penalty and re-check the one-loop pair walk replaced: the oracle
 # for bit-identical objective values, gradients and violations.
 def _violation_two_loops(g: LabeledGraph, pos: np.ndarray) -> float:
@@ -245,3 +344,11 @@ def test_pair_walk_matches_the_two_loop_penalty(case):
     assert float(f).hex() == float(f_ref).hex()
     assert _hex(grad) == _hex(grad_ref)
     assert _violation(pairs, pos).hex() == _violation_two_loops(g, pos).hex()
+
+
+@pytest.mark.parametrize("is_edge", [True, False], ids=["edge", "non-edge"])
+@pytest.mark.parametrize(
+    "pos", [np.full((2, 2), np.nan), np.array([[0.0, 0.0], [np.inf, 0.0]])], ids=["nan", "one-inf"]
+)
+def test_violation_scores_a_non_finite_distance_as_inf(pos, is_edge):
+    assert _violation([(0, 1, is_edge)], pos) == math.inf
