@@ -44,7 +44,6 @@ from .deadlock import (
     system_deadlock,
     three_robot_family_catA,
     three_robot_family_catB,
-    two_robot_multiplier,
     verify_boundary_membership,
 )
 from .errors import (
@@ -62,21 +61,13 @@ from .graphenum import (
     LabeledGraph,
     census_table,
     connected_count,
-    count_admissible,
     embed_graph,
     enumerate_connected,
     lower_bound,
     upper_bound,
 )
 from .qp import ConstraintRow, KKTReport, QPProblem, QPSolution, solve_qp, verify_kkt
-from .resolution import (
-    Phase,
-    PhaseState,
-    ResolutionConfig,
-    phase3_closed_form,
-    simulate_relative_pd,
-    supervisor_step,
-)
+from .resolution import Phase, PhaseState, ResolutionConfig, supervisor_step
 from .sim import (
     AuditReport,
     Scenario,

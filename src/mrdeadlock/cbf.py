@@ -9,11 +9,11 @@ the linear control constraint  -dp.du <= b  with the bound built below.
 Each pair constraint is split between the two robots in proportion to their
 acceleration limits, giving one linear row per neighbor in each robot's QP.
 
-The scalar functions (safety_index, constraint_bound, decentralized_rows,
-assemble_qp, ...) evaluate one pair or one robot at a time and are the test
-oracles.  Every other module goes through PairField, which evaluates every
-unordered pair once per world state and reproduces the scalar results bit
-for bit.
+The scalar functions safety_index, safety_index_signed, constraint_bound,
+decentralized_rows, assemble_qp and min_pair_distance evaluate one pair or
+one robot at a time and are the test oracles.  Every other module goes
+through PairField, which evaluates every unordered pair once per world state
+and reproduces the scalar results bit for bit.
 """
 
 from __future__ import annotations
@@ -59,17 +59,16 @@ def safety_index(zi: RobotState, zj: RobotState, params: Params, i: int = 0, j: 
 
     Raises CoincidentRobotsError at ||dp|| = 0 and SafetyViolationError
     (carrying the penetration depth) when ||dp|| < Ds beyond the boundary
-    snap band.
+    snap band; past those checks it is safety_index_signed, which computes
+    the same floats wherever ||dp|| - Ds >= -BOUNDARY_SNAP.
     """
-    dp, dv, r, pv = _pair_scalars(zi, zj)
+    r = v_norm(v_sub(zi.p, zj.p))
     if r == 0.0:
         raise CoincidentRobotsError(f"robots {i} and {j} coincide")
     eps = r - params.ds
     if eps < -BOUNDARY_SNAP:
         raise SafetyViolationError(penetration=-eps, pair=(i, j))
-    asum = params.alpha[i] + params.alpha[j]
-    core = 0.0 if eps <= BOUNDARY_SNAP else math.sqrt(2.0 * asum * eps)
-    return core + pv / r
+    return safety_index_signed(zi, zj, params, i, j)
 
 
 def safety_index_signed(zi: RobotState, zj: RobotState, params: Params, i: int = 0, j: int = 1) -> float:

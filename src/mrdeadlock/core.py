@@ -65,6 +65,13 @@ def _positive(value, what: str) -> float:
     return x
 
 
+def _positive_int(value, what: str) -> int:
+    """value if it is an int >= 1 (a bool is not); a ValueError naming `what` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{what} must be an integer >= 1, got {value!r}")
+    return value
+
+
 def _finite_vec2(value, what: str) -> Vec2:
     """value as a 2-tuple of finite floats; a ValueError naming `what` otherwise."""
     try:

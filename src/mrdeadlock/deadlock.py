@@ -21,17 +21,18 @@ from .core import (
     RobotState,
     Vec2,
     WorldState,
+    _positive,
+    _real,
     goal_direction,
     goal_separation,
     pd_control,
     unit_vector,
     v_add,
-    v_dot,
     v_norm,
     v_scale,
     v_sub,
 )
-from .errors import SafetyViolationError, ZeroVectorError
+from .errors import SafetyViolationError
 from .qp import QPProblem, QPSolution, solve_qp
 
 BOUNDARY_TOL = 1e-8   # verify_boundary_membership's bound on |h| of every active pair
@@ -133,14 +134,6 @@ def system_deadlock(world: WorldState, goals: GoalSpec, params: Params, solution
     return True
 
 
-def two_robot_multiplier(a: Vec2, u_hat: Vec2, b_hat: float) -> float:
-    """Closed-form multiplier of a single active row: mu = 2 (a.u_hat - b_hat) / ||a||^2."""
-    aa = v_dot(a, a)
-    if aa == 0.0:
-        raise ZeroVectorError("constraint row direction is the zero vector")
-    return 2.0 * (v_dot(a, u_hat) - b_hat) / aa
-
-
 # ---------------------------------------------------------------------------
 # analytical families
 # ---------------------------------------------------------------------------
@@ -180,9 +173,11 @@ def boundedness_identity(world: WorldState, goals: GoalSpec, params: Params) -> 
 
 
 def classify_three_robot(world: WorldState, params: Params, tol: float) -> ThreeRobotCategory:
-    """Classify a three-robot configuration by which pairs sit at the margin."""
+    """Classify a three-robot configuration by which pairs sit at the margin, within tol >= 0."""
     if world.n != 3:
         raise ValueError("three robots required")
+    if not (_real(tol) and 0.0 <= tol < math.inf):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     dist = {}
     for (i, j), d in zip(pair_indices(3), PairField(world, params).distances):
         if d < params.ds - tol:
@@ -208,8 +203,7 @@ def three_robot_family_catA(params: Params, r_goal: float) -> tuple[WorldState, 
 
     Robots sit at Ds/sqrt(3) opposite their goals: p_i = Ds/sqrt(3) e(2pi(i-1)/3 + pi).
     """
-    if r_goal <= 0.0:
-        raise ValueError("goal radius must be positive")
+    r_goal = _positive(r_goal, "r_goal")
     rho = params.ds / math.sqrt(3.0)
     robots = tuple(
         RobotState.at_rest(v_scale(unit_vector(2.0 * math.pi * i / 3.0 + math.pi), rho))
@@ -224,8 +218,7 @@ def three_robot_family_catB(params: Params, r_goal: float) -> tuple[WorldState, 
     Robot 2 carries both active constraints; the outer pair is separated by
     Ds sqrt(3) > Ds.
     """
-    if r_goal <= 0.0:
-        raise ValueError("goal radius must be positive")
+    r_goal = _positive(r_goal, "r_goal")
     ds = params.ds
     robots = (
         RobotState.at_rest(v_scale(unit_vector(math.pi), ds)),
@@ -245,8 +238,7 @@ def catB_parametrized(
     robot 2 carries both active constraints.  p1 is the closed-form anchor
     with the shared -1 / (2 sin(alpha - theta)) prefactor.
     """
-    if r_goal <= 0.0:
-        raise ValueError("goal radius must be positive")
+    r_goal = _positive(r_goal, "r_goal")
     if not (-math.pi / 6.0 < theta < 0.0):
         raise ValueError(f"theta must lie in (-pi/6, 0), got {theta}")
     if not (math.pi / 6.0 < alpha_angle < math.pi / 2.0):

@@ -1,4 +1,8 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit.
+
+An error a simulation step can raise names, as ``abort_kind``, the
+SimulationAbort kind that run_scenario turns it into.
+"""
 
 from __future__ import annotations
 
@@ -14,6 +18,8 @@ class SafetyViolationError(ToolkitError):
     whether to abort the run or just report it.
     """
 
+    abort_kind = "safety-violation"
+
     def __init__(self, penetration: float, pair: tuple[int, int] | None = None):
         self.penetration = float(penetration)
         self.pair = pair
@@ -24,6 +30,8 @@ class SafetyViolationError(ToolkitError):
 class CoincidentRobotsError(ToolkitError):
     """Two robots occupy the same position; pairwise quantities are undefined."""
 
+    abort_kind = "coincident-robots"
+
 
 class BoundarySingularityError(ToolkitError):
     """Constraint bound evaluated at ||dp|| = Ds with nonzero radial velocity.
@@ -32,6 +40,8 @@ class BoundarySingularityError(ToolkitError):
     defined on the boundary when the radial velocity vanishes too.
     """
 
+    abort_kind = "boundary-singularity"
+
 
 class ZeroVectorError(ToolkitError):
     """An operation received a zero vector where a direction is required."""
@@ -39,6 +49,8 @@ class ZeroVectorError(ToolkitError):
 
 class QPInfeasibleError(ToolkitError):
     """The per-robot QP admits no feasible control."""
+
+    abort_kind = "qp-infeasible"
 
     def __init__(self, message: str, snapshot: dict | None = None):
         self.snapshot = snapshot or {}
@@ -59,3 +71,5 @@ class SimulationAbort(ToolkitError):
 
 class UnsupportedScenarioError(ToolkitError):
     """The resolution supervisor cannot handle this configuration (e.g. N >= 4)."""
+
+    abort_kind = "unsupported-deadlock"

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
+from .core import _positive_int
+
 Edge = tuple[int, int]
 
 # Whether a graph embeds does not depend on Ds, so embeddings use Ds = 1.
@@ -35,6 +37,7 @@ class LabeledGraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
+        _positive_int(self.n, "n")
         canon = []
         seen = set()
         for u, v in self.edges:
@@ -90,9 +93,7 @@ class EmbeddingResult:
 
 def upper_bound(n: int) -> int:
     """All graphs on n labeled vertices: 2^C(n,2)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return 2 ** math.comb(n, 2)
+    return 2 ** math.comb(_positive_int(n, "n"), 2)
 
 
 def lower_bound(n: int) -> int:
@@ -101,9 +102,7 @@ def lower_bound(n: int) -> int:
     (n+1) (n-1)! / 2 for n >= 3; defined as 1 for n = 1, 2 to match the
     quoted small-n sequence.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n < 3:
+    if _positive_int(n, "n") < 3:
         return 1
     return (n + 1) * math.factorial(n - 1) // 2
 
@@ -115,10 +114,8 @@ def connected_count(n: int) -> int:
     evaluated in integers: each sum is divided by N exactly, and a nonzero
     remainder at any step raises ArithmeticError.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     d = [0, 1]
-    for m in range(2, n + 1):
+    for m in range(2, _positive_int(n, "n") + 1):
         acc = sum(k * math.comb(m, k) * 2 ** math.comb(m - k, 2) * d[k] for k in range(1, m))
         quotient, remainder = divmod(acc, m)
         if remainder:
@@ -133,9 +130,7 @@ def enumerate_connected(n: int) -> list[LabeledGraph]:
     Deterministic order: ascending bitmask over the lexicographically sorted
     pair list.  Limited to n <= 6 (2^15 subsets).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > 6:
+    if _positive_int(n, "n") > 6:
         raise ValueError("exhaustive enumeration is limited to n <= 6")
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     out: list[LabeledGraph] = []
@@ -223,8 +218,7 @@ def embed_graph(g: LabeledGraph, attempts: int = 200) -> EmbeddingResult:
     EMBED_TOL ends the search, and infeasibility is probabilistic: it is only
     reported after every restart fails.
     """
-    if attempts < 1:
-        raise ValueError(f"attempts must be >= 1, got {attempts}")
+    _positive_int(attempts, "attempts")
     if not g.is_connected():
         raise ValueError("embed_graph expects a connected graph")
     if g.n == 1:
@@ -265,24 +259,15 @@ def admissible_report(n: int, attempts: int = 200) -> list[tuple[LabeledGraph, E
     Every other graph gets `embed_graph`'s verdict, whose "not admissible"
     only means that every restart failed.
     """
-    if n > CENSUS_N_MAX:
+    if _positive_int(n, "n") > CENSUS_N_MAX:
         raise ValueError(f"the admissibility census is limited to n <= {CENSUS_N_MAX}")
     certified = EmbeddingResult(feasible=False, positions=(), max_violation=math.inf)
     return [(g, certified if obstruction(g) else embed_graph(g, attempts)) for g in enumerate_connected(n)]
 
 
-def count_admissible(n: int, attempts: int = 200) -> int:
-    """Number of connected labeled graphs on n vertices that embed feasibly.
-
-    A graph left out is either certified by `obstruction` (a proof) or failed
-    every one of the search's restarts (see `admissible_report`).
-    """
-    return sum(1 for _, res in admissible_report(n, attempts) if res.feasible)
-
-
 def census_table(n_max: int = 4, attempts: int = 200) -> list[dict]:
     """Rows of the enumeration table for n = 1..n_max (1..CENSUS_N_MAX): n, upper, connected, admissible, lower."""
-    if not 1 <= n_max <= CENSUS_N_MAX:
+    if _positive_int(n_max, "n_max") > CENSUS_N_MAX:
         raise ValueError(f"n_max must be in 1..{CENSUS_N_MAX}, got {n_max}")
     rows = []
     for n in range(1, n_max + 1):
@@ -291,7 +276,7 @@ def census_table(n_max: int = 4, attempts: int = 200) -> list[dict]:
                 "n": n,
                 "upper": upper_bound(n),
                 "connected": connected_count(n),
-                "admissible": count_admissible(n, attempts),
+                "admissible": sum(1 for _, res in admissible_report(n, attempts) if res.feasible),
                 "lower": lower_bound(n),
             }
         )

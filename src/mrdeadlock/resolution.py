@@ -28,8 +28,6 @@ from enum import IntEnum
 from functools import cached_property
 from typing import Callable, ClassVar, Sequence
 
-import numpy as np
-
 # assemble_qp and safety_index_signed are bound here only for the perfbench
 # span tracer; the supervisor reads pair geometry from PairField.
 from .cbf import PairField, assemble_qp, pair_indices, safety_index_signed  # noqa: F401
@@ -39,7 +37,6 @@ from .core import (
     Vec2,
     WorldState,
     _positive,
-    euler_step,
     goal_bearing,
     pd_control,
     unit_vector,
@@ -163,61 +160,6 @@ class Released:
 
 
 PhaseState = Filtering | Rotating | Regularizing | Released
-
-
-# ---------------------------------------------------------------------------
-# phase-3 closed form
-# ---------------------------------------------------------------------------
-
-def phase3_closed_form(tau: float, ds: float, d_g: float, kp: float, kv: float) -> tuple[float, float]:
-    """Relative x-coordinate and velocity in the goal-aligned frame, tau = t - t2.
-
-    dp_x(tau) = c1 exp(w1 tau) + c2 exp(w2 tau) + D_G with
-    w_{1,2} = (-kv +/- sqrt(kv^2 - 4 kp))/2, c1 = w2 (D_G - Ds)/(w1 - w2),
-    c2 = -w1 (D_G - Ds)/(w1 - w2).  Requires overdamped gains and D_G > Ds.
-    """
-    disc = kv * kv - 4.0 * kp
-    if disc <= 0.0:
-        raise ValueError("closed form requires overdamped gains (kv^2 - 4 kp > 0)")
-    if not d_g > ds:
-        raise ValueError("closed form requires D_G > Ds")
-    if tau < 0.0:
-        raise ValueError("tau must be nonnegative")
-    root = math.sqrt(disc)
-    w1 = 0.5 * (-kv + root)
-    w2 = 0.5 * (-kv - root)
-    c1 = w2 * (d_g - ds) / (w1 - w2)
-    c2 = -w1 * (d_g - ds) / (w1 - w2)
-    e1 = math.exp(w1 * tau)
-    e2 = math.exp(w2 * tau)
-    return c1 * e1 + c2 * e2 + d_g, c1 * w1 * e1 + c2 * w2 * e2
-
-
-def simulate_relative_pd(
-    dp0: Vec2,
-    dv0: Vec2,
-    dpd: Vec2,
-    kp: float,
-    kv: float,
-    dt: float,
-    n_steps: int,
-    sample_every: int = 1,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Semi-implicit Euler integration of the phase-3 relative dynamics.
-
-    d(dp)/dt = dv,  d(dv)/dt = -kp (dp - dpd) - kv dv.  Returns sampled
-    times, relative positions and relative velocities (including t = 0).
-    """
-    gx, gy = dpd
-    p, v = dp0, dv0
-    ts, ps, vs = [0.0], [p], [v]
-    for k in range(1, n_steps + 1):
-        p, v = euler_step(p, v, (-kp * (p[0] - gx) - kv * v[0], -kp * (p[1] - gy) - kv * v[1]), dt)
-        if k % sample_every == 0 or k == n_steps:
-            ts.append(k * dt)
-            ps.append(p)
-            vs.append(v)
-    return np.asarray(ts), np.asarray(ps), np.asarray(vs)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +441,7 @@ def supervisor_step(
         for i, sol in enumerate(solutions):
             if sol.status != "optimal":
                 raise QPInfeasibleError(
-                    f"robot {i} QP infeasible at t={t:.6f}",
+                    f"robot {i} QP infeasible",
                     snapshot={"t": t, "robot": i, "world": world},
                 )
         # nothing reads the persistence count once the deadlock is announced

@@ -28,6 +28,7 @@ from .core import (
     Vec2,
     WorldState,
     _positive,
+    _positive_int,
     euler_step,
     pd_control,
     v_norm,
@@ -86,8 +87,7 @@ class Scenario:
             ok = False
         if not ok:
             raise ValueError(f"need finite dt > 0 and t_max > dt, got dt={self.dt!r}, t_max={self.t_max!r}")
-        if isinstance(self.log_every, bool) or not isinstance(self.log_every, int) or self.log_every < 1:
-            raise ValueError(f"log_every must be an integer >= 1, got {self.log_every!r}")
+        _positive_int(self.log_every, "log_every")
         if len(self.initial) != len(self.goals):
             raise ValueError("one goal per robot required")
         if len(self.initial) != len(self.params.alpha):
@@ -259,15 +259,6 @@ def integrate_step(world: WorldState, controls: tuple[Vec2, ...], dt: float) -> 
     return WorldState(robots=tuple(robots), t=world.t + dt)
 
 
-# Geometry errors of the pair pass and the supervisor, and the abort kind
-# run_scenario turns each into.
-_GEOMETRY_ABORTS = {
-    SafetyViolationError: "safety-violation",
-    BoundarySingularityError: "boundary-singularity",
-    CoincidentRobotsError: "coincident-robots",
-}
-
-
 def run_scenario(scenario: Scenario) -> TrajectoryLog:
     """Simulate until t_max or until every robot is within STOP_GOAL_TOL of its goal.
 
@@ -281,7 +272,8 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
     and as "phase2-singular" or "phase2-diverged" when its phase-2 Newton
     step fails.  A step whose new state would not be finite aborts as
     "non-finite-state".  Every abort carries a snapshot of the last state
-    reached.
+    reached; a step's typed error becomes the abort of its ``abort_kind``,
+    its message followed by " at t=...".
     Deterministic for a fixed scenario.  Pair geometry is evaluated once per
     state (PairField) and feeds the abort check, the QPs and the h record.
     """
@@ -351,13 +343,9 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
         # the phase-2 Newton step aborts without the state
         exc.snapshot = exc.snapshot or snapshot()
         raise
-    except QPInfeasibleError as exc:
-        raise SimulationAbort("qp-infeasible", str(exc), snapshot()) from exc
-    except UnsupportedScenarioError as exc:
-        raise SimulationAbort("unsupported-deadlock", str(exc), snapshot()) from exc
-    except tuple(_GEOMETRY_ABORTS) as exc:
-        kind = next(k for cls, k in _GEOMETRY_ABORTS.items() if isinstance(exc, cls))
-        raise SimulationAbort(kind, f"{exc} at t={world.t:.6f}", snapshot()) from exc
+    except (SafetyViolationError, BoundarySingularityError, CoincidentRobotsError,
+            QPInfeasibleError, UnsupportedScenarioError) as exc:
+        raise SimulationAbort(exc.abort_kind, f"{exc} at t={world.t:.6f}", snapshot()) from exc
 
     meta = {
         "scenario": scenario_to_dict(scenario),

@@ -14,9 +14,9 @@ from hypothesis import settings
 from mrdeadlock import (
     default_head_on_scenario,
     run_scenario,
-    simulate_relative_pd,
     three_robot_cat_a_scenario,
 )
+from oracles import simulate_relative_pd
 
 # Example counts of the property tests that take theirs from the profile
 # (test_audit.py's oracle comparison, test_phase2_newton.py's Jacobian check,

@@ -33,18 +33,15 @@ from mrdeadlock import (
     catB_parametrized,
     collinear_family,
     connected_count,
-    count_admissible,
     default_head_on_scenario,
     detect_deadlock,
     enumerate_connected,
     lower_bound,
-    phase3_closed_form,
     solve_qp,
     system_deadlock,
     three_robot_cat_a_scenario,
     three_robot_family_catA,
     three_robot_family_catB,
-    two_robot_multiplier,
     upper_bound,
     verify_boundary_membership,
     verify_kkt,
@@ -53,6 +50,7 @@ from mrdeadlock.cbf import pair_indices
 from mrdeadlock.graphenum import admissible_report
 from mrdeadlock.qp import ConstraintRow, box_rows
 from mrdeadlock.sim import audit_log
+from oracles import phase3_closed_form, two_robot_multiplier
 
 DS = 0.5
 PARAMS2 = Params(kp=1.0, kv=3.0, ds=DS, alpha=(5.0, 5.0))
@@ -103,7 +101,7 @@ def test_criterion_1_enumeration_exactness():
 
 def test_criterion_2_admissible_census():
     t0 = time.perf_counter()
-    n3 = count_admissible(3, attempts=200)
+    n3 = sum(1 for _, r in admissible_report(3, attempts=200) if r.feasible)
     report4 = admissible_report(4, attempts=200)
     n4 = sum(1 for _, r in report4 if r.feasible)
     elapsed = time.perf_counter() - t0

@@ -24,7 +24,6 @@ from mrdeadlock import (
     system_deadlock,
     three_robot_family_catA,
     three_robot_family_catB,
-    two_robot_multiplier,
     verify_boundary_membership,
 )
 from mrdeadlock.core import pd_control, v_norm, v_sub
@@ -35,6 +34,7 @@ from mrdeadlock.qp import ConstraintRow, QPProblem, box_rows
 from mrdeadlock.cbf import PairField, row_neighbor
 from conftest import HEAD_ON
 from test_pair_field import worlds
+from oracles import two_robot_multiplier
 
 PARAMS2 = Params(kp=1.0, kv=3.0, ds=0.5, alpha=(5.0, 5.0))
 PARAMS3 = Params(kp=1.0, kv=3.0, ds=0.5, alpha=(5.0, 5.0, 5.0))
@@ -342,6 +342,24 @@ def test_catB_parametrized_range_checks():
         catB_parametrized(PARAMS3, 2.0, 0.1, 0.9)
     with pytest.raises(ValueError):
         catB_parametrized(PARAMS3, 2.0, -0.2, 0.1)
+
+
+@pytest.mark.parametrize("tol", [-1e-6, math.nan, math.inf, True, "0.01"])
+def test_classify_three_robot_rejects_a_tol_that_is_no_finite_nonnegative_number(tol):
+    world, _ = three_robot_family_catA(PARAMS3, 2.0)
+    with pytest.raises(ValueError, match="^tol must be finite and >= 0"):
+        classify_three_robot(world, PARAMS3, tol)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [three_robot_family_catA, three_robot_family_catB, lambda params, r: catB_parametrized(params, r, -0.3, 1.0)],
+    ids=["catA", "catB", "catB_parametrized"],
+)
+@pytest.mark.parametrize("r_goal", ["2", True, 0.0, -2.0, math.nan, math.inf])
+def test_families_read_the_goal_radius_as_a_gain(family, r_goal):
+    with pytest.raises(ValueError, match="^r_goal must be"):
+        family(PARAMS3, r_goal)
 
 
 def test_boundary_membership():

@@ -19,7 +19,6 @@ from mrdeadlock import (
     catB_parametrized,
     collinear_family,
     connected_count,
-    count_admissible,
     embed_graph,
     enumerate_connected,
     lower_bound,
@@ -136,16 +135,16 @@ def test_embed_deterministic_given_seeding():
 
 
 def test_count_admissible_n3():
-    assert count_admissible(3, attempts=60) == 4
+    assert sum(1 for _, r in admissible_report(3, attempts=60) if r.feasible) == 4
 
 
 def test_count_admissible_n2_single_edge():
-    assert count_admissible(2, attempts=10) == 1
+    assert sum(1 for _, r in admissible_report(2, attempts=10) if r.feasible) == 1
 
 
 def test_bound_chain_small_n():
     for n in (1, 2, 3):
-        adm = count_admissible(n, attempts=60)
+        adm = sum(1 for _, r in admissible_report(n, attempts=60) if r.feasible)
         assert lower_bound(n) <= adm <= connected_count(n) <= upper_bound(n)
 
 
@@ -177,6 +176,30 @@ def test_census_table_rejects_fewer_than_one_row():
     for n_max in (0, -1):
         with pytest.raises(ValueError, match="n_max"):
             census_table(n_max=n_max, attempts=10)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: census_table(n_max=2.0), "n_max"),
+        (lambda: census_table(n_max=True), "n_max"),
+        (lambda: census_table(n_max=1, attempts=True), "attempts"),
+        (lambda: upper_bound(2.5), "n"),
+        (lambda: lower_bound(True), "n"),
+        (lambda: connected_count(True), "n"),
+        (lambda: enumerate_connected(2.0), "n"),
+        (lambda: admissible_report("3"), "n"),
+        (lambda: embed_graph(LabeledGraph(n=2, edges=((0, 1),)), attempts=1.5), "attempts"),
+        (lambda: LabeledGraph(2.0, ((0, 1),)), "n"),
+    ],
+    ids=[
+        "census_table-n_max-float", "census_table-n_max-bool", "census_table-attempts-bool", "upper_bound",
+        "lower_bound", "connected_count", "enumerate_connected", "admissible_report", "embed_graph", "LabeledGraph",
+    ],
+)
+def test_integer_arguments_reject_a_bool_or_a_non_integer(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got "):
+        call()
 
 
 def test_max_penny_edges_is_harborths_bound_in_integers():
@@ -231,7 +254,7 @@ def test_every_certificate_agrees_with_the_search_on_one_graph_per_class():
 
 
 def test_count_admissible_n5_is_decided_in_full():
-    assert count_admissible(5, attempts=200) == 602
+    assert sum(1 for _, r in admissible_report(5, attempts=200) if r.feasible) == 602
     with pytest.raises(ValueError, match="n <= 5"):
         admissible_report(6)
     with pytest.raises(ValueError, match="n_max"):

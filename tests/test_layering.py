@@ -89,13 +89,13 @@ PUBLIC_API = {
     "Scenario", "SimulationAbort", "ThreeRobotCategory", "ToolkitError", "TrajectoryLog",
     "UnsupportedScenarioError", "WorldState", "ZeroVectorError",
     "assemble_qp", "audit_log", "boundedness_identity", "catB_parametrized", "census_table",
-    "classify_three_robot", "collinear_family", "connected_count", "constraint_bound", "count_admissible",
+    "classify_three_robot", "collinear_family", "connected_count", "constraint_bound",
     "decentralized_rows", "default_head_on_scenario", "detect_deadlock", "embed_graph", "enumerate_connected",
     "export_log", "goal_bearing", "goal_direction", "goal_separation", "integrate_step", "load_log",
-    "load_scenario", "lower_bound", "pd_control", "phase3_closed_form", "run_scenario", "safety_index",
-    "safety_index_signed", "save_scenario", "simulate_relative_pd", "solve_qp", "supervisor_step",
+    "load_scenario", "lower_bound", "pd_control", "run_scenario", "safety_index",
+    "safety_index_signed", "save_scenario", "solve_qp", "supervisor_step",
     "system_deadlock", "three_robot_cat_a_scenario", "three_robot_family_catA", "three_robot_family_catB",
-    "two_robot_multiplier", "unit_vector", "upper_bound", "verify_boundary_membership", "verify_kkt",
+    "unit_vector", "upper_bound", "verify_boundary_membership", "verify_kkt",
     "wrap_angle",
 }
 
@@ -107,5 +107,5 @@ def test_public_api_is_the_pinned_name_set():
         name for name, value in vars(mrdeadlock).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
-    assert len(PUBLIC_API) == 68
+    assert len(PUBLIC_API) == 64
     assert sorted(public - PUBLIC_API) == [] and sorted(PUBLIC_API - public) == []

@@ -14,7 +14,6 @@ from mrdeadlock import (
     WorldState,
     collinear_family,
     default_head_on_scenario,
-    phase3_closed_form,
     supervisor_step,
     three_robot_cat_a_scenario,
     three_robot_family_catB,
@@ -31,6 +30,7 @@ from mrdeadlock.resolution import (
     Rotating,
 )
 from mrdeadlock.sim import Scenario, integrate_step, run_scenario
+from oracles import phase3_closed_form
 
 PARAMS2 = Params(kp=1.0, kv=3.0, ds=0.5, alpha=(5.0, 5.0))
 GOALS2 = GoalSpec(pd=((2.0, 0.0), (-2.0, 0.0)))

@@ -32,7 +32,14 @@ from mrdeadlock import (
 from mrdeadlock import resolution, sim
 from mrdeadlock.cbf import pair_indices
 from mrdeadlock.core import euler_step
-from mrdeadlock.errors import SimulationAbort
+from mrdeadlock.errors import (
+    BoundarySingularityError,
+    CoincidentRobotsError,
+    QPInfeasibleError,
+    SafetyViolationError,
+    SimulationAbort,
+    UnsupportedScenarioError,
+)
 from mrdeadlock.resolution import K_PERSIST, ResolutionConfig
 from mrdeadlock.sim import (
     _RECORD_LAYOUT,
@@ -470,6 +477,29 @@ def test_unsupported_deadlock_aborts_with_snapshot(monkeypatch, case):
     assert err.value.kind == "unsupported-deadlock"
     assert message in str(err.value)
     assert err.value.snapshot == _record_snapshot(log, K_PERSIST - 1)
+
+
+# a typed error of each kind that a step can raise
+STEP_ERRORS = {
+    "safety-violation": SafetyViolationError(1e-3, pair=(0, 1)),
+    "coincident-robots": CoincidentRobotsError("robots 0 and 1 coincide"),
+    "boundary-singularity": BoundarySingularityError("pair (0,1): on the margin, closing"),
+    "qp-infeasible": QPInfeasibleError("robot 0 QP infeasible"),
+    "unsupported-deadlock": UnsupportedScenarioError("no resolution for this contact geometry"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STEP_ERRORS))
+def test_a_typed_step_error_aborts_as_its_kind_with_its_time_once(monkeypatch, kind):
+    def fail(*args, **kwargs):
+        raise STEP_ERRORS[kind]
+
+    monkeypatch.setattr(sim, "supervisor_step", fail)
+    with pytest.raises(SimulationAbort) as err:
+        run_scenario(default_head_on_scenario(t_max=0.01))
+    assert err.value.kind == kind
+    assert str(err.value) == f"[{kind}] {STEP_ERRORS[kind]} at t=0.000000"
+    assert err.value.snapshot["t"] == 0.0
 
 
 def test_audit_checks_the_qp_records_off_phase_one():
