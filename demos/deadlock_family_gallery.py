@@ -15,13 +15,14 @@ import math
 
 from mrdeadlock import (
     GoalSpec,
+    PairField,
     Params,
     WorldState,
-    assemble_qp,
     boundedness_identity,
     catB_parametrized,
     collinear_family,
     detect_deadlock,
+    pd_control,
     solve_qp,
     three_robot_family_catA,
     three_robot_family_catB,
@@ -34,8 +35,8 @@ def check(tag, world, goals, params, extra=""):
     worst_balance = 0.0
     min_mu = math.inf
     verdicts = []
-    for i in range(world.n):
-        problem = assemble_qp(i, world, goals, params)
+    u_hat = [pd_control(z, g, params) for z, g in zip(world.robots, goals.pd)]
+    for i, problem in enumerate(PairField(world, params).problems(u_hat)):
         sol = solve_qp(problem)
         report = detect_deadlock(i, world, goals, params, sol, problem)
         verdicts.append(report.verdict)

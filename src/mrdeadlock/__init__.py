@@ -5,8 +5,8 @@ module imports only the modules above it, and only at its top.
 
 * ``errors``     the typed ToolkitError hierarchy
 * ``core``       domain types, gains, PD goal controller, the Euler step
-* ``qp``         the QP row layout and its exact primal-dual solver
-* ``cbf``        pairwise safety index and per-robot constraint assembly
+* ``qp``         the per-robot QP and its exact primal-dual solver
+* ``cbf``        pairwise safety index and the per-robot QPs (PairField)
 * ``deadlock``   detection, set membership, analytical deadlock families
 * ``graphenum``  contact-graph counting, enumeration and planar embedding
 * ``resolution`` three-phase deadlock resolution supervisor
@@ -14,13 +14,7 @@ module imports only the modules above it, and only at its top.
 * ``cli``        command-line entry points (run / families / census / verify)
 """
 
-from .cbf import (
-    assemble_qp,
-    constraint_bound,
-    decentralized_rows,
-    safety_index,
-    safety_index_signed,
-)
+from .cbf import PairField
 from .core import (
     GoalSpec,
     Params,
@@ -66,7 +60,7 @@ from .graphenum import (
     lower_bound,
     upper_bound,
 )
-from .qp import ConstraintRow, KKTReport, QPProblem, QPSolution, solve_qp, verify_kkt
+from .qp import QPProblem, QPSolution, solve_qp
 from .resolution import Phase, PhaseState, ResolutionConfig, supervisor_step
 from .sim import (
     AuditReport,

@@ -9,11 +9,12 @@ the linear control constraint  -dp.du <= b  with the bound built below.
 Each pair constraint is split between the two robots in proportion to their
 acceleration limits, giving one linear row per neighbor in each robot's QP.
 
-The scalar functions safety_index, safety_index_signed, constraint_bound,
-decentralized_rows, assemble_qp and min_pair_distance evaluate one pair or
-one robot at a time and are the test oracles.  Every other module goes
-through PairField, which evaluates every unordered pair once per world state
-and reproduces the scalar results bit for bit.
+The scalar functions safety_index_signed, constraint_bound, decentralized_rows,
+assemble_qp and min_pair_distance evaluate one pair or one robot at a time.
+No run calls them: they are the tests' oracles, and the benchmark's tracer
+binds them by name.  Every other module goes through
+PairField, which evaluates every unordered pair once per world state and
+reproduces the scalar results bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Sequence
 
 from .core import GoalSpec, Params, RobotState, Vec2, WorldState, pd_control, v_dot, v_norm, v_sub
 from .errors import BoundarySingularityError, CoincidentRobotsError, SafetyViolationError
-from .qp import ConstraintRow, QPProblem, box_rows, flat_problem
+from .qp import QPProblem, flat_problem
 
 # Width of the band around ||dp|| = Ds treated as exactly on the boundary.
 # sqrt() amplifies float noise near the boundary (sqrt(20 * 1ulp) ~ 5e-8), so
@@ -54,28 +55,12 @@ def _pair_scalars(zi: RobotState, zj: RobotState) -> tuple[Vec2, Vec2, float, fl
     return dp, dv, v_norm(dp), v_dot(dp, dv)
 
 
-def safety_index(zi: RobotState, zj: RobotState, params: Params, i: int = 0, j: int = 1) -> float:
-    """Pairwise safety index h_ij; defined for ||dp|| >= Ds.
-
-    Raises CoincidentRobotsError at ||dp|| = 0 and SafetyViolationError
-    (carrying the penetration depth) when ||dp|| < Ds beyond the boundary
-    snap band; past those checks it is safety_index_signed, which computes
-    the same floats wherever ||dp|| - Ds >= -BOUNDARY_SNAP.
-    """
-    r = v_norm(v_sub(zi.p, zj.p))
-    if r == 0.0:
-        raise CoincidentRobotsError(f"robots {i} and {j} coincide")
-    eps = r - params.ds
-    if eps < -BOUNDARY_SNAP:
-        raise SafetyViolationError(penetration=-eps, pair=(i, j))
-    return safety_index_signed(zi, zj, params, i, j)
-
-
 def safety_index_signed(zi: RobotState, zj: RobotState, params: Params, i: int = 0, j: int = 1) -> float:
     """Total-function extension of the safety index, odd in (||dp|| - Ds).
 
     Below the safety margin the radicand is negative and the strict index is
-    undefined; for logging and post-hoc audits we extend it continuously as
+    undefined (constraint_bound raises there); for logging and post-hoc
+    audits we extend it continuously as
     -sqrt(2 (alpha_i + alpha_j) (Ds - ||dp||)) + dp.dv / ||dp||, so a
     violation shows up as a negative value instead of an exception.
     """
@@ -118,14 +103,15 @@ def constraint_bound(zi: RobotState, zj: RobotState, params: Params, i: int = 0,
             )
     else:
         middle = asum * pv / math.sqrt(2.0 * asum * eps)
-    h = safety_index(zi, zj, params, i, j)
+    # past the checks above this is the strict index
+    h = safety_index_signed(zi, zj, params, i, j)
     return r * h * h * h + middle + v_dot(dv, dv) - (pv * pv) / (r * r)
 
 
 def decentralized_rows(
     zi: RobotState, zj: RobotState, params: Params, i: int = 0, j: int = 1
-) -> tuple[ConstraintRow, ConstraintRow]:
-    """Split the pair constraint between robots i and j.
+) -> tuple[tuple[Vec2, float], tuple[Vec2, float]]:
+    """Split the pair constraint between robots i and j into one (a, b) row each.
 
     Robot i receives  -dp_ij . u_i <= alpha_i/(alpha_i+alpha_j) b_ij  and
     robot j the mirrored row; the two shares sum to b_ij.
@@ -134,9 +120,7 @@ def decentralized_rows(
     dp = v_sub(zi.p, zj.p)
     ai, aj = params.alpha[i], params.alpha[j]
     asum = ai + aj
-    row_i = ConstraintRow(a=(-dp[0], -dp[1]), b_hat=(ai / asum) * b)
-    row_j = ConstraintRow(a=(dp[0], dp[1]), b_hat=(aj / asum) * b)
-    return row_i, row_j
+    return ((-dp[0], -dp[1]), (ai / asum) * b), ((dp[0], dp[1]), (aj / asum) * b)
 
 
 def assemble_qp(i: int, world: WorldState, goals: GoalSpec, params: Params) -> QPProblem:
@@ -148,14 +132,9 @@ def assemble_qp(i: int, world: WorldState, goals: GoalSpec, params: Params) -> Q
     """
     zi = world.robots[i]
     u_hat = pd_control(zi, goals.pd[i], params)
-    rows: list[ConstraintRow] = []
-    for j in range(world.n):
-        if j == i:
-            continue
-        row_i, _ = decentralized_rows(zi, world.robots[j], params, i, j)
-        rows.append(row_i)
-    rows.extend(box_rows(params.alpha[i]))
-    return QPProblem(u_hat=u_hat, rows=tuple(rows))
+    rows = [decentralized_rows(zi, world.robots[j], params, i, j)[0] for j in range(world.n) if j != i]
+    return QPProblem(u_hat, [a[0] for a, _ in rows], [a[1] for a, _ in rows], [b for _, b in rows],
+                     (params.alpha[i],) * 4)
 
 
 def pair_indices(n: int) -> tuple[tuple[int, int], ...]:
@@ -297,11 +276,14 @@ class PairField:
         come from one bound, and both rows of a pair from one |a|_1, since
         robot j's row is minus robot i's.  Robot j's row is built from
         -(p_j - p_i), not from dp_ij, so a zero component keeps the sign
-        assemble_qp gives it.
+        assemble_qp gives it.  A ValueError is raised unless u_hat has one
+        entry per robot.
         """
+        robots = self._robots
+        if len(u_hat) != len(robots):
+            raise ValueError(f"u_hat has {len(u_hat)} entries for {len(robots)} robots")
         bounds = self.bounds()
         const = self._const
-        robots = self._robots
         ax: list[list[float]] = [[] for _ in robots]
         ay: list[list[float]] = [[] for _ in robots]
         b: list[list[float]] = [[] for _ in robots]

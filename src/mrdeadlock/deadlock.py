@@ -144,8 +144,8 @@ def collinear_family(goals: GoalSpec, params: Params, alpha: float) -> tuple[Rob
     p1 = alpha pd1 + (1 - alpha) pd2,  p2 = p1 - Ds e_beta,  alpha in (0, 1).
     Requires D_G > Ds so the construction is nondegenerate.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    if not (_real(alpha) and 0.0 < alpha < 1.0):
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     if len(goals) < 2:
         raise ValueError("two goals required")
     d_g = goal_separation(goals, 0, 1)
@@ -239,10 +239,10 @@ def catB_parametrized(
     with the shared -1 / (2 sin(alpha - theta)) prefactor.
     """
     r_goal = _positive(r_goal, "r_goal")
-    if not (-math.pi / 6.0 < theta < 0.0):
-        raise ValueError(f"theta must lie in (-pi/6, 0), got {theta}")
-    if not (math.pi / 6.0 < alpha_angle < math.pi / 2.0):
-        raise ValueError(f"alpha_angle must lie in (pi/6, pi/2), got {alpha_angle}")
+    if not (_real(theta) and -math.pi / 6.0 < theta < 0.0):
+        raise ValueError(f"theta must lie in (-pi/6, 0), got {theta!r}")
+    if not (_real(alpha_angle) and math.pi / 6.0 < alpha_angle < math.pi / 2.0):
+        raise ValueError(f"alpha_angle must lie in (pi/6, pi/2), got {alpha_angle!r}")
     ds, r = params.ds, r_goal
     a, th = alpha_angle, theta
     s = math.sin(a - th)

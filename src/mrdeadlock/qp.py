@@ -1,13 +1,12 @@
-"""The per-robot QP's row layout and its exact primal-dual solver.
+"""The per-robot QP and its exact primal-dual solver.
 
     minimize ||u - u_hat||^2  subject to  A u <= b   (M neighbor rows, then 4 box rows)
 
-A row is a ConstraintRow; box_rows builds the four box rows, whose normals
-are BOX_NORMALS, and QPProblem checks that a problem ends with them.  A
-QPProblem stores its rows only as plain floats, which the solver, the
-phase-I probe and the force balance read directly; the pair pass builds them
-in that form (flat_problem).  QPProblem.rows is a ConstraintRow view of
-them, built on each read, for tests and oracles.
+A QPProblem stores its rows only as plain floats, which the solver, the
+phase-I probe and the force balance read directly: the M neighbor rows, then
+the four box rows, whose normals are BOX_NORMALS.  QPProblem(u_hat, ax, ay,
+b, faces) checks its neighbor rows and face bounds and appends the box rows
+itself; flat_problem is the pair pass's unchecked constructor.
 
 With u in R^2 at most two linearly independent rows are active at a
 nondegenerate optimum, so candidate working sets of size 0, 1, 2 are
@@ -31,10 +30,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from scipy.optimize import linprog
 
-from .core import Vec2, v_norm
+from .core import Vec2, _real, v_norm
 from .errors import QPInfeasibleError
 
 # Scale-aware tolerance for classifying a row as active: |a.u - b| <= ACTIVE_TOL * (1 + |b|).
@@ -57,27 +57,14 @@ _BOX_AX = tuple(a[0] for a in BOX_NORMALS)
 _BOX_AY = tuple(a[1] for a in BOX_NORMALS)
 
 
-@dataclass(frozen=True)
-class ConstraintRow:
-    """One linear inequality a.u <= b_hat of a per-robot QP."""
-
-    a: Vec2
-    b_hat: float
-
-
-def box_rows(alpha_i: float) -> tuple[ConstraintRow, ...]:
-    """The four acceleration-limit rows, in the fixed order +x, +y, -x, -y."""
-    return tuple(ConstraintRow(a, alpha_i) for a in BOX_NORMALS)
-
-
 @dataclass(frozen=True, slots=True, init=False)
 class QPProblem:
     """Objective center u_hat and stacked rows: m_neighbors neighbor rows, then the 4 box rows.
 
-    The rows are stored only as plain floats, which solve_qp reads; rows, the
-    ConstraintRow tuple, is a view built from them on every read.  Equality
-    and repr are those of the fields.  The lists are taken as given, not
-    copied: treat them as read-only.
+    The constructor takes the neighbor rows as equal-length sequences ax, ay
+    and b, and faces, the four box bounds in the order +x, +y, -x, -y, each
+    a finite number > 0 (a bool or a string is not).  It copies them into new lists and computes norms.
+    Equality and repr are those of the fields.  Treat the lists as read-only.
     """
 
     u_hat: Vec2
@@ -86,18 +73,15 @@ class QPProblem:
     b: list[float]
     norms: list[float]   # |a|_1 of every neighbor row
 
-    def __init__(self, u_hat: Vec2, rows: tuple[ConstraintRow, ...]):
-        box = rows[-4:]
-        if len(box) < 4 or (box[0].a, box[1].a, box[2].a, box[3].a) != BOX_NORMALS:
-            raise ValueError("a well-formed problem ends with the 4 box rows, normals +x, +y, -x, -y")
-        if not all(0.0 < row.b_hat < math.inf for row in box):
+    def __init__(self, u_hat: Vec2, ax: Sequence[float], ay: Sequence[float], b: Sequence[float],
+                 faces: Sequence[float]):
+        if not len(ax) == len(ay) == len(b):
+            raise ValueError(f"ax, ay and b differ in length: {len(ax)}, {len(ay)}, {len(b)}")
+        if len(faces) != 4:
+            raise ValueError(f"a problem has 4 box bounds, for the faces +x, +y, -x, -y, not {len(faces)}")
+        if not all(_real(face) and 0.0 < face < math.inf for face in faces):
             raise ValueError("box bounds must be finite and strictly positive")
-        _fill(self, u_hat, [row.a[0] for row in rows], [row.a[1] for row in rows], [row.b_hat for row in rows],
-              [abs(row.a[0]) + abs(row.a[1]) for row in rows[:-4]])
-
-    @property
-    def rows(self) -> tuple[ConstraintRow, ...]:
-        return tuple(ConstraintRow((x, y), b) for x, y, b in zip(self.ax, self.ay, self.b))
+        _fill(self, u_hat, [*ax, *_BOX_AX], [*ay, *_BOX_AY], [*b, *faces], [abs(x) + abs(y) for x, y in zip(ax, ay)])
 
     @property
     def m_neighbors(self) -> int:
@@ -118,10 +102,11 @@ def _fill(problem: QPProblem, u_hat: Vec2, ax: list, ay: list, b: list, norms: l
 
 
 def flat_problem(u_hat: Vec2, ax: list, ay: list, b: list, norms: list, faces: tuple) -> QPProblem:
-    """A QPProblem from its neighbor rows in flat form and its four face bounds, without QPProblem()'s check.
+    """A QPProblem from its neighbor rows in flat form, their norms and its four face bounds, unchecked.
 
-    Appends the box rows to ax, ay and b.  For the pair pass, whose face
-    bounds come from a validated Params.
+    Appends the box rows to ax, ay and b, and keeps the lists it is given.
+    For the pair pass, which builds fresh lists, shares each pair's |a|_1
+    between its two rows, and takes its face bounds from a validated Params.
     """
     ax.extend(_BOX_AX)
     ay.extend(_BOX_AY)
@@ -156,8 +141,8 @@ def solve_qp(problem: QPProblem) -> QPSolution:
 def _enumerated_rows(problem: QPProblem) -> list[int]:
     """Ascending indices of the rows not strictly implied by the acceleration box.
 
-    The box is read from the last four rows, which QPProblem has checked
-    are the faces +x, +y, -x, -y; they are always kept.  A neighbor row
+    The box is read from the last four rows, which both constructors make
+    the faces +x, +y, -x, -y; they are always kept.  A neighbor row
     a.u <= b is set aside when
 
         b - max_{u in box} a.u  >  IMPLIED_TOL (1 + |b| + |a|_1 (1 + beta + A))

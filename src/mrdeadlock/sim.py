@@ -246,7 +246,12 @@ def integrate_step(world: WorldState, controls: tuple[Vec2, ...], dt: float) -> 
 
     euler_step's new floats are not coerced again, only checked once with
     math.isfinite; RobotState raises its ValueError for a non-finite one.
+    A ValueError is raised too unless there is one control per robot and dt
+    is finite and > 0.
     """
+    if len(controls) != world.n:
+        raise ValueError(f"{len(controls)} controls for {world.n} robots")
+    dt = _positive(dt, "dt")
     robots = []
     for z, u in zip(world.robots, controls):
         p, v = euler_step(z.p, z.v, u, dt)

@@ -31,11 +31,11 @@ from mrdeadlock.sim import (
 )
 
 
-def _active_set(rows, u) -> tuple[int, ...]:
-    """Indices of the rows active at u: |a.u - b| <= ACTIVE_TOL (1 + |b|)."""
+def _active_set(problem, u) -> tuple[int, ...]:
+    """Indices of the rows of problem active at u: |a.u - b| <= ACTIVE_TOL (1 + |b|)."""
     return tuple(
-        k for k, row in enumerate(rows)
-        if abs(row.a[0] * u[0] + row.a[1] * u[1] - row.b_hat) <= ACTIVE_TOL * (1.0 + abs(row.b_hat))
+        k for k, (ax, ay, b) in enumerate(zip(problem.ax, problem.ay, problem.b))
+        if abs(ax * u[0] + ay * u[1] - b) <= ACTIVE_TOL * (1.0 + abs(b))
     )
 
 
@@ -79,7 +79,7 @@ def oracle_audit(log: TrajectoryLog) -> AuditReport:
                 # verify_kkt reads the multipliers, not the active set
                 sol = QPSolution(tuple(u_stars[k][i]), tuple(mus[k][i]), (), "optimal")
                 kkt_max = max(kkt_max, verify_kkt(problem, sol).max_residual())
-                active = _active_set(problem.rows, sol.u_star)
+                active = _active_set(problem, sol.u_star)
                 bad |= masks[k][i] != _active_mask(active)
         else:
             bad |= mu_set[k] or any(masks[k])

@@ -21,8 +21,8 @@ from oracles import simulate_relative_pd
 # Example counts of the property tests that take theirs from the profile
 # (test_audit.py's oracle comparison, test_phase2_newton.py's Jacobian check,
 # test_sim.py's integrator check against euler_step, test_pair_field.py's QP
-# check against assemble_qp, test_graphenum.py's pair walk against the
-# two-loop penalty):
+# check against assemble_qp, test_qp.py's checked constructor against
+# flat_problem, test_graphenum.py's pair walk against the two-loop penalty):
 # tier-1 runs the small "tier1" profile, CI reruns those tests with
 # --hypothesis-profile=ci.
 settings.register_profile("tier1", max_examples=30)

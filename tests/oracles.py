@@ -4,16 +4,22 @@
 dynamics, ``simulate_relative_pd`` integrates the same dynamics with the
 simulator's semi-implicit Euler step, and ``two_robot_multiplier`` is the
 Theorem-2 multiplier of a single active constraint row.
+
+``ConstraintRow``, ``box_rows``, ``problem_of`` and ``rows_of`` write a
+QPProblem as a tuple of rows, the four box rows last: tests build and read
+problems row by row through them.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from mrdeadlock.core import Vec2, euler_step, v_dot
 from mrdeadlock.errors import ZeroVectorError
+from mrdeadlock.qp import BOX_NORMALS, QPProblem
 
 
 def phase3_closed_form(tau: float, ds: float, d_g: float, kp: float, kv: float) -> tuple[float, float]:
@@ -73,3 +79,30 @@ def two_robot_multiplier(a: Vec2, u_hat: Vec2, b_hat: float) -> float:
     if aa == 0.0:
         raise ZeroVectorError("constraint row direction is the zero vector")
     return 2.0 * (v_dot(a, u_hat) - b_hat) / aa
+
+
+@dataclass(frozen=True)
+class ConstraintRow:
+    """One linear inequality a.u <= b_hat of a per-robot QP."""
+
+    a: Vec2
+    b_hat: float
+
+
+def box_rows(alpha_i: float) -> tuple[ConstraintRow, ...]:
+    """The four acceleration-limit rows, in the fixed order +x, +y, -x, -y."""
+    return tuple(ConstraintRow(a, alpha_i) for a in BOX_NORMALS)
+
+
+def problem_of(u_hat: Vec2, rows: tuple[ConstraintRow, ...]) -> QPProblem:
+    """The QPProblem of rows, which must end with the four box rows, normals +x, +y, -x, -y."""
+    box, neighbors = rows[-4:], rows[:-4]
+    if len(box) < 4 or tuple(row.a for row in box) != BOX_NORMALS:
+        raise ValueError("a well-formed problem ends with the 4 box rows, normals +x, +y, -x, -y")
+    return QPProblem(u_hat, [row.a[0] for row in neighbors], [row.a[1] for row in neighbors],
+                     [row.b_hat for row in neighbors], [row.b_hat for row in box])
+
+
+def rows_of(problem: QPProblem) -> tuple[ConstraintRow, ...]:
+    """Every row of problem, the four box rows last."""
+    return tuple(ConstraintRow((x, y), b) for x, y, b in zip(problem.ax, problem.ay, problem.b))

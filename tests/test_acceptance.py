@@ -26,9 +26,7 @@ import pytest
 from mrdeadlock import (
     GoalSpec,
     Params,
-    QPProblem,
     WorldState,
-    assemble_qp,
     boundedness_identity,
     catB_parametrized,
     collinear_family,
@@ -44,13 +42,12 @@ from mrdeadlock import (
     three_robot_family_catB,
     upper_bound,
     verify_boundary_membership,
-    verify_kkt,
 )
-from mrdeadlock.cbf import pair_indices
+from mrdeadlock.cbf import assemble_qp, pair_indices
 from mrdeadlock.graphenum import admissible_report
-from mrdeadlock.qp import ConstraintRow, box_rows
+from mrdeadlock.qp import verify_kkt
 from mrdeadlock.sim import audit_log
-from oracles import phase3_closed_form, two_robot_multiplier
+from oracles import ConstraintRow, box_rows, phase3_closed_form, problem_of, two_robot_multiplier
 
 DS = 0.5
 PARAMS2 = Params(kp=1.0, kv=3.0, ds=DS, alpha=(5.0, 5.0))
@@ -231,7 +228,7 @@ def test_criterion_5_dual_formula_oracle():
         if math.hypot(*a) < 0.3:
             continue
         b_hat = float(np.dot(a, u_hat) - rng.uniform(0.1, 1.5))
-        problem = QPProblem(
+        problem = problem_of(
             u_hat=u_hat,
             rows=(ConstraintRow(a=a, b_hat=b_hat),) + box_rows(50.0),
         )
@@ -258,7 +255,7 @@ def test_criterion_5_dual_formula_oracle():
             rows.append(
                 ConstraintRow(a=tuple(a), b_hat=float(rng.uniform(-0.5, 2.0)))
             )
-        problem = QPProblem(u_hat=u_hat, rows=tuple(rows) + box_rows(alpha))
+        problem = problem_of(u_hat=u_hat, rows=tuple(rows) + box_rows(alpha))
         sol = solve_qp(problem)
         if sol.status != "optimal":
             continue

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
+import importlib.util
 import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,13 +17,11 @@ from mrdeadlock import (
     Params,
     RobotState,
     WorldState,
-    assemble_qp,
     boundedness_identity,
     catB_parametrized,
     classify_three_robot,
     collinear_family,
     detect_deadlock,
-    safety_index_signed,
     solve_qp,
     system_deadlock,
     three_robot_family_catA,
@@ -30,11 +32,10 @@ from mrdeadlock.core import pd_control, v_norm, v_sub
 from mrdeadlock import deadlock
 from mrdeadlock.deadlock import BOUNDARY_TOL, EPS_GOAL, EPS_MU, EPS_U, EPS_V, _deadlocked
 from mrdeadlock.errors import SafetyViolationError, ToolkitError, ZeroVectorError
-from mrdeadlock.qp import ConstraintRow, QPProblem, box_rows
-from mrdeadlock.cbf import PairField, row_neighbor
+from mrdeadlock.cbf import PairField, assemble_qp, row_neighbor, safety_index_signed
 from conftest import HEAD_ON
 from test_pair_field import worlds
-from oracles import two_robot_multiplier
+from oracles import ConstraintRow, box_rows, problem_of, rows_of, two_robot_multiplier
 
 PARAMS2 = Params(kp=1.0, kv=3.0, ds=0.5, alpha=(5.0, 5.0))
 PARAMS3 = Params(kp=1.0, kv=3.0, ds=0.5, alpha=(5.0, 5.0, 5.0))
@@ -166,7 +167,7 @@ def test_two_robot_multiplier_matches_thm2_formula():
         z1, z2 = collinear_family(GOALS2, PARAMS2, alpha)
         world = WorldState(robots=(z1, z2), t=0.0)
         problem = assemble_qp(0, world, GOALS2, PARAMS2)
-        row = problem.rows[0]
+        row = rows_of(problem)[0]
         mu = two_robot_multiplier(row.a, problem.u_hat, row.b_hat)
         d_g = 4.0
         assert mu == pytest.approx(2.0 * PARAMS2.kp * (1 - alpha) * d_g / PARAMS2.ds, rel=1e-10)
@@ -182,7 +183,7 @@ def test_two_robot_multiplier_agrees_with_solver_dual():
         if math.hypot(*a) < 0.3:
             continue
         b_hat = float(np.dot(a, u_hat) - rng.uniform(0.1, 1.5))
-        problem = QPProblem(
+        problem = problem_of(
             u_hat=u_hat,
             rows=(ConstraintRow(a=a, b_hat=b_hat),) + box_rows(50.0),
         )
@@ -344,6 +345,20 @@ def test_catB_parametrized_range_checks():
         catB_parametrized(PARAMS3, 2.0, -0.2, 0.1)
 
 
+@pytest.mark.parametrize(
+    "family, named",
+    [
+        (lambda: collinear_family(GOALS2, PARAMS2, "0.5"), "alpha"),
+        (lambda: catB_parametrized(PARAMS3, 2.0, "x", 0.9), "theta"),
+        (lambda: catB_parametrized(PARAMS3, 2.0, -0.3, "0.9"), "alpha_angle"),
+    ],
+    ids=["collinear-alpha", "catB-theta", "catB-alpha_angle"],
+)
+def test_family_parameters_that_are_no_numbers_raise_a_value_error_naming_them(family, named):
+    with pytest.raises(ValueError, match=f"^{named} must lie in"):
+        family()
+
+
 @pytest.mark.parametrize("tol", [-1e-6, math.nan, math.inf, True, "0.01"])
 def test_classify_three_robot_rejects_a_tol_that_is_no_finite_nonnegative_number(tol):
     world, _ = three_robot_family_catA(PARAMS3, 2.0)
@@ -360,6 +375,20 @@ def test_classify_three_robot_rejects_a_tol_that_is_no_finite_nonnegative_number
 def test_families_read_the_goal_radius_as_a_gain(family, r_goal):
     with pytest.raises(ValueError, match="^r_goal must be"):
         family(PARAMS3, r_goal)
+
+
+GALLERY = Path(__file__).resolve().parent.parent / "demos" / "deadlock_family_gallery.py"
+
+
+def test_gallery_demo_prints_its_pinned_output(capsys):
+    spec = importlib.util.spec_from_file_location("deadlock_family_gallery", GALLERY)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    demo.main()
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "fee1026a2758a5f95565fca0ac5c0384cad897f6ba0fec7ab0a1441073b9eaa8"
+    )
 
 
 def test_boundary_membership():

@@ -11,16 +11,23 @@ from mrdeadlock import (
     Params,
     RobotState,
     WorldState,
+    pd_control,
+    solve_qp,
+)
+from mrdeadlock.cbf import (
+    PairField,
     assemble_qp,
     constraint_bound,
     decentralized_rows,
-    pd_control,
+    min_pair_distance,
+    pair_indices,
+    row_neighbor,
     safety_index_signed,
-    solve_qp,
 )
-from mrdeadlock.cbf import PairField, min_pair_distance, pair_indices, row_neighbor
 from mrdeadlock.errors import ToolkitError
 from mrdeadlock.qp import _enumerate
+from mrdeadlock.resolution import Filtering, supervisor_step
+from oracles import ConstraintRow, rows_of
 
 # Offsets of length exactly Ds in binary floating point; added to a dyadic
 # position they put a pair exactly on the margin.
@@ -115,9 +122,9 @@ def test_pair_field_matches_scalar_oracles(case):
         assert repr(field.bounds()[c]) == repr(constraint_bound(robots[i], robots[j], params, i, j))
         row_i, row_j = decentralized_rows(robots[i], robots[j], params, i, j)
         mirrored, _ = decentralized_rows(robots[j], robots[i], params, j, i)
-        assert repr(batch[i].rows[j - 1]) == repr(row_i)
-        assert repr(batch[j].rows[i]) == repr(mirrored)
-        assert repr(batch[j].rows[i].b_hat) == repr(row_j.b_hat)
+        assert repr(rows_of(batch[i])[j - 1]) == repr(ConstraintRow(*row_i))
+        assert repr(rows_of(batch[j])[i]) == repr(ConstraintRow(*mirrored))
+        assert repr(rows_of(batch[j])[i].b_hat) == repr(row_j[1])
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -135,7 +142,7 @@ def test_row_layout_is_neighbors_then_box(case):
     for i in range(world.n):
         (pix, piy) = robots[i].p
         for problem in (batch[i], assemble_qp(i, world, goals, params)):
-            rows = problem.rows
+            rows = rows_of(problem)
             assert len(rows) == world.n - 1 + 4
             assert repr(tuple(row.a for row in rows[-4:])) == repr(box)
             for k, row in enumerate(rows[:-4]):
@@ -165,10 +172,20 @@ def test_pair_pass_qps_are_the_assembled_qps(case):
         _same_error(lambda: PairField(world, params).problems(u_hat), exc)
         return
     for problem, oracle in zip(PairField(world, params).problems(u_hat), assembled):
-        # solved from the flat rows, before rows is first read
         outcome = _outcome(solve_qp, problem)
         assert outcome == _outcome(solve_qp, oracle)
-        assert outcome == _outcome(lambda p: _enumerate(p, range(len(p.rows))), oracle)
+        assert outcome == _outcome(lambda p: _enumerate(p, range(len(p.b))), oracle)
         assert repr(problem) == repr(oracle)
         assert repr(problem.norms) == repr(oracle.norms)
         assert problem == oracle and hash(problem) == hash(oracle)
+
+
+@pytest.mark.parametrize("n_refs", [1, 3])
+def test_problems_want_one_reference_per_robot(n_refs):
+    """A u_hat of the wrong length raises, in the pair pass and in the supervisor's filtering step."""
+    world, goals, params = _case([(0.0, 0.0), (2.0, 0.0)])
+    u_hat = [(0.0, 0.0)] * n_refs
+    with pytest.raises(ValueError, match=f"^u_hat has {n_refs} entries for 2 robots"):
+        PairField(world, params).problems(u_hat)
+    with pytest.raises(ValueError, match=f"^u_hat has {n_refs} entries for 2 robots"):
+        supervisor_step(Filtering(), world, goals, params, 1e-3, u_hat=u_hat)

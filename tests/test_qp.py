@@ -13,29 +13,24 @@ from mrdeadlock import (
     GoalSpec,
     Params,
     QPProblem,
-    Scenario,
     WorldState,
-    assemble_qp,
     collinear_family,
-    detect_deadlock,
-    run_scenario,
     solve_qp,
-    verify_boundary_membership,
-    verify_kkt,
 )
-from mrdeadlock.cli import main
+from mrdeadlock.cbf import assemble_qp
 from mrdeadlock.errors import ToolkitError
 from mrdeadlock.qp import (
     ACTIVE_TOL,
     BOX_NORMALS,
     FEAS_TOL,
     IMPLIED_TOL,
-    ConstraintRow,
     QPSolution,
     _enumerate,
     _enumerated_rows,
-    box_rows,
+    flat_problem,
+    verify_kkt,
 )
+from oracles import ConstraintRow, box_rows, problem_of, rows_of
 
 
 def random_problem(rng, m=None, alpha=None):
@@ -48,11 +43,11 @@ def random_problem(rng, m=None, alpha=None):
         while math.hypot(*a) < 1e-3:
             a = rng.uniform(-1, 1, 2)
         rows.append(ConstraintRow(tuple(a), float(rng.uniform(-0.5, 2.0))))
-    return QPProblem(u_hat=u_hat, rows=tuple(rows) + box_rows(alpha))
+    return problem_of(u_hat=u_hat, rows=tuple(rows) + box_rows(alpha))
 
 
 def test_unconstrained_optimum_inside_polytope():
-    problem = QPProblem(u_hat=(0.25, -0.5), rows=box_rows(5.0))
+    problem = problem_of(u_hat=(0.25, -0.5), rows=box_rows(5.0))
     sol = solve_qp(problem)
     assert sol.status == "optimal"
     assert sol.u_star == (0.25, -0.5)
@@ -61,7 +56,7 @@ def test_unconstrained_optimum_inside_polytope():
 
 
 def test_single_row_projection_with_closed_form_dual():
-    problem = QPProblem(
+    problem = problem_of(
         u_hat=(1.0, 0.0),
         rows=(ConstraintRow((1.0, 0.0), 0.5),) + box_rows(10.0),
     )
@@ -98,7 +93,7 @@ def test_verify_kkt_self_consistency():
 
 
 def test_verify_kkt_detects_corrupted_dual():
-    problem = QPProblem(
+    problem = problem_of(
         u_hat=(1.0, 0.0),
         rows=(ConstraintRow((1.0, 0.0), 0.5),) + box_rows(10.0),
     )
@@ -124,10 +119,10 @@ def test_randomized_optimality_oracle():
         if sol.status != "optimal":
             continue
         assert verify_kkt(problem, sol).max_residual() <= 1e-8
-        alpha = problem.rows[-1].b_hat
+        alpha = rows_of(problem)[-1].b_hat
         pts = rng.uniform(-alpha, alpha, size=(20_000, 2))
         feasible = np.ones(len(pts), dtype=bool)
-        for row in problem.rows[:problem.m_neighbors]:
+        for row in rows_of(problem)[:problem.m_neighbors]:
             feasible &= pts @ np.asarray(row.a) <= row.b_hat + 1e-12
         if not feasible.any():
             continue
@@ -146,13 +141,13 @@ def test_projection_idempotence():
         sol = solve_qp(problem)
         if sol.status != "optimal":
             continue
-        again = solve_qp(QPProblem(u_hat=sol.u_star, rows=problem.rows))
+        again = solve_qp(problem_of(u_hat=sol.u_star, rows=rows_of(problem)))
         assert again.u_star == sol.u_star
         assert all(mu == 0.0 for mu in again.mu_star)
 
 
 def test_infeasible_detection():
-    problem = QPProblem(
+    problem = problem_of(
         u_hat=(0.0, 0.0),
         rows=(ConstraintRow((1.0, 0.0), -20.0),) + box_rows(5.0),
     )
@@ -161,7 +156,7 @@ def test_infeasible_detection():
 
 
 def test_parallel_rows_are_skipped_not_fatal():
-    problem = QPProblem(
+    problem = problem_of(
         u_hat=(3.0, 0.0),
         rows=(
             ConstraintRow((1.0, 0.0), 1.0),
@@ -186,7 +181,7 @@ def test_deadlock_bridge_stationarity():
     assert math.hypot(*sol.u_star) <= 1e-12
     acc = np.zeros(2)
     for k in sol.active_set:
-        acc += 0.5 * sol.mu_star[k] * np.asarray(problem.rows[k].a)
+        acc += 0.5 * sol.mu_star[k] * np.asarray(rows_of(problem)[k].a)
     assert np.allclose(acc, np.asarray(problem.u_hat), atol=1e-12)
     # conversely, a robot clear of conflict keeps u* = u_hat != 0
     world2 = WorldState(
@@ -197,14 +192,31 @@ def test_deadlock_bridge_stationarity():
 
 
 def test_qp_problem_requires_box_rows():
-    with pytest.raises(ValueError):
-        QPProblem(u_hat=(0.0, 0.0), rows=(ConstraintRow((1.0, 0.0), 1.0),))
+    with pytest.raises(ValueError, match="4 box bounds"):
+        QPProblem((0.0, 0.0), [1.0], [0.0], [1.0], ())
 
 
 @pytest.mark.parametrize("bound", [0.0, -1.0, math.inf, math.nan])
 def test_qp_problem_rejects_a_box_bound_not_finite_and_positive(bound):
     with pytest.raises(ValueError, match="box bounds must be finite and strictly positive"):
-        QPProblem(u_hat=(0.0, 0.0), rows=box_rows(5.0)[:3] + (ConstraintRow((0.0, -1.0), bound),))
+        QPProblem((0.0, 0.0), [], [], [], (5.0, 5.0, 5.0, bound))
+
+
+def test_qp_problem_checks_its_rows_and_faces_and_copies_them():
+    """Equal-length neighbor rows and four finite faces > 0, or a ValueError; the arguments stay as given."""
+    ax, ay, b, faces = [3.0, -0.5], [-4.0, 0.0], [1.0, -2.0], [5.0, 4.0, 3.0, 2.0]
+    bad_faces = (math.nan, math.inf, -math.inf, 0.0, -1.0, True, "2")
+    for bad in [faces[:3], faces + [1.0], *(faces[:3] + [x] for x in bad_faces)]:
+        with pytest.raises(ValueError, match="box bounds"):
+            QPProblem((0.0, 0.0), ax, ay, b, bad)
+    for rows in ((ax[:1], ay, b), (ax, ay[:1], b), (ax, ay, b[:1])):
+        with pytest.raises(ValueError, match="differ in length"):
+            QPProblem((0.0, 0.0), *rows, faces)
+    problem = QPProblem((0.5, -0.5), ax, ay, b, faces)
+    assert (ax, ay, b, faces) == ([3.0, -0.5], [-4.0, 0.0], [1.0, -2.0], [5.0, 4.0, 3.0, 2.0])
+    assert (problem.ax, problem.ay, problem.b, problem.norms) == (
+        [3.0, -0.5, 1.0, 0.0, -1.0, 0.0], [-4.0, 0.0, 0.0, 1.0, 0.0, -1.0], [1.0, -2.0, 5.0, 4.0, 3.0, 2.0], [7.0, 0.5]
+    )
 
 
 BOX = box_rows(5.0)
@@ -225,8 +237,9 @@ ROW_A, ROW_B = ConstraintRow((1.0, 0.0), 4.0), ConstraintRow((0.3, 0.4), 30.0)
     ids=["faces-first", "faces-between-neighbors", "faces-out-of-order", "stretched-plus-x", "three-faces"],
 )
 def test_qp_problem_rejects_misplaced_box(u_hat, rows):
+    # problem_of keeps the check of the former row constructor, on which the row-built problems rely
     with pytest.raises(ValueError, match="box rows"):
-        QPProblem(u_hat=u_hat, rows=rows)
+        problem_of(u_hat=u_hat, rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +254,7 @@ def _outcome(solver, problem: QPProblem) -> str:
 
 
 def _full_enumeration(problem: QPProblem) -> QPSolution:
-    return _enumerate(problem, range(len(problem.rows)))
+    return _enumerate(problem, range(len(problem.b)))
 
 
 def _box_top(a, faces) -> float:
@@ -314,23 +327,23 @@ def qp_problems(draw):
         st.just((faces[0], faces[1])),   # a box corner
         st.just((0.0, 0.0)),
     ))
-    return QPProblem(u_hat=u_hat, rows=tuple(rows))
+    return problem_of(u_hat=u_hat, rows=tuple(rows))
 
 
 @settings(max_examples=400, deadline=None, database=None)
 @given(qp_problems())
 # two rows exactly at the box maximum, one a parallel copy: kept, binding together
-@example(QPProblem(u_hat=(9.0, 9.0), rows=(
+@example(problem_of(u_hat=(9.0, 9.0), rows=(
     ConstraintRow((1.0, 1.0), 10.0), ConstraintRow((2.0, 2.0), 20.0)) + box_rows(5.0)))
 # a zero row with a positive bound and a row implied by the box
-@example(QPProblem(u_hat=(9.0, -9.0), rows=(
+@example(problem_of(u_hat=(9.0, -9.0), rows=(
     ConstraintRow((0.0, 0.0), 1.0), ConstraintRow((0.5, 0.5), 5.1)) + box_rows(5.0)))
 # infeasible: the first row excludes the whole box
-@example(QPProblem(u_hat=(0.0, 0.0), rows=(
+@example(problem_of(u_hat=(0.0, 0.0), rows=(
     ConstraintRow((1.0, 0.0), -6.0), ConstraintRow((0.0, 1.0), 9.0)) + box_rows(5.0)))
 # a row whose |a|^2 is subnormal: its multiplier overflows, and a candidate
 # with an infinite control must not pass the feasibility test (0 * inf = NaN)
-@example(QPProblem(u_hat=(0.5, 0.5), rows=(
+@example(problem_of(u_hat=(0.5, 0.5), rows=(
     ConstraintRow((0.0, 0.0), 0.0), ConstraintRow((0.0, 0.0), -1.0), ConstraintRow((0.0, 0.0), -1.0),
     ConstraintRow((1.0, -1.0), 1.000011), ConstraintRow((0.0, 0.0), -1.0),
     ConstraintRow((-8.925993836822974e-232, 9.39691959866434e-156), -1.0)) + box_rows(0.5)))
@@ -349,7 +362,7 @@ def test_solution_holds_and_marks_active_rows_row_by_row(problem):
     if sol.status != "optimal":
         return
     x, y = sol.u_star
-    slacks = [(row.a[0] * x + row.a[1] * y - row.b_hat, row.b_hat) for row in problem.rows]
+    slacks = [(row.a[0] * x + row.a[1] * y - row.b_hat, row.b_hat) for row in rows_of(problem)]
     assert all(s <= FEAS_TOL * (1.0 + abs(b)) for s, b in slacks)
     assert sol.active_set == tuple(k for k, (s, b) in enumerate(slacks) if abs(s) <= ACTIVE_TOL * (1.0 + abs(b)))
 
@@ -362,27 +375,25 @@ def test_enumerated_rows_sets_aside_only_rows_clear_of_the_box():
         ConstraintRow((0.0, 0.0), -1.0),           # zero row, negative bound: kept
         ConstraintRow((-2.0, 0.0), 10.0 + 1e-9),   # within the margin: kept
     ) + box_rows(5.0)
-    assert _enumerated_rows(QPProblem(u_hat=(0.0, 0.0), rows=rows)) == [1, 3, 4, 5, 6, 7, 8]
+    assert _enumerated_rows(problem_of(u_hat=(0.0, 0.0), rows=rows)) == [1, 3, 4, 5, 6, 7, 8]
 
 
-def test_no_runtime_path_reads_the_rows_view(monkeypatch, capsys):
-    """The solver, its phase-I probe, the force balance and the runs read the flat rows only."""
-    goals = GoalSpec(pd=((2.0, 0.0), (-2.0, 0.0)))
-    params = Params(kp=1.0, kv=3.0, ds=0.5, alpha=(5.0, 5.0))
-    world = WorldState(robots=collinear_family(goals, params, 0.4), t=0.0)
-    problems = [assemble_qp(i, world, goals, params) for i in range(2)]
-    infeasible = QPProblem(u_hat=(0.0, 0.0), rows=(ConstraintRow((1.0, 0.0), -20.0),) + box_rows(5.0))
+# zero rows, signed zeros and subnormal components among ordinary ones
+components = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-308]), reals)
+neighbor_rows = st.tuples(
+    st.one_of(st.tuples(components, components), st.sampled_from([(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0)])),
+    st.one_of(st.sampled_from([0.0, -0.0, 5e-324]), st.floats(-2.0, 10.0)),
+)
 
-    def no_rows(problem):
-        raise AssertionError("QPProblem.rows was read")
 
-    monkeypatch.setattr(QPProblem, "rows", property(no_rows))
-    for i, problem in enumerate(problems):
-        report = detect_deadlock(i, world, goals, params, solve_qp(problem), problem)
-        assert report.verdict and report.force_balance_residual <= 1e-8
-    assert solve_qp(infeasible).status == "infeasible"
-    assert verify_boundary_membership(world, goals, params)
-    assert main(["families", "two"]) == 0
-    assert "system deadlock: True" in capsys.readouterr().out
-    log = run_scenario(Scenario(params=params, initial=world.robots, goals=goals, controller="three-phase", t_max=0.05))
-    assert [e["name"] for e in log.events[:2]] == ["deadlock-detected", "phase-2-start"]
+# The example count comes from the hypothesis profile: tests/conftest.py.
+@settings(deadline=None, database=None)
+@given(st.tuples(reals, reals), st.lists(neighbor_rows, max_size=6), st.tuples(*[face_bounds] * 4))
+def test_checked_constructor_is_the_flat_constructor(u_hat, rows, faces):
+    """QPProblem(...) and the pair pass's flat_problem build the same problem from the same rows."""
+    ax, ay, b = [a[0] for a, _ in rows], [a[1] for a, _ in rows], [bound for _, bound in rows]
+    norms = [abs(x) + abs(y) for x, y in zip(ax, ay)]
+    checked = QPProblem(u_hat, ax, ay, b, faces)
+    flat = flat_problem(u_hat, [*ax], [*ay], [*b], norms, faces)
+    assert checked == flat and hash(checked) == hash(flat) and repr(checked) == repr(flat)
+    assert _outcome(solve_qp, checked) == _outcome(solve_qp, flat)

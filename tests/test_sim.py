@@ -86,6 +86,10 @@ def _bits(robots) -> list[str]:
 def test_integrate_step_is_euler_step_bit_for_bit(robots, dt, t):
     world = WorldState(robots=tuple(RobotState(p, v) for p, v, _ in robots), t=t)
     controls = tuple(u for _, _, u in robots)
+    if not dt > 0.0:
+        with pytest.raises(ValueError, match="^dt must be finite and > 0"):
+            integrate_step(world, controls, dt)
+        return
     try:
         expected = [RobotState(*euler_step(z.p, z.v, u, dt)) for z, u in zip(world.robots, controls)]
     except ValueError as exc:
@@ -96,6 +100,26 @@ def test_integrate_step_is_euler_step_bit_for_bit(robots, dt, t):
     nxt = integrate_step(world, controls, dt)
     assert _bits(nxt.robots) == _bits(expected)
     assert nxt.t.hex() == (t + dt).hex()
+
+
+@pytest.mark.parametrize(
+    "n_controls, dt, message",
+    [
+        (1, 1e-3, "^1 controls for 2 robots"),
+        (3, 1e-3, "^3 controls for 2 robots"),
+        (2, -1.0, "^dt must be finite and > 0"),
+        (2, 0.0, "^dt must be finite and > 0"),
+        (2, math.nan, "^dt must be finite and > 0"),
+        (2, math.inf, "^dt must be finite and > 0"),
+        (2, True, "^dt must be a number"),
+    ],
+    ids=["one-control", "three-controls", "negative-dt", "zero-dt", "nan-dt", "inf-dt", "bool-dt"],
+)
+def test_integrate_step_rejects_a_control_count_or_dt_it_cannot_step(n_controls, dt, message):
+    world = WorldState(robots=collinear_family(GoalSpec(pd=((2.0, 0.0), (-2.0, 0.0))),
+                                               Params(kp=1.0, kv=3.0, ds=0.5, alpha=(5.0, 5.0)), 0.5), t=0.0)
+    with pytest.raises(ValueError, match=message):
+        integrate_step(world, ((0.0, 0.0),) * n_controls, dt)
 
 
 def test_integrate_step_first_order_convergence():
