@@ -5,7 +5,8 @@ realize exactly the safety distance in the plane while non-edges stay
 strictly wider.  The table compares the combinatorial bounds with the
 geometric census.  A graph that breaks an exact penny-graph rule (the edge
 bound, a K4, or two vertices with three common neighbours) is certified not
-admissible; the rest go to a restart-based, deterministic search.
+admissible; the rest go to a restart-based, deterministic search, run once
+per isomorphism class and re-checked on every other labeling of the class.
 
     python demos/census_table.py [--n-max 4] [--attempts 200]
 """

@@ -6,7 +6,9 @@ realize distance Ds in the plane and whose non-edges stay strictly farther
 apart.  This module provides the exact connected-graph recurrence, the
 combinatorial upper/lower bounds, exhaustive enumeration for small N, exact
 certificates that a graph has no such realization, and a restart-based
-geometric feasibility checker for the rest.
+geometric feasibility checker for the rest.  Whether a graph embeds does not
+depend on its labels, so the census searches once per isomorphism class and
+re-checks the representative's relabeled positions on every other labeling.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ class LabeledGraph:
         canon = []
         seen = set()
         for u, v in self.edges:
+            if any(isinstance(x, bool) or not isinstance(x, int) for x in (u, v)):
+                raise ValueError(f"edge ({u!r},{v!r}) has a vertex that is not an int")
             if u == v:
                 raise ValueError("self-loops are not allowed")
             if not (0 <= u < self.n and 0 <= v < self.n):
@@ -175,6 +179,24 @@ def obstruction(g: LabeledGraph) -> str | None:
     return None
 
 
+def canonical_form(g: LabeledGraph) -> tuple[int, tuple[int, ...]]:
+    """The smallest edge bitmask over all relabelings of g, and a relabeling p that reaches it.
+
+    Vertex v of g is vertex p[v] of the canonical graph, so two graphs on n
+    vertices have equal masks exactly when they are isomorphic.
+    """
+    bit = {pair: 1 << k for k, pair in enumerate(itertools.combinations(range(g.n), 2))}
+    return min(
+        (sum(bit[min(p[u], p[v]), max(p[u], p[v])] for u, v in g.edges), p)
+        for p in itertools.permutations(range(g.n))
+    )
+
+
+def _pairs(g: LabeledGraph) -> list[tuple[int, int, bool]]:
+    """g's vertex pairs as (u, v, is_edge), edges first."""
+    return [(u, v, True) for u, v in g.edges] + [(u, v, False) for u, v in g.non_edges()]
+
+
 def _violation(pairs: list[tuple[int, int, bool]], pos: np.ndarray) -> float:
     worst = 0.0
     for u, v, is_edge in pairs:
@@ -224,7 +246,7 @@ def embed_graph(g: LabeledGraph, attempts: int = 200) -> EmbeddingResult:
     if g.n == 1:
         return EmbeddingResult(feasible=True, positions=((0.0, 0.0),), max_violation=0.0)
 
-    pairs = [(u, v, True) for u, v in g.edges] + [(u, v, False) for u, v in g.non_edges()]
+    pairs = _pairs(g)
     best, best_pos = math.inf, None
     span = max(1.0, math.sqrt(g.n))
     for attempt in range(attempts):
@@ -256,13 +278,30 @@ def admissible_report(n: int, attempts: int = 200) -> list[tuple[LabeledGraph, E
 
     A graph that `obstruction` certifies is infeasible, with no positions and
     an infinite violation, without a search: that "not admissible" is a proof.
-    Every other graph gets `embed_graph`'s verdict, whose "not admissible"
-    only means that every restart failed.
+    The first other graph of each isomorphism class (by `canonical_form`)
+    gets `embed_graph`'s verdict, whose "not admissible" only means that every
+    restart failed.  Each later labeling gets the representative's positions
+    on its own vertices, re-checked by `_violation` over its own pairs.
     """
     if _positive_int(n, "n") > CENSUS_N_MAX:
         raise ValueError(f"the admissibility census is limited to n <= {CENSUS_N_MAX}")
     certified = EmbeddingResult(feasible=False, positions=(), max_violation=math.inf)
-    return [(g, certified if obstruction(g) else embed_graph(g, attempts)) for g in enumerate_connected(n)]
+    placed: dict[int, np.ndarray] = {}   # canonical mask -> its representative's positions, canonically labeled
+    report = []
+    for g in enumerate_connected(n):
+        if obstruction(g):
+            report.append((g, certified))
+            continue
+        mask, p = canonical_form(g)
+        if mask in placed:
+            pos = placed[mask][list(p)]
+            worst = _violation(_pairs(g), pos)
+            res = EmbeddingResult(worst <= EMBED_TOL, tuple(map(tuple, pos.tolist())), worst)
+        else:
+            res = embed_graph(g, attempts)
+            placed[mask] = np.array(res.positions)[np.argsort(p)]
+        report.append((g, res))
+    return report
 
 
 def census_table(n_max: int = 4, attempts: int = 200) -> list[dict]:

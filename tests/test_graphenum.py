@@ -29,10 +29,12 @@ from mrdeadlock import (
 from mrdeadlock.cbf import PairField, pair_indices
 from mrdeadlock.deadlock import geometric_tol
 from mrdeadlock.graphenum import (
+    EMBED_TOL,
     NONEDGE_MARGIN,
     _objective,
     _violation,
     admissible_report,
+    canonical_form,
     census_table,
     graph_seed,
     max_penny_edges,
@@ -91,6 +93,12 @@ def test_labeled_graph_validation():
         LabeledGraph(n=3, edges=((0, 1), (1, 0)))
     g = LabeledGraph(n=3, edges=((2, 1), (1, 0)))
     assert g.edges == ((0, 1), (1, 2))  # canonical sort
+
+
+@pytest.mark.parametrize("edge", [(0.0, 1), (False, True), ("0", 1)], ids=["float", "bool", "string"])
+def test_labeled_graph_rejects_a_vertex_that_is_not_an_int(edge):
+    with pytest.raises(ValueError, match=r"^edge \(.*\) has a vertex that is not an int$"):
+        LabeledGraph(n=2, edges=(edge,))
 
 
 def test_embed_triangle_feasible():
@@ -228,20 +236,32 @@ def test_obstruction_names_the_rule_and_the_search_agrees(g, rule):
     assert embed_graph(g, attempts=40 if rule else 200).feasible == (rule is None)
 
 
-def _canonical_mask(g: LabeledGraph) -> int:
-    """The smallest edge bitmask over all relabelings: equal exactly for isomorphic graphs."""
-    bit = {pair: 1 << k for k, pair in enumerate(itertools.combinations(range(g.n), 2))}
-    return min(
-        sum(bit[min(p[u], p[v]), max(p[u], p[v])] for u, v in g.edges)
-        for p in itertools.permutations(range(g.n))
-    )
+@st.composite
+def graphs_and_relabelings(draw):
+    n = draw(st.integers(1, 5))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return LabeledGraph(n=n, edges=tuple(e for e, k in zip(pairs, keep) if k)), draw(st.permutations(range(n)))
+
+
+# The example count comes from the hypothesis profile: tests/conftest.py.
+@settings(deadline=None, database=None)
+@given(graphs_and_relabelings())
+def test_canonical_form_is_invariant_under_relabeling(case):
+    g, perm = case
+    mask, p = canonical_form(g)
+    relabeled = LabeledGraph(n=g.n, edges=tuple((perm[u], perm[v]) for u, v in g.edges))
+    assert canonical_form(relabeled)[0] == mask
+    canonical_edges = {pair for k, pair in enumerate(itertools.combinations(range(g.n), 2)) if mask >> k & 1}
+    assert sorted(p) == list(range(g.n))
+    assert {(min(p[u], p[v]), max(p[u], p[v])) for u, v in g.edges} == canonical_edges
 
 
 def test_every_certificate_agrees_with_the_search_on_one_graph_per_class():
     classes: dict[tuple[int, int], LabeledGraph] = {}
     for n in range(1, 6):
         for g in enumerate_connected(n):
-            classes.setdefault((n, _canonical_mask(g)), g)
+            classes.setdefault((n, canonical_form(g)[0]), g)
     assert Counter(n for n, _ in classes) == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21}   # OEIS A001349
     certified = 0
     for g in classes.values():
@@ -253,8 +273,41 @@ def test_every_certificate_agrees_with_the_search_on_one_graph_per_class():
     assert certified == 9
 
 
+def _representatives(report):
+    """The first uncertified labeling of each isomorphism class, with its result, by canonical mask."""
+    reps = {}
+    for g, res in report:
+        if obstruction(g) is None:
+            reps.setdefault(canonical_form(g)[0], (g, res))
+    return reps
+
+
+def test_one_search_per_class_gives_every_labeling_the_per_labeling_verdict():
+    for n in range(1, 5):
+        report = admissible_report(n, attempts=200)
+        reps = _representatives(report)
+        for g, res in report:
+            ref = embed_graph(g, attempts=200)
+            assert res.feasible == ref.feasible, g
+            if obstruction(g) is None:
+                _, rep_res = reps[canonical_form(g)[0]]
+                assert res.max_violation.hex() == rep_res.max_violation.hex(), g
+                assert res.max_violation <= EMBED_TOL and ref.max_violation <= EMBED_TOL, g
+                assert _violation_two_loops(g, np.array(res.positions)) <= EMBED_TOL, g
+        for rep, rep_res in reps.values():
+            assert rep_res == embed_graph(rep, attempts=200), rep
+
+
 def test_count_admissible_n5_is_decided_in_full():
-    assert sum(1 for _, r in admissible_report(5, attempts=200) if r.feasible) == 602
+    report = admissible_report(5, attempts=200)
+    assert sum(1 for _, r in report if r.feasible) == 602
+    for g, res in report:
+        if res.feasible:
+            assert _violation_two_loops(g, np.array(res.positions)) <= EMBED_TOL, g
+    reps = _representatives(report)
+    assert len(reps) == 13
+    for rep, rep_res in reps.values():
+        assert rep_res == embed_graph(rep, attempts=200), rep
     with pytest.raises(ValueError, match="n <= 5"):
         admissible_report(6)
     with pytest.raises(ValueError, match="n_max"):
