@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Mapping, Set
 from dataclasses import dataclass
 
 from .errors import ZeroVectorError
@@ -121,6 +122,9 @@ class Params:
     def __post_init__(self):
         for name in ("kp", "kv", "ds"):
             object.__setattr__(self, name, _positive(getattr(self, name), name))
+        # a mapping would pass as its keys, and a set would drop a repeated alpha
+        if isinstance(self.alpha, (Mapping, Set)):
+            raise ValueError(f"alpha must be a sequence of numbers, got {self.alpha!r}")
         try:
             alpha = tuple(_positive(a, "every per-robot alpha") for a in self.alpha)
         except TypeError:

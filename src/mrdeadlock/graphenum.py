@@ -19,7 +19,7 @@ import zlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+import scipy
 
 from .core import _positive_int
 
@@ -228,6 +228,11 @@ def _objective(x: np.ndarray, pairs: list[tuple[int, int, bool]]) -> tuple[float
             grad[u] += gvec
             grad[v] -= gvec
     return f, grad.ravel()
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, which loads scipy.optimize on the first call; one call per restart."""
+    return scipy.optimize.minimize(*args, **kwargs)
 
 
 def embed_graph(g: LabeledGraph, attempts: int = 200) -> EmbeddingResult:

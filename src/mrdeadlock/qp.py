@@ -32,7 +32,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from scipy.optimize import linprog
+# scipy loads scipy.optimize on first use, so importing the package does not
+import scipy
 
 from .core import Vec2, _real, v_norm
 from .errors import QPInfeasibleError
@@ -280,7 +281,7 @@ def _optimal(rows: list, bs: list, x: float, y: float, mus: list[float]) -> QPSo
 def _max_min_slack(ax: list[float], ay: list[float], b: list[float]) -> float:
     """Optimum of  max_u min_k (b_k - a_k.u)  via an LP in (u, s)."""
     # maximize s  s.t.  a_k.u + s <= b_k  ->  minimize -s
-    res = linprog(
+    res = scipy.optimize.linprog(
         c=[0.0, 0.0, -1.0],
         A_ub=[[x, y, 1.0] for x, y in zip(ax, ay)],
         b_ub=b,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, Field, dataclass, field, fields
+from dataclasses import Field, dataclass, field, fields
 
 import numpy as np
 import yaml
@@ -79,6 +79,13 @@ class Scenario:
     resolution: ResolutionConfig = field(default_factory=ResolutionConfig)
 
     def __post_init__(self):
+        # a wrong type would otherwise fail steps later, or only once the log's meta is written
+        for name, value, kind in (("params", self.params, Params), ("goals", self.goals, GoalSpec),
+                                  ("resolution", self.resolution, ResolutionConfig)):
+            if not isinstance(value, kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
+        if not (isinstance(self.initial, tuple) and all(isinstance(z, RobotState) for z in self.initial)):
+            raise ValueError(f"initial must be a tuple of RobotState, got {self.initial!r}")
         if self.controller not in CONTROLLERS:
             raise ValueError(f"controller must be one of {CONTROLLERS}")
         try:   # read as Params reads its gains, but kept as given: the log's meta does not move
@@ -400,30 +407,12 @@ def _numbers(value) -> tuple[float, ...]:
     return tuple(_number(x) for x in _list(value))
 
 
-# How a scenario-file value is read, by the annotation text of its dataclass
-# field (these modules postpone annotations, so Field.type is that text).
-_READERS = {
-    "float": _number,
-    "int": _integer,
-    "str": str,
-    "float | None": lambda v: None if v is None else _number(v),
-    "tuple[float, ...]": _numbers,
-}
-# Fields that hold a mapping of a dataclass's own fields.
-_SECTIONS = {"Params": Params, "ResolutionConfig": ResolutionConfig}
-_BY_HAND = {"initial": "robots", "goals": "goals"}   # Scenario fields spelled by hand, and their keys
-
-
-def _file_fields(cls) -> list[Field]:
-    """The fields of cls a scenario file holds by type; TypeError for a type without a reader."""
-    fs = [f for f in fields(cls) if f.name not in _BY_HAND]
-    for f in fs:
-        if f.type not in _READERS and f.type not in _SECTIONS:
-            raise TypeError(f"no scenario-file reader for {cls.__name__}.{f.name}: {f.type}")
-    return fs
-
-
-_FILE_FIELDS = {cls: _file_fields(cls) for cls in (Scenario, *_SECTIONS.values())}
+# The keys of each section of a scenario file, each with its reader.  The
+# scenario section also holds the params and resolution sections, and the
+# robots and goals, which scenario_from_dict reads by hand.
+_SCENARIO_KEYS = {"controller": str, "dt": _number, "t_max": _number, "log_every": _integer}
+_PARAMS_KEYS = {"kp": _number, "kv": _number, "ds": _number, "alpha": _numbers}
+_RESOLUTION_KEYS = dict.fromkeys(("kp2", "kv2"), lambda v: None if v is None else _number(v))
 
 
 def _check_keys(d, where: str, known, required) -> None:
@@ -444,46 +433,33 @@ def _read(value, read, what: str):
         raise ValueError(f"{what}: {exc}") from None
 
 
-def _read_fields(d, cls, where: str) -> dict:
-    """The keyword arguments of cls that the mapping d holds.
+def _section(d, where: str, readers: dict, required=(), by_hand=()) -> dict:
+    """The keyword arguments the mapping d holds: each key of readers that d has, read by its reader.
 
-    Each key is the field of that name, read by its annotated type.  A field
-    without a default is a required key; a key left out takes its default.
+    d may also hold the by_hand keys, which the caller reads; a key left out
+    takes its field's default.
     """
-    fs = fields(cls)
-    keys = [_BY_HAND.get(f.name, f.name) for f in fs]
-    _check_keys(d, where, keys, [k for k, f in zip(keys, fs) if f.default is MISSING and f.default_factory is MISSING])
-    kwargs = {}
-    for f in _FILE_FIELDS[cls]:
-        if f.name in d and f.type in _SECTIONS:
-            kwargs[f.name] = _SECTIONS[f.type](**_read_fields(d[f.name], _SECTIONS[f.type], f.name))
-        elif f.name in d:
-            kwargs[f.name] = _read(d[f.name], _READERS[f.type], f"{where} key {f.name!r}")
-    return kwargs
-
-
-def _fields_to_dict(obj) -> dict:
-    """The mapping _read_fields reads obj from, less the fields spelled by hand."""
-    d = {}
-    for f in _FILE_FIELDS[type(obj)]:
-        value = getattr(obj, f.name)
-        if f.type in _SECTIONS:
-            d[f.name] = _fields_to_dict(value)
-        else:
-            d[f.name] = list(value) if isinstance(value, tuple) else value
-    return d
+    _check_keys(d, where, (*readers, *by_hand), required)
+    return {key: _read(d[key], read, f"{where} key {key!r}") for key, read in readers.items() if key in d}
 
 
 def scenario_to_dict(s: Scenario) -> dict:
-    d = _fields_to_dict(s)
-    d["robots"] = [{"p": list(z.p), "v": list(z.v)} for z in s.initial]
-    d["goals"] = [list(g) for g in s.goals.pd]
-    return d
+    return {
+        "params": {**{key: getattr(s.params, key) for key in _PARAMS_KEYS}, "alpha": list(s.params.alpha)},
+        **{key: getattr(s, key) for key in _SCENARIO_KEYS},
+        "resolution": {key: getattr(s.resolution, key) for key in _RESOLUTION_KEYS},
+        "robots": [{"p": list(z.p), "v": list(z.v)} for z in s.initial],
+        "goals": [list(g) for g in s.goals.pd],
+    }
 
 
 def scenario_from_dict(d: dict) -> Scenario:
     """The Scenario of a scenario_to_dict mapping; unknown and missing keys raise ValueError."""
-    kwargs = _read_fields(d, Scenario, "scenario")
+    kwargs = _section(d, "scenario", _SCENARIO_KEYS, ("params", "robots", "goals"),
+                      by_hand=("params", "robots", "goals", "resolution"))
+    kwargs["params"] = Params(**_section(d["params"], "params", _PARAMS_KEYS, _PARAMS_KEYS))
+    if "resolution" in d:
+        kwargs["resolution"] = ResolutionConfig(**_section(d["resolution"], "resolution", _RESOLUTION_KEYS))
     robots = _read(d["robots"], _list, "scenario key 'robots'")
     for r in robots:
         _check_keys(r, "robot", ("p", "v"), ("p",))

@@ -18,14 +18,9 @@ from mrdeadlock import (
 )
 from oracles import simulate_relative_pd
 
-# Example counts of the property tests that take theirs from the profile
-# (test_audit.py's oracle comparison, test_phase2_newton.py's Jacobian check,
-# test_sim.py's integrator check against euler_step, test_pair_field.py's QP
-# check against assemble_qp, test_qp.py's checked constructor against
-# flat_problem, test_graphenum.py's pair walk against the two-loop penalty and
-# its canonical form under random relabelings):
-# tier-1 runs the small "tier1" profile, CI reruns those tests with
-# --hypothesis-profile=ci.
+# Example counts of the property tests that take theirs from the profile:
+# tier-1 runs the small "tier1" profile, and CI reruns the ones marked
+# ci_profile with -m ci_profile --hypothesis-profile=ci.
 settings.register_profile("tier1", max_examples=30)
 settings.register_profile("ci", max_examples=1000, derandomize=True)
 settings.load_profile("tier1")

@@ -129,6 +129,7 @@ def _apply(log: TrajectoryLog, edit) -> None:
 
 
 # The example count comes from the hypothesis profile: tests/conftest.py.
+@pytest.mark.ci_profile
 @settings(deadline=None, database=None)
 @given(_scenarios(), st.lists(_edits, max_size=3))
 def test_audit_matches_the_oracle_on_random_runs(scen, edits):

@@ -189,7 +189,8 @@ def test_params_reject_bools_non_numbers_and_huge_ints(gain, value):
         Params(**kwargs)
 
 
-@pytest.mark.parametrize("alpha", [5.0, None, "55"])
+# a mapping once passed as its keys, and a set drops a repeated alpha
+@pytest.mark.parametrize("alpha", [5.0, None, "55", {5.0: "x", 4.0: "y"}, {5.0}])
 def test_params_reject_an_alpha_that_is_no_sequence_of_numbers(alpha):
     with pytest.raises(ValueError, match="alpha"):
         Params(kp=1.0, kv=3.0, ds=0.5, alpha=alpha)

@@ -40,6 +40,7 @@ from mrdeadlock.graphenum import (
     max_penny_edges,
     obstruction,
 )
+from mrdeadlock.resolution import CLASSIFY_TOL
 
 
 def test_connected_count_small_values():
@@ -245,6 +246,7 @@ def graphs_and_relabelings(draw):
 
 
 # The example count comes from the hypothesis profile: tests/conftest.py.
+@pytest.mark.ci_profile
 @settings(deadline=None, database=None)
 @given(graphs_and_relabelings())
 def test_canonical_form_is_invariant_under_relabeling(case):
@@ -342,6 +344,29 @@ def test_deadlocked_family_states_are_witnesses_the_census_counts():
         assert g in feasible[g.n]
 
 
+@pytest.mark.parametrize(
+    "run, edges",
+    [("two_robot_resolution_log", ((0, 1),)), ("three_robot_resolution_log", ((0, 1), (0, 2), (1, 2)))],
+)
+def test_simulated_deadlocks_are_witnesses_the_census_counts(request, run, edges):
+    # The contact graph of the record a three-phase run detects its deadlock
+    # at, with the tolerance the supervisor classifies contacts with,
+    # CLASSIFY_TOL * Ds.  geometric_tol would find no contact in the head-on
+    # record: that pair stops 6.7e-3 m off the margin (logged h = 0.365).
+    log, _ = request.getfixturevalue(run)
+    t = next(e["t"] for e in log.events if e["name"] == "deadlock-detected")
+    world = log.world_at(int(np.flatnonzero(log.t == t)[0]))
+    ds = log.meta["scenario"]["params"]["ds"]
+    contacts = tuple(
+        (i, j) for i, j in pair_indices(world.n)
+        if abs(math.dist(world.robots[i].p, world.robots[j].p) - ds) <= CLASSIFY_TOL * ds
+    )
+    g = LabeledGraph(n=world.n, edges=contacts)
+    assert g.edges == edges
+    assert obstruction(g) is None
+    assert g in {h for h, r in admissible_report(g.n, attempts=200) if r.feasible}
+
+
 # The two-loop penalty and re-check the one-loop pair walk replaced: the oracle
 # for bit-identical objective values, gradients and violations.
 def _violation_two_loops(g: LabeledGraph, pos: np.ndarray) -> float:
@@ -407,6 +432,7 @@ def _hex(values) -> list[str]:
 
 
 # The example count comes from the hypothesis profile: tests/conftest.py.
+@pytest.mark.ci_profile
 @settings(deadline=None, database=None)
 @given(graphs_and_positions())
 # an edge exactly 1 long, a coincident edge, a non-edge exactly 1 and one exactly 1 + NONEDGE_MARGIN long

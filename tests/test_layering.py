@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -109,3 +112,13 @@ def test_public_api_is_the_pinned_name_set():
     }
     assert len(PUBLIC_API) == 57
     assert sorted(public - PUBLIC_API) == [] and sorted(PUBLIC_API - public) == []
+
+
+def test_importing_the_package_does_not_load_scipy_optimize():
+    # only the phase-I probe and the embedding search call into it, and it
+    # costs about 0.2 s and 50 MB to load
+    code = "import sys, mrdeadlock; print('scipy.optimize' in sys.modules)"
+    path = os.pathsep.join(filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

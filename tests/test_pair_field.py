@@ -159,6 +159,7 @@ def _outcome(solver, problem) -> str:
 
 
 # The example count comes from the hypothesis profile: tests/conftest.py.
+@pytest.mark.ci_profile
 @settings(deadline=None, database=None)
 @given(worlds())
 @example(_case([(0.0, 1.0), (0.5, 1.0), (0.25, 3.0)], alpha=[4.0, 5.0, 6.0]))

@@ -75,6 +75,7 @@ def _pair_qs(world, control, h_ts, w, dt):
     return qs
 
 
+@pytest.mark.ci_profile
 @given(phase2_states())
 def test_exact_jacobian_matches_central_differences(case):
     # every entry within 1e-6 of the largest entry of its row.  The pair

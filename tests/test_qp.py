@@ -387,6 +387,7 @@ neighbor_rows = st.tuples(
 
 
 # The example count comes from the hypothesis profile: tests/conftest.py.
+@pytest.mark.ci_profile
 @settings(deadline=None, database=None)
 @given(st.tuples(reals, reals), st.lists(neighbor_rows, max_size=6), st.tuples(*[face_bounds] * 4))
 def test_checked_constructor_is_the_flat_constructor(u_hat, rows, faces):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -42,9 +42,11 @@ from mrdeadlock.errors import (
 )
 from mrdeadlock.resolution import K_PERSIST, ResolutionConfig
 from mrdeadlock.sim import (
+    _PARAMS_KEYS,
     _RECORD_LAYOUT,
+    _RESOLUTION_KEYS,
+    _SCENARIO_KEYS,
     STOP_GOAL_TOL,
-    _file_fields,
     _Recorder,
     log_to_json,
     scenario_from_dict,
@@ -77,6 +79,7 @@ def _bits(robots) -> list[str]:
     return [x.hex() for z in robots for x in (*z.p, *z.v)]
 
 
+@pytest.mark.ci_profile
 @settings(deadline=None)
 @given(st.lists(st.tuples(vectors, vectors, vectors), min_size=1, max_size=3), numbers, st.floats(0.0, 100.0))
 # the control overflows the velocity, and with it the position
@@ -585,13 +588,31 @@ def test_scenario_round_trips_with_every_default_overridden(tmp_path_factory, sc
     assert load_scenario(str(path)) == scen
 
 
-def test_scenario_field_without_a_reader_is_rejected():
-    @dataclass(frozen=True)
-    class Odd:
-        gain: complex
+def test_every_scenario_field_has_a_file_key():
+    # a field added without its key would be neither written nor read back
+    by_hand = {"params", "initial", "goals", "resolution"}
+    assert list(_SCENARIO_KEYS) == [f.name for f in fields(Scenario) if f.name not in by_hand]
+    assert list(_PARAMS_KEYS) == [f.name for f in fields(Params)]
+    assert list(_RESOLUTION_KEYS) == [f.name for f in fields(ResolutionConfig)]
 
-    with pytest.raises(TypeError, match="no scenario-file reader for Odd.gain: complex"):
-        _file_fields(Odd)
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("params", {"kp": 1.0, "kv": 3.0, "ds": 0.5, "alpha": [5.0, 5.0]}),
+        ("initial", ((-2.0, 0.0), (2.0, 0.0))),
+        ("initial", [RobotState.at_rest((-2.0, 0.0)), RobotState.at_rest((2.0, 0.0))]),
+        ("goals", ((2.0, 0.0), (-2.0, 0.0))),
+        ("resolution", None),
+    ],
+    ids=["params-dict", "initial-bare-tuples", "initial-list", "goals-bare-tuples", "resolution-none"],
+)
+def test_scenario_rejects_a_field_of_the_wrong_type(field, value):
+    # each once failed only later (at the first step, inside PairField, or in
+    # scenario_to_dict after the whole run); a list made the Scenario
+    # unhashable and unequal to the same Scenario built from a tuple
+    with pytest.raises(ValueError, match=f"^{field} must be a"):
+        replace(default_head_on_scenario(), **{field: value})
 
 
 def test_minimal_scenario_dict_takes_scenario_defaults():
