@@ -95,8 +95,8 @@ class ResolutionConfig:
         )
 
 
-# Supervisor states, one per mode, threaded through supervisor_step.  A run
-# moves Filtering -> (Regularizing ->) Rotating -> Released and never back.
+# Supervisor states, one per phase, threaded through supervisor_step.  A run
+# moves Filtering -> Turning -> Released and never back.
 
 @dataclass(frozen=True)
 class Filtering:
@@ -113,13 +113,17 @@ class Filtering:
 
 
 @dataclass(frozen=True)
-class Rotating:
-    """Phase 2: every pair held on the boundary while the assembly turns to ``beta_ref``.
+class Turning:
+    """Phase 2: the pinned pairs held on the boundary while one angle turns to ``beta_ref``.
 
-    The pinned pairs are ``pair_indices(n)``; each one's boundary target
-    decays from ``h_entry`` (its signed safety index at ``t_ref0``).
-    ``theta_ref``/``omega_ref`` is the discrete bearing reference and
-    ``newton_warm`` the last Newton solution.
+    With ``center`` None the assembly rotates: every pair of ``pair_indices(n)``
+    is pinned and the angle is the assembly bearing.  With ``center`` = m a
+    category-B chain opens about its static robot m: both outer robots stay
+    on the boundary with m while the opening angle goes to ``beta_ref`` and
+    its bisector holds at ``psi_hold``; once it has opened, the assembly
+    rotates.  Each pinned pair's boundary target decays from ``h_entry`` (its
+    signed safety index at ``t_ref0``).  ``theta_ref``/``omega_ref`` is the
+    discrete angle reference and ``newton_warm`` the last Newton solution.
     """
 
     phase: ClassVar[Phase] = Phase.TWO
@@ -128,27 +132,8 @@ class Rotating:
     t_ref0: float
     theta_ref: float
     omega_ref: float
-    newton_warm: tuple[float, ...] = ()
-
-
-@dataclass(frozen=True)
-class Regularizing:
-    """Phase 2 of a category-B chain: the chain opens about its static ``center``.
-
-    Both outer robots stay on the boundary with the center robot while the
-    opening angle gamma (reference ``theta_ref``/``omega_ref``) goes to
-    ``beta_ref`` and its bisector holds at ``psi_hold``.  The reference
-    fields are named as in ``Rotating``: one phase-2 step advances both.
-    """
-
-    phase: ClassVar[Phase] = Phase.TWO
-    center: int
-    h_entry: tuple[float, ...]
-    t_ref0: float
-    theta_ref: float
-    omega_ref: float
-    beta_ref: float
-    psi_hold: float
+    center: int | None = None
+    psi_hold: float = 0.0
     newton_warm: tuple[float, ...] = ()
 
 
@@ -159,7 +144,7 @@ class Released:
     phase: ClassVar[Phase] = Phase.THREE
 
 
-PhaseState = Filtering | Rotating | Regularizing | Released
+PhaseState = Filtering | Turning | Released
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +353,7 @@ def _measured_gamma(world: WorldState, center: int) -> tuple[float, float, float
 
 def _enter_phase_two(
     world: WorldState, goals: GoalSpec, params: Params, t: float, h: tuple[float, ...],
-) -> Rotating | Regularizing:
+) -> Turning:
     """Phase-2 entry state; h is the signed safety index of every pair, in pair order."""
     n = world.n
     if n == 3:
@@ -377,11 +362,10 @@ def _enter_phase_two(
             center = cat.center
             assert center is not None
             gamma, gamma_dot, psi = _measured_gamma(world, center)
-            return Regularizing(
-                center=center,
+            return Turning(
+                beta_ref=math.copysign(math.pi / 3.0, gamma),
                 h_entry=tuple(h[pair_indices(3).index(p)] for p in _center_pairs(center)),
-                t_ref0=t, theta_ref=gamma, omega_ref=gamma_dot,
-                beta_ref=math.copysign(math.pi / 3.0, gamma), psi_hold=psi,
+                t_ref0=t, theta_ref=gamma, omega_ref=gamma_dot, center=center, psi_hold=psi,
             )
         if cat.category != "A":
             raise UnsupportedScenarioError(
@@ -389,10 +373,10 @@ def _enter_phase_two(
             )
     elif n != 2:
         raise UnsupportedScenarioError(f"deadlock resolution is implemented for N in {{2, 3}}, got N={n}")
-    return _enter_rotating(world, goals, t, h)
+    return _enter_rotation(world, goals, t, h)
 
 
-def _enter_rotating(world: WorldState, goals: GoalSpec, t: float, h: tuple[float, ...]) -> Rotating:
+def _enter_rotation(world: WorldState, goals: GoalSpec, t: float, h: tuple[float, ...]) -> Turning:
     """Rotation toward the goal bearing from the measured one; h as in _enter_phase_two."""
     theta, omega = _measured_bearing(world)
     if world.n == 2:
@@ -401,7 +385,7 @@ def _enter_rotating(world: WorldState, goals: GoalSpec, t: float, h: tuple[float
         d = _assembly_vector(goals.pd)
         beta_raw = math.atan2(d[1], d[0])
     beta_ref = theta + wrap_angle(beta_raw - theta)
-    return Rotating(beta_ref=beta_ref, h_entry=h, t_ref0=t, theta_ref=theta, omega_ref=omega)
+    return Turning(beta_ref=beta_ref, h_entry=h, t_ref0=t, theta_ref=theta, omega_ref=omega)
 
 
 def supervisor_step(
@@ -416,8 +400,8 @@ def supervisor_step(
 ) -> tuple[tuple[Vec2, ...], PhaseState, dict]:
     """Advance the supervisor one step: controls for every robot + new state.
 
-    ``state`` is one of the per-mode states (``Filtering``, ``Regularizing``,
-    ``Rotating``, ``Released``); the step dispatches on its type.  The
+    ``state`` is one of the per-phase states (``Filtering``, ``Turning``,
+    ``Released``); the step dispatches on its type.  The
     returned info dict carries ``phase``, the phase whose controls were
     returned; ``solutions``, the per-robot QP solutions, only when the
     returned controls are those solutions (the step that detects a deadlock
@@ -466,7 +450,7 @@ def supervisor_step(
 
 
 def _phase_two_step(
-    state: Rotating | Regularizing,
+    state: Turning,
     world: WorldState,
     goals: GoalSpec,
     params: Params,
@@ -479,13 +463,13 @@ def _phase_two_step(
     """Advance the mode's angle reference toward beta_ref and pin the next state to it."""
     t = world.t
     info["phase"] = Phase.TWO
-    if isinstance(state, Regularizing) and _aligned(state, world):
-        state = _enter_rotating(world, goals, t, pairs.h)
+    if state.center is not None and _aligned(state, world):
+        state = _enter_rotation(world, goals, t, pairs.h)
         info["event"] = ("regularized", t)
     decay = math.exp(-K_H * (t + dt - state.t_ref0))
     h_ts = tuple(h if abs(h) > H_TARGET_FLOOR else 0.0 for h in (h0 * decay for h0 in state.h_entry))
     # every boundary target has decayed to zero (no h is truthy) and the bearing has settled
-    if isinstance(state, Rotating) and not any(h_ts) and _aligned(state, world):
+    if state.center is None and not any(h_ts) and _aligned(state, world):
         info["phase"] = Phase.THREE
         return tuple(u_hat), Released(), info
 
@@ -494,37 +478,37 @@ def _phase_two_step(
     theta_ref = state.theta_ref + dt * omega_ref
     control, angles = _manifold(state, world.n, theta_ref, dt)
     controls, warm = _pin_controls(world, params, control, angles, h_ts, state.newton_warm, dt)
-    if isinstance(state, Rotating):
-        return controls, Rotating(state.beta_ref, state.h_entry, state.t_ref0, theta_ref, omega_ref, warm), info
-    return controls, Regularizing(
-        state.center, state.h_entry, state.t_ref0, theta_ref, omega_ref, state.beta_ref, state.psi_hold, warm), info
+    return controls, Turning(
+        state.beta_ref, state.h_entry, state.t_ref0, theta_ref, omega_ref, state.center, state.psi_hold, warm), info
 
 
-def _aligned(state: Rotating | Regularizing, world: WorldState) -> bool:
-    """The measured bearing (Rotating) or opening angle (Regularizing) settled at beta_ref."""
-    if isinstance(state, Rotating):
+def _aligned(state: Turning, world: WorldState) -> bool:
+    """The measured bearing (no center) or opening angle (a center) settled at beta_ref."""
+    if state.center is None:
         angle, rate = _measured_bearing(world)
     else:
         angle, rate, _ = _measured_gamma(world, state.center)
     return abs(wrap_angle(angle - state.beta_ref)) <= EPS_THETA and abs(rate) <= EPS_OMEGA
 
 
-_ROTATING = {n: _ControlMap(n, pair_indices(n), tuple(range(n - 1)), n - 1) for n in (2, 3)}
-_REGULARIZING = tuple(_ControlMap(3, _center_pairs(m), _outer(m)) for m in range(3))
+# the control map by (n, center): a rotation pins every pair, with robot n-1
+# balancing the others; a chain pins its two pairs with a static center
+_CONTROL_MAPS = {(n, None): _ControlMap(n, pair_indices(n), tuple(range(n - 1)), n - 1) for n in (2, 3)}
+_CONTROL_MAPS.update({(3, m): _ControlMap(3, _center_pairs(m), _outer(m)) for m in range(3)})
 # d (assembly vector) / d (each component of w) over dt^2: p_1 - p_0 moves
 # by u_1 - u_0 = -2 u_0, and p_0 - centroid by u_0 (the centroid is static)
 _BEARING_WEIGHTS = {2: (-2.0, -2.0), 3: (1.0, 1.0, 0.0, 0.0)}
 
 
-def _manifold(state: Rotating | Regularizing, n: int, theta_ref: float, dt: float) -> tuple[_ControlMap, Angles]:
+def _manifold(state: Turning, n: int, theta_ref: float, dt: float) -> tuple[_ControlMap, Angles]:
     """The mode's control map and angle residuals (see _phase2_system) at theta_ref.
 
     The residuals depend on w through the predicted positions alone, which
     w moves by dt^2 along the control map.
     """
     dt2 = dt * dt
-    if isinstance(state, Regularizing):
-        m = state.center
+    m = state.center
+    if m is not None:
 
         def angles(ps: list[Vec2]) -> list[tuple[float, Sequence[float]]]:
             # the opening angle and its bisector; d atan2(rho) / d rho = (-rho_y, rho_x) / |rho|^2,
@@ -537,7 +521,7 @@ def _manifold(state: Rotating | Regularizing, n: int, theta_ref: float, dt: floa
                 (wrap_angle(th_a + 0.5 * gamma - state.psi_hold), (0.5 * ga[0], 0.5 * ga[1], 0.5 * gb[0], 0.5 * gb[1])),
             ]
 
-        return _REGULARIZING[m], angles
+        return _CONTROL_MAPS[n, m], angles
 
     # et x the assembly vector
     et = unit_vector(theta_ref)
@@ -546,4 +530,4 @@ def _manifold(state: Rotating | Regularizing, n: int, theta_ref: float, dt: floa
     def angles(ps: list[Vec2]) -> list[tuple[float, Sequence[float]]]:
         return [(v_cross(et, _assembly_vector(ps)), grad)]
 
-    return _ROTATING[n], angles
+    return _CONTROL_MAPS[n, m], angles

@@ -30,6 +30,7 @@ from .core import (
     _positive,
     _positive_int,
     euler_step,
+    goal_separation,
     pd_control,
     v_norm,
     v_sub,
@@ -99,10 +100,16 @@ class Scenario:
             raise ValueError("one goal per robot required")
         if len(self.initial) != len(self.params.alpha):
             raise ValueError("one alpha per robot required")
-        if self.controller == "three-phase" and not self.params.overdamped:
+        if self.controller == "three-phase":
             # the PD release phase only guarantees non-decreasing separation
-            # for overdamped gains
-            raise ValueError("three-phase control requires kv^2 - 4 kp > 0")
+            # for overdamped gains and goals more than Ds apart
+            if not self.params.overdamped:
+                raise ValueError("three-phase control requires kv^2 - 4 kp > 0")
+            for i, j in pair_indices(len(self.goals)):
+                d_g = goal_separation(self.goals, i, j)
+                if d_g <= self.params.ds:
+                    raise ValueError(f"three-phase control requires goals more than Ds = {self.params.ds} apart, "
+                                     f"got goals {i},{j} {d_g:.6f} apart")
         pair_field = PairField(WorldState(robots=self.initial), self.params)
         for (i, j), d in zip(pair_indices(len(self.initial)), pair_field.distances):
             if d < self.params.ds - START_DIST_TOL:
@@ -443,10 +450,15 @@ def _section(d, where: str, readers: dict, required=(), by_hand=()) -> dict:
     return {key: _read(d[key], read, f"{where} key {key!r}") for key, read in readers.items() if key in d}
 
 
+def _builtin(value):
+    """value, or the builtin of a NumPy scalar, which safe YAML cannot write (an np.int64 stays an int)."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
 def scenario_to_dict(s: Scenario) -> dict:
     return {
         "params": {**{key: getattr(s.params, key) for key in _PARAMS_KEYS}, "alpha": list(s.params.alpha)},
-        **{key: getattr(s, key) for key in _SCENARIO_KEYS},
+        **{key: _builtin(getattr(s, key)) for key in _SCENARIO_KEYS},
         "resolution": {key: getattr(s.resolution, key) for key in _RESOLUTION_KEYS},
         "robots": [{"p": list(z.p), "v": list(z.v)} for z in s.initial],
         "goals": [list(g) for g in s.goals.pd],

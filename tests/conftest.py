@@ -12,10 +12,14 @@ import pytest
 from hypothesis import settings
 
 from mrdeadlock import (
+    Params,
+    Scenario,
     default_head_on_scenario,
     run_scenario,
     three_robot_cat_a_scenario,
+    three_robot_family_catB,
 )
+from mrdeadlock.resolution import ResolutionConfig
 from oracles import simulate_relative_pd
 
 # Example counts of the property tests that take theirs from the profile:
@@ -28,6 +32,18 @@ settings.load_profile("tier1")
 HEAD_ON = default_head_on_scenario(t_max=30.0)
 TWO_ROBOT_RESOLUTION = default_head_on_scenario(controller="three-phase", t_max=80.0)
 THREE_ROBOT_RESOLUTION = three_robot_cat_a_scenario(t_max=60.0)
+
+
+def _category_b_resolution() -> Scenario:
+    params = Params(kp=1.0, kv=3.0, ds=0.5, alpha=(5.0,) * 3)
+    world, goals = three_robot_family_catB(params, 2.0)
+    return Scenario(
+        params=params, initial=world.robots, goals=goals, controller="three-phase", t_max=9.5,
+        resolution=ResolutionConfig(kp2=16.0, kv2=10.0), log_every=10,
+    )
+
+
+CATEGORY_B_RESOLUTION = _category_b_resolution()
 
 
 def _timed(run, *args):
@@ -53,6 +69,11 @@ def two_robot_resolution_log():
 @pytest.fixture(scope="session")
 def three_robot_resolution_log():
     return _timed_run(THREE_ROBOT_RESOLUTION)
+
+
+@pytest.fixture(scope="session")
+def category_b_resolution_log():
+    return _timed_run(CATEGORY_B_RESOLUTION)
 
 
 @pytest.fixture(scope="session")

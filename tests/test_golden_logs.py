@@ -1,7 +1,7 @@
 """Pinned sha256 of the JSON logs of the canonical runs.
 
 A change that claims to leave results alone (a faster solver, a leaner
-recorder) must leave these logs byte-identical.  The three demo scenarios
+recorder) must leave these logs byte-identical.  The four demo scenarios
 are the runs conftest.py shares with the acceptance suite; each YAML file is
 checked to load to that same scenario and to save back byte for byte, so the
 pin covers the demo files and the scenario writer too.
@@ -14,7 +14,7 @@ import math
 from pathlib import Path
 
 import pytest
-from conftest import HEAD_ON, THREE_ROBOT_RESOLUTION, TWO_ROBOT_RESOLUTION
+from conftest import CATEGORY_B_RESOLUTION, HEAD_ON, THREE_ROBOT_RESOLUTION, TWO_ROBOT_RESOLUTION
 
 from mrdeadlock import (
     GoalSpec,
@@ -27,9 +27,7 @@ from mrdeadlock import (
     run_scenario,
     save_scenario,
     three_robot_cat_a_scenario,
-    three_robot_family_catB,
 )
-from mrdeadlock.resolution import ResolutionConfig
 from mrdeadlock.sim import log_to_json
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
@@ -49,8 +47,10 @@ def _sha256(log) -> str:
          "4b84b2bcc0c8943c822e5788b995edf722875668ba1c2a350e2217f5c60f6832"),
         ("three_robot_cat_a.yaml", THREE_ROBOT_RESOLUTION, "three_robot_resolution_log",
          "0cc35046948759b3ab18aa06ef1ea1d43b1822403b90f9eb4dee63c223a2039e"),
+        ("three_robot_cat_b.yaml", CATEGORY_B_RESOLUTION, "category_b_resolution_log",
+         "d2d2d7591783858a056d935cbcdf66384dc7b4d3eaf035c6c097ab6603d23951"),
     ],
-    ids=["head_on_cbf_only", "head_on_three_phase", "three_robot_cat_a"],
+    ids=["head_on_cbf_only", "head_on_three_phase", "three_robot_cat_a", "three_robot_cat_b"],
 )
 def test_demo_scenario_log_is_pinned(request, tmp_path, yaml_name, scenario, fixture, digest):
     loaded = load_scenario(str(DEMOS / yaml_name))
@@ -99,15 +99,9 @@ def test_cbf_qp_only_three_robot_log_is_pinned():
     assert _sha256(log) == "544d139161923eae697c7de0d646e13e9f717c288c87254d47ed233a3f82435d"
 
 
-def test_category_b_resolution_log_is_pinned():
+def test_category_b_resolution_log_is_pinned(category_b_resolution_log):
     # the chain opens (regularized) before the assembly rotates and releases
-    params = Params(kp=1.0, kv=3.0, ds=0.5, alpha=(5.0,) * 3)
-    world, goals = three_robot_family_catB(params, 2.0)
-    scenario = Scenario(
-        params=params, initial=world.robots, goals=goals, controller="three-phase", t_max=9.5,
-        resolution=ResolutionConfig(kp2=16.0, kv2=10.0), log_every=10,
-    )
-    log = run_scenario(scenario)
+    log, _ = category_b_resolution_log
     assert log.events == [
         {"name": "deadlock-detected", "t": 0.009000000000000001},
         {"name": "phase-2-start", "t": 0.009000000000000001},

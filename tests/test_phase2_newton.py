@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from mrdeadlock import Params, RobotState, WorldState
 from mrdeadlock.core import euler_step, v_dot, v_sub
 from mrdeadlock.errors import SimulationAbort
-from mrdeadlock.resolution import Regularizing, Rotating, _manifold, _phase2_system, _solve
+from mrdeadlock.resolution import Turning, _manifold, _phase2_system, _solve
 
 finite = dict(allow_nan=False, allow_infinity=False)
 speeds = st.floats(-1.0, 1.0, **finite)
@@ -38,7 +38,7 @@ def phase2_states(draw):
     offset = draw(st.floats(-0.5, 0.5))
     if mode == "two":
         ps = [base, tuple(b + d for b, d in zip(base, _polar(radii[0], heading)))]
-        state = Rotating(beta_ref=0.0, h_entry=(0.0,), t_ref0=0.0, theta_ref=0.0, omega_ref=0.0)
+        state = Turning(beta_ref=0.0, h_entry=(0.0,), t_ref0=0.0, theta_ref=0.0, omega_ref=0.0)
         theta_ref = heading + offset
     else:
         # a chain about robot `center`: its outer robots at heading and heading + gamma
@@ -48,11 +48,11 @@ def phase2_states(draw):
         ps = outer[:center] + [base] + outer[center:]
         if mode == "three":
             c = [sum(p[k] for p in ps) / 3.0 for k in range(2)]
-            state = Rotating(beta_ref=0.0, h_entry=(0.0,) * 3, t_ref0=0.0, theta_ref=0.0, omega_ref=0.0)
+            state = Turning(beta_ref=0.0, h_entry=(0.0,) * 3, t_ref0=0.0, theta_ref=0.0, omega_ref=0.0)
             theta_ref = math.atan2(ps[0][1] - c[1], ps[0][0] - c[0]) + offset
         else:
-            state = Regularizing(
-                center=center, h_entry=(0.0, 0.0), t_ref0=0.0, theta_ref=0.0, omega_ref=0.0, beta_ref=0.0,
+            state = Turning(
+                beta_ref=0.0, h_entry=(0.0, 0.0), t_ref0=0.0, theta_ref=0.0, omega_ref=0.0, center=center,
                 psi_hold=heading + 0.5 * gamma + draw(st.floats(-0.5, 0.5)),
             )
             theta_ref = gamma + offset

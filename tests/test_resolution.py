@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import CATEGORY_B_RESOLUTION, HEAD_ON, THREE_ROBOT_RESOLUTION, TWO_ROBOT_RESOLUTION
 
 from mrdeadlock import (
     GoalSpec,
@@ -18,16 +20,15 @@ from mrdeadlock import (
     three_robot_cat_a_scenario,
     three_robot_family_catB,
 )
-from mrdeadlock import resolution
+from mrdeadlock import resolution, sim
 from mrdeadlock.core import wrap_angle
 from mrdeadlock.resolution import (
     K_PERSIST,
     NEWTON_F_TOL,
     Filtering,
-    Regularizing,
     Released,
     ResolutionConfig,
-    Rotating,
+    Turning,
 )
 from mrdeadlock.sim import Scenario, integrate_step, run_scenario
 from oracles import phase3_closed_form
@@ -121,7 +122,7 @@ def test_supervisor_phase_monotone_and_beta_set_once():
         controls, state, _ = supervisor_step(state, world, GOALS2, PARAMS2, dt)
         world = integrate_step(world, controls, dt)
         phases.append(int(state.phase))
-        if isinstance(state, Rotating):
+        if isinstance(state, Turning):
             betas.add(state.beta_ref)
     assert all(b2 >= b1 for b1, b2 in zip(phases, phases[1:]))
     assert len(betas) == 1  # beta_ref chosen once at the ONE -> TWO transition
@@ -140,19 +141,49 @@ def test_category_b_states_open_the_chain_then_rotate_then_release(monkeypatch):
 
     monkeypatch.setattr(resolution, "_pin_controls", spy)
     state, dt = Filtering(), 1e-3
-    kinds = [Filtering]
+    # each state's type and, for a Turning state, its center (None while the assembly rotates)
+    kinds = [(Filtering, None)]
     for _ in range(9500):
         controls, state, info = supervisor_step(state, world, goals, params, dt, config)
         world = integrate_step(world, controls, dt)
         if info.get("event", ("",))[0] == "regularized":
             # the rotation starts cold and pins all three pairs
             assert warm_starts[-1] == ()
-            assert isinstance(state, Rotating) and len(state.h_entry) == 3
-        if type(state) is not kinds[-1]:
-            kinds.append(type(state))
+            assert isinstance(state, Turning) and state.center is None and len(state.h_entry) == 3
+        kind = (type(state), getattr(state, "center", None))
+        if kind != kinds[-1]:
+            kinds.append(kind)
         if isinstance(state, Released):
             break
-    assert kinds == [Filtering, Regularizing, Rotating, Released]
+    assert kinds == [(Filtering, None), (Turning, 1), (Turning, None), (Released, None)]
+
+
+@pytest.mark.parametrize(
+    "scenario, phases",
+    [
+        # each run ends past its last transition: the deadlock announcement
+        # of cbf-qp-only, phase-3-start of three-phase
+        (replace(TWO_ROBOT_RESOLUTION, t_max=27.0), {1, 2, 3}),
+        (replace(THREE_ROBOT_RESOLUTION, t_max=22.0), {1, 2, 3}),
+        (CATEGORY_B_RESOLUTION, {1, 2, 3}),
+        (replace(HEAD_ON, t_max=6.0), {1}),
+        (replace(HEAD_ON, controller="pd-only", t_max=1.5), {3}),
+    ],
+    ids=["head_on_three_phase", "cat_a_three_phase", "cat_b_three_phase", "cbf_qp_only", "pd_only"],
+)
+def test_every_step_returns_a_state_of_its_phase(monkeypatch, scenario, phases):
+    # one state class per phase: the phase a step reports is its returned state's
+    step, seen = sim.supervisor_step, []
+
+    def checked(*args, **kwargs):
+        out = step(*args, **kwargs)
+        seen.append((int(out[2]["phase"]), int(out[1].phase)))
+        return out
+
+    monkeypatch.setattr(sim, "supervisor_step", checked)
+    run_scenario(scenario)
+    assert [s for s in seen if s[0] != s[1]] == []
+    assert {s[0] for s in seen} == phases
 
 
 def test_supervisor_handoff_alignment_two_robot():

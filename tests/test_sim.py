@@ -680,6 +680,19 @@ def test_scenario_keeps_its_times_as_given():
     assert scenario.n_steps == 30000
 
 
+# a scenario keeps NumPy times as given, but its file and its log's meta hold their builtins
+
+def test_numpy_times_save_as_their_builtins(tmp_path):
+    save_scenario(default_head_on_scenario(dt=np.float64(0.001), t_max=np.float64(0.01)), tmp_path / "np.yaml")
+    save_scenario(default_head_on_scenario(dt=0.001, t_max=0.01), tmp_path / "builtin.yaml")
+    assert (tmp_path / "np.yaml").read_bytes() == (tmp_path / "builtin.yaml").read_bytes()
+
+
+def test_numpy_int_t_max_logs_as_an_int():
+    meta = json.loads(log_to_json(run_scenario(default_head_on_scenario(dt=0.01, t_max=np.int64(1)))))["meta"]
+    assert type(meta["scenario"]["t_max"]) is int and meta["scenario"]["t_max"] == 1
+
+
 @pytest.mark.parametrize("log_every", [2.5, 2.0, 0, "2", True])
 def test_scenario_requires_integer_log_every(log_every):
     with pytest.raises(ValueError, match="log_every must be an integer >= 1"):
@@ -722,6 +735,18 @@ def test_three_phase_requires_overdamped_gains():
             goals=GoalSpec(pd=((2.0, 0.0), (-2.0, 0.0))),
             controller="three-phase",
         )
+
+
+@pytest.mark.parametrize("gap", [0.5, 0.3])
+def test_three_phase_requires_goals_more_than_ds_apart(gap):
+    # three robots with goals 1,2 gap apart; phase 3 cannot keep them Ds apart
+    params = Params(kp=1.0, kv=3.0, ds=0.5, alpha=(5.0,) * 3)
+    initial = tuple(RobotState.at_rest((x, 0.0)) for x in (-2.0, 0.0, 2.0))
+    goals = GoalSpec(pd=((0.0, 2.0), (0.0, -2.0), (gap, -2.0)))
+    with pytest.raises(ValueError, match=f"goals more than Ds = 0.5 apart, got goals 1,2 {gap:.6f} apart"):
+        Scenario(params=params, initial=initial, goals=goals, controller="three-phase")
+    for controller in ("cbf-qp-only", "pd-only"):
+        assert Scenario(params=params, initial=initial, goals=goals, controller=controller).goals == goals
 
 
 def test_export_log_error_paths(tmp_path):

@@ -16,7 +16,7 @@ from mrdeadlock import (
     supervisor_step,
     three_robot_family_catB,
 )
-from mrdeadlock.resolution import Filtering, Regularizing, Released
+from mrdeadlock.resolution import Filtering, Released, Turning
 from mrdeadlock.sim import integrate_step
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -54,7 +54,7 @@ def test_supervisor_step_classifier_reads_every_phase():
     seen.append(classify(out))
     assert seen == ["phase1"] * 9 + ["phase2"] * 2 + ["phase3"]
 
-    # a category-B chain spends its first phase-2 steps opening (Regularizing)
+    # a category-B chain spends its first phase-2 steps opening (a Turning state with a center)
     params = Params(kp=1.0, kv=3.0, ds=0.5, alpha=(5.0,) * 3)
     world, goals = three_robot_family_catB(params, 2.0)
     state = Filtering()
@@ -62,7 +62,7 @@ def test_supervisor_step_classifier_reads_every_phase():
         out = supervisor_step(state, world, goals, params, 1e-3)
         state = out[1]
         world = integrate_step(world, out[0], 1e-3)
-    assert isinstance(state, Regularizing)
+    assert isinstance(state, Turning) and state.center is not None
     assert classify(out) == "phase2"
 
 
