@@ -61,7 +61,7 @@ from .graphenum import (
     upper_bound,
 )
 from .qp import QPProblem, QPSolution, solve_qp
-from .resolution import Phase, PhaseState, ResolutionConfig, supervisor_step
+from .resolution import PhaseState, ResolutionConfig, supervisor_step
 from .sim import (
     AuditReport,
     Scenario,

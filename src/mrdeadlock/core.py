@@ -67,10 +67,10 @@ def _positive(value, what: str) -> float:
 
 
 def _positive_int(value, what: str) -> int:
-    """value if it is an int >= 1 (a bool is not); a ValueError naming `what` otherwise."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+    """value as an int >= 1 (a NumPy integer passes, a bool does not); a ValueError naming `what` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
         raise ValueError(f"{what} must be an integer >= 1, got {value!r}")
-    return value
+    return int(value)
 
 
 def _finite_vec2(value, what: str) -> Vec2:

@@ -245,9 +245,7 @@ def catB_parametrized(
         raise ValueError(f"alpha_angle must lie in (pi/6, pi/2), got {alpha_angle!r}")
     ds, r = params.ds, r_goal
     a, th = alpha_angle, theta
-    s = math.sin(a - th)
-    if s == 0.0:
-        raise ValueError("sin(alpha - theta) vanished; parameters out of range")
+    s = math.sin(a - th)   # alpha - theta lies in (pi/6, 2 pi/3), so s > 1/2
     pre = -1.0 / (2.0 * s)
     p1 = (
         pre * (

@@ -39,7 +39,7 @@ class LabeledGraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
-        _positive_int(self.n, "n")
+        object.__setattr__(self, "n", _positive_int(self.n, "n"))
         canon = []
         seen = set()
         for u, v in self.edges:
@@ -106,7 +106,8 @@ def lower_bound(n: int) -> int:
     (n+1) (n-1)! / 2 for n >= 3; defined as 1 for n = 1, 2 to match the
     quoted small-n sequence.
     """
-    if _positive_int(n, "n") < 3:
+    n = _positive_int(n, "n")
+    if n < 3:
         return 1
     return (n + 1) * math.factorial(n - 1) // 2
 

@@ -24,13 +24,14 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, replace
-from enum import IntEnum
 from functools import cached_property
 from typing import Callable, ClassVar, Sequence
 
-# assemble_qp and safety_index_signed are bound here only for the perfbench
-# span tracer; the supervisor reads pair geometry from PairField.
+# assemble_qp, safety_index_signed and pd_control are bound here only for the
+# perfbench span tracer; the supervisor reads pair geometry from PairField and
+# is handed the PD references.
 from .cbf import PairField, assemble_qp, pair_indices, safety_index_signed  # noqa: F401
+from .core import pd_control  # noqa: F401
 from .core import (
     GoalSpec,
     Params,
@@ -38,7 +39,6 @@ from .core import (
     WorldState,
     _positive,
     goal_bearing,
-    pd_control,
     unit_vector,
     v_cross,
     v_dot,
@@ -66,12 +66,6 @@ EPS_THETA = 1e-3      # phase 2 ends once the bearing (or opening angle) is this
 EPS_OMEGA = 1e-3      # and turns slower than this (rad/s)
 K_PERSIST = 10        # consecutive deadlocked steps that announce a deadlock
 CLASSIFY_TOL = 2e-2   # margin tolerance, a fraction of Ds, that classifies a three-robot deadlock
-
-
-class Phase(IntEnum):
-    ONE = 1
-    TWO = 2
-    THREE = 3
 
 
 @dataclass(frozen=True)
@@ -106,7 +100,7 @@ class Filtering:
     persistent deadlock is announced once (``announced``) and filtering goes on.
     """
 
-    phase: ClassVar[Phase] = Phase.ONE
+    phase: ClassVar[int] = 1
     resolve: bool = True
     announced: bool = False
     persist_counter: int = 0
@@ -126,7 +120,7 @@ class Turning:
     discrete angle reference and ``newton_warm`` the last Newton solution.
     """
 
-    phase: ClassVar[Phase] = Phase.TWO
+    phase: ClassVar[int] = 2
     beta_ref: float
     h_entry: tuple[float, ...]
     t_ref0: float
@@ -141,7 +135,7 @@ class Turning:
 class Released:
     """Phase 3: the plain PD controllers."""
 
-    phase: ClassVar[Phase] = Phase.THREE
+    phase: ClassVar[int] = 3
 
 
 PhaseState = Filtering | Turning | Released
@@ -394,30 +388,26 @@ def supervisor_step(
     goals: GoalSpec,
     params: Params,
     dt: float,
-    config: ResolutionConfig = ResolutionConfig(),
-    pairs: PairField | None = None,
-    u_hat: Sequence[Vec2] | None = None,
+    config: ResolutionConfig,
+    pairs: PairField,
+    u_hat: Sequence[Vec2],
 ) -> tuple[tuple[Vec2, ...], PhaseState, dict]:
     """Advance the supervisor one step: controls for every robot + new state.
 
     ``state`` is one of the per-phase states (``Filtering``, ``Turning``,
-    ``Released``); the step dispatches on its type.  The
-    returned info dict carries ``phase``, the phase whose controls were
-    returned; ``solutions``, the per-robot QP solutions, only when the
-    returned controls are those solutions (the step that detects a deadlock
-    and returns phase-2 controls has none); and on the step that detects a
+    ``Released``); the step dispatches on its type.  ``pairs`` is the pair
+    pass of ``world`` and ``u_hat`` the PD references of its robots; every
+    pair quantity of the step is read from ``pairs``.  The returned info dict
+    carries ``phase``, the phase of the returned state (1, 2 or 3);
+    ``solutions``, the per-robot QP solutions, only when the returned
+    controls are those solutions (the step that detects a deadlock and
+    returns phase-2 controls has none); and on the step that detects a
     deadlock or finishes a category-B regularization, ``event``, a
-    ``(name, t)`` pair.  ``pairs`` (the pair pass of ``world``) and
-    ``u_hat`` (the PD references) may be passed by a caller that already has
-    them; they are computed otherwise.
+    ``(name, t)`` pair.
     """
     n = world.n
     t = world.t
     info: dict = {"phase": state.phase}
-    if pairs is None:
-        pairs = PairField(world, params)
-    if u_hat is None:
-        u_hat = tuple(pd_control(world.robots[i], goals.pd[i], params) for i in range(n))
 
     if isinstance(state, Filtering):
         problems = pairs.problems(u_hat)
@@ -462,7 +452,7 @@ def _phase_two_step(
 ) -> tuple[tuple[Vec2, ...], PhaseState, dict]:
     """Advance the mode's angle reference toward beta_ref and pin the next state to it."""
     t = world.t
-    info["phase"] = Phase.TWO
+    info["phase"] = 2
     if state.center is not None and _aligned(state, world):
         state = _enter_rotation(world, goals, t, pairs.h)
         info["event"] = ("regularized", t)
@@ -470,7 +460,7 @@ def _phase_two_step(
     h_ts = tuple(h if abs(h) > H_TARGET_FLOOR else 0.0 for h in (h0 * decay for h0 in state.h_entry))
     # every boundary target has decayed to zero (no h is truthy) and the bearing has settled
     if state.center is None and not any(h_ts) and _aligned(state, world):
-        info["phase"] = Phase.THREE
+        info["phase"] = 3
         return tuple(u_hat), Released(), info
 
     kp2, kv2 = config.bearing_gains(params)

@@ -311,33 +311,26 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
     def snapshot() -> dict:
         return {"t": world.t, "p": [z.p for z in world.robots], "v": [z.v for z in world.robots]}
 
-    def controller_outputs() -> tuple[tuple[Vec2, ...], list, list, list, int]:
-        nonlocal phase_state
-        u_hat = [pd_control(world.robots[i], goals.pd[i], params) for i in range(n)]
-        prev_phase = phase_state.phase
-        controls, phase_state, info = supervisor_step(
-            phase_state, world, goals, params, scenario.dt, scenario.resolution,
-            pairs=pair_field, u_hat=u_hat,
-        )
-        if "event" in info:
-            name, t_ev = info["event"]
-            events.append({"name": name, "t": t_ev})
-        if info["phase"] != prev_phase:
-            events.append({"name": f"phase-{int(info['phase'])}-start", "t": world.t})
-        if "solutions" in info:
-            mu_rows = [sol.mu_star for sol in info["solutions"]]
-            masks = [_active_mask(sol.active_set) for sol in info["solutions"]]
-        else:
-            mu_rows, masks = zero_mu, zero_masks
-        return controls, u_hat, mu_rows, masks, int(info["phase"])
-
     step = 0
     reached = False   # every robot within STOP_GOAL_TOL: record this state, then stop
     try:
         while True:
-            controls, u_hat, mu_rows, masks, phase = controller_outputs()
+            u_hat = [pd_control(world.robots[i], goals.pd[i], params) for i in range(n)]
+            prev_phase = phase_state.phase
+            controls, phase_state, info = supervisor_step(
+                phase_state, world, goals, params, scenario.dt, scenario.resolution, pair_field, u_hat)
+            if "event" in info:
+                name, t_ev = info["event"]
+                events.append({"name": name, "t": t_ev})
+            if phase_state.phase != prev_phase:
+                events.append({"name": f"phase-{phase_state.phase}-start", "t": world.t})
             if reached or step % scenario.log_every == 0:
-                rec.push(world.t, world, controls, u_hat, pair_field.h, mu_rows, masks, phase)
+                if "solutions" in info:
+                    mu_rows = [sol.mu_star for sol in info["solutions"]]
+                    masks = [_active_mask(sol.active_set) for sol in info["solutions"]]
+                else:
+                    mu_rows, masks = zero_mu, zero_masks
+                rec.push(world.t, world, controls, u_hat, pair_field.h, mu_rows, masks, phase_state.phase)
             if reached:
                 events.append({"name": "goals-reached", "t": world.t})
                 break

@@ -12,10 +12,13 @@ import pytest
 from hypothesis import settings
 
 from mrdeadlock import (
+    PairField,
     Params,
     Scenario,
     default_head_on_scenario,
+    pd_control,
     run_scenario,
+    supervisor_step,
     three_robot_cat_a_scenario,
     three_robot_family_catB,
 )
@@ -44,6 +47,12 @@ def _category_b_resolution() -> Scenario:
 
 
 CATEGORY_B_RESOLUTION = _category_b_resolution()
+
+
+def supervise(state, world, goals, params, dt, config=ResolutionConfig()):
+    """One supervisor_step as run_scenario takes it, handed the pair pass and PD references of world."""
+    u_hat = [pd_control(world.robots[i], goals.pd[i], params) for i in range(world.n)]
+    return supervisor_step(state, world, goals, params, dt, config, PairField(world, params), u_hat)
 
 
 def _timed(run, *args):

@@ -8,7 +8,17 @@ import pytest
 import yaml
 from audit_oracle import tampered, tamperings
 
-from mrdeadlock import default_head_on_scenario, export_log, load_log, run_scenario, save_scenario
+from mrdeadlock import (
+    GoalSpec,
+    Params,
+    Scenario,
+    collinear_family,
+    default_head_on_scenario,
+    export_log,
+    load_log,
+    run_scenario,
+    save_scenario,
+)
 from mrdeadlock.cli import main
 
 
@@ -74,6 +84,23 @@ def test_run_and_verify_round_trip(tmp_path, capsys):
     assert lpath.exists()
     assert main(["verify", str(lpath)]) == 0
     assert "audit PASSED" in capsys.readouterr().out
+
+
+def test_run_without_out_prints_the_records_and_the_events(tmp_path, capsys):
+    # a three-phase run from a deadlocked state announces the deadlock on its tenth step
+    params = Params(kp=1.0, kv=3.0, ds=0.5, alpha=(5.0, 5.0))
+    goals = GoalSpec(pd=((2.0, 0.0), (-2.0, 0.0)))
+    scen = Scenario(params=params, initial=collinear_family(goals, params, 0.5), goals=goals,
+                    controller="three-phase", t_max=0.02)
+    spath = tmp_path / "scenario.yaml"
+    save_scenario(scen, str(spath))
+    assert main(["run", str(spath)]) == 0
+    assert capsys.readouterr().out == (
+        "simulated 21 records over t in [0, 0.020] s\n"
+        "  event: deadlock-detected at t=0.0090\n"
+        "  event: phase-2-start at t=0.0090\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.yaml"]
 
 
 def test_run_csv_export(tmp_path):

@@ -19,6 +19,7 @@ from mrdeadlock import (
     catB_parametrized,
     collinear_family,
     connected_count,
+    default_head_on_scenario,
     embed_graph,
     enumerate_connected,
     lower_bound,
@@ -41,6 +42,7 @@ from mrdeadlock.graphenum import (
     obstruction,
 )
 from mrdeadlock.resolution import CLASSIFY_TOL
+from mrdeadlock.sim import scenario_to_dict
 
 
 def test_connected_count_small_values():
@@ -209,6 +211,22 @@ def test_census_table_rejects_fewer_than_one_row():
 def test_integer_arguments_reject_a_bool_or_a_non_integer(call, name):
     with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got "):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda k: scenario_to_dict(default_head_on_scenario(log_every=k(10))),
+        lambda k: census_table(k(2), 20),
+        lambda k: census_table(2, k(20)),
+        lambda k: (upper_bound(k(3)), lower_bound(k(5)), connected_count(k(4))),
+        lambda k: LabeledGraph(n=k(2), edges=((0, 1),)).n,
+    ],
+    ids=["log_every", "census_table-n_max", "census_table-attempts", "bounds", "LabeledGraph"],
+)
+def test_integer_arguments_take_a_numpy_integer_as_its_int(call):
+    # the same result as with the builtin, down to each value's type (NumPy 2 reprs np.int64(2))
+    assert repr(call(np.int64)) == repr(call(int))
 
 
 def test_max_penny_edges_is_harborths_bound_in_integers():

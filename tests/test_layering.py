@@ -87,7 +87,7 @@ def test_every_import_is_used_or_traced(module):
 
 PUBLIC_API = {
     "AuditReport", "BoundarySingularityError", "CoincidentRobotsError", "DeadlockReport",
-    "EmbeddingResult", "GoalSpec", "LabeledGraph", "PairField", "Params", "Phase", "PhaseState",
+    "EmbeddingResult", "GoalSpec", "LabeledGraph", "PairField", "Params", "PhaseState",
     "QPInfeasibleError", "QPProblem", "QPSolution", "ResolutionConfig", "RobotState", "SafetyViolationError",
     "Scenario", "SimulationAbort", "ThreeRobotCategory", "ToolkitError", "TrajectoryLog",
     "UnsupportedScenarioError", "WorldState", "ZeroVectorError",
@@ -110,7 +110,7 @@ def test_public_api_is_the_pinned_name_set():
         name for name, value in vars(mrdeadlock).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
-    assert len(PUBLIC_API) == 57
+    assert len(PUBLIC_API) == 56
     assert sorted(public - PUBLIC_API) == [] and sorted(PUBLIC_API - public) == []
 
 

@@ -26,7 +26,7 @@ from mrdeadlock.cbf import (
 )
 from mrdeadlock.errors import ToolkitError
 from mrdeadlock.qp import _enumerate
-from mrdeadlock.resolution import Filtering, supervisor_step
+from mrdeadlock.resolution import Filtering, ResolutionConfig, supervisor_step
 from oracles import ConstraintRow, rows_of
 
 # Offsets of length exactly Ds in binary floating point; added to a dyadic
@@ -189,4 +189,4 @@ def test_problems_want_one_reference_per_robot(n_refs):
     with pytest.raises(ValueError, match=f"^u_hat has {n_refs} entries for 2 robots"):
         PairField(world, params).problems(u_hat)
     with pytest.raises(ValueError, match=f"^u_hat has {n_refs} entries for 2 robots"):
-        supervisor_step(Filtering(), world, goals, params, 1e-3, u_hat=u_hat)
+        supervisor_step(Filtering(), world, goals, params, 1e-3, ResolutionConfig(), PairField(world, params), u_hat)

@@ -9,10 +9,19 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from mrdeadlock import Params, RobotState, WorldState
+from mrdeadlock import Params, RobotState, WorldState, resolution
 from mrdeadlock.core import euler_step, v_dot, v_sub
 from mrdeadlock.errors import SimulationAbort
-from mrdeadlock.resolution import Turning, _manifold, _phase2_system, _solve
+from mrdeadlock.resolution import (
+    NEWTON_F_TOL,
+    NEWTON_MAX_ITER,
+    NEWTON_STALL_TOL,
+    Turning,
+    _manifold,
+    _newton_solve,
+    _phase2_system,
+    _solve,
+)
 
 finite = dict(allow_nan=False, allow_infinity=False)
 speeds = st.floats(-1.0, 1.0, **finite)
@@ -179,3 +188,21 @@ def test_solve_raises_phase2_singular_on_a_rank_deficient_system(a):
         _solve(a, [1.0] * len(a))
     assert err.value.kind == "phase2-singular"
     assert str(err.value) == "[phase2-singular] phase-2 Newton Jacobian singular: Singular matrix"
+
+
+def test_newton_accepts_a_residual_it_cannot_bring_below_f_tol_but_within_the_stall_tol(monkeypatch):
+    # half Newton steps on w - c halve the residual each iteration: 1e-6 / 2^12 = 2.4e-10
+    # is above NEWTON_F_TOL after the last iteration, but within NEWTON_STALL_TOL
+    solve, calls, c = _solve, [], (1e-6, -5e-7)
+    monkeypatch.setattr(resolution, "_solve", lambda a, b: [0.5 * x for x in solve(a, b)])
+
+    def system(w):
+        calls.append(list(w))
+        return [w[0] - c[0], w[1] - c[1]], [(1.0, 0.0), (0.0, 1.0)]
+
+    w = _newton_solve(system, [0.0, 0.0])
+    assert len(calls) == NEWTON_MAX_ITER + 1
+    assert w == calls[-1]
+    residual = max(abs(w[0] - c[0]), abs(w[1] - c[1]))
+    assert NEWTON_F_TOL < residual <= NEWTON_STALL_TOL
+    assert residual == pytest.approx(1e-6 / 2**NEWTON_MAX_ITER, rel=1e-9)

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import CATEGORY_B_RESOLUTION, HEAD_ON, THREE_ROBOT_RESOLUTION, TWO_ROBOT_RESOLUTION
+from conftest import CATEGORY_B_RESOLUTION, HEAD_ON, THREE_ROBOT_RESOLUTION, TWO_ROBOT_RESOLUTION, supervise
 
 from mrdeadlock import (
     GoalSpec,
@@ -16,7 +16,6 @@ from mrdeadlock import (
     WorldState,
     collinear_family,
     default_head_on_scenario,
-    supervisor_step,
     three_robot_cat_a_scenario,
     three_robot_family_catB,
 )
@@ -119,7 +118,7 @@ def test_supervisor_phase_monotone_and_beta_set_once():
     phases = []
 
     for _ in range(2000):
-        controls, state, _ = supervisor_step(state, world, GOALS2, PARAMS2, dt)
+        controls, state, _ = supervise(state, world, GOALS2, PARAMS2, dt)
         world = integrate_step(world, controls, dt)
         phases.append(int(state.phase))
         if isinstance(state, Turning):
@@ -144,7 +143,7 @@ def test_category_b_states_open_the_chain_then_rotate_then_release(monkeypatch):
     # each state's type and, for a Turning state, its center (None while the assembly rotates)
     kinds = [(Filtering, None)]
     for _ in range(9500):
-        controls, state, info = supervisor_step(state, world, goals, params, dt, config)
+        controls, state, info = supervise(state, world, goals, params, dt, config)
         world = integrate_step(world, controls, dt)
         if info.get("event", ("",))[0] == "regularized":
             # the rotation starts cold and pins all three pairs

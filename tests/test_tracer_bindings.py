@@ -6,6 +6,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from conftest import supervise
+
 from mrdeadlock import (
     GoalSpec,
     Params,
@@ -13,7 +15,6 @@ from mrdeadlock import (
     WorldState,
     collinear_family,
     run_scenario,
-    supervisor_step,
     three_robot_family_catB,
 )
 from mrdeadlock.resolution import Filtering, Released, Turning
@@ -46,11 +47,11 @@ def test_supervisor_step_classifier_reads_every_phase():
     world = WorldState(robots=collinear_family(goals, params, 0.5), t=0.0)
     state, seen = Filtering(), []
     while seen.count("phase2") < 2:
-        out = supervisor_step(state, world, goals, params, 1e-3)
+        out = supervise(state, world, goals, params, 1e-3)
         seen.append(classify(out))
         state = out[1]
         world = integrate_step(world, out[0], 1e-3)
-    out = supervisor_step(Released(), world, goals, params, 1e-3)
+    out = supervise(Released(), world, goals, params, 1e-3)
     seen.append(classify(out))
     assert seen == ["phase1"] * 9 + ["phase2"] * 2 + ["phase3"]
 
@@ -59,7 +60,7 @@ def test_supervisor_step_classifier_reads_every_phase():
     world, goals = three_robot_family_catB(params, 2.0)
     state = Filtering()
     for _ in range(11):
-        out = supervisor_step(state, world, goals, params, 1e-3)
+        out = supervise(state, world, goals, params, 1e-3)
         state = out[1]
         world = integrate_step(world, out[0], 1e-3)
     assert isinstance(state, Turning) and state.center is not None
