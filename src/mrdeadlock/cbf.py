@@ -39,12 +39,12 @@ EPS_NUM = 1e-9
 
 
 def row_neighbor(i: int, k: int) -> int:
-    """The robot that neighbor row k of robot i's QP faces: the rows skip i."""
+    """The robot that neighbor row k of robot i's QP pairs i with: the rows skip i."""
     return k + (k >= i)
 
 
 def neighbor_row(i: int, j: int) -> int:
-    """The neighbor row of robot i's QP that faces robot j != i (row_neighbor's inverse)."""
+    """The neighbor row of robot i's QP that pairs i with robot j != i (row_neighbor's inverse)."""
     return j - (j > i)
 
 
@@ -127,14 +127,14 @@ def assemble_qp(i: int, world: WorldState, goals: GoalSpec, params: Params) -> Q
     """Build robot i's QP: objective center u_hat and M + 4 constraint rows.
 
     Every other robot is a neighbor.  Row order is fixed (neighbors by
-    ascending id, so row k faces row_neighbor(i, k), then the box faces
-    BOX_NORMALS) so active-set indices are reproducible across runs.
+    ascending id, so row k pairs i with row_neighbor(i, k), then the box
+    rows BOX_NORMALS) so active-set indices are reproducible across runs.
     """
     zi = world.robots[i]
     u_hat = pd_control(zi, goals.pd[i], params)
     rows = [decentralized_rows(zi, world.robots[j], params, i, j)[0] for j in range(world.n) if j != i]
     return QPProblem(u_hat, [a[0] for a, _ in rows], [a[1] for a, _ in rows], [b for _, b in rows],
-                     (params.alpha[i],) * 4)
+                     params.alpha[i])
 
 
 def pair_indices(n: int) -> tuple[tuple[int, int], ...]:
@@ -151,15 +151,14 @@ def min_pair_distance(world: WorldState) -> float:
 
 @dataclass(frozen=True)
 class _PairConstants:
-    """Per-(params, n) data of the pair pass: pair order, alpha sums and shares, box faces."""
+    """Per-(params, n) data of the pair pass: pair order, alpha sums and shares."""
 
     pairs: tuple[tuple[int, int], ...]
     asum: tuple[float, ...]
     shares: tuple[tuple[float, float], ...]      # (alpha_i, alpha_j) / (alpha_i + alpha_j)
-    boxes: tuple[tuple[float, ...], ...]         # the four face bounds of every robot i: alpha_i
 
 
-# One entry per (params, n), so the box faces are built once per run and
+# One entry per (params, n), so the pair constants are built once per run and
 # shared, immutable, by every step of it.
 @functools.lru_cache(maxsize=4)
 def _pair_constants(params: Params, n: int) -> _PairConstants:
@@ -170,7 +169,6 @@ def _pair_constants(params: Params, n: int) -> _PairConstants:
         pairs=pairs,
         asum=asum,
         shares=tuple((alpha[i] / s, alpha[j] / s) for (i, j), s in zip(pairs, asum)),
-        boxes=tuple((alpha[i],) * 4 for i in range(n)),
     )
 
 
@@ -188,7 +186,7 @@ class PairField:
     np.hypot and math.hypot differ in the last bit on some inputs.
     """
 
-    __slots__ = ("_robots", "_const", "_ds", "distances", "_pv", "_dvv", "_h", "_bounds", "min_distance")
+    __slots__ = ("_robots", "_const", "_params", "distances", "_pv", "_dvv", "_h", "_bounds", "min_distance")
 
     def __init__(self, world: WorldState, params: Params):
         const = _pair_constants(params, world.n)
@@ -206,7 +204,7 @@ class PairField:
             dvvs.append(dvx * dvx + dvy * dvy)
         self._robots = robots
         self._const = const
-        self._ds = params.ds
+        self._params = params
         self.distances = rs
         self._pv = pvs
         self._dvv = dvvs
@@ -218,7 +216,7 @@ class PairField:
     def h(self) -> tuple[float, ...]:
         """Signed safety index of every pair, in pair order; raises if two robots coincide."""
         if self._h is None:
-            ds = self._ds
+            ds = self._params.ds
             out = []
             for (i, j), asum, r, pv in zip(self._const.pairs, self._const.asum, self.distances, self._pv):
                 if r == 0.0:
@@ -240,7 +238,7 @@ class PairField:
         is symmetric in (i, j).
         """
         if self._bounds is None:
-            ds = self._ds
+            ds = self._params.ds
             out = []
             hs = []
             for (i, j), asum, r, pv, dvv in zip(
@@ -272,12 +270,11 @@ class PairField:
     def problems(self, u_hat: Sequence[Vec2]) -> tuple[QPProblem, ...]:
         """All N per-robot QPs (assemble_qp for i = 0 .. N-1); u_hat[i] is robot i's PD reference.
 
-        The rows are handed over flat (qp.flat_problem): both shares of b_ij
-        come from one bound, and both rows of a pair from one |a|_1, since
-        robot j's row is minus robot i's.  Robot j's row is built from
-        -(p_j - p_i), not from dp_ij, so a zero component keeps the sign
-        assemble_qp gives it.  A ValueError is raised unless u_hat has one
-        entry per robot.
+        The rows are handed over flat (qp.flat_problem), with robot i's box
+        bound alpha_i, and both shares of b_ij come from one bound.  Robot
+        j's row is minus robot i's, built from -(p_j - p_i), not from dp_ij,
+        so a zero component keeps the sign assemble_qp gives it.  A
+        ValueError is raised unless u_hat has one entry per robot.
         """
         robots = self._robots
         if len(u_hat) != len(robots):
@@ -287,7 +284,6 @@ class PairField:
         ax: list[list[float]] = [[] for _ in robots]
         ay: list[list[float]] = [[] for _ in robots]
         b: list[list[float]] = [[] for _ in robots]
-        norms: list[list[float]] = [[] for _ in robots]
         for (i, j), (share_i, share_j), bound in zip(const.pairs, const.shares, bounds):
             (pix, piy), (pjx, pjy) = robots[i].p, robots[j].p
             dx, dy = pix - pjx, piy - pjy
@@ -297,7 +293,4 @@ class PairField:
             ax[j].append(-(pjx - pix))
             ay[j].append(-(pjy - piy))
             b[j].append(share_j * bound)
-            norm = abs(dx) + abs(dy)
-            norms[i].append(norm)
-            norms[j].append(norm)
-        return tuple(map(flat_problem, u_hat, ax, ay, b, norms, const.boxes))
+        return tuple(map(flat_problem, u_hat, ax, ay, b, self._params.alpha))

@@ -87,6 +87,20 @@ def _finite_vec2(value, what: str) -> Vec2:
     return vec
 
 
+def _finite_floats(values, what: str) -> list[float]:
+    """values as a new list of finite floats; a ValueError naming `what` and the entry otherwise."""
+    out = []
+    for k, value in enumerate(values):
+        try:
+            x = float(value) if _real(value) else math.nan
+        except OverflowError:   # an int beyond the float range
+            x = math.inf
+        if not math.isfinite(x):
+            raise ValueError(f"{what}[{k}] must be a finite number, got {value!r}")
+        out.append(x)
+    return out
+
+
 def unit_vector(angle: float) -> Vec2:
     """Unit vector e_hat(angle) = (cos angle, sin angle)."""
     return (math.cos(angle), math.sin(angle))

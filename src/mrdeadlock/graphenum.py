@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import zlib
 from dataclasses import dataclass
 
@@ -43,8 +44,10 @@ class LabeledGraph:
         canon = []
         seen = set()
         for u, v in self.edges:
-            if any(isinstance(x, bool) or not isinstance(x, int) for x in (u, v)):
+            # int first: it passes without the slower numbers.Integral check
+            if any(isinstance(x, bool) or not isinstance(x, (int, numbers.Integral)) for x in (u, v)):
                 raise ValueError(f"edge ({u!r},{v!r}) has a vertex that is not an int")
+            u, v = int(u), int(v)
             if u == v:
                 raise ValueError("self-loops are not allowed")
             if not (0 <= u < self.n and 0 <= v < self.n):

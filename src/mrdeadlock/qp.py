@@ -4,9 +4,9 @@
 
 A QPProblem stores its rows only as plain floats, which the solver, the
 phase-I probe and the force balance read directly: the M neighbor rows, then
-the four box rows, whose normals are BOX_NORMALS.  QPProblem(u_hat, ax, ay,
-b, faces) checks its neighbor rows and face bounds and appends the box rows
-itself; flat_problem is the pair pass's unchecked constructor.
+the four box rows |u_x|, |u_y| <= alpha, whose normals are BOX_NORMALS.
+QPProblem(u_hat, ax, ay, b, alpha) checks its arguments and appends the box
+rows itself; flat_problem is the pair pass's unchecked constructor.
 
 With u in R^2 at most two linearly independent rows are active at a
 nondegenerate optimum, so candidate working sets of size 0, 1, 2 are
@@ -35,7 +35,7 @@ from typing import Sequence
 # scipy loads scipy.optimize on first use, so importing the package does not
 import scipy
 
-from .core import Vec2, _real, v_norm
+from .core import Vec2, _finite_floats, _finite_vec2, _positive, v_norm
 from .errors import QPInfeasibleError
 
 # Scale-aware tolerance for classifying a row as active: |a.u - b| <= ACTIVE_TOL * (1 + |b|).
@@ -62,27 +62,25 @@ _BOX_AY = tuple(a[1] for a in BOX_NORMALS)
 class QPProblem:
     """Objective center u_hat and stacked rows: m_neighbors neighbor rows, then the 4 box rows.
 
-    The constructor takes the neighbor rows as equal-length sequences ax, ay
-    and b, and faces, the four box bounds in the order +x, +y, -x, -y, each
-    a finite number > 0 (a bool or a string is not).  It copies them into new lists and computes norms.
-    Equality and repr are those of the fields.  Treat the lists as read-only.
+    The constructor takes u_hat, two finite numbers; the neighbor rows as
+    equal-length sequences ax, ay and b of finite numbers; and alpha, the
+    bound of all four box rows, a finite number > 0.  A bool or a string is
+    not a number, and a ValueError names the argument that fails.  It copies
+    them into new lists of floats.  Equality, hash and repr are those of the
+    fields.  Treat the lists as read-only.
     """
 
     u_hat: Vec2
     ax: list[float]      # row k is ax[k] u_x + ay[k] u_y <= b[k]; the 4 box rows are last
     ay: list[float]
     b: list[float]
-    norms: list[float]   # |a|_1 of every neighbor row
 
     def __init__(self, u_hat: Vec2, ax: Sequence[float], ay: Sequence[float], b: Sequence[float],
-                 faces: Sequence[float]):
+                 alpha: float):
         if not len(ax) == len(ay) == len(b):
             raise ValueError(f"ax, ay and b differ in length: {len(ax)}, {len(ay)}, {len(b)}")
-        if len(faces) != 4:
-            raise ValueError(f"a problem has 4 box bounds, for the faces +x, +y, -x, -y, not {len(faces)}")
-        if not all(_real(face) and 0.0 < face < math.inf for face in faces):
-            raise ValueError("box bounds must be finite and strictly positive")
-        _fill(self, u_hat, [*ax, *_BOX_AX], [*ay, *_BOX_AY], [*b, *faces], [abs(x) + abs(y) for x, y in zip(ax, ay)])
+        _fill(self, _finite_vec2(u_hat, "u_hat"), _finite_floats(ax, "ax"), _finite_floats(ay, "ay"),
+              _finite_floats(b, "b"), _positive(alpha, "alpha"))
 
     @property
     def m_neighbors(self) -> int:
@@ -92,27 +90,27 @@ class QPProblem:
         return hash((self.u_hat, tuple(self.ax), tuple(self.ay), tuple(self.b)))
 
 
-def _fill(problem: QPProblem, u_hat: Vec2, ax: list, ay: list, b: list, norms: list) -> QPProblem:
+def _fill(problem: QPProblem, u_hat: Vec2, ax: list, ay: list, b: list, alpha: float) -> QPProblem:
+    """Append the box rows to the neighbor rows ax, ay, b and set the fields."""
+    ax.extend(_BOX_AX)
+    ay.extend(_BOX_AY)
+    b.extend((alpha,) * 4)
     set_field = object.__setattr__   # as a frozen dataclass's own __init__ sets its fields
     set_field(problem, "u_hat", u_hat)
     set_field(problem, "ax", ax)
     set_field(problem, "ay", ay)
     set_field(problem, "b", b)
-    set_field(problem, "norms", norms)
     return problem
 
 
-def flat_problem(u_hat: Vec2, ax: list, ay: list, b: list, norms: list, faces: tuple) -> QPProblem:
-    """A QPProblem from its neighbor rows in flat form, their norms and its four face bounds, unchecked.
+def flat_problem(u_hat: Vec2, ax: list, ay: list, b: list, alpha: float) -> QPProblem:
+    """A QPProblem from its neighbor rows in flat form and its box bound alpha, unchecked.
 
     Appends the box rows to ax, ay and b, and keeps the lists it is given.
-    For the pair pass, which builds fresh lists, shares each pair's |a|_1
-    between its two rows, and takes its face bounds from a validated Params.
+    For the pair pass, which builds fresh lists and takes alpha from a
+    validated Params.
     """
-    ax.extend(_BOX_AX)
-    ay.extend(_BOX_AY)
-    b.extend(faces)
-    return _fill(object.__new__(QPProblem), u_hat, ax, ay, b, norms)
+    return _fill(object.__new__(QPProblem), u_hat, ax, ay, b, alpha)
 
 
 @dataclass(frozen=True)
@@ -135,25 +133,26 @@ def solve_qp(problem: QPProblem) -> QPSolution:
     enumeration first; the result is the one the full enumeration returns.
     """
     # with fewer than two neighbor rows the pass costs more than it saves
-    keep = _enumerated_rows(problem) if len(problem.norms) >= 2 else range(len(problem.b))
+    keep = _enumerated_rows(problem) if problem.m_neighbors >= 2 else range(len(problem.b))
     return _enumerate(problem, keep)
 
 
 def _enumerated_rows(problem: QPProblem) -> list[int]:
     """Ascending indices of the rows not strictly implied by the acceleration box.
 
-    The box is read from the last four rows, which both constructors make
-    the faces +x, +y, -x, -y; they are always kept.  A neighbor row
-    a.u <= b is set aside when
+    The box |u_x|, |u_y| <= alpha is read from the last four rows, which both
+    constructors make the box rows with bound alpha; they are always kept.
+    A neighbor row a.u <= b is set aside when
 
-        b - max_{u in box} a.u  >  IMPLIED_TOL (1 + |b| + |a|_1 (1 + beta + A))
+        b - max_{u in box} a.u  >  IMPLIED_TOL (1 + |b| + |a|_1 (1 + alpha + A))
 
-    with beta the largest face bound and A the largest |a_l|_1 over all rows
-    (at least 1, from the box rows).  The terms of the margin:
+    with max_{u in box} a.u = |a_x| alpha + |a_y| alpha and A the largest
+    |a_l|_1 over all rows (at least 1, from the box rows).  The terms of the
+    margin:
 
     * a candidate that passes the box rows lies in the box widened by
-      FEAS_TOL (1 + beta) per face, where a.u exceeds its box maximum by at
-      most FEAS_TOL |a|_1 (1 + beta);
+      FEAS_TOL (1 + alpha), where a.u exceeds its box maximum by at most
+      FEAS_TOL |a|_1 (1 + alpha);
     * a candidate built on the row meets a.u = b up to the clamp of a
       multiplier in (-MU_TOL, 0) to zero, of this row or its partner l, which
       moves u by 0.5 MU_TOL |a_l| and a.u by at most 0.5 MU_TOL |a|_1 A;
@@ -166,16 +165,13 @@ def _enumerated_rows(problem: QPProblem) -> list[int]:
     rounding is not bounded this way; the property test of solve_qp against
     the full enumeration covers it.  A NaN row is kept.
     """
-    norms = problem.norms
-    m = len(norms)
-    # u_x <= hx, u_y <= hy, -u_x <= lx, -u_y <= ly
-    hx, hy, lx, ly = problem.b[m:]
-    widest = 1.0 + max(hx, hy, lx, ly) + max(1.0, *norms)
+    m = problem.m_neighbors
+    alpha = problem.b[-1]
+    sizes = [abs(ax) + abs(ay) for ax, ay in zip(problem.ax, problem.ay)]   # |a|_1 of every row
+    widest = 1.0 + alpha + max(1.0, *sizes)
     keep = [
-        k for k, ax, ay, b, norm in zip(range(m), problem.ax, problem.ay, problem.b, norms)
-        if not b - ((ax * hx if ax > 0.0 else -ax * lx if ax < 0.0 else 0.0)
-                    + (ay * hy if ay > 0.0 else -ay * ly if ay < 0.0 else 0.0))
-        > IMPLIED_TOL * (1.0 + abs(b) + norm * widest)
+        k for k, ax, ay, b, size in zip(range(m), problem.ax, problem.ay, problem.b, sizes)
+        if not b - (abs(ax) * alpha + abs(ay) * alpha) > IMPLIED_TOL * (1.0 + abs(b) + size * widest)
     ]
     keep.extend(range(m, m + 4))
     return keep
@@ -186,21 +182,22 @@ def _enumerate(problem: QPProblem, keep) -> QPSolution:
 
     Candidates are built, checked for feasibility and tested for active rows
     on the kept rows only; rows outside keep get mu = 0, and the phase-I probe
-    covers every row.  A box row is checked by comparing one coordinate with
-    its face bound, which is what a.u - b comes to for a normal of +-1 and 0.
-    With keep = every index this is the full enumerator, the oracle solve_qp
-    is tested against.
+    covers every row.  The four box rows are checked as |u_x|, |u_y| <= alpha,
+    which is what a.u - b comes to for their normals of +-1 and 0.  With
+    keep = every index this is the full enumerator, the oracle solve_qp is
+    tested against.
     """
     ax, ay, bs = problem.ax, problem.ay, problem.b
     ux, uy = problem.u_hat
     m = len(bs)
     # (index, a_x, a_y, b, feasibility bound) of every kept neighbor row
     rows = [(k, ax[k], ay[k], bs[k], bs[k] + FEAS_TOL * (1.0 + abs(bs[k]))) for k in keep[:-4]]
-    faces = [b + FEAS_TOL * (1.0 + b) for b in bs[m - 4:]]   # the box bounds are > 0
+    alpha = bs[-1]
+    top = alpha + FEAS_TOL * (1.0 + alpha)   # the box bound alpha is > 0
 
     # size 0: unconstrained optimum
-    if _feasible(rows, faces, ux, uy):
-        return _optimal(rows, bs, ux, uy, [0.0] * m)
+    if _feasible(rows, top, ux, uy):
+        return _optimal(rows, alpha, ux, uy, [0.0] * m)
 
     # size 1: single-row projection, mu = 2 (a.u_hat - b) / ||a||^2
     for k in keep:
@@ -213,10 +210,10 @@ def _enumerate(problem: QPProblem, keep) -> QPSolution:
             continue
         mu = max(mu, 0.0)
         x, y = ux - 0.5 * mu * kx, uy - 0.5 * mu * ky
-        if _feasible(rows, faces, x, y):
+        if _feasible(rows, top, x, y):
             mus = [0.0] * m
             mus[k] = mu
-            return _optimal(rows, bs, x, y, mus)
+            return _optimal(rows, alpha, x, y, mus)
 
     # size 2: solve the Gram system for (mu_k, mu_l)
     for pos, k in enumerate(keep):
@@ -237,10 +234,10 @@ def _enumerate(problem: QPProblem, keep) -> QPSolution:
                 continue
             mu_k, mu_l = max(mu_k, 0.0), max(mu_l, 0.0)
             x, y = ux - 0.5 * (mu_k * kx + mu_l * lx), uy - 0.5 * (mu_k * ky + mu_l * ly)
-            if _feasible(rows, faces, x, y):
+            if _feasible(rows, top, x, y):
                 mus = [0.0] * m
                 mus[k], mus[l] = mu_k, mu_l
-                return _optimal(rows, bs, x, y, mus)
+                return _optimal(rows, alpha, x, y, mus)
 
     # No working set produced a certificate; confirm emptiness with a
     # phase-I probe maximizing the minimum slack.
@@ -256,24 +253,23 @@ def _enumerate(problem: QPProblem, keep) -> QPSolution:
     )
 
 
-def _feasible(rows: list, faces: list[float], x: float, y: float) -> bool:
-    """(x, y) holds the kept rows within FEAS_TOL; a NaN coordinate fails the box faces."""
-    hx, hy, lx, ly = faces
-    if not (x <= hx and y <= hy and -x <= lx and -y <= ly):
+def _feasible(rows: list, top: float, x: float, y: float) -> bool:
+    """(x, y) holds the kept rows within FEAS_TOL; a NaN coordinate fails the box rows."""
+    if not (abs(x) <= top and abs(y) <= top):
         return False
-    for _, kx, ky, _, top in rows:
-        if not kx * x + ky * y <= top:
+    for _, kx, ky, _, bound in rows:
+        if not kx * x + ky * y <= bound:
             return False
     return True
 
 
-def _optimal(rows: list, bs: list, x: float, y: float, mus: list[float]) -> QPSolution:
+def _optimal(rows: list, alpha: float, x: float, y: float, mus: list[float]) -> QPSolution:
     """The solution at (x, y): kept neighbor rows, then box rows, whose |a.u - b| is within ACTIVE_TOL."""
     active = [k for k, kx, ky, b, _ in rows if abs(kx * x + ky * y - b) <= ACTIVE_TOL * (1.0 + abs(b))]
-    m = len(bs)
-    hx, hy, lx, ly = bs[m - 4:]
-    for k, slack, b in ((m - 4, x - hx, hx), (m - 3, y - hy, hy), (m - 2, -x - lx, lx), (m - 1, -y - ly, ly)):
-        if abs(slack) <= ACTIVE_TOL * (1.0 + b):
+    m = len(mus) - 4
+    band = ACTIVE_TOL * (1.0 + alpha)
+    for k, slack in ((m, x - alpha), (m + 1, y - alpha), (m + 2, -x - alpha), (m + 3, -y - alpha)):
+        if abs(slack) <= band:
             active.append(k)
     return QPSolution((x, y), tuple(mus), tuple(active), "optimal")
 

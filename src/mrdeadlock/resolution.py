@@ -97,12 +97,12 @@ class Filtering:
     """Phase 1: the CBF-QP filter, counting consecutive deadlocked steps.
 
     With ``resolve`` off the supervisor is the plain CBF-QP filter: a
-    persistent deadlock is announced once (``announced``) and filtering goes on.
+    persistent deadlock is announced once, the count stays at K_PERSIST, and
+    filtering goes on.
     """
 
     phase: ClassVar[int] = 1
     resolve: bool = True
-    announced: bool = False
     persist_counter: int = 0
 
 
@@ -418,18 +418,17 @@ def supervisor_step(
                     f"robot {i} QP infeasible",
                     snapshot={"t": t, "robot": i, "world": world},
                 )
-        # nothing reads the persistence count once the deadlock is announced
-        if not state.announced:
+        # a count at K_PERSIST is an announced deadlock, and detection stops
+        if state.persist_counter < K_PERSIST:
             in_deadlock = n >= 2 and system_deadlock(world, goals, params, solutions)
             persist = state.persist_counter + 1 if in_deadlock else 0
-            if persist >= K_PERSIST:
+            if persist == K_PERSIST:
                 info["event"] = ("deadlock-detected", t)
                 if state.resolve:
                     # the phase-2 controls replace the QP solutions of this step
                     new_state = _enter_phase_two(world, goals, params, t, pairs.h)
                     return _phase_two_step(new_state, world, goals, params, dt, config, info, pairs, u_hat)
-                state = replace(state, persist_counter=persist, announced=True)
-            elif persist != state.persist_counter:
+            if persist != state.persist_counter:
                 state = replace(state, persist_counter=persist)
         info["solutions"] = solutions
         return tuple(sol.u_star for sol in solutions), state, info

@@ -180,7 +180,7 @@ class TrajectoryLog:
     Each record array, records first, declares its dtype and per-record shape
     with _record.  Pair columns of h are in ascending (i, j) order; the N + 3
     rows of mu and of the active bitmask follow the fixed QP ordering
-    (neighbors by ascending id, then box faces +x, +y, -x, -y).  The bitmasks
+    (neighbors by ascending id, then the box rows +x, +y, -x, -y).  The bitmasks
     are Python ints in an object array: at N >= 61 a box row's bit does not
     fit in int64.  Phase is the supervisor phase of the step: 1 throughout a
     cbf-qp-only run, 3 throughout a pd-only run.  A record holds only what
@@ -731,8 +731,8 @@ class _AuditLayout:
 def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """math.hypot of every element pair (np.hypot can differ from it in the last bit)."""
     x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
-    norms = map(math.hypot, memoryview(x.reshape(-1)), memoryview(y.reshape(-1)))
-    return np.fromiter(norms, float, x.size).reshape(x.shape)
+    lengths = map(math.hypot, memoryview(x.reshape(-1)), memoryview(y.reshape(-1)))
+    return np.fromiter(lengths, float, x.size).reshape(x.shape)
 
 
 def _audit_chunk(log: TrajectoryLog, rec: slice, lay: _AuditLayout, sound: np.ndarray, misfit: np.ndarray):

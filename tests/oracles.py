@@ -95,12 +95,12 @@ def box_rows(alpha_i: float) -> tuple[ConstraintRow, ...]:
 
 
 def problem_of(u_hat: Vec2, rows: tuple[ConstraintRow, ...]) -> QPProblem:
-    """The QPProblem of rows, which must end with the four box rows, normals +x, +y, -x, -y."""
+    """The QPProblem of rows, which must end with the four box rows, normals +x, +y, -x, -y, one bound."""
     box, neighbors = rows[-4:], rows[:-4]
-    if len(box) < 4 or tuple(row.a for row in box) != BOX_NORMALS:
-        raise ValueError("a well-formed problem ends with the 4 box rows, normals +x, +y, -x, -y")
+    if len(box) < 4 or tuple(row.a for row in box) != BOX_NORMALS or len({row.b_hat for row in box}) != 1:
+        raise ValueError("a well-formed problem ends with the 4 box rows, normals +x, +y, -x, -y, one bound")
     return QPProblem(u_hat, [row.a[0] for row in neighbors], [row.a[1] for row in neighbors],
-                     [row.b_hat for row in neighbors], [row.b_hat for row in box])
+                     [row.b_hat for row in neighbors], box[0].b_hat)
 
 
 def rows_of(problem: QPProblem) -> tuple[ConstraintRow, ...]:

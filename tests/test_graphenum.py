@@ -221,8 +221,10 @@ def test_integer_arguments_reject_a_bool_or_a_non_integer(call, name):
         lambda k: census_table(2, k(20)),
         lambda k: (upper_bound(k(3)), lower_bound(k(5)), connected_count(k(4))),
         lambda k: LabeledGraph(n=k(2), edges=((0, 1),)).n,
+        lambda k: LabeledGraph(n=3, edges=((k(0), 1), (2, k(1)))),
     ],
-    ids=["log_every", "census_table-n_max", "census_table-attempts", "bounds", "LabeledGraph"],
+    ids=["log_every", "census_table-n_max", "census_table-attempts", "bounds", "LabeledGraph",
+         "LabeledGraph-vertex"],
 )
 def test_integer_arguments_take_a_numpy_integer_as_its_int(call):
     # the same result as with the builtin, down to each value's type (NumPy 2 reprs np.int64(2))

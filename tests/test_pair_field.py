@@ -177,7 +177,6 @@ def test_pair_pass_qps_are_the_assembled_qps(case):
         assert outcome == _outcome(solve_qp, oracle)
         assert outcome == _outcome(lambda p: _enumerate(p, range(len(p.b))), oracle)
         assert repr(problem) == repr(oracle)
-        assert repr(problem.norms) == repr(oracle.norms)
         assert problem == oracle and hash(problem) == hash(oracle)
 
 

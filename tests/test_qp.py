@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,7 +22,6 @@ from mrdeadlock.cbf import assemble_qp
 from mrdeadlock.errors import ToolkitError
 from mrdeadlock.qp import (
     ACTIVE_TOL,
-    BOX_NORMALS,
     FEAS_TOL,
     IMPLIED_TOL,
     QPSolution,
@@ -191,32 +191,52 @@ def test_deadlock_bridge_stationarity():
     assert math.hypot(*sol2.u_star) > 1e-3
 
 
-def test_qp_problem_requires_box_rows():
-    with pytest.raises(ValueError, match="4 box bounds"):
-        QPProblem((0.0, 0.0), [1.0], [0.0], [1.0], ())
-
-
-@pytest.mark.parametrize("bound", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize(
+    "bound", [0.0, -1.0, math.inf, math.nan, -math.inf, True, "2", (5.0,) * 4],
+    ids=["0.0", "-1.0", "inf", "nan", "-inf", "bool", "string", "four-faces"],
+)
 def test_qp_problem_rejects_a_box_bound_not_finite_and_positive(bound):
-    with pytest.raises(ValueError, match="box bounds must be finite and strictly positive"):
-        QPProblem((0.0, 0.0), [], [], [], (5.0, 5.0, 5.0, bound))
+    with pytest.raises(ValueError, match="^alpha must be"):
+        QPProblem((0.0, 0.0), [], [], [], bound)
 
 
 def test_qp_problem_checks_its_rows_and_faces_and_copies_them():
-    """Equal-length neighbor rows and four finite faces > 0, or a ValueError; the arguments stay as given."""
-    ax, ay, b, faces = [3.0, -0.5], [-4.0, 0.0], [1.0, -2.0], [5.0, 4.0, 3.0, 2.0]
-    bad_faces = (math.nan, math.inf, -math.inf, 0.0, -1.0, True, "2")
-    for bad in [faces[:3], faces + [1.0], *(faces[:3] + [x] for x in bad_faces)]:
-        with pytest.raises(ValueError, match="box bounds"):
-            QPProblem((0.0, 0.0), ax, ay, b, bad)
+    """Equal-length neighbor rows and one box bound alpha, or a ValueError; the arguments stay as given."""
+    ax, ay, b = [3.0, -0.5], [-4.0, 0.0], [1.0, -2.0]
     for rows in ((ax[:1], ay, b), (ax, ay[:1], b), (ax, ay, b[:1])):
         with pytest.raises(ValueError, match="differ in length"):
-            QPProblem((0.0, 0.0), *rows, faces)
-    problem = QPProblem((0.5, -0.5), ax, ay, b, faces)
-    assert (ax, ay, b, faces) == ([3.0, -0.5], [-4.0, 0.0], [1.0, -2.0], [5.0, 4.0, 3.0, 2.0])
-    assert (problem.ax, problem.ay, problem.b, problem.norms) == (
-        [3.0, -0.5, 1.0, 0.0, -1.0, 0.0], [-4.0, 0.0, 0.0, 1.0, 0.0, -1.0], [1.0, -2.0, 5.0, 4.0, 3.0, 2.0], [7.0, 0.5]
+            QPProblem((0.0, 0.0), *rows, 5.0)
+    problem = QPProblem((0.5, -0.5), ax, ay, b, 2.5)
+    assert (ax, ay, b) == ([3.0, -0.5], [-4.0, 0.0], [1.0, -2.0])
+    assert (problem.u_hat, problem.ax, problem.ay, problem.b) == (
+        (0.5, -0.5), [3.0, -0.5, 1.0, 0.0, -1.0, 0.0], [-4.0, 0.0, 0.0, 1.0, 0.0, -1.0], [1.0, -2.0, 2.5, 2.5, 2.5, 2.5]
     )
+    assert [field.name for field in dataclasses.fields(QPProblem)] == ["u_hat", "ax", "ay", "b"]
+    # NumPy scalars and ints are stored as the floats they equal
+    problem = QPProblem((np.float64(1.0), 2), [np.int64(3)], [np.float32(0.5)], [1], np.int64(4))
+    assert repr(problem) == repr(QPProblem((1.0, 2.0), [3.0], [0.5], [1.0], 4.0))
+
+
+@pytest.mark.parametrize(
+    "u_hat, ax, ay, b, message",
+    [
+        ("ab", [1.0], [0.0], [1.0], "^u_hat must be two numbers"),
+        ((1.0, 2.0, 3.0), [1.0], [0.0], [1.0], "^u_hat must be two numbers"),
+        ((math.nan, 0.0), [1.0], [0.0], [1.0], "^u_hat must be finite"),
+        ((True, 0.0), [1.0], [0.0], [1.0], "^u_hat must be two numbers"),
+        ((0.0, 0.0), ["x"], [0.0], [1.0], r"^ax\[0\] must be a finite number, got 'x'"),
+        ((0.0, 0.0), [1.0, 2.0], [0.0, True], [1.0, 1.0], r"^ay\[1\] must be a finite number, got True"),
+        ((0.0, 0.0), [1.0], [0.0], ["1"], r"^b\[0\] must be a finite number, got '1'"),
+        ((0.0, 0.0), [1.0], [0.0], [math.inf], r"^b\[0\] must be a finite number, got inf"),
+        ((0.0, 0.0), [math.nan], [0.0], [1.0], r"^ax\[0\] must be a finite number, got nan"),
+        ((0.0, 0.0), [1.0], [10**400], [1.0], r"^ay\[0\] must be a finite number"),
+    ],
+    ids=["u_hat-string", "u_hat-three", "u_hat-nan", "u_hat-bool", "ax-string", "ay-bool", "b-string",
+         "b-inf", "ax-nan", "ay-huge-int"],
+)
+def test_qp_problem_rejects_a_reference_or_row_entry_that_is_not_a_finite_number(u_hat, ax, ay, b, message):
+    with pytest.raises(ValueError, match=message):
+        QPProblem(u_hat, ax, ay, b, 5.0)
 
 
 BOX = box_rows(5.0)
@@ -233,8 +253,10 @@ ROW_A, ROW_B = ConstraintRow((1.0, 0.0), 4.0), ConstraintRow((0.3, 0.4), 30.0)
         ((12.0, 0.0), (ConstraintRow((1.0, 0.0), 5.001), ConstraintRow((0.0, 1.0), 50.0),
                        ConstraintRow((0.5, 0.0), 5.0)) + BOX[1:]),
         ((0.0, 0.0), BOX[1:]),
+        ((0.0, 0.0), BOX[:3] + (ConstraintRow((0.0, -1.0), 4.0),)),
     ],
-    ids=["faces-first", "faces-between-neighbors", "faces-out-of-order", "stretched-plus-x", "three-faces"],
+    ids=["faces-first", "faces-between-neighbors", "faces-out-of-order", "stretched-plus-x", "three-faces",
+         "unequal-bounds"],
 )
 def test_qp_problem_rejects_misplaced_box(u_hat, rows):
     # problem_of keeps the check of the former row constructor, on which the row-built problems rely
@@ -257,15 +279,9 @@ def _full_enumeration(problem: QPProblem) -> QPSolution:
     return _enumerate(problem, range(len(problem.b)))
 
 
-def _box_top(a, faces) -> float:
-    """max a.u over the box u_x in [-lo_x, hi_x], u_y in [-lo_y, hi_y]."""
-    (hi_x, hi_y, lo_x, lo_y) = faces
-    return max(a[0] * hi_x, -a[0] * lo_x) + max(a[1] * hi_y, -a[1] * lo_y)
-
-
-def _face_rows(faces) -> tuple[ConstraintRow, ...]:
-    """The four box faces with the bounds (hi_x, hi_y, lo_x, lo_y)."""
-    return tuple(ConstraintRow(a, b) for a, b in zip(BOX_NORMALS, faces))
+def _box_top(a, alpha) -> float:
+    """max a.u over the box |u_x|, |u_y| <= alpha."""
+    return abs(a[0]) * alpha + abs(a[1]) * alpha
 
 
 def _ulps(x: float, n: int) -> float:
@@ -275,16 +291,13 @@ def _ulps(x: float, n: int) -> float:
 
 
 reals = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
-face_bounds = st.one_of(st.sampled_from([0.5, 1.0, 5.0]), st.floats(0.1, 8.0))
+box_bounds = st.one_of(st.sampled_from([0.5, 1.0, 5.0]), st.floats(0.1, 8.0))
 
 
 @st.composite
 def qp_problems(draw):
     """Rows near the box-implied threshold, parallel and zero rows, infeasible sets."""
-    if draw(st.booleans()):
-        faces = (draw(face_bounds),) * 4
-    else:
-        faces = tuple(draw(face_bounds) for _ in range(4))
+    alpha = draw(box_bounds)
     rows: list[ConstraintRow] = []
     for _ in range(draw(st.integers(0, 7))):
         shape = draw(st.sampled_from(["free", "free", "axis", "parallel", "zero"]))
@@ -298,7 +311,7 @@ def qp_problems(draw):
             a = draw(st.sampled_from([(1.0, 0.0), (0.0, -2.0), (-0.5, 0.0), (0.0, 1.0)]))
         else:
             a = (draw(reals), draw(reals))
-        top = _box_top(a, faces)
+        top = _box_top(a, alpha)
         size = abs(a[0]) + abs(a[1])
         place = draw(st.sampled_from(["at", "ulps", "rel", "margin", "free", "slack"]))
         if draw(st.integers(0, 19)) == 0:
@@ -311,20 +324,20 @@ def qp_problems(draw):
             b = top + 1e-9 * draw(st.floats(-3.0, 3.0)) * (1.0 + abs(top))
         elif place == "margin":
             # around the threshold at which solve_qp sets the row aside
-            widest = 1.0 + max(faces) + max(3.0, size)
+            widest = 1.0 + alpha + max(3.0, size)
             b = top + IMPLIED_TOL * (1.0 + abs(top) + size * widest) * draw(st.floats(0.0, 3.0))
         elif place == "slack":
             b = top + draw(st.floats(0.0, 10.0))
         elif place == "infeasible":
             # below the row's minimum over the box: the polytope is empty
-            b = -_box_top((-a[0], -a[1]), faces) - draw(st.floats(1e-6, 2.0))
+            b = -_box_top((-a[0], -a[1]), alpha) - draw(st.floats(1e-6, 2.0))
         else:
             b = draw(st.floats(-2.0, 10.0))
         rows.append(ConstraintRow(a, b))
-    rows.extend(_face_rows(faces))
+    rows.extend(box_rows(alpha))
     u_hat = draw(st.one_of(
         st.tuples(st.floats(-12.0, 12.0), st.floats(-12.0, 12.0)),
-        st.just((faces[0], faces[1])),   # a box corner
+        st.just((alpha, alpha)),   # a box corner
         st.just((0.0, 0.0)),
     ))
     return problem_of(u_hat=u_hat, rows=tuple(rows))
@@ -389,12 +402,11 @@ neighbor_rows = st.tuples(
 # The example count comes from the hypothesis profile: tests/conftest.py.
 @pytest.mark.ci_profile
 @settings(deadline=None, database=None)
-@given(st.tuples(reals, reals), st.lists(neighbor_rows, max_size=6), st.tuples(*[face_bounds] * 4))
-def test_checked_constructor_is_the_flat_constructor(u_hat, rows, faces):
+@given(st.tuples(reals, reals), st.lists(neighbor_rows, max_size=6), box_bounds)
+def test_checked_constructor_is_the_flat_constructor(u_hat, rows, alpha):
     """QPProblem(...) and the pair pass's flat_problem build the same problem from the same rows."""
     ax, ay, b = [a[0] for a, _ in rows], [a[1] for a, _ in rows], [bound for _, bound in rows]
-    norms = [abs(x) + abs(y) for x, y in zip(ax, ay)]
-    checked = QPProblem(u_hat, ax, ay, b, faces)
-    flat = flat_problem(u_hat, [*ax], [*ay], [*b], norms, faces)
+    checked = QPProblem(u_hat, ax, ay, b, alpha)
+    flat = flat_problem(u_hat, [*ax], [*ay], [*b], alpha)
     assert checked == flat and hash(checked) == hash(flat) and repr(checked) == repr(flat)
     assert _outcome(solve_qp, checked) == _outcome(solve_qp, flat)
