@@ -14,7 +14,8 @@ assemble_qp and min_pair_distance evaluate one pair or one robot at a time.
 No run calls them: they are the tests' oracles, and the benchmark's tracer
 binds them by name.  Every other module goes through
 PairField, which evaluates every unordered pair once per world state and
-reproduces the scalar results bit for bit.
+reproduces the scalar results bit for bit, and which sets aside the QP rows
+the acceleration box implies (_kept_rows).
 """
 
 from __future__ import annotations
@@ -22,11 +23,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import chain, count
 from typing import Sequence
+
+import numpy as np
 
 from .core import GoalSpec, Params, RobotState, Vec2, WorldState, pd_control, v_dot, v_norm, v_sub
 from .errors import BoundarySingularityError, CoincidentRobotsError, SafetyViolationError
-from .qp import QPProblem, flat_problem
+from .qp import IMPLIED_TOL, QPProblem, flat_problem
 
 # Width of the band around ||dp|| = Ds treated as exactly on the boundary.
 # sqrt() amplifies float noise near the boundary (sqrt(20 * 1ulp) ~ 5e-8), so
@@ -149,6 +153,49 @@ def min_pair_distance(world: WorldState) -> float:
     ) if world.n > 1 else math.inf
 
 
+# From this many robots on (at least 3, where rows start to be set aside),
+# PairField evaluates the pair pass over NumPy arrays; below it, over plain
+# floats, which cost less for a few pairs.  Set from ring timings: the two
+# tie at N = 8 and the arrays win from N = 9 on (CHANGES.md).
+ARRAY_MIN_ROBOTS = 9
+
+
+def _kept_rows(ax: Sequence[float], ay: Sequence[float], b: Sequence[float], alpha: float) -> list[int] | None:
+    """Ascending numbers of the neighbor rows a.u <= b that the box does not strictly imply; None if all.
+
+    The box is |u_x|, |u_y| <= alpha.  A neighbor row is set aside when
+
+        b - max_{u in box} a.u  >  IMPLIED_TOL (1 + |b| + |a|_1 (1 + alpha + A))
+
+    with max_{u in box} a.u = |a_x| alpha + |a_y| alpha and A the largest
+    |a_l|_1 over the neighbor rows, at least 1 (the box rows' own).  The
+    terms of the margin, against qp's tolerances:
+
+    * a candidate that passes the box rows lies in the box widened by
+      FEAS_TOL (1 + alpha), where a.u exceeds its box maximum by at most
+      FEAS_TOL |a|_1 (1 + alpha);
+    * a candidate built on the row meets a.u = b up to the clamp of a
+      multiplier in (-MU_TOL, 0) to zero, of this row or its partner l, which
+      moves u by 0.5 MU_TOL |a_l| and a.u by at most 0.5 MU_TOL |a|_1 A;
+    * IMPLIED_TOL is 1e3 times FEAS_TOL and MU_TOL, which leaves room for
+      rounding, and the 1 + |b| term alone is 10 times the ACTIVE_TOL band.
+
+    So a row set aside is in no qualifying working set, holds at every
+    candidate that passes the box rows, and is never active at the returned
+    point: solve_qp returns the full QP's solution without it.  The one gap
+    is a 2x2 solve near the singularity threshold, whose rounding is not
+    bounded this way; the property test of solve_qp against the full
+    enumeration covers it.  A NaN row is kept.
+    """
+    sizes = [abs(x) + abs(y) for x, y in zip(ax, ay)]   # |a|_1 of every row
+    widest = 1.0 + alpha + max(1.0, *sizes)
+    keep = [
+        k for k, x, y, bk, size in zip(count(), ax, ay, b, sizes)
+        if not bk - (abs(x) * alpha + abs(y) * alpha) > IMPLIED_TOL * (1.0 + abs(bk) + size * widest)
+    ]
+    return None if len(keep) == len(b) else keep
+
+
 @dataclass(frozen=True)
 class _PairConstants:
     """Per-(params, n) data of the pair pass: pair order, alpha sums and shares."""
@@ -156,6 +203,40 @@ class _PairConstants:
     pairs: tuple[tuple[int, int], ...]
     asum: tuple[float, ...]
     shares: tuple[tuple[float, float], ...]      # (alpha_i, alpha_j) / (alpha_i + alpha_j)
+
+
+@dataclass(frozen=True)
+class _PairArrays:
+    """Per-n index arrays of the array pass.
+
+    i, j: the pairs of pair_indices(n).  The n (n - 1) directed rows run
+    robot by robot, each robot's neighbor rows in row order: row k of robot
+    r faces robot other = row_neighbor(r, k) through the pair pair, and
+    number is k.  Robot r's rows end before ends[r].
+    """
+
+    i: np.ndarray
+    j: np.ndarray
+    robot: np.ndarray
+    other: np.ndarray
+    pair: np.ndarray
+    number: np.ndarray
+    ends: np.ndarray
+
+
+@dataclass(frozen=True)
+class _ArrayConstants:
+    """Per-(params, n) data of the array pass.
+
+    Its index arrays, alpha, each pair's alpha sum, and each directed row's
+    alpha and bound share.
+    """
+
+    idx: _PairArrays
+    alpha: np.ndarray
+    asum: np.ndarray
+    row_alpha: np.ndarray
+    row_share: np.ndarray
 
 
 # One entry per (params, n), so the pair constants are built once per run and
@@ -172,6 +253,26 @@ def _pair_constants(params: Params, n: int) -> _PairConstants:
     )
 
 
+@functools.lru_cache(maxsize=4)
+def _array_constants(params: Params, n: int) -> _ArrayConstants:
+    idx = _pair_arrays(n)
+    alpha = np.array(params.alpha[:n], dtype=float)
+    asum = alpha.take(idx.i) + alpha.take(idx.j)
+    row_alpha = alpha.take(idx.robot)
+    return _ArrayConstants(idx, alpha, asum, row_alpha, row_alpha / asum.take(idx.pair))
+
+
+# Keyed by n alone: every ring of one size shares them, whatever its alphas.
+@functools.lru_cache(maxsize=4)
+def _pair_arrays(n: int) -> _PairArrays:
+    i, j = np.triu_indices(n, 1)
+    pair_of = np.zeros((n, n), dtype=np.intp)
+    pair_of[i, j] = pair_of[j, i] = np.arange(len(i))
+    robot, number = np.divmod(np.arange(n * (n - 1)), n - 1)
+    other = number + (number >= robot)
+    return _PairArrays(i, j, robot, other, pair_of[robot, other], number, np.arange(1, n + 1) * (n - 1))
+
+
 class PairField:
     """Geometry of every unordered robot pair of one world state, evaluated once.
 
@@ -181,16 +282,36 @@ class PairField:
     per-robot QPs are derived from these on first use only, so a state that
     never assembles a QP never raises the bound's errors.  The bounds' pass
     takes sqrt(2 asum eps) once per pair and leaves h computed too.  Every
-    value equals its scalar oracle bit for bit (safety_index_signed, min_pair_distance,
-    constraint_bound, assemble_qp).  The arithmetic stays in plain floats:
-    np.hypot and math.hypot differ in the last bit on some inputs.
+    value equals its scalar oracle bit for bit (safety_index_signed,
+    min_pair_distance, constraint_bound, assemble_qp with its rows set
+    aside by _kept_rows).
+
+    Below ARRAY_MIN_ROBOTS robots the pass runs over plain floats; from
+    there on the geometry, the bounds (with h) and the rows kept are
+    evaluated over NumPy arrays, with the same float operations in the same
+    order and math.hypot for every norm, so both give the same bits.  When
+    some pair would raise (coincident robots, a pair inside the margin, or
+    a singular bound), the array pass hands over to the float pass, which
+    raises the first error in pair order; h read before the bounds is
+    evaluated over floats too.
     """
 
-    __slots__ = ("_robots", "_const", "_params", "distances", "_pv", "_dvv", "_h", "_bounds", "min_distance")
+    __slots__ = ("_robots", "_const", "_params", "_arrays", "distances", "_pv", "_dvv", "_h", "_bounds",
+                 "min_distance")
 
     def __init__(self, world: WorldState, params: Params):
-        const = _pair_constants(params, world.n)
+        n = world.n
+        const = _pair_constants(params, n)
         robots = world.robots
+        self._robots = robots
+        self._const = const
+        self._params = params
+        self._h: tuple[float, ...] | None = None
+        self._bounds: tuple[float, ...] | None = None
+        if n >= ARRAY_MIN_ROBOTS:
+            self._array_init(robots, _array_constants(params, n))
+            return
+        self._arrays = None
         rs: list[float] = []
         pvs: list[float] = []
         dvvs: list[float] = []
@@ -202,23 +323,33 @@ class PairField:
             rs.append(math.hypot(dx, dy))
             pvs.append(dx * dvx + dy * dvy)
             dvvs.append(dvx * dvx + dvy * dvy)
-        self._robots = robots
-        self._const = const
-        self._params = params
         self.distances = rs
         self._pv = pvs
         self._dvv = dvvs
-        self._h: tuple[float, ...] | None = None
-        self._bounds: tuple[float, ...] | None = None
         self.min_distance = min(rs, default=math.inf)
+
+    def _array_init(self, robots: tuple[RobotState, ...], const: _ArrayConstants) -> None:
+        # one column per robot: p_x, p_y, v_x, v_y
+        state = np.fromiter(chain.from_iterable(z.p + z.v for z in robots), float, 4 * len(robots))
+        state = state.reshape(-1, 4).T
+        with np.errstate(all="ignore"):   # an overflow gives inf, as in plain floats
+            dx, dy, dvx, dvy = state.take(const.idx.i, axis=1) - state.take(const.idx.j, axis=1)
+            self._pv = dx * dvx + dy * dvy
+            self._dvv = dvx * dvx + dvy * dvy
+        rs = list(map(math.hypot, dx.tolist(), dy.tolist()))   # np.hypot can differ in the last bit
+        r = np.fromiter(rs, float, len(rs))
+        self._arrays = (const, state[:2], r)
+        self.distances = rs
+        self.min_distance = float(r.min())
 
     @property
     def h(self) -> tuple[float, ...]:
         """Signed safety index of every pair, in pair order; raises if two robots coincide."""
-        if self._h is None:
+        if self._h is None:   # the bounds' pass, which every QP step takes, leaves h computed
+            pvs = self._pv if self._arrays is None else self._pv.tolist()
             ds = self._params.ds
             out = []
-            for (i, j), asum, r, pv in zip(self._const.pairs, self._const.asum, self.distances, self._pv):
+            for (i, j), asum, r, pv in zip(self._const.pairs, self._const.asum, self.distances, pvs):
                 if r == 0.0:
                     raise CoincidentRobotsError(f"robots {i} and {j} coincide")
                 eps = r - ds
@@ -238,12 +369,15 @@ class PairField:
         is symmetric in (i, j).
         """
         if self._bounds is None:
+            pvs, dvvs = self._pv, self._dvv
+            if self._arrays is not None:
+                if self._array_bounds():
+                    return self._bounds
+                pvs, dvvs = pvs.tolist(), dvvs.tolist()   # some pair raises in the float pass
             ds = self._params.ds
             out = []
             hs = []
-            for (i, j), asum, r, pv, dvv in zip(
-                self._const.pairs, self._const.asum, self.distances, self._pv, self._dvv
-            ):
+            for (i, j), asum, r, pv, dvv in zip(self._const.pairs, self._const.asum, self.distances, pvs, dvvs):
                 if r == 0.0:
                     raise CoincidentRobotsError(f"robots {i} and {j} coincide")
                 eps = r - ds
@@ -267,24 +401,49 @@ class PairField:
             self._h = tuple(hs)   # what h would compute, bit for bit
         return self._bounds
 
+    def _array_bounds(self) -> bool:
+        """The bounds over the arrays, and h with them; False, with neither set, if some pair would raise."""
+        (const, _, r), pv, dvv = self._arrays, self._pv, self._dvv
+        asum = const.asum
+        ds = self._params.ds
+        eps = r - ds
+        with np.errstate(all="ignore"):
+            # min(r) - Ds is the least eps: past EPS_NUM no pair can raise
+            if self.min_distance - ds < EPS_NUM:
+                singular = (eps < EPS_NUM) & ~(np.abs(pv) < EPS_NUM)
+                if ((r == 0.0) | (eps < -BOUNDARY_SNAP) | singular).any():
+                    return False
+            root = np.where(eps <= BOUNDARY_SNAP, 0.0, np.sqrt(2.0 * asum * np.abs(eps)))
+            middle = np.where(eps < EPS_NUM, 0.0, asum * pv / root)
+            h = root + pv / r
+            bound = r * h * h * h + middle + dvv - (pv * pv) / (r * r)
+        self._h = tuple(h.tolist())
+        self._bounds = tuple(bound.tolist())
+        return True
+
     def problems(self, u_hat: Sequence[Vec2]) -> tuple[QPProblem, ...]:
         """All N per-robot QPs (assemble_qp for i = 0 .. N-1); u_hat[i] is robot i's PD reference.
 
         The rows are handed over flat (qp.flat_problem), with robot i's box
         bound alpha_i, and both shares of b_ij come from one bound.  Robot
         j's row is minus robot i's, built from -(p_j - p_i), not from dp_ij,
-        so a zero component keeps the sign assemble_qp gives it.  A
+        so a zero component keeps the sign assemble_qp gives it.  With three
+        robots or more, each QP holds only the neighbor rows _kept_rows
+        keeps, numbered by QPProblem.index when some are set aside.  A
         ValueError is raised unless u_hat has one entry per robot.
         """
         robots = self._robots
-        if len(u_hat) != len(robots):
-            raise ValueError(f"u_hat has {len(u_hat)} entries for {len(robots)} robots")
+        n = len(robots)
+        if len(u_hat) != n:
+            raise ValueError(f"u_hat has {len(u_hat)} entries for {n} robots")
         bounds = self.bounds()
-        const = self._const
+        alpha = self._params.alpha
+        if self._arrays is not None:
+            return self._array_problems(u_hat, np.fromiter(bounds, float, len(bounds)))
         ax: list[list[float]] = [[] for _ in robots]
         ay: list[list[float]] = [[] for _ in robots]
         b: list[list[float]] = [[] for _ in robots]
-        for (i, j), (share_i, share_j), bound in zip(const.pairs, const.shares, bounds):
+        for (i, j), (share_i, share_j), bound in zip(self._const.pairs, self._const.shares, bounds):
             (pix, piy), (pjx, pjy) = robots[i].p, robots[j].p
             dx, dy = pix - pjx, piy - pjy
             ax[i].append(-dx)
@@ -293,4 +452,39 @@ class PairField:
             ax[j].append(-(pjx - pix))
             ay[j].append(-(pjy - piy))
             b[j].append(share_j * bound)
-        return tuple(map(flat_problem, u_hat, ax, ay, b, self._params.alpha))
+        if n < 3:   # one neighbor row: setting it aside saves less than the test costs
+            return tuple(map(flat_problem, u_hat, ax, ay, b, alpha))
+        box = [n - 1, n, n + 1, n + 2]
+        problems = []
+        for u, rx, ry, rb, a in zip(u_hat, ax, ay, b, alpha):
+            keep = _kept_rows(rx, ry, rb, a)
+            if keep is None:
+                problems.append(flat_problem(u, rx, ry, rb, a))
+            else:
+                problems.append(flat_problem(u, [rx[k] for k in keep], [ry[k] for k in keep],
+                                             [rb[k] for k in keep], a, keep + box))
+        return tuple(problems)
+
+    def _array_problems(self, u_hat: Sequence[Vec2], bounds: np.ndarray) -> tuple[QPProblem, ...]:
+        """problems over the arrays: _kept_rows's test on every directed row at once."""
+        n = len(self._robots)
+        const, pos, _ = self._arrays
+        idx, row_alpha = const.idx, const.row_alpha
+        with np.errstate(all="ignore"):
+            dp = pos.take(idx.robot, axis=1) - pos.take(idx.other, axis=1)   # a row's normal is -dp
+            mag_x, mag_y = np.abs(dp)
+            size = mag_x + mag_y
+            b = const.row_share * bounds.take(idx.pair)
+            widest = 1.0 + const.alpha + np.fmax.reduce(size.reshape(n, n - 1), axis=1, initial=1.0)
+            tol = IMPLIED_TOL * (1.0 + np.abs(b) + size * widest.take(idx.robot))
+            kept = np.flatnonzero(~(b - (mag_x * row_alpha + mag_y * row_alpha) > tol))
+        ax, ay = -dp.take(kept, axis=1)
+        axs, ays, bs, numbers = ax.tolist(), ay.tolist(), b.take(kept).tolist(), idx.number.take(kept).tolist()
+        box = [n - 1, n, n + 1, n + 2]
+        problems = []
+        start = 0
+        for u, end, alpha in zip(u_hat, np.searchsorted(kept, idx.ends).tolist(), self._params.alpha):
+            index = None if end - start == n - 1 else numbers[start:end] + box
+            problems.append(flat_problem(u, axs[start:end], ays[start:end], bs[start:end], alpha, index))
+            start = end
+        return tuple(problems)

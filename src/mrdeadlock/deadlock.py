@@ -99,14 +99,17 @@ def detect_deadlock(
 ) -> DeadlockReport:
     """Evaluate the four deadlock conditions for robot i, with every quantity behind them.
 
-    ``problem`` is the QP that produced ``qp_solution``; its flat rows give the force
-    balance u_hat - 1/2 sum_k mu_k a_k, and its first m_neighbors rows are the neighbors.
+    ``problem`` is the QP that produced ``qp_solution``; its flat rows, each with
+    the multiplier of its row number, give the force balance
+    u_hat - 1/2 sum_k mu_k a_k, and rows numbered below m_neighbors are the neighbors.
     """
     z = world.robots[i]
     verdict = _deadlocked(z, goals.pd[i], qp_solution, problem.m_neighbors, params)
-    active = tuple((k, qp_solution.mu_star[k]) for k in qp_solution.active_set)
+    mus = qp_solution.mu_star
+    active = tuple((k, mus[k]) for k in qp_solution.active_set)
     force = list(pd_control(z, goals.pd[i], params))
-    for mu, ax, ay in zip(qp_solution.mu_star, problem.ax, problem.ay):
+    for k, ax, ay in zip(problem.row_numbers, problem.ax, problem.ay):
+        mu = mus[k]
         if mu != 0.0:
             force[0] -= 0.5 * mu * ax
             force[1] -= 0.5 * mu * ay
@@ -124,8 +127,8 @@ def detect_deadlock(
 def system_deadlock(world: WorldState, goals: GoalSpec, params: Params, solutions: tuple[QPSolution, ...]) -> bool:
     """True iff every robot is in deadlock, up to the first that is not.
 
-    ``solutions`` solve the QPs of the pair pass, whose first world.n - 1
-    rows are the neighbors.
+    ``solutions`` solve the QPs of the pair pass, whose rows numbered below
+    world.n - 1 are the neighbors.
     """
     m_neighbors = world.n - 1
     for i in range(world.n):

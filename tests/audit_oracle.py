@@ -1,8 +1,11 @@
 """The record-by-record audit that sim.audit_log must reproduce exactly.
 
 It rebuilds a PairField and the N per-robot QPs of every record and checks
-them with qp.verify_kkt and _active_set, one record at a time.  It raises
-the pair pass's geometry error (CoincidentRobotsError, SafetyViolationError,
+them with qp.verify_kkt and _active_set, one record at a time.  The QPs are
+the full ones, every neighbor row built from the pair pass's bounds: the
+pass sets box-implied rows aside, and a logged multiplier on such a row
+must still count, as it does in audit_log.  It raises the pair pass's
+geometry error (CoincidentRobotsError, SafetyViolationError,
 BoundarySingularityError) on a record whose h or QPs are undefined, where
 audit_log counts the record as bad instead.  Its h_min takes the h of every
 sound record, also of one whose QPs then raise, as audit_log's h_min takes
@@ -15,9 +18,9 @@ import math
 
 import numpy as np
 
-from mrdeadlock.cbf import PairField
+from mrdeadlock.cbf import PairField, pair_indices
 from mrdeadlock.core import pd_control
-from mrdeadlock.qp import ACTIVE_TOL, QPSolution, verify_kkt
+from mrdeadlock.qp import ACTIVE_TOL, QPSolution, flat_problem, verify_kkt
 from mrdeadlock.sim import (
     _PHASES,
     _RECORD_LAYOUT,
@@ -32,11 +35,27 @@ from mrdeadlock.sim import (
 
 
 def _active_set(problem, u) -> tuple[int, ...]:
-    """Indices of the rows of problem active at u: |a.u - b| <= ACTIVE_TOL (1 + |b|)."""
+    """Numbers of the rows of problem active at u: |a.u - b| <= ACTIVE_TOL (1 + |b|)."""
     return tuple(
-        k for k, (ax, ay, b) in enumerate(zip(problem.ax, problem.ay, problem.b))
+        k for k, ax, ay, b in zip(problem.row_numbers, problem.ax, problem.ay, problem.b)
         if abs(ax * u[0] + ay * u[1] - b) <= ACTIVE_TOL * (1.0 + abs(b))
     )
+
+
+def _full_problems(pair_field: PairField, world, params, u_hat) -> list:
+    """Every robot's full QP: the pair pass's rows, none set aside, unchecked as the pass builds them."""
+    bounds = pair_field.bounds()
+    pair = {ij: c for c, ij in enumerate(pair_indices(world.n))}
+    robots, alpha = world.robots, params.alpha
+    problems = []
+    for i, u in enumerate(u_hat):
+        (pix, piy) = robots[i].p
+        others = [j for j in range(world.n) if j != i]
+        b = [alpha[i] / (alpha[min(i, j)] + alpha[max(i, j)]) * bounds[pair[min(i, j), max(i, j)]] for j in others]
+        ax = [-(pix - robots[j].p[0]) for j in others]
+        ay = [-(piy - robots[j].p[1]) for j in others]
+        problems.append(flat_problem(u, ax, ay, b, alpha[i]))
+    return problems
 
 
 def oracle_audit(log: TrajectoryLog) -> AuditReport:
@@ -75,7 +94,7 @@ def oracle_audit(log: TrajectoryLog) -> AuditReport:
         bad = phase not in allowed or (k > 0 and phase < phases[k - 1])
         bad |= list(map(list, u_hat)) != u_hats[k]
         if phase == 1:
-            for i, problem in enumerate(pair_field.problems(u_hat)):
+            for i, problem in enumerate(_full_problems(pair_field, world, params, u_hat)):
                 # verify_kkt reads the multipliers, not the active set
                 sol = QPSolution(tuple(u_stars[k][i]), tuple(mus[k][i]), (), "optimal")
                 kkt_max = max(kkt_max, verify_kkt(problem, sol).max_residual())

@@ -6,14 +6,17 @@ demos/scenarios/*.yaml describe.
 
 from __future__ import annotations
 
+import math
 import time
 
 import pytest
 from hypothesis import settings
 
 from mrdeadlock import (
+    GoalSpec,
     PairField,
     Params,
+    RobotState,
     Scenario,
     default_head_on_scenario,
     pd_control,
@@ -47,6 +50,29 @@ def _category_b_resolution() -> Scenario:
 
 
 CATEGORY_B_RESOLUTION = _category_b_resolution()
+
+
+def _ring16() -> Scenario:
+    """16 robots at rest, neighbors 2 % outside contact, antipodal goals, unequal alphas, 30 steps.
+
+    Each QP has 15 neighbor rows, most of them implied by the acceleration box.
+    """
+    n, ds = 16, 0.5
+    radius = ds * 1.02 / (2.0 * math.sin(math.pi / n))
+    points = [
+        (radius * math.cos(0.1 + 2.0 * math.pi * k / n), radius * math.sin(0.1 + 2.0 * math.pi * k / n))
+        for k in range(n)
+    ]
+    return Scenario(
+        params=Params(kp=1.0, kv=3.0, ds=ds, alpha=tuple(4.5 + (3 * k % 7) / 6 for k in range(n))),
+        initial=tuple(RobotState.at_rest(p) for p in points),
+        goals=GoalSpec(pd=tuple((-x, -y) for x, y in points)),
+        controller="cbf-qp-only",
+        t_max=0.03,
+    )
+
+
+RING16 = _ring16()
 
 
 def supervise(state, world, goals, params, dt, config=ResolutionConfig()):
@@ -83,6 +109,11 @@ def three_robot_resolution_log():
 @pytest.fixture(scope="session")
 def category_b_resolution_log():
     return _timed_run(CATEGORY_B_RESOLUTION)
+
+
+@pytest.fixture(scope="session")
+def ring16_log():
+    return _timed_run(RING16)
 
 
 @pytest.fixture(scope="session")

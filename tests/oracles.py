@@ -7,7 +7,9 @@ Theorem-2 multiplier of a single active constraint row.
 
 ``ConstraintRow``, ``box_rows``, ``problem_of`` and ``rows_of`` write a
 QPProblem as a tuple of rows, the four box rows last: tests build and read
-problems row by row through them.
+problems row by row through them.  ``numbered_rows`` reads a problem's rows
+by row number, and ``set_aside`` is a problem that holds every row as the
+pair pass hands it over, with the rows the box implies set aside.
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from mrdeadlock.cbf import _kept_rows
 from mrdeadlock.core import Vec2, euler_step, v_dot
 from mrdeadlock.errors import ZeroVectorError
-from mrdeadlock.qp import BOX_NORMALS, QPProblem
+from mrdeadlock.qp import BOX_NORMALS, QPProblem, flat_problem
 
 
 def phase3_closed_form(tau: float, ds: float, d_g: float, kp: float, kv: float) -> tuple[float, float]:
@@ -106,3 +109,21 @@ def problem_of(u_hat: Vec2, rows: tuple[ConstraintRow, ...]) -> QPProblem:
 def rows_of(problem: QPProblem) -> tuple[ConstraintRow, ...]:
     """Every row of problem, the four box rows last."""
     return tuple(ConstraintRow((x, y), b) for x, y, b in zip(problem.ax, problem.ay, problem.b))
+
+
+def numbered_rows(problem: QPProblem) -> dict[int, ConstraintRow]:
+    """The rows problem holds, by their row number in the full QP."""
+    return dict(zip(problem.row_numbers, rows_of(problem)))
+
+
+def set_aside(problem: QPProblem) -> QPProblem:
+    """problem, which holds every row, with the neighbor rows that _kept_rows does not keep set aside."""
+    m = problem.m_neighbors
+    if m == 0:
+        return problem
+    ax, ay, b = problem.ax[:m], problem.ay[:m], problem.b[:m]
+    keep = _kept_rows(ax, ay, b, problem.b[-1])
+    if keep is None:
+        return flat_problem(problem.u_hat, ax, ay, b, problem.b[-1])
+    return flat_problem(problem.u_hat, [ax[k] for k in keep], [ay[k] for k in keep], [b[k] for k in keep],
+                        problem.b[-1], keep + [m, m + 1, m + 2, m + 3])

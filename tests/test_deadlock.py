@@ -33,7 +33,8 @@ from mrdeadlock import deadlock
 from mrdeadlock.deadlock import BOUNDARY_TOL, EPS_GOAL, EPS_MU, EPS_U, EPS_V, _deadlocked
 from mrdeadlock.errors import SafetyViolationError, ToolkitError, ZeroVectorError
 from mrdeadlock.cbf import PairField, assemble_qp, row_neighbor, safety_index_signed
-from conftest import HEAD_ON
+from mrdeadlock.qp import verify_kkt
+from conftest import HEAD_ON, RING16
 from test_pair_field import worlds
 from oracles import ConstraintRow, box_rows, problem_of, rows_of, two_robot_multiplier
 
@@ -311,6 +312,30 @@ def test_catB_family_geometry_and_deadlock():
         sum(1 for k in sols[i].active_set if k < problems[i].m_neighbors) for i in range(3)
     ]
     assert n_active_neighbors == [1, 2, 1]
+
+
+@pytest.mark.parametrize("case", ["threeB", "ring16"])
+def test_force_balance_and_kkt_read_the_pair_pass_qps_by_row_number(case, ring16_log):
+    """On a pair-pass QP, box-implied rows set aside, detect_deadlock and verify_kkt give their full-QP results."""
+    if case == "threeB":
+        world, goals = three_robot_family_catB(PARAMS3, 2.0)
+        params = PARAMS3
+    else:
+        log, _ = ring16_log
+        world, goals, params = log.world_at(log.n_records - 1), RING16.goals, RING16.params
+    u_hat = [pd_control(z, g, params) for z, g in zip(world.robots, goals.pd)]
+    problems = PairField(world, params).problems(u_hat)
+    assert any(problem.index is not None for problem in problems)
+    active = 0
+    for i, problem in enumerate(problems):
+        full = assemble_qp(i, world, goals, params)
+        sol = solve_qp(problem)
+        assert repr(sol) == repr(solve_qp(full))
+        report = detect_deadlock(i, world, goals, params, sol, problem)
+        assert repr(report) == repr(detect_deadlock(i, world, goals, params, sol, full))
+        assert repr(verify_kkt(problem, sol)) == repr(verify_kkt(full, sol))
+        active += any(k < full.m_neighbors and mu > 0.0 for k, mu in report.active_multipliers)
+    assert active >= 2   # the force balances carry neighbor multipliers
 
 
 def test_catB_parametrized_geometry_sweep():

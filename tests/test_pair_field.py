@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,8 +16,13 @@ from mrdeadlock import (
     pd_control,
     solve_qp,
 )
+from mrdeadlock import cbf
 from mrdeadlock.cbf import (
+    BOUNDARY_SNAP,
+    EPS_NUM,
+    IMPLIED_TOL,
     PairField,
+    _kept_rows,
     assemble_qp,
     constraint_bound,
     decentralized_rows,
@@ -25,9 +32,8 @@ from mrdeadlock.cbf import (
     safety_index_signed,
 )
 from mrdeadlock.errors import ToolkitError
-from mrdeadlock.qp import _enumerate
 from mrdeadlock.resolution import Filtering, ResolutionConfig, supervisor_step
-from oracles import ConstraintRow, rows_of
+from oracles import ConstraintRow, numbered_rows, rows_of, set_aside
 
 # Offsets of length exactly Ds in binary floating point; added to a dyadic
 # position they put a pair exactly on the margin.
@@ -117,38 +123,48 @@ def test_pair_field_matches_scalar_oracles(case):
         _same_error(lambda: field.problems(u_hat), exc)
         return
     batch = field.problems(u_hat)
-    assert repr(batch) == repr(problems)
+    # with three robots or more, the pair pass sets the box-implied rows aside
+    assert repr(batch) == repr(problems if world.n < 3 else tuple(map(set_aside, problems)))
     for c, (i, j) in enumerate(pairs):
         assert repr(field.bounds()[c]) == repr(constraint_bound(robots[i], robots[j], params, i, j))
         row_i, row_j = decentralized_rows(robots[i], robots[j], params, i, j)
         mirrored, _ = decentralized_rows(robots[j], robots[i], params, j, i)
-        assert repr(rows_of(batch[i])[j - 1]) == repr(ConstraintRow(*row_i))
-        assert repr(rows_of(batch[j])[i]) == repr(ConstraintRow(*mirrored))
-        assert repr(rows_of(batch[j])[i].b_hat) == repr(row_j[1])
+        assert repr(rows_of(problems[i])[j - 1]) == repr(ConstraintRow(*row_i))
+        assert repr(rows_of(problems[j])[i]) == repr(ConstraintRow(*mirrored))
+        assert repr(rows_of(problems[j])[i].b_hat) == repr(row_j[1])
 
 
 @settings(max_examples=200, deadline=None, database=None)
 @given(worlds())
 def test_row_layout_is_neighbors_then_box(case):
-    """Both QP builders give robot i its N-1 neighbor rows, then the four box faces."""
+    """Both QP builders give robot i neighbor rows by ascending row number, then the four box faces.
+
+    assemble_qp gives all N - 1 neighbor rows; the pair pass numbers those it
+    keeps.
+    """
     world, goals, params = case
     robots = world.robots
+    n = world.n
     u_hat = [pd_control(z, g, params) for z, g in zip(robots, goals.pd)]
     try:
         batch = PairField(world, params).problems(u_hat)
     except ToolkitError:
         return
     box = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
-    for i in range(world.n):
+    for i in range(n):
         (pix, piy) = robots[i].p
-        for problem in (batch[i], assemble_qp(i, world, goals, params)):
-            rows = rows_of(problem)
-            assert len(rows) == world.n - 1 + 4
-            assert repr(tuple(row.a for row in rows[-4:])) == repr(box)
-            for k, row in enumerate(rows[:-4]):
+        full = assemble_qp(i, world, goals, params)
+        assert list(full.row_numbers) == list(range(n + 3)) and full.index is None
+        for problem in (batch[i], full):
+            numbers = list(problem.row_numbers)
+            assert numbers == sorted(set(numbers)) and numbers[-4:] == list(range(n - 1, n + 3))
+            assert problem.m_neighbors == n - 1
+            rows = numbered_rows(problem)
+            assert repr(tuple(rows[k].a for k in numbers[-4:])) == repr(box)
+            for k in numbers[:-4]:
                 j = row_neighbor(i, k)
                 (pjx, pjy) = robots[j].p
-                assert repr(row.a) == repr((-(pix - pjx), -(piy - pjy)))
+                assert repr(rows[k].a) == repr((-(pix - pjx), -(piy - pjy)))
 
 
 def _outcome(solver, problem) -> str:
@@ -164,7 +180,7 @@ def _outcome(solver, problem) -> str:
 @given(worlds())
 @example(_case([(0.0, 1.0), (0.5, 1.0), (0.25, 3.0)], alpha=[4.0, 5.0, 6.0]))
 def test_pair_pass_qps_are_the_assembled_qps(case):
-    """The flat QPs of the pair pass solve, compare and print as assemble_qp's QPs."""
+    """The pair pass's QPs, box-implied rows set aside, solve to the QPSolutions of assemble_qp's full QPs."""
     world, goals, params = case
     u_hat = [pd_control(z, g, params) for z, g in zip(world.robots, goals.pd)]
     try:
@@ -173,11 +189,135 @@ def test_pair_pass_qps_are_the_assembled_qps(case):
         _same_error(lambda: PairField(world, params).problems(u_hat), exc)
         return
     for problem, oracle in zip(PairField(world, params).problems(u_hat), assembled):
-        outcome = _outcome(solve_qp, problem)
-        assert outcome == _outcome(solve_qp, oracle)
-        assert outcome == _outcome(lambda p: _enumerate(p, range(len(p.b))), oracle)
-        assert repr(problem) == repr(oracle)
-        assert problem == oracle and hash(problem) == hash(oracle)
+        assert _outcome(solve_qp, problem) == _outcome(solve_qp, oracle)
+
+
+@pytest.mark.parametrize("arrays", [False, True], ids=["floats", "arrays"])
+def test_pair_pass_sets_aside_only_rows_clear_of_the_box(monkeypatch, arrays):
+    ax, ay, b = zip(
+        (1.0, 1.0, 10.0 + 1e-3),    # clears the box max 10: set aside
+        (1.0, 1.0, 10.0),           # touches the box corner: kept
+        (0.0, 0.0, 1.0),            # zero row, positive bound: set aside
+        (0.0, 0.0, -1.0),           # zero row, negative bound: kept
+        (-2.0, 0.0, 10.0 + 1e-9),   # within the margin: kept
+    )
+    assert _kept_rows(ax, ay, b, 5.0) == [1, 3, 4]
+    assert _kept_rows(ax[1:2], ay[1:2], b[1:2], 5.0) is None
+    # two pairs 1 % outside contact, 10 m apart: each QP keeps its one contact row
+    monkeypatch.setattr(cbf, "ARRAY_MIN_ROBOTS", 3 if arrays else 100)
+    world, _, params = _case([(0.0, 0.0), (0.505, 0.0), (10.0, 0.0), (10.0, 0.505)])
+    field = PairField(world, params)
+    problems = field.problems([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)])
+    assert [p.index for p in problems] == [[0, 3, 4, 5, 6], [0, 3, 4, 5, 6], [2, 3, 4, 5, 6], [2, 3, 4, 5, 6]]
+    assert (field._arrays is not None) == arrays
+    # the kept row is the full QP's row 0 or 2, bit for bit
+    assert repr(problems[0].ax[0]) == repr(-(0.0 - 0.505)) and repr(problems[3].ay[0]) == repr(-(0.505 - 0.0))
+
+
+def test_both_passes_set_aside_the_same_rows_at_the_margin(monkeypatch):
+    """Bounds that put robot i's row of each pair (i, j) on the set-aside margin, or 1e-9 inside or past it.
+
+    Every |a|_1 is below 1, so the margin takes A = 1 from the box rows.
+    The array pass keeps exactly the rows the float pass (_kept_rows) keeps.
+    """
+    world, _, params = _case([(0.0, 0.0), (0.3, 0.0), (0.0, 0.3), (0.3, 0.3), (0.15, 0.4)], alpha=[2.0] * 5)
+    robots, alpha = world.robots, 2.0
+    bounds = []
+    for c, (i, j) in enumerate(pair_indices(world.n)):
+        dx, dy = robots[i].p[0] - robots[j].p[0], robots[i].p[1] - robots[j].p[1]
+        size = abs(dx) + abs(dy)
+        top = abs(dx) * alpha + abs(dy) * alpha
+        # b - top = IMPLIED_TOL (1 + b + size (1 + alpha + 1)) at b = edge
+        edge = (top + IMPLIED_TOL * (1.0 + size * (2.0 + alpha))) / (1.0 - IMPLIED_TOL)
+        bounds.append(2.0 * edge * (1.0 - 1e-9, 1.0, 1.0 + 1e-9)[c % 3])   # robot i's share is 1/2
+    monkeypatch.setattr(PairField, "bounds", lambda self: tuple(bounds))
+    u_hat = [(0.0, 0.0)] * world.n
+    passes = []
+    for threshold in (3, 100):
+        monkeypatch.setattr(cbf, "ARRAY_MIN_ROBOTS", threshold)
+        passes.append([(_hexes(p.ax), _hexes(p.ay), _hexes(p.b), p.index) for p in PairField(world, params).problems(u_hat)])
+    assert passes[0] == passes[1]
+    held = sum(len(b) - 4 for _, _, b, _ in passes[0])
+    assert 0 < held < world.n * (world.n - 1)   # some rows kept, some set aside
+
+
+# Gaps to the margin, in m: within BOUNDARY_SNAP and EPS_NUM of contact on
+# either side, a little outside it, and inside it.
+MARGIN_GAPS = (0.0, BOUNDARY_SNAP / 2, -BOUNDARY_SNAP / 2, 2 * BOUNDARY_SNAP, -2 * BOUNDARY_SNAP,
+               EPS_NUM / 2, -EPS_NUM / 2, 2 * EPS_NUM, -2 * EPS_NUM, 1e-3, 0.02, -0.01)
+
+
+@st.composite
+def crowded_worlds(draw):
+    """3 to 14 robots in clusters: pairs on, near and inside the margin, and coincident robots."""
+    n = draw(st.integers(3, 14))
+    ds = draw(st.sampled_from(sorted(MARGIN_OFFSETS)))
+    alpha = draw(st.lists(st.floats(0.5, 8.0), min_size=n, max_size=n))
+    params = Params(kp=1.0, kv=3.0, ds=ds, alpha=tuple(alpha))
+    robots: list[RobotState] = []
+    for i in range(n):
+        v = (draw(speeds), draw(speeds))
+        place = draw(st.sampled_from(["free", "margin", "near", "near", "near", "coincident"])) if i else "free"
+        if place == "free":
+            p = (draw(coords), draw(coords))
+        else:
+            base = robots[draw(st.integers(0, i - 1))]
+            if place == "margin":
+                ox, oy = draw(st.sampled_from(MARGIN_OFFSETS[ds]))
+            elif place == "near":
+                angle = draw(st.floats(0.0, 2.0 * math.pi))
+                length = ds + draw(st.sampled_from(MARGIN_GAPS))
+                ox, oy = length * math.cos(angle), length * math.sin(angle)
+            else:
+                ox, oy = 0.0, 0.0
+            p = (base.p[0] + ox, base.p[1] + oy)
+            if draw(st.booleans()):
+                v = base.v  # no radial velocity: the bound is defined on the margin
+        robots.append(RobotState(p=p, v=v))
+    u_hat = [(draw(speeds), draw(speeds)) for _ in range(n)]
+    return WorldState(robots=tuple(robots)), params, u_hat
+
+
+def _hexes(values) -> list[str]:
+    return [float.hex(x) for x in values]
+
+
+def _pass(world, params, u_hat, arrays: bool, order) -> dict:
+    """What the pair pass gives, in float.hex, or the error it raises; the array pass if arrays."""
+    saved = cbf.ARRAY_MIN_ROBOTS
+    cbf.ARRAY_MIN_ROBOTS = 3 if arrays else world.n + 1   # read by the constructor only
+    try:
+        field = PairField(world, params)
+    finally:
+        cbf.ARRAY_MIN_ROBOTS = saved
+    assert (field._arrays is not None) == arrays
+    out = {"distances": _hexes(field.distances), "min_distance": float.hex(field.min_distance)}
+    reads = {
+        "h": lambda: _hexes(field.h),
+        "bounds": lambda: _hexes(field.bounds()),
+        "problems": lambda: [(_hexes(p.u_hat), _hexes(p.ax), _hexes(p.ay), _hexes(p.b), p.index)
+                             for p in field.problems(u_hat)],
+    }
+    for name in order:
+        try:
+            out[name] = reads[name]()
+        except ToolkitError as exc:
+            out[name] = (type(exc).__name__, str(exc), getattr(exc, "pair", None))
+    return out
+
+
+# The example count comes from the hypothesis profile: tests/conftest.py.
+@pytest.mark.ci_profile
+@settings(deadline=None, database=None)
+@given(crowded_worlds(), st.sampled_from([("h", "problems", "bounds"), ("problems", "h", "bounds")]))
+# a 10-robot chain on the margin at rest, and a free robot far off
+@example((*_case([(0.5 * k, 0.0) for k in range(10)] + [(40.0, 3.0)])[::2], [(1.0, -1.0)] * 11), ("h", "problems", "bounds"))
+# coincident robots, then a pair inside the margin
+@example((*_case([(0.0, 0.0), (3.0, 0.0), (0.0, 0.0), (3.4, 0.0)])[::2], [(0.0, 0.0)] * 4), ("problems", "h", "bounds"))
+def test_array_pass_is_the_float_pass(case, order):
+    """The array pass gives the float pass's floats, kept rows and row numbers, or raises its first error."""
+    world, params, u_hat = case
+    assert _pass(world, params, u_hat, True, order) == _pass(world, params, u_hat, False, order)
 
 
 @pytest.mark.parametrize("n_refs", [1, 3])

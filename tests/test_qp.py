@@ -25,12 +25,10 @@ from mrdeadlock.qp import (
     FEAS_TOL,
     IMPLIED_TOL,
     QPSolution,
-    _enumerate,
-    _enumerated_rows,
     flat_problem,
     verify_kkt,
 )
-from oracles import ConstraintRow, box_rows, problem_of, rows_of
+from oracles import ConstraintRow, box_rows, problem_of, rows_of, set_aside
 
 
 def random_problem(rng, m=None, alpha=None):
@@ -211,7 +209,8 @@ def test_qp_problem_checks_its_rows_and_faces_and_copies_them():
     assert (problem.u_hat, problem.ax, problem.ay, problem.b) == (
         (0.5, -0.5), [3.0, -0.5, 1.0, 0.0, -1.0, 0.0], [-4.0, 0.0, 0.0, 1.0, 0.0, -1.0], [1.0, -2.0, 2.5, 2.5, 2.5, 2.5]
     )
-    assert [field.name for field in dataclasses.fields(QPProblem)] == ["u_hat", "ax", "ay", "b"]
+    assert [field.name for field in dataclasses.fields(QPProblem)] == ["u_hat", "ax", "ay", "b", "index"]
+    assert problem.index is None and problem.row_numbers == range(6) and problem.m_neighbors == 2
     # NumPy scalars and ints are stored as the floats they equal
     problem = QPProblem((np.float64(1.0), 2), [np.int64(3)], [np.float32(0.5)], [1], np.int64(4))
     assert repr(problem) == repr(QPProblem((1.0, 2.0), [3.0], [0.5], [1.0], 4.0))
@@ -265,7 +264,8 @@ def test_qp_problem_rejects_misplaced_box(u_hat, rows):
 
 
 # ---------------------------------------------------------------------------
-# solve_qp (box-implied rows set aside) against the full enumeration
+# solve_qp with the box-implied rows set aside, as the pair pass sets them
+# aside, against solve_qp on every row: the full enumeration
 # ---------------------------------------------------------------------------
 
 def _outcome(solver, problem: QPProblem) -> str:
@@ -273,10 +273,6 @@ def _outcome(solver, problem: QPProblem) -> str:
         return repr(solver(problem))
     except ToolkitError as exc:
         return f"{type(exc).__name__}: {exc}"
-
-
-def _full_enumeration(problem: QPProblem) -> QPSolution:
-    return _enumerate(problem, range(len(problem.b)))
 
 
 def _box_top(a, alpha) -> float:
@@ -323,7 +319,7 @@ def qp_problems(draw):
         elif place == "rel":
             b = top + 1e-9 * draw(st.floats(-3.0, 3.0)) * (1.0 + abs(top))
         elif place == "margin":
-            # around the threshold at which solve_qp sets the row aside
+            # around the threshold at which the pair pass sets the row aside
             widest = 1.0 + alpha + max(3.0, size)
             b = top + IMPLIED_TOL * (1.0 + abs(top) + size * widest) * draw(st.floats(0.0, 3.0))
         elif place == "slack":
@@ -361,15 +357,15 @@ def qp_problems(draw):
     ConstraintRow((1.0, -1.0), 1.000011), ConstraintRow((0.0, 0.0), -1.0),
     ConstraintRow((-8.925993836822974e-232, 9.39691959866434e-156), -1.0)) + box_rows(0.5)))
 def test_solve_qp_matches_full_enumeration(problem):
-    assert _outcome(solve_qp, problem) == _outcome(_full_enumeration, problem)
+    assert _outcome(solve_qp, set_aside(problem)) == _outcome(solve_qp, problem)
 
 
 @settings(max_examples=400, deadline=None, database=None)
 @given(qp_problems())
 def test_solution_holds_and_marks_active_rows_row_by_row(problem):
-    """The solver's four box comparisons and its set-aside rows agree with a.u - b on every row."""
+    """The solver's four box comparisons and the rows set aside agree with a.u - b on every row."""
     try:
-        sol = solve_qp(problem)
+        sol = solve_qp(set_aside(problem))
     except ToolkitError:
         return
     if sol.status != "optimal":
@@ -378,17 +374,6 @@ def test_solution_holds_and_marks_active_rows_row_by_row(problem):
     slacks = [(row.a[0] * x + row.a[1] * y - row.b_hat, row.b_hat) for row in rows_of(problem)]
     assert all(s <= FEAS_TOL * (1.0 + abs(b)) for s, b in slacks)
     assert sol.active_set == tuple(k for k, (s, b) in enumerate(slacks) if abs(s) <= ACTIVE_TOL * (1.0 + abs(b)))
-
-
-def test_enumerated_rows_sets_aside_only_rows_clear_of_the_box():
-    rows = (
-        ConstraintRow((1.0, 1.0), 10.0 + 1e-3),    # clears the box max 10: set aside
-        ConstraintRow((1.0, 1.0), 10.0),           # touches the box corner: kept
-        ConstraintRow((0.0, 0.0), 1.0),            # zero row, positive bound: set aside
-        ConstraintRow((0.0, 0.0), -1.0),           # zero row, negative bound: kept
-        ConstraintRow((-2.0, 0.0), 10.0 + 1e-9),   # within the margin: kept
-    ) + box_rows(5.0)
-    assert _enumerated_rows(problem_of(u_hat=(0.0, 0.0), rows=rows)) == [1, 3, 4, 5, 6, 7, 8]
 
 
 # zero rows, signed zeros and subnormal components among ordinary ones
