@@ -15,7 +15,7 @@ No run calls them: they are the tests' oracles, and the benchmark's tracer
 binds them by name.  Every other module goes through
 PairField, which evaluates every unordered pair once per world state and
 reproduces the scalar results bit for bit, and which sets aside the QP rows
-the acceleration box implies (_kept_rows).
+the acceleration box implies (PairField._array_problems).
 """
 
 from __future__ import annotations
@@ -23,14 +23,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import chain, count
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 from .core import GoalSpec, Params, RobotState, Vec2, WorldState, pd_control, v_dot, v_norm, v_sub
 from .errors import BoundarySingularityError, CoincidentRobotsError, SafetyViolationError
-from .qp import IMPLIED_TOL, QPProblem, flat_problem
+from .qp import QPProblem, flat_problem
 
 # Width of the band around ||dp|| = Ds treated as exactly on the boundary.
 # sqrt() amplifies float noise near the boundary (sqrt(20 * 1ulp) ~ 5e-8), so
@@ -153,52 +153,19 @@ def min_pair_distance(world: WorldState) -> float:
     ) if world.n > 1 else math.inf
 
 
-# From this many robots on (at least 3, where rows start to be set aside),
-# PairField evaluates the pair pass over NumPy arrays; below it, over plain
-# floats, which cost less for a few pairs.  Set from ring timings: the two
-# tie at N = 8 and the arrays win from N = 9 on (CHANGES.md).
+# Relative margin by which a neighbor row must clear the acceleration box to
+# be set aside (PairField._array_problems derives the terms it scales).
+IMPLIED_TOL = 1e-6
+# PairField sets aside the rows the box implies from SET_ASIDE_MIN_ROBOTS
+# robots on, and runs the whole pass over NumPy arrays from ARRAY_MIN_ROBOTS
+# on; below each, plain floats cost less.  Both set from ring timings (CHANGES.md).
+SET_ASIDE_MIN_ROBOTS = 6
 ARRAY_MIN_ROBOTS = 9
-
-
-def _kept_rows(ax: Sequence[float], ay: Sequence[float], b: Sequence[float], alpha: float) -> list[int] | None:
-    """Ascending numbers of the neighbor rows a.u <= b that the box does not strictly imply; None if all.
-
-    The box is |u_x|, |u_y| <= alpha.  A neighbor row is set aside when
-
-        b - max_{u in box} a.u  >  IMPLIED_TOL (1 + |b| + |a|_1 (1 + alpha + A))
-
-    with max_{u in box} a.u = |a_x| alpha + |a_y| alpha and A the largest
-    |a_l|_1 over the neighbor rows, at least 1 (the box rows' own).  The
-    terms of the margin, against qp's tolerances:
-
-    * a candidate that passes the box rows lies in the box widened by
-      FEAS_TOL (1 + alpha), where a.u exceeds its box maximum by at most
-      FEAS_TOL |a|_1 (1 + alpha);
-    * a candidate built on the row meets a.u = b up to the clamp of a
-      multiplier in (-MU_TOL, 0) to zero, of this row or its partner l, which
-      moves u by 0.5 MU_TOL |a_l| and a.u by at most 0.5 MU_TOL |a|_1 A;
-    * IMPLIED_TOL is 1e3 times FEAS_TOL and MU_TOL, which leaves room for
-      rounding, and the 1 + |b| term alone is 10 times the ACTIVE_TOL band.
-
-    So a row set aside is in no qualifying working set, holds at every
-    candidate that passes the box rows, and is never active at the returned
-    point: solve_qp returns the full QP's solution without it.  The one gap
-    is a 2x2 solve near the singularity threshold, whose rounding is not
-    bounded this way; the property test of solve_qp against the full
-    enumeration covers it.  A NaN row is kept.
-    """
-    sizes = [abs(x) + abs(y) for x, y in zip(ax, ay)]   # |a|_1 of every row
-    widest = 1.0 + alpha + max(1.0, *sizes)
-    keep = [
-        k for k, x, y, bk, size in zip(count(), ax, ay, b, sizes)
-        if not bk - (abs(x) * alpha + abs(y) * alpha) > IMPLIED_TOL * (1.0 + abs(bk) + size * widest)
-    ]
-    return None if len(keep) == len(b) else keep
 
 
 @dataclass(frozen=True)
 class _PairConstants:
-    """Per-(params, n) data of the pair pass: pair order, alpha sums and shares."""
+    """Per-(params, n) data of the float pass: pair order, alpha sums and shares."""
 
     pairs: tuple[tuple[int, int], ...]
     asum: tuple[float, ...]
@@ -206,13 +173,14 @@ class _PairConstants:
 
 
 @dataclass(frozen=True)
-class _PairArrays:
-    """Per-n index arrays of the array pass.
+class _ArrayConstants:
+    """Per-(params, n) data of the array pass and of the set-aside test.
 
     i, j: the pairs of pair_indices(n).  The n (n - 1) directed rows run
     robot by robot, each robot's neighbor rows in row order: row k of robot
     r faces robot other = row_neighbor(r, k) through the pair pair, and
-    number is k.  Robot r's rows end before ends[r].
+    number is k.  Robot r's rows end before ends[r].  Then alpha, each
+    pair's alpha sum, and each directed row's alpha and bound share.
     """
 
     i: np.ndarray
@@ -222,17 +190,6 @@ class _PairArrays:
     pair: np.ndarray
     number: np.ndarray
     ends: np.ndarray
-
-
-@dataclass(frozen=True)
-class _ArrayConstants:
-    """Per-(params, n) data of the array pass.
-
-    Its index arrays, alpha, each pair's alpha sum, and each directed row's
-    alpha and bound share.
-    """
-
-    idx: _PairArrays
     alpha: np.ndarray
     asum: np.ndarray
     row_alpha: np.ndarray
@@ -255,22 +212,17 @@ def _pair_constants(params: Params, n: int) -> _PairConstants:
 
 @functools.lru_cache(maxsize=4)
 def _array_constants(params: Params, n: int) -> _ArrayConstants:
-    idx = _pair_arrays(n)
-    alpha = np.array(params.alpha[:n], dtype=float)
-    asum = alpha.take(idx.i) + alpha.take(idx.j)
-    row_alpha = alpha.take(idx.robot)
-    return _ArrayConstants(idx, alpha, asum, row_alpha, row_alpha / asum.take(idx.pair))
-
-
-# Keyed by n alone: every ring of one size shares them, whatever its alphas.
-@functools.lru_cache(maxsize=4)
-def _pair_arrays(n: int) -> _PairArrays:
     i, j = np.triu_indices(n, 1)
     pair_of = np.zeros((n, n), dtype=np.intp)
     pair_of[i, j] = pair_of[j, i] = np.arange(len(i))
     robot, number = np.divmod(np.arange(n * (n - 1)), n - 1)
     other = number + (number >= robot)
-    return _PairArrays(i, j, robot, other, pair_of[robot, other], number, np.arange(1, n + 1) * (n - 1))
+    pair = pair_of[robot, other]
+    alpha = np.array(params.alpha[:n], dtype=float)
+    asum = alpha.take(i) + alpha.take(j)
+    row_alpha = alpha.take(robot)
+    return _ArrayConstants(i, j, robot, other, pair, number, np.arange(1, n + 1) * (n - 1),
+                           alpha, asum, row_alpha, row_alpha / asum.take(pair))
 
 
 class PairField:
@@ -283,21 +235,21 @@ class PairField:
     never assembles a QP never raises the bound's errors.  The bounds' pass
     takes sqrt(2 asum eps) once per pair and leaves h computed too.  Every
     value equals its scalar oracle bit for bit (safety_index_signed,
-    min_pair_distance, constraint_bound, assemble_qp with its rows set
-    aside by _kept_rows).
+    min_pair_distance, constraint_bound, assemble_qp with, from
+    SET_ASIDE_MIN_ROBOTS robots on, the rows the box implies set aside).
 
     Below ARRAY_MIN_ROBOTS robots the pass runs over plain floats; from
-    there on the geometry, the bounds (with h) and the rows kept are
-    evaluated over NumPy arrays, with the same float operations in the same
-    order and math.hypot for every norm, so both give the same bits.  When
-    some pair would raise (coincident robots, a pair inside the margin, or
-    a singular bound), the array pass hands over to the float pass, which
-    raises the first error in pair order; h read before the bounds is
-    evaluated over floats too.
+    there on the geometry and the bounds (with h) are evaluated over NumPy
+    arrays, with the same float operations in the same order and math.hypot
+    for every norm, so both give the same bits; rows are set aside over
+    arrays on both paths.  When some pair would raise (coincident robots, a
+    pair inside the margin, or a singular bound), the array pass hands over
+    to the float pass, which raises the first error in pair order; h read
+    before the bounds is evaluated over floats too.
     """
 
     __slots__ = ("_robots", "_const", "_params", "_arrays", "distances", "_pv", "_dvv", "_h", "_bounds",
-                 "min_distance")
+                 "_bound_array", "min_distance")
 
     def __init__(self, world: WorldState, params: Params):
         n = world.n
@@ -333,7 +285,7 @@ class PairField:
         state = np.fromiter(chain.from_iterable(z.p + z.v for z in robots), float, 4 * len(robots))
         state = state.reshape(-1, 4).T
         with np.errstate(all="ignore"):   # an overflow gives inf, as in plain floats
-            dx, dy, dvx, dvy = state.take(const.idx.i, axis=1) - state.take(const.idx.j, axis=1)
+            dx, dy, dvx, dvy = state.take(const.i, axis=1) - state.take(const.j, axis=1)
             self._pv = dx * dvx + dy * dvy
             self._dvv = dvx * dvx + dvy * dvy
         rs = list(map(math.hypot, dx.tolist(), dy.tolist()))   # np.hypot can differ in the last bit
@@ -419,6 +371,7 @@ class PairField:
             bound = r * h * h * h + middle + dvv - (pv * pv) / (r * r)
         self._h = tuple(h.tolist())
         self._bounds = tuple(bound.tolist())
+        self._bound_array = bound
         return True
 
     def problems(self, u_hat: Sequence[Vec2]) -> tuple[QPProblem, ...]:
@@ -427,19 +380,22 @@ class PairField:
         The rows are handed over flat (qp.flat_problem), with robot i's box
         bound alpha_i, and both shares of b_ij come from one bound.  Robot
         j's row is minus robot i's, built from -(p_j - p_i), not from dp_ij,
-        so a zero component keeps the sign assemble_qp gives it.  With three
-        robots or more, each QP holds only the neighbor rows _kept_rows
-        keeps, numbered by QPProblem.index when some are set aside.  A
-        ValueError is raised unless u_hat has one entry per robot.
+        so a zero component keeps the sign assemble_qp gives it.  From
+        SET_ASIDE_MIN_ROBOTS robots on, each QP holds only the neighbor rows
+        _array_problems keeps, numbered by QPProblem.index when some are set
+        aside.  A ValueError is raised unless u_hat has one entry per robot.
         """
         robots = self._robots
         n = len(robots)
         if len(u_hat) != n:
             raise ValueError(f"u_hat has {len(u_hat)} entries for {n} robots")
         bounds = self.bounds()
-        alpha = self._params.alpha
-        if self._arrays is not None:
-            return self._array_problems(u_hat, np.fromiter(bounds, float, len(bounds)))
+        if n >= SET_ASIDE_MIN_ROBOTS:
+            if self._arrays is None:
+                pos = np.array([z.p for z in robots]).T
+                return self._array_problems(u_hat, _array_constants(self._params, n), pos, np.array(bounds))
+            const, pos, _ = self._arrays
+            return self._array_problems(u_hat, const, pos, self._bound_array)
         ax: list[list[float]] = [[] for _ in robots]
         ay: list[list[float]] = [[] for _ in robots]
         b: list[list[float]] = [[] for _ in robots]
@@ -452,38 +408,55 @@ class PairField:
             ax[j].append(-(pjx - pix))
             ay[j].append(-(pjy - piy))
             b[j].append(share_j * bound)
-        if n < 3:   # one neighbor row: setting it aside saves less than the test costs
-            return tuple(map(flat_problem, u_hat, ax, ay, b, alpha))
-        box = [n - 1, n, n + 1, n + 2]
-        problems = []
-        for u, rx, ry, rb, a in zip(u_hat, ax, ay, b, alpha):
-            keep = _kept_rows(rx, ry, rb, a)
-            if keep is None:
-                problems.append(flat_problem(u, rx, ry, rb, a))
-            else:
-                problems.append(flat_problem(u, [rx[k] for k in keep], [ry[k] for k in keep],
-                                             [rb[k] for k in keep], a, keep + box))
-        return tuple(problems)
+        return tuple(map(flat_problem, u_hat, ax, ay, b, self._params.alpha))
 
-    def _array_problems(self, u_hat: Sequence[Vec2], bounds: np.ndarray) -> tuple[QPProblem, ...]:
-        """problems over the arrays: _kept_rows's test on every directed row at once."""
+    def _array_problems(self, u_hat: Sequence[Vec2], const: _ArrayConstants, pos: np.ndarray,
+                        bounds: np.ndarray) -> tuple[QPProblem, ...]:
+        """problems over arrays, from the robots' positions pos (2 x N) and the pair bounds.
+
+        Robot i's QP holds the neighbor rows a.u <= b that the box
+        |u_x|, |u_y| <= alpha_i does not strictly imply.  A row is set aside when
+
+            b - max_{u in box} a.u  >  IMPLIED_TOL (1 + |b| + |a|_1 (1 + alpha_i + A))
+
+        with max_{u in box} a.u = |a_x| alpha_i + |a_y| alpha_i and A the
+        largest |a_l|_1 over robot i's neighbor rows, at least 1 (the box
+        rows' own).  The terms of the margin, against qp's tolerances:
+
+        * a candidate that passes the box rows lies in the box widened by
+          FEAS_TOL (1 + alpha), where a.u exceeds its box maximum by at most
+          FEAS_TOL |a|_1 (1 + alpha);
+        * a candidate built on the row meets a.u = b up to the clamp of a
+          multiplier in (-MU_TOL, 0) to zero, of this row or its partner l,
+          which moves u by 0.5 MU_TOL |a_l| and a.u by at most
+          0.5 MU_TOL |a|_1 A;
+        * IMPLIED_TOL is 1e3 times FEAS_TOL and MU_TOL, which leaves room
+          for rounding, and the 1 + |b| term alone is 10 times the
+          ACTIVE_TOL band.
+
+        So a row set aside is in no qualifying working set, holds at every
+        candidate that passes the box rows, and is never active at the
+        returned point: solve_qp returns the full QP's solution without it.
+        The one gap is a 2x2 solve near the singularity threshold, whose
+        rounding is not bounded this way; the property test of solve_qp
+        against the full enumeration covers it.  A NaN row is kept.
+        """
         n = len(self._robots)
-        const, pos, _ = self._arrays
-        idx, row_alpha = const.idx, const.row_alpha
+        row_alpha = const.row_alpha
         with np.errstate(all="ignore"):
-            dp = pos.take(idx.robot, axis=1) - pos.take(idx.other, axis=1)   # a row's normal is -dp
+            dp = pos.take(const.robot, axis=1) - pos.take(const.other, axis=1)   # a row's normal is -dp
             mag_x, mag_y = np.abs(dp)
             size = mag_x + mag_y
-            b = const.row_share * bounds.take(idx.pair)
+            b = const.row_share * bounds.take(const.pair)
             widest = 1.0 + const.alpha + np.fmax.reduce(size.reshape(n, n - 1), axis=1, initial=1.0)
-            tol = IMPLIED_TOL * (1.0 + np.abs(b) + size * widest.take(idx.robot))
+            tol = IMPLIED_TOL * (1.0 + np.abs(b) + size * widest.take(const.robot))
             kept = np.flatnonzero(~(b - (mag_x * row_alpha + mag_y * row_alpha) > tol))
         ax, ay = -dp.take(kept, axis=1)
-        axs, ays, bs, numbers = ax.tolist(), ay.tolist(), b.take(kept).tolist(), idx.number.take(kept).tolist()
+        axs, ays, bs, numbers = ax.tolist(), ay.tolist(), b.take(kept).tolist(), const.number.take(kept).tolist()
         box = [n - 1, n, n + 1, n + 2]
         problems = []
         start = 0
-        for u, end, alpha in zip(u_hat, np.searchsorted(kept, idx.ends).tolist(), self._params.alpha):
+        for u, end, alpha in zip(u_hat, np.searchsorted(kept, const.ends).tolist(), self._params.alpha):
             index = None if end - start == n - 1 else numbers[start:end] + box
             problems.append(flat_problem(u, axs[start:end], ays[start:end], bs[start:end], alpha, index))
             start = end

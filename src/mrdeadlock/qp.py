@@ -14,10 +14,10 @@ A problem may hold only some rows of the full QP: the pair pass
 implies by a margin, and hands over the others with their row numbers
 (QPProblem.index).  Every reader goes by row number: mu_star has one entry
 per row of the full QP, 0 for a row set aside, and active_set lists row
-numbers.  The margin is IMPLIED_TOL's (cbf._kept_rows derives it): a row set
-aside is never in a qualifying working set, never active, and holds at every
-candidate that passes the box rows, so the solution is the full QP's, bit for
-bit.
+numbers.  The margin is cbf.IMPLIED_TOL's (cbf.PairField._array_problems
+derives it from the tolerances below): a row set aside is never in a
+qualifying working set, never active, and holds at every candidate that
+passes the box rows, so the solution is the full QP's, bit for bit.
 
 With u in R^2 at most two linearly independent rows are active at a
 nondegenerate optimum, so candidate working sets of size 0, 1, 2 are
@@ -52,9 +52,6 @@ FEAS_TOL = 1e-9
 MU_TOL = 1e-9
 # Minimum slack below which the phase-I probe declares the polytope empty.
 INFEAS_TOL = -1e-9
-# Relative margin by which a row must clear the acceleration box to be set
-# aside by the pair pass (see cbf._kept_rows for the terms it scales).
-IMPLIED_TOL = 1e-6
 
 
 # Outward normals of the four acceleration-box rows, in their fixed order

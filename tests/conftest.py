@@ -52,27 +52,30 @@ def _category_b_resolution() -> Scenario:
 CATEGORY_B_RESOLUTION = _category_b_resolution()
 
 
-def _ring16() -> Scenario:
-    """16 robots at rest, neighbors 2 % outside contact, antipodal goals, unequal alphas, 30 steps.
-
-    Each QP has 15 neighbor rows, most of them implied by the acceleration box.
-    """
-    n, ds = 16, 0.5
-    radius = ds * 1.02 / (2.0 * math.sin(math.pi / n))
+def _ring(n: int, spacing: float, phase: float, alpha: tuple[float, ...], t_max: float) -> Scenario:
+    """n robots at rest on a circle, neighbors spacing * Ds apart, antipodal goals."""
+    ds = 0.5
+    radius = ds * spacing / (2.0 * math.sin(math.pi / n))
     points = [
-        (radius * math.cos(0.1 + 2.0 * math.pi * k / n), radius * math.sin(0.1 + 2.0 * math.pi * k / n))
+        (radius * math.cos(phase + 2.0 * math.pi * k / n), radius * math.sin(phase + 2.0 * math.pi * k / n))
         for k in range(n)
     ]
     return Scenario(
-        params=Params(kp=1.0, kv=3.0, ds=ds, alpha=tuple(4.5 + (3 * k % 7) / 6 for k in range(n))),
+        params=Params(kp=1.0, kv=3.0, ds=ds, alpha=alpha),
         initial=tuple(RobotState.at_rest(p) for p in points),
         goals=GoalSpec(pd=tuple((-x, -y) for x, y in points)),
         controller="cbf-qp-only",
-        t_max=0.03,
+        t_max=t_max,
     )
 
 
-RING16 = _ring16()
+# 16 robots, neighbors 2 % outside contact, unequal alphas, 30 steps: each QP
+# has 15 neighbor rows, most of them implied by the acceleration box.
+RING16 = _ring(16, 1.02, 0.1, tuple(4.5 + (3 * k % 7) / 6 for k in range(16)), 0.03)
+# 8 robots, neighbors 3 % outside contact, unequal alphas, 60 steps, as in
+# the crowd_ring benchmark's smallest ring: the largest ring whose QPs the
+# pair pass builds over plain floats, some rows set aside.
+RING8 = _ring(8, 1.03, 0.7, tuple(4.5 + (5 * k % 8) / 8 for k in range(8)), 0.06)
 
 
 def supervise(state, world, goals, params, dt, config=ResolutionConfig()):
@@ -114,6 +117,11 @@ def category_b_resolution_log():
 @pytest.fixture(scope="session")
 def ring16_log():
     return _timed_run(RING16)
+
+
+@pytest.fixture(scope="session")
+def ring8_log():
+    return _timed_run(RING8)
 
 
 @pytest.fixture(scope="session")

@@ -8,18 +8,21 @@ Theorem-2 multiplier of a single active constraint row.
 ``ConstraintRow``, ``box_rows``, ``problem_of`` and ``rows_of`` write a
 QPProblem as a tuple of rows, the four box rows last: tests build and read
 problems row by row through them.  ``numbered_rows`` reads a problem's rows
-by row number, and ``set_aside`` is a problem that holds every row as the
-pair pass hands it over, with the rows the box implies set aside.
+by row number, ``_kept_rows`` is the set-aside test written row by row, and
+``set_aside`` is a problem that holds every row as the pair pass hands it
+over, with the rows the box implies set aside.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count
+from typing import Sequence
 
 import numpy as np
 
-from mrdeadlock.cbf import _kept_rows
+from mrdeadlock.cbf import IMPLIED_TOL
 from mrdeadlock.core import Vec2, euler_step, v_dot
 from mrdeadlock.errors import ZeroVectorError
 from mrdeadlock.qp import BOX_NORMALS, QPProblem, flat_problem
@@ -114,6 +117,26 @@ def rows_of(problem: QPProblem) -> tuple[ConstraintRow, ...]:
 def numbered_rows(problem: QPProblem) -> dict[int, ConstraintRow]:
     """The rows problem holds, by their row number in the full QP."""
     return dict(zip(problem.row_numbers, rows_of(problem)))
+
+
+def _kept_rows(ax: Sequence[float], ay: Sequence[float], b: Sequence[float], alpha: float) -> list[int] | None:
+    """Ascending numbers of the neighbor rows a.u <= b that the box does not strictly imply; None if all.
+
+    The box is |u_x|, |u_y| <= alpha.  A neighbor row is set aside when
+
+        b - max_{u in box} a.u  >  IMPLIED_TOL (1 + |b| + |a|_1 (1 + alpha + A))
+
+    with max_{u in box} a.u = |a_x| alpha + |a_y| alpha and A the largest
+    |a_l|_1 over the neighbor rows, at least 1: the rule, and its proof, of
+    cbf.PairField._array_problems, one row at a time.  A NaN row is kept.
+    """
+    sizes = [abs(x) + abs(y) for x, y in zip(ax, ay)]   # |a|_1 of every row
+    widest = 1.0 + alpha + max(1.0, *sizes)
+    keep = [
+        k for k, x, y, bk, size in zip(count(), ax, ay, b, sizes)
+        if not bk - (abs(x) * alpha + abs(y) * alpha) > IMPLIED_TOL * (1.0 + abs(bk) + size * widest)
+    ]
+    return None if len(keep) == len(b) else keep
 
 
 def set_aside(problem: QPProblem) -> QPProblem:

@@ -318,8 +318,12 @@ def test_catB_family_geometry_and_deadlock():
 def test_force_balance_and_kkt_read_the_pair_pass_qps_by_row_number(case, ring16_log):
     """On a pair-pass QP, box-implied rows set aside, detect_deadlock and verify_kkt give their full-QP results."""
     if case == "threeB":
-        world, goals = three_robot_family_catB(PARAMS3, 2.0)
-        params = PARAMS3
+        # the category-B chain, and three robots at rest on their goals 10 m away
+        chain, chain_goals = three_robot_family_catB(PARAMS3, 2.0)
+        far = ((10.0, 0.0), (10.0, 2.0), (10.0, 4.0))
+        world = WorldState(robots=chain.robots + tuple(RobotState.at_rest(p) for p in far), t=0.0)
+        goals = GoalSpec(pd=chain_goals.pd + far)
+        params = Params(kp=1.0, kv=3.0, ds=0.5, alpha=(5.0,) * 6)
     else:
         log, _ = ring16_log
         world, goals, params = log.world_at(log.n_records - 1), RING16.goals, RING16.params

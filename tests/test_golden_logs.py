@@ -1,7 +1,7 @@
 """Pinned sha256 of the JSON logs of the canonical runs.
 
 A change that claims to leave results alone (a faster solver, a leaner
-recorder) must leave these logs byte-identical.  The five demo scenarios
+recorder) must leave these logs byte-identical.  The six demo scenarios
 are runs conftest.py defines, the first four shared with the acceptance
 suite; each YAML file is checked to load to that same scenario and to save back byte for byte, so the
 pin covers the demo files and the scenario writer too.
@@ -14,7 +14,7 @@ import math
 from pathlib import Path
 
 import pytest
-from conftest import CATEGORY_B_RESOLUTION, HEAD_ON, RING16, THREE_ROBOT_RESOLUTION, TWO_ROBOT_RESOLUTION
+from conftest import CATEGORY_B_RESOLUTION, HEAD_ON, RING8, RING16, THREE_ROBOT_RESOLUTION, TWO_ROBOT_RESOLUTION
 
 from mrdeadlock import (
     GoalSpec,
@@ -51,8 +51,11 @@ def _sha256(log) -> str:
          "d2d2d7591783858a056d935cbcdf66384dc7b4d3eaf035c6c097ab6603d23951"),
         ("ring16_cbf_only.yaml", RING16, "ring16_log",
          "a080bb603fa38fc3e8c0d79798da6e85395d578ee225d2b0aad095bf25bab11b"),
+        ("ring8_cbf_only.yaml", RING8, "ring8_log",
+         "77ecfbe638cd918b181f4d0145abd322e172faee98103f9889f0ab53cd34c626"),
     ],
-    ids=["head_on_cbf_only", "head_on_three_phase", "three_robot_cat_a", "three_robot_cat_b", "ring16_cbf_only"],
+    ids=["head_on_cbf_only", "head_on_three_phase", "three_robot_cat_a", "three_robot_cat_b", "ring16_cbf_only",
+         "ring8_cbf_only"],
 )
 def test_demo_scenario_log_is_pinned(request, tmp_path, yaml_name, scenario, fixture, digest):
     loaded = load_scenario(str(DEMOS / yaml_name))

@@ -21,8 +21,8 @@ from mrdeadlock.cbf import (
     BOUNDARY_SNAP,
     EPS_NUM,
     IMPLIED_TOL,
+    SET_ASIDE_MIN_ROBOTS,
     PairField,
-    _kept_rows,
     assemble_qp,
     constraint_bound,
     decentralized_rows,
@@ -33,7 +33,7 @@ from mrdeadlock.cbf import (
 )
 from mrdeadlock.errors import ToolkitError
 from mrdeadlock.resolution import Filtering, ResolutionConfig, supervisor_step
-from oracles import ConstraintRow, numbered_rows, rows_of, set_aside
+from oracles import ConstraintRow, _kept_rows, numbered_rows, rows_of, set_aside
 
 # Offsets of length exactly Ds in binary floating point; added to a dyadic
 # position they put a pair exactly on the margin.
@@ -57,7 +57,7 @@ speeds = st.one_of(
 
 @st.composite
 def worlds(draw):
-    n = draw(st.integers(2, 6))
+    n = draw(st.integers(2, 8))
     ds = draw(st.sampled_from(sorted(MARGIN_OFFSETS)))
     alpha = draw(st.lists(st.floats(0.5, 8.0), min_size=n, max_size=n))
     params = Params(kp=1.0, kv=3.0, ds=ds, alpha=tuple(alpha))
@@ -123,8 +123,8 @@ def test_pair_field_matches_scalar_oracles(case):
         _same_error(lambda: field.problems(u_hat), exc)
         return
     batch = field.problems(u_hat)
-    # with three robots or more, the pair pass sets the box-implied rows aside
-    assert repr(batch) == repr(problems if world.n < 3 else tuple(map(set_aside, problems)))
+    # from SET_ASIDE_MIN_ROBOTS robots on, the pair pass sets the box-implied rows aside
+    assert repr(batch) == repr(problems if world.n < SET_ASIDE_MIN_ROBOTS else tuple(map(set_aside, problems)))
     for c, (i, j) in enumerate(pairs):
         assert repr(field.bounds()[c]) == repr(constraint_bound(robots[i], robots[j], params, i, j))
         row_i, row_j = decentralized_rows(robots[i], robots[j], params, i, j)
@@ -203,42 +203,57 @@ def test_pair_pass_sets_aside_only_rows_clear_of_the_box(monkeypatch, arrays):
     )
     assert _kept_rows(ax, ay, b, 5.0) == [1, 3, 4]
     assert _kept_rows(ax[1:2], ay[1:2], b[1:2], 5.0) is None
-    # two pairs 1 % outside contact, 10 m apart: each QP keeps its one contact row
+    # two chains of three robots, each link 1 % outside contact, 10 m apart:
+    # each QP keeps only its contact rows
     monkeypatch.setattr(cbf, "ARRAY_MIN_ROBOTS", 3 if arrays else 100)
-    world, _, params = _case([(0.0, 0.0), (0.505, 0.0), (10.0, 0.0), (10.0, 0.505)])
+    world, _, params = _case([(0.0, 0.0), (0.505, 0.0), (1.01, 0.0), (10.0, 0.0), (10.0, 0.505), (10.0, 1.01)])
     field = PairField(world, params)
-    problems = field.problems([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)])
-    assert [p.index for p in problems] == [[0, 3, 4, 5, 6], [0, 3, 4, 5, 6], [2, 3, 4, 5, 6], [2, 3, 4, 5, 6]]
+    problems = field.problems([(1.0, 0.0), (0.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, 0.0), (0.0, -1.0)])
+    box = [5, 6, 7, 8]
+    assert [p.index for p in problems] == [[0] + box, [0, 1] + box, [1] + box, [3] + box, [3, 4] + box, [4] + box]
     assert (field._arrays is not None) == arrays
-    # the kept row is the full QP's row 0 or 2, bit for bit
-    assert repr(problems[0].ax[0]) == repr(-(0.0 - 0.505)) and repr(problems[3].ay[0]) == repr(-(0.505 - 0.0))
+    # the kept rows are the full QP's, bit for bit
+    assert repr(problems[0].ax[0]) == repr(-(0.0 - 0.505)) and repr(problems[5].ay[0]) == repr(-(1.01 - 0.505))
 
 
-def test_both_passes_set_aside_the_same_rows_at_the_margin(monkeypatch):
-    """Bounds that put robot i's row of each pair (i, j) on the set-aside margin, or 1e-9 inside or past it.
+def test_pair_pass_keeps_the_rows_the_oracle_keeps_at_the_margin(monkeypatch):
+    """Bounds that put both rows of each pair on the set-aside margin, or 1e-9 inside or past it.
 
     Every |a|_1 is below 1, so the margin takes A = 1 from the box rows.
-    The array pass keeps exactly the rows the float pass (_kept_rows) keeps.
+    Each QP keeps exactly the rows oracles._kept_rows keeps.
     """
-    world, _, params = _case([(0.0, 0.0), (0.3, 0.0), (0.0, 0.3), (0.3, 0.3), (0.15, 0.4)], alpha=[2.0] * 5)
-    robots, alpha = world.robots, 2.0
+    positions = [(0.0, 0.0), (0.3, 0.0), (0.0, 0.3), (0.3, 0.3), (0.15, 0.4), (0.4, 0.15)]
+    world, _, params = _case(positions, alpha=[2.0] * len(positions))
+    robots, alpha, n = world.robots, 2.0, world.n
     bounds = []
-    for c, (i, j) in enumerate(pair_indices(world.n)):
+    for c, (i, j) in enumerate(pair_indices(n)):
         dx, dy = robots[i].p[0] - robots[j].p[0], robots[i].p[1] - robots[j].p[1]
         size = abs(dx) + abs(dy)
         top = abs(dx) * alpha + abs(dy) * alpha
         # b - top = IMPLIED_TOL (1 + b + size (1 + alpha + 1)) at b = edge
         edge = (top + IMPLIED_TOL * (1.0 + size * (2.0 + alpha))) / (1.0 - IMPLIED_TOL)
-        bounds.append(2.0 * edge * (1.0 - 1e-9, 1.0, 1.0 + 1e-9)[c % 3])   # robot i's share is 1/2
+        bounds.append(2.0 * edge * (1.0 - 1e-9, 1.0, 1.0 + 1e-9)[c % 3])   # each robot's share is 1/2
     monkeypatch.setattr(PairField, "bounds", lambda self: tuple(bounds))
-    u_hat = [(0.0, 0.0)] * world.n
-    passes = []
-    for threshold in (3, 100):
-        monkeypatch.setattr(cbf, "ARRAY_MIN_ROBOTS", threshold)
-        passes.append([(_hexes(p.ax), _hexes(p.ay), _hexes(p.b), p.index) for p in PairField(world, params).problems(u_hat)])
-    assert passes[0] == passes[1]
-    held = sum(len(b) - 4 for _, _, b, _ in passes[0])
-    assert 0 < held < world.n * (world.n - 1)   # some rows kept, some set aside
+    field = PairField(world, params)
+    assert field._arrays is None   # the float pass reads the patched bounds
+    problems = field.problems([(0.0, 0.0)] * n)
+    pair_of = {pair: c for c, pair in enumerate(pair_indices(n))}
+    held = 0
+    for i, problem in enumerate(problems):
+        ax, ay, b = [], [], []
+        for k in range(n - 1):
+            j = row_neighbor(i, k)
+            ax.append(-(robots[i].p[0] - robots[j].p[0]))
+            ay.append(-(robots[i].p[1] - robots[j].p[1]))
+            b.append(0.5 * bounds[pair_of[min(i, j), max(i, j)]])
+        keep = _kept_rows(ax, ay, b, alpha)
+        rows = list(range(n - 1)) if keep is None else keep
+        assert problem.index == (None if keep is None else keep + list(range(n - 1, n + 3)))
+        assert _hexes(problem.ax[:-4]) == _hexes(ax[k] for k in rows)
+        assert _hexes(problem.ay[:-4]) == _hexes(ay[k] for k in rows)
+        assert _hexes(problem.b[:-4]) == _hexes(b[k] for k in rows)
+        held += len(rows)
+    assert 0 < held < n * (n - 1)   # some rows kept, some set aside
 
 
 # Gaps to the margin, in m: within BOUNDARY_SNAP and EPS_NUM of contact on

@@ -18,12 +18,11 @@ from mrdeadlock import (
     collinear_family,
     solve_qp,
 )
-from mrdeadlock.cbf import assemble_qp
+from mrdeadlock.cbf import IMPLIED_TOL, assemble_qp
 from mrdeadlock.errors import ToolkitError
 from mrdeadlock.qp import (
     ACTIVE_TOL,
     FEAS_TOL,
-    IMPLIED_TOL,
     QPSolution,
     flat_problem,
     verify_kkt,
