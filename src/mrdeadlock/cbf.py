@@ -260,6 +260,7 @@ class PairField:
         self._params = params
         self._h: tuple[float, ...] | None = None
         self._bounds: tuple[float, ...] | None = None
+        self._bound_array: np.ndarray | None = None
         if n >= ARRAY_MIN_ROBOTS:
             self._array_init(robots, _array_constants(params, n))
             return
@@ -324,6 +325,7 @@ class PairField:
             pvs, dvvs = self._pv, self._dvv
             if self._arrays is not None:
                 if self._array_bounds():
+                    self._bounds = tuple(self._bound_array.tolist())
                     return self._bounds
                 pvs, dvvs = pvs.tolist(), dvvs.tolist()   # some pair raises in the float pass
             ds = self._params.ds
@@ -354,7 +356,13 @@ class PairField:
         return self._bounds
 
     def _array_bounds(self) -> bool:
-        """The bounds over the arrays, and h with them; False, with neither set, if some pair would raise."""
+        """The bound array, and h with it; False, with neither set, if some pair would raise.
+
+        The tuple bounds() returns is built from the array only when bounds()
+        is called: from ARRAY_MIN_ROBOTS robots on, the QPs read the array.
+        """
+        if self._bound_array is not None:
+            return True
         (const, _, r), pv, dvv = self._arrays, self._pv, self._dvv
         asum = const.asum
         ds = self._params.ds
@@ -370,7 +378,6 @@ class PairField:
             h = root + pv / r
             bound = r * h * h * h + middle + dvv - (pv * pv) / (r * r)
         self._h = tuple(h.tolist())
-        self._bounds = tuple(bound.tolist())
         self._bound_array = bound
         return True
 
@@ -389,13 +396,14 @@ class PairField:
         n = len(robots)
         if len(u_hat) != n:
             raise ValueError(f"u_hat has {len(u_hat)} entries for {n} robots")
-        bounds = self.bounds()
         if n >= SET_ASIDE_MIN_ROBOTS:
-            if self._arrays is None:
-                pos = np.array([z.p for z in robots]).T
-                return self._array_problems(u_hat, _array_constants(self._params, n), pos, np.array(bounds))
-            const, pos, _ = self._arrays
-            return self._array_problems(u_hat, const, pos, self._bound_array)
+            if self._arrays is not None and self._array_bounds():
+                const, pos, _ = self._arrays
+                return self._array_problems(u_hat, const, pos, self._bound_array)
+            bounds = np.array(self.bounds())   # raises the first error where the array pass found one
+            pos = np.array([z.p for z in robots]).T
+            return self._array_problems(u_hat, _array_constants(self._params, n), pos, bounds)
+        bounds = self.bounds()
         ax: list[list[float]] = [[] for _ in robots]
         ay: list[list[float]] = [[] for _ in robots]
         b: list[list[float]] = [[] for _ in robots]

@@ -416,7 +416,7 @@ def supervisor_step(
             if sol.status != "optimal":
                 raise QPInfeasibleError(
                     f"robot {i} QP infeasible",
-                    snapshot={"t": t, "robot": i, "world": world},
+                    snapshot={"t": t, "robot": i},
                 )
         # a count at K_PERSIST is an announced deadlock, and detection stops
         if state.persist_counter < K_PERSIST:

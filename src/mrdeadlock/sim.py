@@ -292,7 +292,8 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
     step fails.  A step whose new state would not be finite aborts as
     "non-finite-state".  Every abort carries a snapshot of the last state
     reached; a step's typed error becomes the abort of its ``abort_kind``,
-    its message followed by " at t=...".
+    its message followed by " at t=...", and the entries of its own
+    snapshot (the robot whose QP is infeasible) join the state's.
     Deterministic for a fixed scenario.  Pair geometry is evaluated once per
     state (PairField) and feeds the abort check, the QPs and the h record.
     """
@@ -357,7 +358,9 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
         raise
     except (SafetyViolationError, BoundarySingularityError, CoincidentRobotsError,
             QPInfeasibleError, UnsupportedScenarioError) as exc:
-        raise SimulationAbort(exc.abort_kind, f"{exc} at t={world.t:.6f}", snapshot()) from exc
+        # the state reached, with what the step's own error adds (the robot whose QP failed)
+        raise SimulationAbort(exc.abort_kind, f"{exc} at t={world.t:.6f}",
+                              {**snapshot(), **getattr(exc, "snapshot", {})}) from exc
 
     meta = {
         "scenario": scenario_to_dict(scenario),
@@ -498,13 +501,17 @@ def save_scenario(scenario: Scenario, path: str) -> None:
 # ---------------------------------------------------------------------------
 
 def export_log(log: TrajectoryLog, fmt: str, path: str) -> None:
-    """Write the log as CSV (one row per step per robot) or full-fidelity JSON."""
+    """Write the log as CSV (one row per step per robot) or full-fidelity JSON.
+
+    The JSON is log_to_json's text, written piece by piece, so the whole
+    text is never held at once.
+    """
     try:
         if fmt == "csv":
             _export_csv(log, path)
         elif fmt == "json":
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(log_to_json(log))
+                fh.writelines(_json_pieces(log))
         else:
             raise ValueError(f"unknown export format {fmt!r}")
     except OSError as exc:
@@ -541,43 +548,198 @@ def _export_csv(log: TrajectoryLog, path: str) -> None:
                 fh.write(",".join(cells + pair_cells + mu_cells) + "\n")
 
 
+# Record-array entries (records times the entries of one record) that one
+# piece of the JSON text holds at most: a long log is written block by block.
+_EXPORT_CHUNK_ENTRIES = 2**14
+
+
+def _json_pieces(log: TrajectoryLog):
+    """The text of json.dumps(payload, sort_keys=True, separators=(",", ":")), in pieces.
+
+    The payload maps each record array's name to its tolist(), and "meta"
+    and "events" to the log's.  A record array is written in blocks of at
+    most _EXPORT_CHUNK_ENTRIES entries, each the text of the block's tolist()
+    without its brackets, so only one block is ever held as lists.
+    """
+    for k, key in enumerate(sorted((*_RECORD_LAYOUT, "meta", "events"))):
+        yield ("," if k else "{") + json.dumps(key) + ":"
+        if key not in _RECORD_LAYOUT:
+            yield json.dumps(getattr(log, key), sort_keys=True, separators=(",", ":"))
+            continue
+        array = getattr(log, key)
+        rows = max(1, _EXPORT_CHUNK_ENTRIES // max(1, math.prod(array.shape[1:])))
+        yield "["
+        for a in range(0, len(array), rows):
+            yield ("," if a else "") + json.dumps(array[a:a + rows].tolist(), separators=(",", ":"))[1:-1]
+        yield "]"
+    yield "}"
+
+
 def log_to_json(log: TrajectoryLog) -> str:
-    payload = {name: getattr(log, name).tolist() for name in _RECORD_LAYOUT}
-    payload.update(meta=log.meta, events=log.events)
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    """The log as the compact JSON text, keys sorted, that export_log writes."""
+    return "".join(_json_pieces(log))
+
+
+_DECODER = json.JSONDecoder()
+_WHITESPACE = json.decoder.WHITESPACE.match
+
+# About how many characters of a record array's JSON text load_log parses
+# into Python lists at once: a long array is held as lists a block at a time.
+_LOAD_CHUNK_CHARS = 2**18
+
+
+def _after(text: str, at: int, char: str) -> int:
+    """The index past char at text[at] and the whitespace after it; json.JSONDecodeError if char is not there."""
+    if text[at:at + 1] != char:
+        raise json.JSONDecodeError(f"Expecting {char!r}", text, at)
+    return _WHITESPACE(text, at + 1).end()
+
+
+def _json_object(text: str, read) -> None:
+    """Call read(key, at) for each member of the JSON object that is the whole of text, in order.
+
+    read parses the member's value, which starts at text[at], and returns
+    the index past it.  Raises json.JSONDecodeError where text is not one
+    JSON object: its top level is another value, a ':' or ',' is missing,
+    or data follows the closing brace.
+    """
+    at = _after(text, _WHITESPACE(text, 0).end(), "{")
+    if text[at:at + 1] != "}":
+        while True:
+            if text[at:at + 1] != '"':   # raw_decode would take any value as the key
+                raise json.JSONDecodeError("Expecting property name", text, at)
+            key, at = _DECODER.raw_decode(text, at)
+            at = _after(text, _WHITESPACE(text, at).end(), ":")
+            at = _WHITESPACE(text, read(key, at)).end()
+            if text[at:at + 1] != ",":
+                break
+            at = _after(text, at, ",")
+    if _after(text, at, "}") != len(text):
+        raise json.JSONDecodeError("Extra data", text, at + 1)
+
+
+def _parse_record_array(text: str, at: int, name: str, bools: bool) -> tuple[np.ndarray | None, int]:
+    """Record array name, whose JSON value starts at text[at], parsed and converted in blocks; and the index past it.
+
+    A block is the records in the next _LOAD_CHUNK_CHARS characters or so,
+    up to a comma after as many closing brackets as a record of name nests
+    lists, or else up to one more closing bracket, the value's own; it is
+    parsed as the JSON array "[" + block + "]" and converted at once by
+    _record_array.  That parse reads the characters a parse of the
+    whole value reads, so it gives the same records when the block's array
+    is complete there and the comma follows, or when it closes where the
+    value does.  Returns (None, at), to have the whole value read instead,
+    where a block does not parse so, does not convert, or holds records of
+    another shape than the first block: a value that is not an array, or
+    records laid out otherwise than export_log writes them, or malformed,
+    are read whole, and raise just what they raise then.
+    """
+    if text[at:at + 1] != "[":
+        return None, at
+    dtype, shape = _RECORD_LAYOUT[name]
+    closing = "]" * len(shape(1))   # the brackets that end a record
+    begin = _WHITESPACE(text, at + 1).end()
+    parts = []
+    while True:
+        cut = text.find(closing + ",", begin + _LOAD_CHUNK_CHARS)
+        if cut >= 0:
+            cut += len(closing)   # at the comma after the block's last record
+        else:   # the rest of the value, through its own closing bracket
+            cut = text.find(closing + "]", begin)
+            if cut < 0:
+                return None, at
+            cut += len(closing) + 1
+        block = "[" + text[begin:cut] + "]"
+        try:
+            values, used = _DECODER.raw_decode(block)
+            parts.append(_record_array(values, dtype, bools))
+        except (TypeError, ValueError, OverflowError):   # json.JSONDecodeError too
+            return None, at
+        del values   # the lists of this block, before the next block's are parsed
+        if parts[-1].shape[1:] != parts[0].shape[1:]:
+            return None, at
+        if used < len(block):   # the value closed inside the block
+            return (parts[0] if len(parts) == 1 else np.concatenate(parts)), begin + used - 1
+        if text[cut:cut + 1] != ",":
+            return None, at
+        begin = _WHITESPACE(text, cut + 1).end()
 
 
 def load_log(path: str) -> TrajectoryLog:
-    """Read a JSON log whose arrays hold len(t) records of the robots of meta["scenario"]."""
+    """Read a JSON log whose arrays hold len(t) records of the robots of meta["scenario"].
+
+    The top-level object is parsed one member at a time, and each record
+    array is checked and converted as it is parsed, a block of records at a
+    time, so a long array is never held whole as Python lists.  An error
+    found on the way is held back and raised in the order of the checks
+    below, so the first error is the one a whole-text parse meets first; of
+    a key given twice the last value counts, as with json.loads.  Text that
+    is not one JSON object goes to json.loads, which raises its own error.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    d = json.loads(text)
     # no log field is a bool, so only a log whose text holds one is scanned for it
     bools = "true" in text or "false" in text
     where = f"{path} is not a trajectory log:"
-    if not isinstance(d, dict):
-        raise ValueError(f"{where} its top level is not a mapping")
-    for key in (*_RECORD_LAYOUT, "meta", "events"):
-        if key not in d:
-            raise ValueError(f"{where} key {key!r} is missing")
-    if not isinstance(d["meta"], dict) or "scenario" not in d["meta"]:
-        raise ValueError(f"{where} meta is not a mapping with the key 'scenario'")
-    n = len(scenario_from_dict(d["meta"]["scenario"]).initial)
-    records = len(_read(d["t"], _list, f"{where} key 't'"))
-    arrays = {}
-    for name, (dtype, shape) in _RECORD_LAYOUT.items():
+    found: dict = {}   # key -> its value, or for a record array its array or the error reading it
+    records: int | ValueError = 0
+
+    def read(key, at: int) -> int:
+        # keep what the checks below read of member key, whose value starts at text[at]; return its end
+        nonlocal records
+        if key not in _RECORD_LAYOUT:
+            value, end = _DECODER.raw_decode(text, at)
+            if key in ("meta", "events"):
+                found[key] = value
+            return end
+        array, end = _parse_record_array(text, at, key, bools)
+        if array is not None:
+            found[key] = array
+            if key == "t":
+                records = len(array)
+            return end
+        value, end = _DECODER.raw_decode(text, at)   # the whole value, as json.loads reads it
+        if key == "t":
+            try:
+                records = len(_read(value, _list, f"{where} key 't'"))
+            except ValueError as exc:
+                records = exc
         try:
-            arrays[name] = _record_array(d[name], dtype, bools)
+            found[key] = _record_array(value, _RECORD_LAYOUT[key][0], bools)
         except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"{where} array {name!r}: {' '.join(str(exc).split())}") from None
+            found[key] = ValueError(f"{where} array {key!r}: {' '.join(str(exc).split())}")
+        return end
+
+    try:
+        try:
+            _json_object(text, read)
+        except json.JSONDecodeError:
+            json.loads(text)   # raises the text's own error, unless it is JSON but not an object
+            raise ValueError(f"{where} its top level is not a mapping") from None
+    except RecursionError:
+        raise ValueError(f"{where} its JSON nests too deeply to parse") from None
+    for key in (*_RECORD_LAYOUT, "meta", "events"):
+        if key not in found:
+            raise ValueError(f"{where} key {key!r} is missing")
+    meta = found["meta"]
+    if not isinstance(meta, dict) or "scenario" not in meta:
+        raise ValueError(f"{where} meta is not a mapping with the key 'scenario'")
+    n = len(scenario_from_dict(meta["scenario"]).initial)
+    if isinstance(records, ValueError):
+        raise records
+    arrays = {}
+    for name, (_, shape) in _RECORD_LAYOUT.items():
+        arrays[name] = found[name]
+        if isinstance(arrays[name], ValueError):
+            raise arrays[name]
         want = (records, *shape(n))
         if arrays[name].shape != want:
             raise ValueError(f"{where} array {name!r} has shape {arrays[name].shape}, not {want}")
-    events = _read(d["events"], _list, f"{where} key 'events'")
+    events = _read(found["events"], _list, f"{where} key 'events'")
     for k, event in enumerate(events):
         if not (isinstance(event, dict) and isinstance(event.get("name"), str) and _finite(event.get("t"))):
             raise ValueError(f"{where} event {k} is not a mapping with a string 'name' and a finite 't'")
-    return TrajectoryLog(**arrays, events=events, meta=d["meta"])
+    return TrajectoryLog(**arrays, events=events, meta=meta)
 
 
 def _record_array(values, dtype, bools: bool) -> np.ndarray:

@@ -11,10 +11,15 @@ problems row by row through them.  ``numbered_rows`` reads a problem's rows
 by row number, ``_kept_rows`` is the set-aside test written row by row, and
 ``set_aside`` is a problem that holds every row as the pair pass hands it
 over, with the rows the box implies set aside.
+
+``log_json`` is a log's JSON text as one ``json.dumps`` of the whole
+payload, and ``load_log_whole`` reads a log with one ``json.loads`` of the
+whole text: the forms that ``export_log`` and ``load_log`` stream.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from itertools import count
@@ -26,6 +31,15 @@ from mrdeadlock.cbf import IMPLIED_TOL
 from mrdeadlock.core import Vec2, euler_step, v_dot
 from mrdeadlock.errors import ZeroVectorError
 from mrdeadlock.qp import BOX_NORMALS, QPProblem, flat_problem
+from mrdeadlock.sim import (
+    _RECORD_LAYOUT,
+    TrajectoryLog,
+    _finite,
+    _list,
+    _read,
+    _record_array,
+    scenario_from_dict,
+)
 
 
 def phase3_closed_form(tau: float, ds: float, d_g: float, kp: float, kv: float) -> tuple[float, float]:
@@ -150,3 +164,42 @@ def set_aside(problem: QPProblem) -> QPProblem:
         return flat_problem(problem.u_hat, ax, ay, b, problem.b[-1])
     return flat_problem(problem.u_hat, [ax[k] for k in keep], [ay[k] for k in keep], [b[k] for k in keep],
                         problem.b[-1], keep + [m, m + 1, m + 2, m + 3])
+
+
+def log_json(log: TrajectoryLog) -> str:
+    """The log's JSON text: every record array's tolist(), with meta and events, in one json.dumps."""
+    payload = {name: getattr(log, name).tolist() for name in _RECORD_LAYOUT}
+    payload.update(meta=log.meta, events=log.events)
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def load_log_whole(path: str) -> TrajectoryLog:
+    """load_log's checks, in its order, on the mapping one json.loads of the whole text gives."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    d = json.loads(text)
+    bools = "true" in text or "false" in text
+    where = f"{path} is not a trajectory log:"
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} its top level is not a mapping")
+    for key in (*_RECORD_LAYOUT, "meta", "events"):
+        if key not in d:
+            raise ValueError(f"{where} key {key!r} is missing")
+    if not isinstance(d["meta"], dict) or "scenario" not in d["meta"]:
+        raise ValueError(f"{where} meta is not a mapping with the key 'scenario'")
+    n = len(scenario_from_dict(d["meta"]["scenario"]).initial)
+    records = len(_read(d["t"], _list, f"{where} key 't'"))
+    arrays = {}
+    for name, (dtype, shape) in _RECORD_LAYOUT.items():
+        try:
+            arrays[name] = _record_array(d[name], dtype, bools)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{where} array {name!r}: {' '.join(str(exc).split())}") from None
+        want = (records, *shape(n))
+        if arrays[name].shape != want:
+            raise ValueError(f"{where} array {name!r} has shape {arrays[name].shape}, not {want}")
+    events = _read(d["events"], _list, f"{where} key 'events'")
+    for k, event in enumerate(events):
+        if not (isinstance(event, dict) and isinstance(event.get("name"), str) and _finite(event.get("t"))):
+            raise ValueError(f"{where} event {k} is not a mapping with a string 'name' and a finite 't'")
+    return TrajectoryLog(**arrays, events=events, meta=d["meta"])

@@ -277,6 +277,15 @@ def test_verify_non_log_exits_2_with_one_line(tmp_path, capsys, content, named):
     assert err.count("\n") == 1 and named in err
 
 
+def test_verify_of_deeply_nested_json_exits_2_with_one_line(tmp_path, capsys):
+    # the JSON parser recurses once per level: 100 000 levels exhaust the interpreter's recursion limit
+    lpath = tmp_path / "deep.json"
+    lpath.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["verify", str(lpath)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"ValueError: {lpath} is not a trajectory log: its JSON nests too deeply to parse\n"
+
+
 def test_invalid_yaml_exits_2_with_one_line(tmp_path, capsys):
     spath = tmp_path / "scenario.yaml"
     spath.write_text("params: {kp: 1.0, kv: 3.0\nrobots: []\n")

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 from conftest import CATEGORY_B_RESOLUTION, HEAD_ON, RING8, RING16, THREE_ROBOT_RESOLUTION, TWO_ROBOT_RESOLUTION
+from oracles import log_json
 
 from mrdeadlock import (
     GoalSpec,
@@ -23,6 +24,7 @@ from mrdeadlock import (
     Scenario,
     SimulationAbort,
     default_head_on_scenario,
+    export_log,
     load_scenario,
     run_scenario,
     save_scenario,
@@ -64,6 +66,11 @@ def test_demo_scenario_log_is_pinned(request, tmp_path, yaml_name, scenario, fix
     assert (tmp_path / yaml_name).read_bytes() == (DEMOS / yaml_name).read_bytes()
     log, _ = request.getfixturevalue(fixture)
     assert _sha256(log) == digest
+    # the file export_log writes is that text, the whole-payload json.dumps's
+    export_log(log, "json", str(tmp_path / "log.json"))
+    written = (tmp_path / "log.json").read_bytes()
+    assert hashlib.sha256(written).hexdigest() == digest
+    assert written == log_json(log).encode()
 
 
 def test_crowded_ring_log_is_pinned():

@@ -324,7 +324,8 @@ def _pass(world, params, u_hat, arrays: bool, order) -> dict:
 # The example count comes from the hypothesis profile: tests/conftest.py.
 @pytest.mark.ci_profile
 @settings(deadline=None, database=None)
-@given(crowded_worlds(), st.sampled_from([("h", "problems", "bounds"), ("problems", "h", "bounds")]))
+@given(crowded_worlds(), st.sampled_from([("h", "problems", "bounds"), ("problems", "h", "bounds"),
+                                          ("bounds", "problems", "h")]))
 # a 10-robot chain on the margin at rest, and a free robot far off
 @example((*_case([(0.5 * k, 0.0) for k in range(10)] + [(40.0, 3.0)])[::2], [(1.0, -1.0)] * 11), ("h", "problems", "bounds"))
 # coincident robots, then a pair inside the margin
@@ -333,6 +334,16 @@ def test_array_pass_is_the_float_pass(case, order):
     """The array pass gives the float pass's floats, kept rows and row numbers, or raises its first error."""
     world, params, u_hat = case
     assert _pass(world, params, u_hat, True, order) == _pass(world, params, u_hat, False, order)
+
+
+def test_array_pass_builds_the_bounds_tuple_only_when_asked():
+    """From ARRAY_MIN_ROBOTS robots on, the QPs read the bound array; bounds() builds its tuple from that array."""
+    n = cbf.ARRAY_MIN_ROBOTS
+    world, _, params = _case([(1.0 * k, 0.0) for k in range(n)])
+    field = PairField(world, params)
+    field.problems([(0.0, 0.0)] * n)
+    assert field._bounds is None
+    assert field.bounds() == tuple(field._bound_array.tolist())
 
 
 @pytest.mark.parametrize("n_refs", [1, 3])

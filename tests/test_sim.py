@@ -423,7 +423,13 @@ def test_infeasible_qp_aborts_with_diagnostic():
     with pytest.raises(SimulationAbort) as err:
         run_scenario(scen)
     assert err.value.kind == "qp-infeasible"
-    assert "t" in err.value.snapshot
+    # the state reached, and the robot whose QP failed
+    assert err.value.snapshot == {
+        "t": 0.0,
+        "p": [(0.0, 0.0), (0.5 + 1e-6, 0.0)],
+        "v": [(0.0025, 0.0), (-0.0025, 0.0)],
+        "robot": 0,
+    }
 
 
 def _record_snapshot(log, k: int) -> dict:
