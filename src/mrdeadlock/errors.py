@@ -8,7 +8,9 @@ from __future__ import annotations
 
 
 class ToolkitError(Exception):
-    """Base class for all mrdeadlock errors."""
+    """Base class for all mrdeadlock errors; an error no step turns into an abort has abort_kind None."""
+
+    abort_kind: str | None = None
 
 
 class SafetyViolationError(ToolkitError):

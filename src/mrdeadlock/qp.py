@@ -36,10 +36,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
-
-# scipy loads scipy.optimize on first use, so importing the package does not
-import scipy
 
 from .core import Vec2, _finite_floats, _finite_vec2, _positive, v_norm
 from .errors import QPInfeasibleError
@@ -209,8 +207,7 @@ def solve_qp(problem: QPProblem) -> QPSolution:
                 mus[numbers[k]], mus[numbers[l]] = mu_k, mu_l
                 return _optimal(rows, alpha, x, y, mus)
 
-    # No working set produced a certificate; confirm emptiness with a
-    # phase-I probe maximizing the minimum slack.
+    # no working set qualified: the phase-I probe (max min slack) confirms emptiness
     slack = _max_min_slack(ax, ay, bs)
     if slack < INFEAS_TOL:
         return QPSolution(
@@ -247,20 +244,23 @@ def _optimal(rows: list, alpha: float, x: float, y: float, mus: list[float]) -> 
 
 
 def _max_min_slack(ax: list[float], ay: list[float], b: list[float]) -> float:
-    """Optimum of  max_u min_k (b_k - a_k.u)  via an LP in (u, s)."""
-    # maximize s  s.t.  a_k.u + s <= b_k  ->  minimize -s
-    res = scipy.optimize.linprog(
-        c=[0.0, 0.0, -1.0],
-        A_ub=[[x, y, 1.0] for x, y in zip(ax, ay)],
-        b_ub=b,
-        bounds=[(None, None), (None, None), (None, None)],
-        method="highs",
-    )
-    if res.status == 3:  # unbounded: slack can grow without limit, clearly feasible
-        return math.inf
-    if not res.success:
-        raise QPInfeasibleError(f"phase-I probe failed: {res.message}")
-    return -res.fun
+    """Optimum of max_u min_k (b_k - a_k.u): the LP max s s.t. a_k.u + s <= b_k, by its vertices.
+
+    The box rows give the matrix [a_k 1] rank 3 and bound s, so the LP has a
+    vertex optimum, where three rows i < j < k are tight: (a_j - a_i).u =
+    b_j - b_i and (a_k - a_i).u = b_k - b_i, solved by Cramer's rule.  The
+    min slack at any u is at most the optimum, so a near-singular triple
+    only yields a far point with a low slack, and only det == 0 is skipped.
+    """
+    best = -math.inf
+    for i, j, k in combinations(range(len(b)), 3):
+        x1, y1, c1 = ax[j] - ax[i], ay[j] - ay[i], b[j] - b[i]
+        x2, y2, c2 = ax[k] - ax[i], ay[k] - ay[i], b[k] - b[i]
+        det = x1 * y2 - x2 * y1
+        if det != 0.0:
+            x, y = (c1 * y2 - c2 * y1) / det, (x1 * c2 - x2 * c1) / det
+            best = max(best, min(bl - (xl * x + yl * y) for xl, yl, bl in zip(ax, ay, b)))
+    return best
 
 
 @dataclass(frozen=True)

@@ -38,14 +38,7 @@ from .core import (
 # supervisor_step calls solve_qp and system_deadlock; they stay bound here for
 # callers that look them up on this module.
 from .deadlock import system_deadlock, three_robot_family_catA  # noqa: F401
-from .errors import (
-    BoundarySingularityError,
-    CoincidentRobotsError,
-    QPInfeasibleError,
-    SafetyViolationError,
-    SimulationAbort,
-    UnsupportedScenarioError,
-)
+from .errors import SimulationAbort, ToolkitError
 from .qp import ACTIVE_TOL, BOX_NORMALS
 # bound here only for the perfbench span tracer; audit_log checks the KKT
 # conditions over whole arrays, without verify_kkt
@@ -356,8 +349,9 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
         # the phase-2 Newton step aborts without the state
         exc.snapshot = exc.snapshot or snapshot()
         raise
-    except (SafetyViolationError, BoundarySingularityError, CoincidentRobotsError,
-            QPInfeasibleError, UnsupportedScenarioError) as exc:
+    except ToolkitError as exc:
+        if exc.abort_kind is None:
+            raise
         # the state reached, with what the step's own error adds (the robot whose QP failed)
         raise SimulationAbort(exc.abort_kind, f"{exc} at t={world.t:.6f}",
                               {**snapshot(), **getattr(exc, "snapshot", {})}) from exc
@@ -733,6 +727,8 @@ def load_log(path: str) -> TrajectoryLog:
         if isinstance(arrays[name], ValueError):
             raise arrays[name]
         want = (records, *shape(n))
+        if arrays[name].shape == (0,):   # [] holds no record to give the shape of one
+            arrays[name] = arrays[name].reshape(0, *shape(n))
         if arrays[name].shape != want:
             raise ValueError(f"{where} array {name!r} has shape {arrays[name].shape}, not {want}")
     events = _read(found["events"], _list, f"{where} key 'events'")
@@ -808,9 +804,10 @@ _AUDIT_CHUNK_ENTRIES = 2**18
 def audit_log(log: TrajectoryLog) -> AuditReport:
     """Recompute h, the PD references and the logged QP optima from the logged states.
 
-    A record is bad, and not checked further, when it holds a non-finite
-    float or its t is off the run's clock: t starts at 0, rises, and ends at
-    most half a step past the run's last step.  It is bad, and left out of
+    A log with no records fails: every run records its first state.  A
+    record is bad, and not checked further, when it holds a non-finite float
+    or its t is off the run's clock: t starts at 0, rises, and ends at most
+    half a step past the run's last step.  It is bad, and left out of
     h_match_max, when h or its QPs are undefined: two robots coincide, or on
     a phase-1 record a pair lies inside the margin beyond BOUNDARY_SNAP, or
     on the boundary with |dp.dv| >= EPS_NUM; h_min leaves out only the
@@ -848,7 +845,7 @@ def audit_log(log: TrajectoryLog) -> AuditReport:
     # without pairs h_min stays inf and passes the floor
     ok = (
         h_match <= AUDIT_H_MATCH_TOL and h_min >= AUDIT_H_FLOOR and kkt_max <= AUDIT_KKT_TOL
-        and bad_records == 0
+        and bad_records == 0 and log.n_records > 0
     )
     return AuditReport(
         n_records=log.n_records,

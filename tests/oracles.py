@@ -12,6 +12,9 @@ by row number, ``_kept_rows`` is the set-aside test written row by row, and
 ``set_aside`` is a problem that holds every row as the pair pass hands it
 over, with the rows the box implies set aside.
 
+``max_min_slack_lp`` is the phase-I probe's optimum as an LP library
+finds it, ``scipy.optimize.linprog`` on the LP in (u, s).
+
 ``log_json`` is a log's JSON text as one ``json.dumps`` of the whole
 payload, and ``load_log_whole`` reads a log with one ``json.loads`` of the
 whole text: the forms that ``export_log`` and ``load_log`` stream.
@@ -26,6 +29,7 @@ from itertools import count
 from typing import Sequence
 
 import numpy as np
+import scipy.optimize
 
 from mrdeadlock.cbf import IMPLIED_TOL
 from mrdeadlock.core import Vec2, euler_step, v_dot
@@ -166,6 +170,23 @@ def set_aside(problem: QPProblem) -> QPProblem:
                         problem.b[-1], keep + [m, m + 1, m + 2, m + 3])
 
 
+def max_min_slack_lp(ax: Sequence[float], ay: Sequence[float], b: Sequence[float]) -> float:
+    """Optimum of  max_u min_k (b_k - a_k.u):  maximize s  s.t.  a_k.u + s <= b_k,  by HiGHS's dual simplex.
+
+    Presolve is off and the feasibility tolerances are HiGHS's least, 1e-10:
+    HiGHS may end at a vertex that breaks a row by up to its tolerance, so
+    its value may lie that far above the optimum (at the default 1e-7, with
+    presolve on, it did).  HiGHS drops a matrix entry below 1e-9 in
+    magnitude, so the rows' nonzero components must be larger.
+    """
+    res = scipy.optimize.linprog(c=[0.0, 0.0, -1.0], A_ub=[[x, y, 1.0] for x, y in zip(ax, ay)], b_ub=b,
+                                 bounds=[(None, None)] * 3, method="highs-ds",
+                                 options={"presolve": False, "primal_feasibility_tolerance": 1e-10,
+                                          "dual_feasibility_tolerance": 1e-10})
+    assert res.success, res.message
+    return -res.fun
+
+
 def log_json(log: TrajectoryLog) -> str:
     """The log's JSON text: every record array's tolist(), with meta and events, in one json.dumps."""
     payload = {name: getattr(log, name).tolist() for name in _RECORD_LAYOUT}
@@ -196,6 +217,8 @@ def load_log_whole(path: str) -> TrajectoryLog:
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{where} array {name!r}: {' '.join(str(exc).split())}") from None
         want = (records, *shape(n))
+        if arrays[name].shape == (0,):
+            arrays[name] = arrays[name].reshape(0, *shape(n))
         if arrays[name].shape != want:
             raise ValueError(f"{where} array {name!r} has shape {arrays[name].shape}, not {want}")
     events = _read(d["events"], _list, f"{where} key 'events'")

@@ -80,6 +80,12 @@ def test_goal_bearing_same_goal_raises():
         goal_bearing(goals, 1, 1)
 
 
+def test_goal_direction_same_goal_raises():
+    goals = GoalSpec(pd=((0.0, 0.0), (1.0, 1.0)))
+    with pytest.raises(ZeroVectorError, match="^goals 0 and 0 coincide; direction undefined$"):
+        goal_direction(goals, 0, 0)
+
+
 def test_goal_separation():
     goals = GoalSpec(pd=((2.0, 0.0), (-2.0, 0.0)))
     assert goal_separation(goals, 0, 1) == 4.0

@@ -388,6 +388,35 @@ def test_family_parameters_that_are_no_numbers_raise_a_value_error_naming_them(f
         family()
 
 
+def _infeasible_two_robot_world() -> WorldState:
+    # 1e-6 outside the margin, closing: robot 0's box cannot brake hard enough, its QP is empty
+    return WorldState(robots=(RobotState(p=(0.0, 0.0), v=(0.0025, 0.0)),
+                              RobotState(p=(0.5 + 1e-6, 0.0), v=(-0.0025, 0.0))), t=0.0)
+
+
+def _detect_on_the_empty_qp():
+    world = _infeasible_two_robot_world()
+    problems, sols = solve_all(world, GOALS2, PARAMS2)
+    assert sols[0].status == "infeasible"
+    return detect_deadlock(0, world, GOALS2, PARAMS2, sols[0], problems[0])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: collinear_family(GoalSpec(pd=((2.0, 0.0),)), PARAMS2, 0.5), "^two goals required$"),
+        (lambda: boundedness_identity(*three_robot_family_catA(PARAMS3, 2.0), PARAMS3), "two-robot statement$"),
+        (lambda: classify_three_robot(WorldState(robots=collinear_family(GOALS2, PARAMS2, 0.5)), PARAMS2, 0.0),
+         "^three robots required$"),
+        (_detect_on_the_empty_qp, "^detect_deadlock expects an optimal QP solution$"),
+    ],
+    ids=["collinear-one-goal", "boundedness-three-robots", "classify-two-robots", "detect-infeasible"],
+)
+def test_a_check_given_what_it_does_not_cover_raises_a_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 @pytest.mark.parametrize("tol", [-1e-6, math.nan, math.inf, True, "0.01"])
 def test_classify_three_robot_rejects_a_tol_that_is_no_finite_nonnegative_number(tol):
     world, _ = three_robot_family_catA(PARAMS3, 2.0)
@@ -433,6 +462,9 @@ def test_boundary_membership():
 
     world_a, goals_a = three_robot_family_catA(PARAMS3, 2.0)
     assert verify_boundary_membership(world_a, goals_a, PARAMS3)
+
+    # a robot whose QP is empty has no optimum to be active at
+    assert not verify_boundary_membership(_infeasible_two_robot_world(), GOALS2, PARAMS2)
 
 
 def test_margin_contact_whenever_both_robots_detected():

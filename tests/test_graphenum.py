@@ -87,6 +87,12 @@ def test_enumerate_connected_counts():
     assert len(enumerate_connected(4)) == 38
 
 
+def test_enumerate_connected_stops_at_six_vertices():
+    # 2^21 subsets at n = 7
+    with pytest.raises(ValueError, match=r"^exhaustive enumeration is limited to n <= 6$"):
+        enumerate_connected(7)
+
+
 def test_labeled_graph_validation():
     with pytest.raises(ValueError):
         LabeledGraph(n=3, edges=((0, 0),))

@@ -64,6 +64,22 @@ def _traced_bindings() -> set[tuple[str, str]]:
     return {(module, attr) for module, attr, _ in tracer.BINDINGS}
 
 
+# The third-party packages each module imports: the QP layer uses no LP
+# library, and only the embedding search calls into scipy.
+THIRD_PARTY = {"cbf": {"numpy"}, "graphenum": {"numpy", "scipy"}, "sim": {"numpy", "yaml"}}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_third_party_imports_are_the_pinned_ones(module):
+    packages = set()
+    for node in _tree(module).body:
+        if isinstance(node, ast.Import):
+            packages.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            packages.add(node.module.split(".")[0])
+    assert packages - sys.stdlib_module_names == THIRD_PARTY.get(module, set())
+
+
 # the package __init__ imports only to re-export: its imports are the public API
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "__init__"])
 def test_every_import_is_used_or_traced(module):
@@ -114,11 +130,25 @@ def test_public_api_is_the_pinned_name_set():
     assert sorted(public - PUBLIC_API) == [] and sorted(PUBLIC_API - public) == []
 
 
+# The 2-robot run of test_sim's infeasible-QP abort: robot 0's first QP is empty.
+INFEASIBLE_RUN = """
+from mrdeadlock import GoalSpec, Params, RobotState, Scenario, SimulationAbort, run_scenario
+try:
+    run_scenario(Scenario(
+        params=Params(kp=1.0, kv=3.0, ds=0.5, alpha=(5.0, 5.0)),
+        initial=(RobotState(p=(0.0, 0.0), v=(0.0025, 0.0)), RobotState(p=(0.5 + 1e-6, 0.0), v=(-0.0025, 0.0))),
+        goals=GoalSpec(pd=((2.0, 0.0), (-2.0, 0.0))), controller="cbf-qp-only", t_max=1.0))
+except SimulationAbort as exc:
+    print(exc.kind)
+"""
+
+
 def test_importing_the_package_does_not_load_scipy_optimize():
-    # only the phase-I probe and the embedding search call into it, and it
-    # costs about 0.2 s and 50 MB to load
-    code = "import sys, mrdeadlock; print('scipy.optimize' in sys.modules)"
+    # only the embedding search calls into it, and it costs about 0.2 s and
+    # 50 MB to load; the phase-I probe that certifies an empty QP needs no LP library
+    loaded = "print('scipy.optimize' in sys.modules)"
+    code = f"import sys, mrdeadlock\n{loaded}\n{INFEASIBLE_RUN}\n{loaded}"
     path = os.pathsep.join(filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "qp-infeasible", "False"]

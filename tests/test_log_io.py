@@ -234,9 +234,9 @@ _JSON_VALUES = st.one_of(
 
 @st.composite
 def _logs(draw) -> TrajectoryLog:
-    """A log of 1 to 4 robots and 1 to 40 records: any floats, masks past int64, any event names."""
+    """A log of 1 to 4 robots and 0 to 40 records: any floats, masks past int64, any event names."""
     n = draw(st.integers(1, 4))
-    records = draw(st.integers(1, 40))   # a run records its first state
+    records = draw(st.integers(0, 40))
     arrays = {}
     for name, (dtype, shape) in _RECORD_LAYOUT.items():
         size = (records, *shape(n))

@@ -22,12 +22,15 @@ from mrdeadlock.cbf import IMPLIED_TOL, assemble_qp
 from mrdeadlock.errors import ToolkitError
 from mrdeadlock.qp import (
     ACTIVE_TOL,
+    BOX_NORMALS,
     FEAS_TOL,
+    INFEAS_TOL,
     QPSolution,
+    _max_min_slack,
     flat_problem,
     verify_kkt,
 )
-from oracles import ConstraintRow, box_rows, problem_of, rows_of, set_aside
+from oracles import ConstraintRow, box_rows, max_min_slack_lp, problem_of, rows_of, set_aside
 
 
 def random_problem(rng, m=None, alpha=None):
@@ -150,6 +153,8 @@ def test_infeasible_detection():
     )
     sol = solve_qp(problem)
     assert sol.status == "infeasible"
+    with pytest.raises(ValueError, match="^verify_kkt expects an optimal solution$"):
+        verify_kkt(problem, sol)
 
 
 def test_parallel_rows_are_skipped_not_fatal():
@@ -394,3 +399,61 @@ def test_checked_constructor_is_the_flat_constructor(u_hat, rows, alpha):
     flat = flat_problem(u_hat, [*ax], [*ay], [*b], alpha)
     assert checked == flat and hash(checked) == hash(flat) and repr(checked) == repr(flat)
     assert _outcome(solve_qp, checked) == _outcome(solve_qp, flat)
+
+
+# ---------------------------------------------------------------------------
+# the phase-I probe's vertex enumeration against an LP library
+# ---------------------------------------------------------------------------
+
+bounds = st.floats(-2.0, 10.0)
+# linprog's HiGHS reads a matrix entry below 1e-9 in magnitude as 0, so the
+# components that max_min_slack_lp sees are 0 or at least 1e-6 in magnitude
+coefficients = st.one_of(st.just(0.0), st.floats(1e-3, 3.0), st.floats(-3.0, -1e-3))
+
+
+@st.composite
+def probe_rows(draw):
+    """1 to 10 neighbor rows, parallel, duplicate and zero rows among them, then the box rows, as (ax, ay, b).
+
+    Half the draws shift every bound by one constant, which shifts the
+    optimum by it, to put the optimum within 1e-9 of INFEAS_TOL.
+    """
+    ax, ay, b = [], [], []
+    normals = []   # of the free rows, which the parallel rows scale
+    for _ in range(draw(st.integers(1, 10))):
+        shape = draw(st.sampled_from(["free", "free", "parallel", "duplicate", "zero"]))
+        if shape == "duplicate" and b:
+            k = draw(st.integers(0, len(b) - 1))
+            row = (ax[k], ay[k], b[k])
+        elif shape == "parallel" and normals:
+            (x, y), scale = draw(st.sampled_from(normals)), draw(st.sampled_from([2.0, 0.5, -1.0, 1e-3, 1e3]))
+            row = (scale * x, scale * y, draw(bounds))
+        elif shape == "zero":
+            row = (0.0, 0.0, draw(bounds))
+        else:
+            row = (draw(coefficients), draw(coefficients), draw(bounds))
+            normals.append(row[:2])
+        for column, value in zip((ax, ay, b), row):
+            column.append(value)
+    alpha = draw(box_bounds)
+    ax, ay, b = ax + [a[0] for a in BOX_NORMALS], ay + [a[1] for a in BOX_NORMALS], b + [alpha] * 4
+    if draw(st.booleans()):
+        shift = INFEAS_TOL + draw(st.floats(-1e-9, 1e-9)) - max_min_slack_lp(ax, ay, b)
+        b = [bound + shift for bound in b]
+    return ax, ay, b
+
+
+# The example count comes from the hypothesis profile: tests/conftest.py.
+@pytest.mark.ci_profile
+@settings(deadline=None, database=None)
+@given(probe_rows())
+def test_phase1_probe_is_the_lp_optimum(rows):
+    """The probe's vertex enumeration gives the LP's optimum as linprog finds it.
+
+    Values are compared, not verdicts: at the knife edge of INFEAS_TOL a
+    rounding apart may decide either way.  The bound is rounding,
+    1e-12 (1 + max|b|), plus the 1e-10 by which the oracle's vertex may
+    break a row.
+    """
+    ax, ay, b = rows
+    assert abs(_max_min_slack(ax, ay, b) - max_min_slack_lp(ax, ay, b)) <= 1e-12 * (1.0 + max(map(abs, b))) + 1e-10

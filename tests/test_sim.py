@@ -39,7 +39,9 @@ from mrdeadlock.errors import (
     SafetyViolationError,
     SimulationAbort,
     UnsupportedScenarioError,
+    ZeroVectorError,
 )
+from mrdeadlock.cli import main
 from mrdeadlock.resolution import K_PERSIST, ResolutionConfig
 from mrdeadlock.sim import (
     _PARAMS_KEYS,
@@ -217,6 +219,20 @@ def test_csv_export_empty_log_header_only(tmp_path):
     export_log(log, "csv", str(path))
     lines = path.read_text().strip().split("\n")
     assert len(lines) == 1 and lines[0].startswith("t,robot_id,")
+
+
+def test_a_log_without_records_round_trips_and_fails_the_audit(tmp_path, capsys):
+    # every run records its first state, so a log without one is no run's
+    log = _Recorder(2, 1).build([], {"scenario": scenario_to_dict(default_head_on_scenario())})
+    path = tmp_path / "empty.json"
+    export_log(log, "json", str(path))
+    back = load_log(str(path))
+    for name, (dtype, shape) in _RECORD_LAYOUT.items():
+        assert getattr(back, name).shape == (0, *shape(2)) and getattr(back, name).dtype == dtype
+    assert log_to_json(back) == path.read_text(encoding="utf-8")
+    assert not audit_log(log).ok and not audit_log(back).ok
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == "records: 0"
 
 
 def test_recorder_past_its_first_capacity_logs_the_same(monkeypatch):
@@ -535,6 +551,15 @@ def test_a_typed_step_error_aborts_as_its_kind_with_its_time_once(monkeypatch, k
     assert err.value.snapshot["t"] == 0.0
 
 
+def test_a_step_error_without_an_abort_kind_is_not_an_abort(monkeypatch):
+    def fail(*args, **kwargs):
+        raise ZeroVectorError("no direction")
+
+    monkeypatch.setattr(sim, "supervisor_step", fail)
+    with pytest.raises(ZeroVectorError, match="^no direction$"):
+        run_scenario(default_head_on_scenario(t_max=0.01))
+
+
 def test_audit_checks_the_qp_records_off_phase_one():
     _, log, k = _collinear_resolution()
     assert audit_log(log).ok
@@ -648,6 +673,7 @@ def test_minimal_scenario_dict_takes_scenario_defaults():
         (lambda d: d.update(resolution=[1, 2]), "resolution must be a mapping"),
         (lambda d: d.update(dt="fast"), "scenario key 'dt'"),
         (lambda d: d.update(t_max=math.inf), "need finite dt > 0 and t_max > dt"),
+        (lambda d: d["params"].update(alpha=[5.0]), "one alpha per robot required"),
         (lambda d: d.update(log_every=2.5), "scenario key 'log_every': expected an integer"),
         (lambda d: d.update(log_every="2"), "scenario key 'log_every': expected an integer"),
         (lambda d: d.update(log_every=1.7), "scenario key 'log_every': expected an integer"),
