@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 from dataclasses import Field, dataclass, field, fields
 
 import numpy as np
@@ -39,7 +40,7 @@ from .core import (
 # callers that look them up on this module.
 from .deadlock import system_deadlock, three_robot_family_catA  # noqa: F401
 from .errors import SimulationAbort, ToolkitError
-from .qp import ACTIVE_TOL, BOX_NORMALS
+from .qp import ACTIVE_TOL, BOX_NORMALS, QPSolution
 # bound here only for the perfbench span tracer; audit_log checks the KKT
 # conditions over whole arrays, without verify_kkt
 from .qp import solve_qp, verify_kkt  # noqa: F401
@@ -210,41 +211,60 @@ class TrajectoryLog:
 
 
 # name -> (dtype, shape of one record for n robots) of every record array;
-# allocation, trimming, JSON export and load loop over it
+# the recorder, JSON export and load loop over it
 _RECORD_LAYOUT = {f.name: f.metadata["record"] for f in fields(TrajectoryLog) if "record" in f.metadata}
 
 
-# Records a recorder allocates at most up front; past them it doubles its
-# capacity whenever it fills, so a long run allocates only what it logs.
-_FIRST_CAPACITY = 2**16
-
-
 class _Recorder:
-    def __init__(self, n: int, capacity: int):
-        self.rows = 0
-        for name, (dtype, shape) in _RECORD_LAYOUT.items():
-            setattr(self, name, np.empty((min(capacity, _FIRST_CAPACITY), *shape(n)), dtype=dtype))
+    """A run's record arrays, appended a record at a time; nothing is allocated up front.
 
-    def push(self, t, world, u_star, u_hat, h_vals, mu_rows, active_masks, phase):
-        k = self.rows
-        if k == len(self.t):
-            for name in _RECORD_LAYOUT:
-                array = getattr(self, name)
-                setattr(self, name, np.concatenate((array, np.empty_like(array))))
-        robots = world.robots
-        self.t[k] = t
-        self.pos[k] = [z.p for z in robots]
-        self.vel[k] = [z.v for z in robots]
-        self.u_star[k] = u_star
-        self.u_hat[k] = u_hat
-        self.mu[k] = mu_rows
-        self.active[k] = active_masks
-        self.h[k] = h_vals
-        self.phase[k] = phase
-        self.rows += 1
+    push adds a record's Python floats and ints to one flat list per array, with no NumPy call; every
+    _EXPORT_CHUNK_ENTRIES entries (summed over a record's arrays, at least one record) the lists become
+    a block of arrays.  build joins each array's blocks, freeing them as it goes.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.lists = {name: [] for name in _RECORD_LAYOUT}   # push unpacks them in this order
+        self.blocks = {name: [] for name in _RECORD_LAYOUT}
+        self.block_rows = max(1, _EXPORT_CHUNK_ENTRIES // sum(math.prod(s(n)) for _, s in _RECORD_LAYOUT.values()))
+        # what a step whose controls are no QP solutions records: zero mu, no active row
+        self.no_solutions = (QPSolution((math.nan, math.nan), (0.0,) * (n + 3), (), "none"),) * n
+
+    def push(self, world: WorldState, u_star, u_hat, h, solutions, phase: int) -> None:
+        """Append world's record: its controls, pair h, the step's QP solutions (or None) and phase."""
+        t, pos, vel, u_stars, u_hats, hs, mu, active, phases = self.lists.values()
+        t.append(world.t)
+        for z, us, uh in zip(world.robots, u_star, u_hat):
+            pos += z.p
+            vel += z.v
+            u_stars += us
+            u_hats += uh
+        hs += h
+        for sol in solutions or self.no_solutions:
+            mu += sol.mu_star
+            mask = 0   # row k active sets bit k
+            for k in sol.active_set:
+                mask |= 1 << k
+            active.append(mask)
+        phases.append(phase)
+        if len(t) == self.block_rows:
+            self._flush()
+
+    def _flush(self) -> None:
+        rows = len(self.lists["t"])
+        for (name, (dtype, shape)), values in zip(_RECORD_LAYOUT.items(), self.lists.values()):
+            block = np.empty((rows, *shape(self.n)), dtype)
+            if dtype is float:   # struct writes the floats' bits in less than half np.array's time
+                struct.pack_into(f"{len(values)}d", block, 0, *values)
+            else:
+                block.flat = values
+            self.blocks[name].append(block)
+            values.clear()
 
     def build(self, events: list[dict], meta: dict) -> TrajectoryLog:
-        arrays = {name: getattr(self, name)[:self.rows].copy() for name in _RECORD_LAYOUT}
+        self._flush()
+        arrays = {name: np.concatenate(self.blocks.pop(name)) for name in _RECORD_LAYOUT}
         return TrajectoryLog(**arrays, events=events, meta=meta)
 
 
@@ -296,11 +316,9 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
     world = WorldState(robots=scenario.initial, t=0.0)
     pair_field = PairField(world, params)
     n_steps = scenario.n_steps
-    rec = _Recorder(n, n_steps // scenario.log_every + 2)
+    rec = _Recorder(n)
     events: list[dict] = []
     phase_state = _START_STATES[scenario.controller]
-    zero_mu = [(0.0,) * (n + 3)] * n   # the multipliers of a step whose controls are no QP solutions
-    zero_masks = [0] * n
 
     def snapshot() -> dict:
         return {"t": world.t, "p": [z.p for z in world.robots], "v": [z.v for z in world.robots]}
@@ -319,12 +337,7 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
             if phase_state.phase != prev_phase:
                 events.append({"name": f"phase-{phase_state.phase}-start", "t": world.t})
             if reached or step % scenario.log_every == 0:
-                if "solutions" in info:
-                    mu_rows = [sol.mu_star for sol in info["solutions"]]
-                    masks = [_active_mask(sol.active_set) for sol in info["solutions"]]
-                else:
-                    mu_rows, masks = zero_mu, zero_masks
-                rec.push(world.t, world, controls, u_hat, pair_field.h, mu_rows, masks, phase_state.phase)
+                rec.push(world, controls, u_hat, pair_field.h, info.get("solutions"), phase_state.phase)
             if reached:
                 events.append({"name": "goals-reached", "t": world.t})
                 break
@@ -363,13 +376,6 @@ def run_scenario(scenario: Scenario) -> TrajectoryLog:
         "row_order": "neighbors ascending, then box +x, +y, -x, -y",
     }
     return rec.build(events, meta)
-
-
-def _active_mask(active_set) -> int:
-    mask = 0
-    for k in active_set:
-        mask |= 1 << k
-    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -531,19 +537,13 @@ def _export_csv(log: TrajectoryLog, path: str) -> None:
             # mu_ij column: the lower-id robot's multiplier for its row against j
             mu_cells = [repr(float(log.mu[k, i, neighbor_row(i, j)])) for i, j in pairs]
             for i in range(n):
-                cells = [
-                    repr(float(log.t[k])), str(i),
-                    repr(float(log.pos[k, i, 0])), repr(float(log.pos[k, i, 1])),
-                    repr(float(log.vel[k, i, 0])), repr(float(log.vel[k, i, 1])),
-                    repr(float(log.u_star[k, i, 0])), repr(float(log.u_star[k, i, 1])),
-                    repr(float(log.u_hat[k, i, 0])), repr(float(log.u_hat[k, i, 1])),
-                    str(int(log.phase[k])),
-                ]
+                vectors = np.concatenate((log.pos[k, i], log.vel[k, i], log.u_star[k, i], log.u_hat[k, i]))
+                cells = [repr(float(log.t[k])), str(i), *map(repr, vectors.tolist()), str(int(log.phase[k]))]
                 fh.write(",".join(cells + pair_cells + mu_cells) + "\n")
 
 
-# Record-array entries (records times the entries of one record) that one
-# piece of the JSON text holds at most: a long log is written block by block.
+# Record-array entries (records times a record's entries) that one piece of the
+# JSON text, or one recorder block, holds at most: long logs go block by block.
 _EXPORT_CHUNK_ENTRIES = 2**14
 
 

@@ -29,7 +29,6 @@ from mrdeadlock.sim import (
     AUDIT_KKT_TOL,
     AuditReport,
     TrajectoryLog,
-    _active_mask,
     scenario_from_dict,
 )
 
@@ -99,7 +98,7 @@ def oracle_audit(log: TrajectoryLog) -> AuditReport:
                 sol = QPSolution(tuple(u_stars[k][i]), tuple(mus[k][i]), (), "optimal")
                 kkt_max = max(kkt_max, verify_kkt(problem, sol).max_residual())
                 active = _active_set(problem, sol.u_star)
-                bad |= masks[k][i] != _active_mask(active)
+                bad |= masks[k][i] != sum(1 << row for row in active)
         else:
             bad |= mu_set[k] or any(masks[k])
         bad_records += bad

@@ -18,6 +18,10 @@ finds it, ``scipy.optimize.linprog`` on the LP in (u, s).
 ``log_json`` is a log's JSON text as one ``json.dumps`` of the whole
 payload, and ``load_log_whole`` reads a log with one ``json.loads`` of the
 whole text: the forms that ``export_log`` and ``load_log`` stream.
+
+``DenseRecorder`` records a run into preallocated record arrays, one NumPy
+row write per array and record: the arrays that ``sim._Recorder`` builds
+from its appended lists.
 """
 
 from __future__ import annotations
@@ -226,3 +230,44 @@ def load_log_whole(path: str) -> TrajectoryLog:
         if not (isinstance(event, dict) and isinstance(event.get("name"), str) and _finite(event.get("t"))):
             raise ValueError(f"{where} event {k} is not a mapping with a string 'name' and a finite 't'")
     return TrajectoryLog(**arrays, events=events, meta=d["meta"])
+
+
+class DenseRecorder:
+    """_Recorder's records written into dense arrays: preallocated, doubled when full, copied out by build.
+
+    It allocates min(capacity, first_capacity) records up front (capacity
+    >= 1) and writes each record with one row assignment per array; a step
+    without QP solutions records zero multipliers and masks.
+    """
+
+    def __init__(self, n: int, capacity: int, first_capacity: int = 2**16):
+        self.n = n
+        self.rows = 0
+        for name, (dtype, shape) in _RECORD_LAYOUT.items():
+            setattr(self, name, np.empty((min(capacity, first_capacity), *shape(n)), dtype=dtype))
+
+    def push(self, world, u_star, u_hat, h, solutions, phase) -> None:
+        if solutions is None:
+            mu_rows, masks = [(0.0,) * (self.n + 3)] * self.n, [0] * self.n
+        else:
+            mu_rows = [sol.mu_star for sol in solutions]
+            masks = [sum(1 << k for k in set(sol.active_set)) for sol in solutions]
+        k = self.rows
+        if k == len(self.t):
+            for name in _RECORD_LAYOUT:
+                array = getattr(self, name)
+                setattr(self, name, np.concatenate((array, np.empty_like(array))))
+        self.t[k] = world.t
+        self.pos[k] = [z.p for z in world.robots]
+        self.vel[k] = [z.v for z in world.robots]
+        self.u_star[k] = u_star
+        self.u_hat[k] = u_hat
+        self.h[k] = h
+        self.mu[k] = mu_rows
+        self.active[k] = masks
+        self.phase[k] = phase
+        self.rows += 1
+
+    def build(self, events: list[dict], meta: dict) -> TrajectoryLog:
+        arrays = {name: getattr(self, name)[:self.rows].copy() for name in _RECORD_LAYOUT}
+        return TrajectoryLog(**arrays, events=events, meta=meta)

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import random
+import tracemalloc
 from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from mrdeadlock import (
     load_scenario,
     run_scenario,
     save_scenario,
+    three_robot_cat_a_scenario,
     three_robot_family_catA,
 )
 from mrdeadlock import resolution, sim
@@ -42,6 +46,7 @@ from mrdeadlock.errors import (
     ZeroVectorError,
 )
 from mrdeadlock.cli import main
+from mrdeadlock.qp import QPSolution
 from mrdeadlock.resolution import K_PERSIST, ResolutionConfig
 from mrdeadlock.sim import (
     _PARAMS_KEYS,
@@ -54,6 +59,7 @@ from mrdeadlock.sim import (
     scenario_from_dict,
     scenario_to_dict,
 )
+from oracles import DenseRecorder
 
 
 def test_integrate_step_equilibrium():
@@ -190,8 +196,6 @@ def _assert_phase_h_mu_cells(log, header, rows):
 
 
 def test_csv_export_shape_and_columns(tmp_path):
-    from mrdeadlock import three_robot_cat_a_scenario
-
     scen = three_robot_cat_a_scenario(controller="cbf-qp-only", t_max=0.1)
     log = run_scenario(scen)
     assert log.n_records == 101
@@ -213,7 +217,7 @@ def test_csv_export_pd_only_cells(tmp_path):
 
 
 def test_csv_export_empty_log_header_only(tmp_path):
-    rec = _Recorder(2, 4)
+    rec = _Recorder(2)
     log = rec.build([], {"scenario": scenario_to_dict(default_head_on_scenario())})
     path = tmp_path / "empty.csv"
     export_log(log, "csv", str(path))
@@ -223,7 +227,7 @@ def test_csv_export_empty_log_header_only(tmp_path):
 
 def test_a_log_without_records_round_trips_and_fails_the_audit(tmp_path, capsys):
     # every run records its first state, so a log without one is no run's
-    log = _Recorder(2, 1).build([], {"scenario": scenario_to_dict(default_head_on_scenario())})
+    log = _Recorder(2).build([], {"scenario": scenario_to_dict(default_head_on_scenario())})
     path = tmp_path / "empty.json"
     export_log(log, "json", str(path))
     back = load_log(str(path))
@@ -235,15 +239,101 @@ def test_a_log_without_records_round_trips_and_fails_the_audit(tmp_path, capsys)
     assert capsys.readouterr().out.splitlines()[0] == "records: 0"
 
 
-def test_recorder_past_its_first_capacity_logs_the_same(monkeypatch):
+def _same_records(a: np.ndarray, b: np.ndarray) -> bool:
+    """a and b have one dtype and shape, and the same bits (the masks, Python ints, compare by ==)."""
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return False
+    return bool((a == b).all()) if a.dtype == object else a.tobytes() == b.tobytes()
+
+
+def test_recorder_across_block_edges_logs_the_same(monkeypatch):
     scen = default_head_on_scenario(t_max=0.02)
     expected = log_to_json(run_scenario(scen))
-    monkeypatch.setattr(sim, "_FIRST_CAPACITY", 4)   # 21 records: the recorder doubles three times
-    assert log_to_json(run_scenario(scen)) == expected
+    # a two-robot record holds 31 entries: blocks of 6 records, so the 21 records make four blocks
+    monkeypatch.setattr(sim, "_EXPORT_CHUNK_ENTRIES", 6 * 31)
+    flushed = []
+    flush = _Recorder._flush
+    monkeypatch.setattr(_Recorder, "_flush", lambda rec: flushed.append(len(rec.lists["t"])) or flush(rec))
+    log = run_scenario(scen)
+    monkeypatch.undo()
+    assert flushed == [6, 6, 6, 3]
+    assert log_to_json(log) == expected
 
 
-def test_recorder_of_a_run_too_long_to_preallocate_constructs():
-    assert _Recorder(2, 10**15).rows == 0
+def test_recorder_memory_is_bounded_by_its_arrays():
+    # each push brings new floats, as a run's steps do; the lists hold one block of them
+    sol = QPSolution(u_star=(0.5, -0.25), mu_star=(1.5, 0.0, 0.0, 0.0, 0.0), active_set=(0,), status="optimal")
+    rec = _Recorder(2)
+    tracemalloc.start()
+    try:
+        for k in range(20_000):
+            x = k * 1e-3
+            robots = (RobotState(p=(x, 0.5), v=(x + 1.0, 0.0)), RobotState(p=(-x, 0.25), v=(0.0, x - 1.0)))
+            rec.push(WorldState(robots=robots, t=x), ((x, 0.5), (0.5, x)), ((-x, 1.0), (1.0, -x)), (x + 2.0,),
+                     (sol, sol) if k % 3 else None, 1)
+        log = rec.build([], {})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert log.n_records == 20_000
+    assert peak <= 2.1 * sum(getattr(log, name).nbytes for name in _RECORD_LAYOUT)
+
+
+_FLOATS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _recorder_feed(n: int, pool: list[float], seed: int, records: int) -> tuple[int, list[tuple]]:
+    """(n, the push arguments of records records), every float drawn from pool by Random(seed).
+
+    A quarter of the steps carry no QP solutions; half of the solutions
+    have their last box row active, whose bit at n = 64 is 2**66.
+    """
+    rng = random.Random(seed)
+
+    def vecs(count):
+        return tuple((rng.choice(pool), rng.choice(pool)) for _ in range(count))
+
+    def solution():
+        active = set(rng.sample(range(n + 3), rng.randint(0, 3)))
+        if rng.random() < 0.5:
+            active.add(n + 2)
+        mu = tuple(rng.choice(pool) for _ in range(n + 3))
+        return QPSolution(u_star=(0.0, 0.0), mu_star=mu, active_set=tuple(sorted(active)), status="optimal")
+
+    pushes = []
+    for _ in range(records):
+        world = WorldState(robots=tuple(RobotState(p=p, v=v) for p, v in zip(vecs(n), vecs(n))), t=rng.choice(pool))
+        solutions = None if rng.random() < 0.25 else tuple(solution() for _ in range(n))
+        h = tuple(rng.choice(pool) for _ in range(n * (n - 1) // 2))
+        pushes.append((world, vecs(n), vecs(n), h, solutions, rng.randint(1, 3)))
+    return n, pushes
+
+
+@pytest.mark.ci_profile
+@settings(deadline=None, database=None)
+@given(
+    st.builds(_recorder_feed, st.integers(1, 12), st.lists(_FLOATS, min_size=1, max_size=8),
+              st.integers(0, 2**32 - 1), st.integers(0, 30)),
+    st.integers(1, 400),
+)
+# 64 robots, 6 882 entries a record: blocks of 2 records, masks past 2**64
+@example(_recorder_feed(64, [-0.0, 5e-324, 1e308, -1e308, 0.1], 7, 5), 2 * 6882)
+def test_recorder_builds_the_dense_recorders_arrays(feed, entries):
+    n, pushes = feed
+    with mock.patch.object(sim, "_EXPORT_CHUNK_ENTRIES", entries):
+        rec = _Recorder(n)
+        dense = DenseRecorder(n, capacity=max(1, len(pushes) // 3), first_capacity=4)
+        for args in pushes:
+            rec.push(*args)
+            dense.push(*args)
+        log, expected = rec.build([], {}), dense.build([], {})
+    if n == 64 and pushes:
+        assert max(log.active.flat) > 2**64
+    for name in _RECORD_LAYOUT:
+        assert _same_records(getattr(log, name), getattr(expected, name)), name
 
 
 def test_json_round_trip(tmp_path):
@@ -807,10 +897,35 @@ def test_goal_stop_event_and_time_bound():
 
 
 def test_log_every_decimation():
-    scen = default_head_on_scenario(t_max=0.1, log_every=10)
-    log = run_scenario(scen)
-    assert log.n_records == 11
-    assert np.allclose(np.diff(log.t), 0.01)
+    """A log_every = k log holds, bit for bit, the log_every = 1 records of steps 0, k, 2k, ... and the last.
+
+    The last record is logged off the k grid when the goals are reached.
+    Head-on cbf-qp-only detects its deadlock, category A three-phase runs
+    through phases 2 and 3, and the pd-only pair reaches its goals at a step
+    that neither 7 nor 10 divides.
+    """
+    pd_only = Scenario(
+        params=Params(kp=4.0, kv=5.0, ds=0.5, alpha=(5.0, 5.0)),
+        initial=(RobotState.at_rest((0.0, 0.0)), RobotState.at_rest((0.0, 2.0))),
+        goals=GoalSpec(pd=((3.0, 0.0), (3.0, 2.0))),
+        controller="pd-only",
+        t_max=20.0,
+    )
+    cat_a_gains = ResolutionConfig(kp2=16.0, kv2=10.0)   # phase 3 starts at t = 4.531
+    for scen, shown in ((default_head_on_scenario(t_max=6.0), "deadlock-detected"),
+                        (three_robot_cat_a_scenario(t_max=5.0, resolution=cat_a_gains), "phase-3-start"),
+                        (pd_only, "goals-reached")):
+        full = run_scenario(scen)
+        assert shown in [event["name"] for event in full.events]
+        for every in (7, 10):
+            log = run_scenario(replace(scen, log_every=every))
+            steps = list(range(0, full.n_records, every))
+            if full.events[-1]["name"] == "goals-reached" and steps[-1] != full.n_records - 1:
+                steps.append(full.n_records - 1)
+            assert log.events == full.events
+            assert log.n_records == len(steps)
+            for name in _RECORD_LAYOUT:
+                assert _same_records(getattr(log, name), getattr(full, name)[steps]), (scen.controller, every, name)
 
 
 def test_records_strictly_increasing_in_time():
