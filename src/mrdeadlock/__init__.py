@@ -10,10 +10,13 @@ module imports only the modules above it, and only at its top.
 * ``deadlock``   detection, set membership, analytical deadlock families
 * ``graphenum``  contact-graph counting, enumeration and planar embedding
 * ``resolution`` three-phase deadlock resolution supervisor
-* ``sim``        scenario config, integration loop, logging, audits
+* ``logio``      the scenario schema, the trajectory log and their file formats
+* ``audit``      the post-hoc audit of a log, sharing no code with the run
+* ``sim``        the integration loop and the canonical scenarios
 * ``cli``        command-line entry points (run / families / census / verify)
 """
 
+from .audit import AuditReport, audit_log
 from .cbf import PairField
 from .core import (
     GoalSpec,
@@ -60,21 +63,9 @@ from .graphenum import (
     lower_bound,
     upper_bound,
 )
+from .logio import Scenario, TrajectoryLog, export_log, load_log, load_scenario, save_scenario
 from .qp import QPProblem, QPSolution, solve_qp
 from .resolution import PhaseState, ResolutionConfig, supervisor_step
-from .sim import (
-    AuditReport,
-    Scenario,
-    TrajectoryLog,
-    audit_log,
-    default_head_on_scenario,
-    export_log,
-    integrate_step,
-    load_log,
-    load_scenario,
-    run_scenario,
-    save_scenario,
-    three_robot_cat_a_scenario,
-)
+from .sim import default_head_on_scenario, integrate_step, run_scenario, three_robot_cat_a_scenario
 
 __version__ = "0.1.0"

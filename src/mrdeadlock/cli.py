@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .audit import audit_log
 from .cbf import PairField, pair_indices
 from .deadlock import (
     boundedness_identity,
@@ -20,8 +21,9 @@ from .deadlock import (
 from .core import GoalSpec, Params, WorldState, pd_control
 from .errors import SimulationAbort, ToolkitError
 from .graphenum import census_table
+from .logio import export_log, load_log, load_scenario
 from .qp import solve_qp
-from .sim import audit_log, export_log, load_log, load_scenario, run_scenario
+from .sim import run_scenario
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

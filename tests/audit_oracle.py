@@ -1,4 +1,4 @@
-"""The record-by-record audit that sim.audit_log must reproduce exactly.
+"""The record-by-record audit that audit.audit_log must reproduce exactly.
 
 It rebuilds a PairField and the N per-robot QPs of every record and checks
 them with qp.verify_kkt and _active_set, one record at a time.  The QPs are
@@ -18,19 +18,11 @@ import math
 
 import numpy as np
 
+from mrdeadlock.audit import _PHASES, AUDIT_H_MATCH_TOL, AUDIT_KKT_TOL, AuditReport
 from mrdeadlock.cbf import PairField, pair_indices
 from mrdeadlock.core import pd_control
+from mrdeadlock.logio import _RECORD_LAYOUT, AUDIT_H_FLOOR, TrajectoryLog, scenario_from_dict
 from mrdeadlock.qp import ACTIVE_TOL, QPSolution, flat_problem, verify_kkt
-from mrdeadlock.sim import (
-    _PHASES,
-    _RECORD_LAYOUT,
-    AUDIT_H_FLOOR,
-    AUDIT_H_MATCH_TOL,
-    AUDIT_KKT_TOL,
-    AuditReport,
-    TrajectoryLog,
-    scenario_from_dict,
-)
 
 
 def _active_set(problem, u) -> tuple[int, ...]:

@@ -20,7 +20,7 @@ payload, and ``load_log_whole`` reads a log with one ``json.loads`` of the
 whole text: the forms that ``export_log`` and ``load_log`` stream.
 
 ``DenseRecorder`` records a run into preallocated record arrays, one NumPy
-row write per array and record: the arrays that ``sim._Recorder`` builds
+row write per array and record: the arrays that ``logio._Recorder`` builds
 from its appended lists.
 """
 
@@ -39,7 +39,7 @@ from mrdeadlock.cbf import IMPLIED_TOL
 from mrdeadlock.core import Vec2, euler_step, v_dot
 from mrdeadlock.errors import ZeroVectorError
 from mrdeadlock.qp import BOX_NORMALS, QPProblem, flat_problem
-from mrdeadlock.sim import (
+from mrdeadlock.logio import (
     _RECORD_LAYOUT,
     TrajectoryLog,
     _finite,

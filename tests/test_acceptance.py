@@ -46,7 +46,7 @@ from mrdeadlock import (
 from mrdeadlock.cbf import assemble_qp, pair_indices
 from mrdeadlock.graphenum import admissible_report
 from mrdeadlock.qp import verify_kkt
-from mrdeadlock.sim import audit_log
+from mrdeadlock.audit import audit_log
 from oracles import ConstraintRow, box_rows, phase3_closed_form, problem_of, two_robot_multiplier
 
 DS = 0.5

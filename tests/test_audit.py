@@ -17,17 +17,17 @@ from mrdeadlock import (
     RobotState,
     Scenario,
     SimulationAbort,
+    audit,
     audit_log,
     cbf,
     collinear_family,
     default_head_on_scenario,
     run_scenario,
-    sim,
     three_robot_family_catA,
     three_robot_family_catB,
 )
 from mrdeadlock.errors import BoundarySingularityError, CoincidentRobotsError, SafetyViolationError
-from mrdeadlock.sim import CONTROLLERS, TrajectoryLog, scenario_from_dict, scenario_to_dict
+from mrdeadlock.logio import CONTROLLERS, TrajectoryLog, scenario_from_dict, scenario_to_dict
 
 # the oracle raises these where audit_log counts a bad record
 GEOMETRY_ERRORS = (CoincidentRobotsError, SafetyViolationError, BoundarySingularityError)
@@ -170,7 +170,7 @@ def test_audit_matches_the_oracle_on_every_tampering():
 def test_audit_does_not_depend_on_the_chunk_size(monkeypatch):
     # 3 two-robot records a chunk: the clock and phase rules of record 6 read
     # record 5, in the chunk before
-    monkeypatch.setattr(sim, "_AUDIT_CHUNK_ENTRIES", 3 * 2 * 5)
+    monkeypatch.setattr(audit, "_AUDIT_CHUNK_ENTRIES", 3 * 2 * 5)
     params = Params(kp=1.0, kv=3.0, ds=0.5, alpha=(5.0, 5.0))
     goals = GoalSpec(pd=((2.0, 0.0), (-2.0, 0.0)))
     start = collinear_family(goals, params, 0.5)

@@ -207,13 +207,15 @@ def test_run_rejects_zero_persistence_with_one_line(tmp_path, capsys):
         (lambda d: d["robots"][0].update(v=[True, 0.0]), "robot velocity v of robot 0"),
         (lambda d: d["goals"].__setitem__(0, ["2.0", 0.0]), "goal 0"),
         (lambda d: d["goals"].__setitem__(1, [True, 0.0]), "goal 1"),
+        # finite times whose step count t_max / dt is not
+        (lambda d: d.update(dt=1e-300, t_max=1e300), "t_max / dt"),
     ],
     ids=[
         "missing-goals", "unknown-resolution-key", "one-number-position",
         "number-robots", "number-alpha", "null-kp", "number-goals", "401-digit-kp", "401-digit-position",
         "infinite-kp2", "old-seed", "old-k1", "null-threshold", "null-k_h", "null-eps_theta", "word-k_h",
         "bool-kp", "string-dt", "bool-kp2", "bool-alpha",
-        "string-position", "bool-position", "bool-velocity", "string-goal", "bool-goal",
+        "string-position", "bool-position", "bool-velocity", "string-goal", "bool-goal", "overflowing-step-count",
     ],
 )
 def test_malformed_scenario_exits_2_with_one_line(tmp_path, capsys, edit, named):
@@ -292,6 +294,15 @@ def test_invalid_yaml_exits_2_with_one_line(tmp_path, capsys):
     assert main(["run", str(spath)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "is not valid YAML" in err
+
+
+def test_deeply_nested_yaml_exits_2_with_one_line(tmp_path, capsys):
+    # the YAML composer recurses once per level, as the JSON parser does
+    spath = tmp_path / "deep.yaml"
+    spath.write_text("[" * 20_000 + "]" * 20_000)
+    assert main(["run", str(spath)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"ValueError: {spath} is not a scenario file: its YAML nests too deeply to parse\n"
 
 
 # `mrdeadlock families <family>` with default arguments: the whole stdout.

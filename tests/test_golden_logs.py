@@ -30,7 +30,7 @@ from mrdeadlock import (
     save_scenario,
     three_robot_cat_a_scenario,
 )
-from mrdeadlock.sim import log_to_json
+from mrdeadlock.logio import log_to_json
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
 RING32_SHA256 = "1f12fb51ad8236363c12b27ae432b476df2f42ca97c620afc20643ac0f4f74d5"

@@ -42,7 +42,7 @@ from mrdeadlock.graphenum import (
     obstruction,
 )
 from mrdeadlock.resolution import CLASSIFY_TOL
-from mrdeadlock.sim import scenario_to_dict
+from mrdeadlock.logio import scenario_to_dict
 
 
 def test_connected_count_small_values():

@@ -19,7 +19,8 @@ PACKAGE = ROOT / "src" / "mrdeadlock"
 TRACER = ROOT / "perfbench" / "tracer.py"
 
 # A module may import only the modules before it; the package __init__ comes last.
-LAYERS = ("errors", "core", "qp", "cbf", "deadlock", "graphenum", "resolution", "sim", "cli", "__init__")
+LAYERS = ("errors", "core", "qp", "cbf", "deadlock", "graphenum", "resolution", "logio", "audit", "sim", "cli",
+          "__init__")
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
 
 
@@ -65,8 +66,9 @@ def _traced_bindings() -> set[tuple[str, str]]:
 
 
 # The third-party packages each module imports: the QP layer uses no LP
-# library, and only the embedding search calls into scipy.
-THIRD_PARTY = {"cbf": {"numpy"}, "graphenum": {"numpy", "scipy"}, "sim": {"numpy", "yaml"}}
+# library, only the embedding search calls into scipy, and the loop in sim
+# calls into none.
+THIRD_PARTY = {"cbf": {"numpy"}, "graphenum": {"numpy", "scipy"}, "logio": {"numpy", "yaml"}, "audit": {"numpy"}}
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -78,6 +80,28 @@ def test_third_party_imports_are_the_pinned_ones(module):
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             packages.add(node.module.split(".")[0])
     assert packages - sys.stdlib_module_names == THIRD_PARTY.get(module, set())
+
+
+def test_audit_takes_no_code_from_the_run():
+    # the audit fails a fault in the run's pair pass or QPs only if it calls
+    # neither: besides logio's schema it takes constants and the pair order
+    taken = []
+    for node in ast.walk(_tree("audit")):
+        if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+            continue
+        for alias in node.names:
+            module, name = (node.module, alias.name) if node.module else (alias.name, "*")
+            if module == "logio" or (module in ("cbf", "qp") and (name.isupper() or name == "pair_indices")):
+                continue
+            taken.append(f"audit.py:{node.lineno} imports {module}.{name}")
+    assert taken == []
+
+
+@pytest.mark.parametrize("name, home", [("export_log", "logio"), ("load_log", "logio"), ("audit_log", "audit")])
+def test_sim_binds_the_log_functions_of_their_home_modules(name, home):
+    # perfbench calls them through mrdeadlock.sim, where its span tracer wraps them
+    sim = importlib.import_module("mrdeadlock.sim")
+    assert getattr(sim, name) is getattr(importlib.import_module(f"mrdeadlock.{home}"), name)
 
 
 # the package __init__ imports only to re-export: its imports are the public API

@@ -30,8 +30,8 @@ from mrdeadlock import (
     load_log,
     run_scenario,
 )
-from mrdeadlock import sim
-from mrdeadlock.sim import _RECORD_LAYOUT, TrajectoryLog, scenario_to_dict
+from mrdeadlock import logio
+from mrdeadlock.logio import _RECORD_LAYOUT, TrajectoryLog, scenario_to_dict
 
 
 def _outcome(load, path) -> tuple:
@@ -56,7 +56,7 @@ def _assert_round_trip(log, path) -> None:
 
 def test_a_log_longer_than_one_export_block_round_trips(tmp_path):
     log = run_scenario(default_head_on_scenario(t_max=2.0))
-    assert log.mu[0].size * log.n_records > sim._EXPORT_CHUNK_ENTRIES   # mu is written in 2 blocks
+    assert log.mu[0].size * log.n_records > logio._EXPORT_CHUNK_ENTRIES   # mu is written in 2 blocks
     _assert_round_trip(log, tmp_path / "log.json")
 
 
@@ -77,11 +77,11 @@ def test_a_one_robot_pd_only_log_round_trips(tmp_path):
 def test_small_blocks_give_the_same_text_and_arrays(tmp_path, monkeypatch):
     # one record per export block, and load blocks of about 5 characters:
     # load_log converts every record array a record or a few at a time
-    monkeypatch.setattr(sim, "_EXPORT_CHUNK_ENTRIES", 1)
-    monkeypatch.setattr(sim, "_LOAD_CHUNK_CHARS", 5)
+    monkeypatch.setattr(logio, "_EXPORT_CHUNK_ENTRIES", 1)
+    monkeypatch.setattr(logio, "_LOAD_CHUNK_CHARS", 5)
     converted = []
-    record_array = sim._record_array
-    monkeypatch.setattr(sim, "_record_array", lambda values, *args: converted.append(len(values))
+    record_array = logio._record_array
+    monkeypatch.setattr(logio, "_record_array", lambda values, *args: converted.append(len(values))
                         or record_array(values, *args))
     log = run_scenario(default_head_on_scenario(t_max=0.05))
     _assert_round_trip(log, tmp_path / "log.json")
@@ -142,7 +142,7 @@ TEXT_EDITS = {
 @pytest.mark.parametrize("edit", sorted(TEXT_EDITS))
 @pytest.mark.parametrize("load_chars", [5, 2**18], ids=["small-blocks", "default-blocks"])
 def test_load_log_gives_what_the_whole_text_parse_gives(tmp_path, monkeypatch, edit, load_chars):
-    monkeypatch.setattr(sim, "_LOAD_CHUNK_CHARS", load_chars)
+    monkeypatch.setattr(logio, "_LOAD_CHUNK_CHARS", load_chars)
     payload = _head_on_payload()
     path = tmp_path / "log.json"
     path.write_text(TEXT_EDITS[edit](payload, _compact(payload, sort_keys=True)), encoding="utf-8")
@@ -269,8 +269,8 @@ def test_streamed_round_trip_is_the_whole_text_round_trip(log, export_entries, l
     error type and message.
     """
     with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(sim, "_EXPORT_CHUNK_ENTRIES", export_entries), \
-            mock.patch.object(sim, "_LOAD_CHUNK_CHARS", load_chars):
+            mock.patch.object(logio, "_EXPORT_CHUNK_ENTRIES", export_entries), \
+            mock.patch.object(logio, "_LOAD_CHUNK_CHARS", load_chars):
         path = Path(tmp) / "log.json"
         export_log(log, "json", str(path))
         text = log_json(log)

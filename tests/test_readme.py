@@ -8,7 +8,7 @@ from pathlib import Path
 import yaml
 
 from mrdeadlock import ResolutionConfig, RobotState
-from mrdeadlock.sim import scenario_from_dict
+from mrdeadlock.logio import scenario_from_dict
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 

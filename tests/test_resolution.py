@@ -21,6 +21,7 @@ from mrdeadlock import (
 )
 from mrdeadlock import resolution, sim
 from mrdeadlock.core import wrap_angle
+from mrdeadlock.logio import Scenario
 from mrdeadlock.resolution import (
     K_PERSIST,
     NEWTON_F_TOL,
@@ -29,7 +30,7 @@ from mrdeadlock.resolution import (
     ResolutionConfig,
     Turning,
 )
-from mrdeadlock.sim import Scenario, integrate_step, run_scenario
+from mrdeadlock.sim import integrate_step, run_scenario
 from oracles import phase3_closed_form
 
 PARAMS2 = Params(kp=1.0, kv=3.0, ds=0.5, alpha=(5.0, 5.0))

@@ -33,7 +33,7 @@ from mrdeadlock import (
     three_robot_cat_a_scenario,
     three_robot_family_catA,
 )
-from mrdeadlock import resolution, sim
+from mrdeadlock import logio, resolution, sim
 from mrdeadlock.cbf import pair_indices
 from mrdeadlock.core import euler_step
 from mrdeadlock.errors import (
@@ -46,19 +46,19 @@ from mrdeadlock.errors import (
     ZeroVectorError,
 )
 from mrdeadlock.cli import main
-from mrdeadlock.qp import QPSolution
-from mrdeadlock.resolution import K_PERSIST, ResolutionConfig
-from mrdeadlock.sim import (
+from mrdeadlock.logio import (
     _PARAMS_KEYS,
     _RECORD_LAYOUT,
     _RESOLUTION_KEYS,
     _SCENARIO_KEYS,
-    STOP_GOAL_TOL,
     _Recorder,
     log_to_json,
     scenario_from_dict,
     scenario_to_dict,
 )
+from mrdeadlock.qp import QPSolution
+from mrdeadlock.resolution import K_PERSIST, ResolutionConfig
+from mrdeadlock.sim import STOP_GOAL_TOL
 from oracles import DenseRecorder
 
 
@@ -250,7 +250,7 @@ def test_recorder_across_block_edges_logs_the_same(monkeypatch):
     scen = default_head_on_scenario(t_max=0.02)
     expected = log_to_json(run_scenario(scen))
     # a two-robot record holds 31 entries: blocks of 6 records, so the 21 records make four blocks
-    monkeypatch.setattr(sim, "_EXPORT_CHUNK_ENTRIES", 6 * 31)
+    monkeypatch.setattr(logio, "_EXPORT_CHUNK_ENTRIES", 6 * 31)
     flushed = []
     flush = _Recorder._flush
     monkeypatch.setattr(_Recorder, "_flush", lambda rec: flushed.append(len(rec.lists["t"])) or flush(rec))
@@ -323,7 +323,7 @@ def _recorder_feed(n: int, pool: list[float], seed: int, records: int) -> tuple[
 @example(_recorder_feed(64, [-0.0, 5e-324, 1e308, -1e308, 0.1], 7, 5), 2 * 6882)
 def test_recorder_builds_the_dense_recorders_arrays(feed, entries):
     n, pushes = feed
-    with mock.patch.object(sim, "_EXPORT_CHUNK_ENTRIES", entries):
+    with mock.patch.object(logio, "_EXPORT_CHUNK_ENTRIES", entries):
         rec = _Recorder(n)
         dense = DenseRecorder(n, capacity=max(1, len(pushes) // 3), first_capacity=4)
         for args in pushes:
@@ -794,6 +794,20 @@ def test_scenario_rejects_non_finite_times(times):
     # "dt": true, which load_log rejects
     with pytest.raises(ValueError, match="finite dt"):
         default_head_on_scenario(**times)
+
+
+def test_scenario_rejects_a_step_count_that_overflows(tmp_path):
+    # dt and t_max are finite, t_max / dt is not: n_steps could not round it to an int
+    with pytest.raises(ValueError, match=r"need a finite t_max / dt, got dt=1e-300, t_max=1e\+300"):
+        default_head_on_scenario(dt=1e-300, t_max=1e300)
+    # a log whose meta holds such a scenario fails its load and its audit the same way
+    log = run_scenario(default_head_on_scenario(t_max=0.01))
+    log.meta["scenario"].update(dt=1e-300, t_max=1e300)
+    with pytest.raises(ValueError, match="need a finite t_max / dt"):
+        audit_log(log)
+    export_log(log, "json", str(tmp_path / "log.json"))
+    with pytest.raises(ValueError, match="need a finite t_max / dt"):
+        load_log(str(tmp_path / "log.json"))
 
 
 def test_scenario_keeps_its_times_as_given():
