@@ -6,9 +6,11 @@ realize distance Ds in the plane and whose non-edges stay strictly farther
 apart.  This module provides the exact connected-graph recurrence, the
 combinatorial upper/lower bounds, exhaustive enumeration for small N, exact
 certificates that a graph has no such realization, and a restart-based
-geometric feasibility checker for the rest.  Whether a graph embeds does not
-depend on its labels, so the census searches once per isomorphism class and
-re-checks the representative's relabeled positions on every other labeling.
+geometric feasibility checker for the rest: a Levenberg-Marquardt search on
+the pair residuals from seeded random starts, in plain floats and NumPy.
+Whether a graph embeds does not depend on its labels, so the census searches
+once per isomorphism class and re-checks the representative's relabeled
+positions on every other labeling.
 """
 
 from __future__ import annotations
@@ -20,15 +22,19 @@ import zlib
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .core import _positive_int
 
 Edge = tuple[int, int]
 
 # Whether a graph embeds does not depend on Ds, so embeddings use Ds = 1.
-NONEDGE_MARGIN = 1e-3   # non-edges must exceed 1 strictly; the optimizer is given this finite gap
+NONEDGE_MARGIN = 1e-3   # non-edges must exceed 1 strictly; the search is given this finite gap
 EMBED_TOL = 1e-6        # an embedding is feasible once no distance is off by more than this
+# The stop rules of one restart's Levenberg-Marquardt search (`minimize`)
+_LM_SSR_TOL = 1e-26       # converged: the sum of squared residuals is this small
+_LM_DAMPING_MAX = 1e10    # stalled: no step lowered the sum before the damping grew past this
+_LM_MAX_ITER = 500        # steps per restart
+_LM_DAMPING_MIN = 1e-9    # the damping starts here and never falls below it
 CENSUS_N_MAX = 5        # every connected graph on n <= 5 vertices is certified or embedded
 
 
@@ -213,41 +219,66 @@ def _violation(pairs: list[tuple[int, int, bool]], pos: np.ndarray) -> float:
     return worst
 
 
-def _objective(x: np.ndarray, pairs: list[tuple[int, int, bool]]) -> tuple[float, np.ndarray]:
-    """Sum of squared pair residuals and its gradient in the flat positions x.
+def _residuals(x: np.ndarray, pairs: list[tuple[int, int, bool]]) -> tuple[np.ndarray, np.ndarray]:
+    """The pair residuals and their Jacobian in the flat positions x, in one pass over the pairs.
 
     The residual is d - 1 on an edge and d - (1 + NONEDGE_MARGIN) on a shorter
-    non-edge, with d floored at 1e-12; a longer non-edge adds nothing.
+    non-edge, with d floored at 1e-12; a longer non-edge's residual and
+    Jacobian row are 0.
     """
-    pos = x.reshape(-1, 2)
-    f = 0.0
-    grad = np.zeros_like(pos)
-    for u, v, is_edge in pairs:
-        diff = pos[u] - pos[v]
-        d = max(math.hypot(diff[0], diff[1]), 1e-12)
+    xs = x.tolist()
+    dim = len(xs)
+    r = [0.0] * len(pairs)
+    jac = [0.0] * (len(pairs) * dim)
+    for k, (u, v, is_edge) in enumerate(pairs):
+        dx, dy = xs[2 * u] - xs[2 * v], xs[2 * u + 1] - xs[2 * v + 1]
+        d = max(math.hypot(dx, dy), 1e-12)
         err = d - (1.0 if is_edge else 1.0 + NONEDGE_MARGIN)
         if is_edge or err < 0.0:
-            f += err * err
-            gvec = (2.0 * err / d) * diff
-            grad[u] += gvec
-            grad[v] -= gvec
-    return f, grad.ravel()
+            r[k] = err
+            gx, gy, row = dx / d, dy / d, k * dim
+            jac[row + 2 * u], jac[row + 2 * u + 1] = gx, gy
+            jac[row + 2 * v], jac[row + 2 * v + 1] = -gx, -gy
+    return np.array(r), np.array(jac).reshape(len(pairs), dim)
 
 
-def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, which loads scipy.optimize on the first call; one call per restart."""
-    return scipy.optimize.minimize(*args, **kwargs)
+def minimize(x0: np.ndarray, pairs: list[tuple[int, int, bool]]) -> np.ndarray:
+    """Positions (n, 2) that drive the pair residuals of `_residuals` towards 0, from the flat start x0.
+
+    Levenberg-Marquardt: each step solves (J^T J + lam I) delta = -J^T r and
+    is taken only if it lowers the sum of squared residuals; lam then falls
+    tenfold (to at least _LM_DAMPING_MIN), else it grows tenfold.  The search
+    stops at the first of: the sum below _LM_SSR_TOL, lam past _LM_DAMPING_MAX
+    (stalled) or _LM_MAX_ITER steps.  One call per restart of `embed_graph`.
+    """
+    x = np.asarray(x0, dtype=float)
+    r, jac = _residuals(x, pairs)
+    ssr = float(r @ r)
+    eye = np.eye(x.size)
+    damping = _LM_DAMPING_MIN
+    for _ in range(_LM_MAX_ITER):
+        if ssr <= _LM_SSR_TOL or damping > _LM_DAMPING_MAX:
+            break
+        trial = x + np.linalg.solve(jac.T @ jac + damping * eye, -(jac.T @ r))
+        r_trial, jac_trial = _residuals(trial, pairs)
+        ssr_trial = float(r_trial @ r_trial)
+        if ssr_trial < ssr:
+            x, r, jac, ssr = trial, r_trial, jac_trial, ssr_trial
+            damping = max(damping / 10.0, _LM_DAMPING_MIN)
+        else:
+            damping *= 10.0
+    return x.reshape(-1, 2)
 
 
 def embed_graph(g: LabeledGraph, attempts: int = 200) -> EmbeddingResult:
     """Search for planar positions with edge distances 1 and non-edges > 1.
 
-    Penalized least squares over the vertex pairs, edges first, from
-    ``attempts`` (>= 1) seeded random restarts; feasibility is declared from a
-    post-hoc re-check of all pairwise distances, independent of the
-    optimizer's own residual.  The best restart is returned, the first within
-    EMBED_TOL ends the search, and infeasibility is probabilistic: it is only
-    reported after every restart fails.
+    Levenberg-Marquardt least squares (`minimize`) over the vertex pairs,
+    edges first, from ``attempts`` (>= 1) seeded random restarts; feasibility
+    is declared from a post-hoc re-check of all pairwise distances,
+    independent of the solver's own residual.  The best restart is returned,
+    the first within EMBED_TOL ends the search, and infeasibility is
+    probabilistic: it is only reported after every restart fails.
     """
     _positive_int(attempts, "attempts")
     if not g.is_connected():
@@ -260,16 +291,7 @@ def embed_graph(g: LabeledGraph, attempts: int = 200) -> EmbeddingResult:
     span = max(1.0, math.sqrt(g.n))
     for attempt in range(attempts):
         rng = np.random.default_rng(graph_seed(g, attempt))
-        x0 = rng.uniform(-span, span, size=2 * g.n)
-        res = minimize(
-            _objective,
-            x0,
-            args=(pairs,),
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": 500, "ftol": 1e-16, "gtol": 1e-12},
-        )
-        pos = res.x.reshape(g.n, 2)
+        pos = minimize(rng.uniform(-span, span, size=2 * g.n), pairs)
         worst = _violation(pairs, pos)
         if best_pos is None or worst < best:
             best, best_pos = worst, pos

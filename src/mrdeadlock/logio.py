@@ -401,7 +401,9 @@ def _json_pieces(log: TrajectoryLog):
         rows = max(1, _EXPORT_CHUNK_ENTRIES // max(1, math.prod(array.shape[1:])))
         yield "["
         for a in range(0, len(array), rows):
-            yield ("," if a else "") + json.dumps(array[a:a + rows].tolist(), separators=(",", ":"))[1:-1]
+            # a tolist() block holds only numbers and lists of them: it cannot be circular
+            block = json.dumps(array[a:a + rows].tolist(), separators=(",", ":"), check_circular=False)
+            yield ("," if a else "") + block[1:-1]
         yield "]"
     yield "}"
 

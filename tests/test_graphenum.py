@@ -29,16 +29,20 @@ from mrdeadlock import (
 )
 from mrdeadlock.cbf import PairField, pair_indices
 from mrdeadlock.deadlock import geometric_tol
+import mrdeadlock.graphenum as graphenum
 from mrdeadlock.graphenum import (
     EMBED_TOL,
     NONEDGE_MARGIN,
-    _objective,
+    _LM_MAX_ITER,
+    _pairs,
+    _residuals,
     _violation,
     admissible_report,
     canonical_form,
     census_table,
     graph_seed,
     max_penny_edges,
+    minimize,
     obstruction,
 )
 from mrdeadlock.resolution import CLASSIFY_TOL
@@ -393,8 +397,8 @@ def test_simulated_deadlocks_are_witnesses_the_census_counts(request, run, edges
     assert g in {h for h, r in admissible_report(g.n, attempts=200) if r.feasible}
 
 
-# The two-loop penalty and re-check the one-loop pair walk replaced: the oracle
-# for bit-identical objective values, gradients and violations.
+# The two-loop residuals and re-check the one-loop pair walk replaced: the
+# oracle for bit-identical residuals, Jacobians and violations.
 def _violation_two_loops(g: LabeledGraph, pos: np.ndarray) -> float:
     worst = 0.0
     for u, v in g.edges:
@@ -406,20 +410,16 @@ def _violation_two_loops(g: LabeledGraph, pos: np.ndarray) -> float:
     return worst
 
 
-def _objective_two_loops(x: np.ndarray, g: LabeledGraph) -> tuple[float, np.ndarray]:
+def _residuals_two_loops(x: np.ndarray, g: LabeledGraph) -> tuple[np.ndarray, np.ndarray]:
+    # rows in the pair walk's order: the edges, then the non-edges
     pos = x.reshape(g.n, 2)
-    f = 0.0
-    grad = np.zeros_like(pos)
+    rows = []
     for u, v in g.edges:
         diff = pos[u] - pos[v]
         d = math.hypot(diff[0], diff[1])
         if d < 1e-12:
             d = 1e-12
-        err = d - 1.0
-        f += err * err
-        gvec = (2.0 * err / d) * diff
-        grad[u] += gvec
-        grad[v] -= gvec
+        rows.append((d - 1.0, u, v, diff / d))
     gap = 1.0 + NONEDGE_MARGIN
     for u, v in g.non_edges():
         diff = pos[u] - pos[v]
@@ -427,12 +427,15 @@ def _objective_two_loops(x: np.ndarray, g: LabeledGraph) -> tuple[float, np.ndar
         if d < 1e-12:
             d = 1e-12
         short = gap - d
-        if short > 0.0:
-            f += short * short
-            gvec = (-2.0 * short / d) * diff
-            grad[u] += gvec
-            grad[v] -= gvec
-    return f, grad.ravel()
+        rows.append((-short, u, v, diff / d) if short > 0.0 else None)
+    r = np.zeros(len(rows))
+    jac = np.zeros((len(rows), x.size))
+    for k, row in enumerate(rows):
+        if row is not None:   # a longer non-edge keeps its zero residual and row
+            r[k], u, v, grad = row
+            jac[k, 2 * u:2 * u + 2] = grad
+            jac[k, 2 * v:2 * v + 2] = -grad
+    return r, jac
 
 
 GAP = 1.0 + NONEDGE_MARGIN
@@ -467,11 +470,44 @@ def test_pair_walk_matches_the_two_loop_penalty(case):
     g, points = case
     pos = np.array(points, dtype=float)
     pairs = [(u, v, True) for u, v in g.edges] + [(u, v, False) for u, v in g.non_edges()]
-    f, grad = _objective(pos.ravel(), pairs)
-    f_ref, grad_ref = _objective_two_loops(pos.ravel(), g)
-    assert float(f).hex() == float(f_ref).hex()
-    assert _hex(grad) == _hex(grad_ref)
+    r, jac = _residuals(pos.ravel(), pairs)
+    r_ref, jac_ref = _residuals_two_loops(pos.ravel(), g)
+    assert jac.shape == jac_ref.shape == (len(pairs), 2 * g.n)
+    assert _hex(r) == _hex(r_ref)
+    assert _hex(jac.ravel()) == _hex(jac_ref.ravel())
     assert _violation(pairs, pos).hex() == _violation_two_loops(g, pos).hex()
+
+
+@pytest.mark.parametrize("max_iter", [_LM_MAX_ITER, 3])
+def test_minimize_on_k4_returns_finite_positions_within_its_step_cap(monkeypatch, max_iter):
+    # K4 has no embedding, so the search can only stall or run out of steps;
+    # each step makes one pass over the pairs, and the start makes one more
+    passes = []
+
+    def counted(x, pairs):
+        passes.append(x)
+        return _residuals(x, pairs)
+
+    monkeypatch.setattr(graphenum, "_LM_MAX_ITER", max_iter)
+    monkeypatch.setattr(graphenum, "_residuals", counted)
+    g = LabeledGraph(n=4, edges=K4)
+    x0 = np.random.default_rng(graph_seed(g, 0)).uniform(-2.0, 2.0, size=8)
+    pos = minimize(x0, _pairs(g))
+    assert pos.shape == (4, 2) and np.isfinite(pos).all()
+    assert 2 <= len(passes) <= max_iter + 1
+    if max_iter == 3:
+        assert len(passes) == 4
+
+
+def test_minimize_reaches_a_c4_embedding_from_a_start_near_one():
+    g = LabeledGraph(n=4, edges=((0, 1), (1, 2), (2, 3), (0, 3)))
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    pairs = _pairs(g)
+    assert _violation(pairs, square) == 0.0
+    for seed in range(5):
+        x0 = square.ravel() + np.random.default_rng(seed).uniform(-1e-3, 1e-3, size=8)
+        assert _violation(pairs, x0.reshape(4, 2)) > 1e-4
+        assert _violation(pairs, minimize(x0, pairs)) <= 1e-12
 
 
 @pytest.mark.parametrize("is_edge", [True, False], ids=["edge", "non-edge"])
