@@ -5,7 +5,8 @@ when it is built; a TrajectoryLog holds a run's dense per-step record
 arrays and its event stream, and _Recorder builds those arrays from a
 run's records a block at a time.  Scenarios are read from and written to
 YAML through three key tables, and logs are written as JSON or CSV and
-read back from JSON, each record array checked before it is cast.
+read back from JSON: export_log's text a block of records at a time, any
+other text whole, each record array checked before it is cast.
 """
 
 from __future__ import annotations
@@ -158,6 +159,9 @@ class TrajectoryLog:
 # name -> (dtype, shape of one record for n robots) of every record array;
 # the recorder, JSON export and load loop over it
 _RECORD_LAYOUT = {f.name: f.metadata["record"] for f in fields(TrajectoryLog) if "record" in f.metadata}
+# key -> the text that opens its member of a JSON log, in the order export_log writes and load_log reads them
+_LOG_KEYS = {key: ("," if k else "{") + json.dumps(key) + ":"
+             for k, key in enumerate(sorted((*_RECORD_LAYOUT, "meta", "events")))}
 
 
 class _Recorder:
@@ -392,8 +396,8 @@ def _json_pieces(log: TrajectoryLog):
     most _EXPORT_CHUNK_ENTRIES entries, each the text of the block's tolist()
     without its brackets, so only one block is ever held as lists.
     """
-    for k, key in enumerate(sorted((*_RECORD_LAYOUT, "meta", "events"))):
-        yield ("," if k else "{") + json.dumps(key) + ":"
+    for key, head in _LOG_KEYS.items():
+        yield head
         if key not in _RECORD_LAYOUT:
             yield json.dumps(getattr(log, key), sort_keys=True, separators=(",", ":"))
             continue
@@ -414,44 +418,13 @@ def log_to_json(log: TrajectoryLog) -> str:
 
 
 _DECODER = json.JSONDecoder()
-_WHITESPACE = json.decoder.WHITESPACE.match
 
 # About how many characters of a record array's JSON text load_log parses
 # into Python lists at once: a long array is held as lists a block at a time.
 _LOAD_CHUNK_CHARS = 2**18
 
 
-def _after(text: str, at: int, char: str) -> int:
-    """The index past char at text[at] and the whitespace after it; json.JSONDecodeError if char is not there."""
-    if text[at:at + 1] != char:
-        raise json.JSONDecodeError(f"Expecting {char!r}", text, at)
-    return _WHITESPACE(text, at + 1).end()
-
-
-def _json_object(text: str, read) -> None:
-    """Call read(key, at) for each member of the JSON object that is the whole of text, in order.
-
-    read parses the member's value, which starts at text[at], and returns
-    the index past it.  Raises json.JSONDecodeError where text is not one
-    JSON object: its top level is another value, a ':' or ',' is missing,
-    or data follows the closing brace.
-    """
-    at = _after(text, _WHITESPACE(text, 0).end(), "{")
-    if text[at:at + 1] != "}":
-        while True:
-            if text[at:at + 1] != '"':   # raw_decode would take any value as the key
-                raise json.JSONDecodeError("Expecting property name", text, at)
-            key, at = _DECODER.raw_decode(text, at)
-            at = _after(text, _WHITESPACE(text, at).end(), ":")
-            at = _WHITESPACE(text, read(key, at)).end()
-            if text[at:at + 1] != ",":
-                break
-            at = _after(text, at, ",")
-    if _after(text, at, "}") != len(text):
-        raise json.JSONDecodeError("Extra data", text, at + 1)
-
-
-def _parse_record_array(text: str, at: int, name: str, bools: bool) -> tuple[np.ndarray | None, int]:
+def _parse_record_array(text: str, at: int, name: str, bools: bool) -> tuple[np.ndarray, int] | None:
     """Record array name, whose JSON value starts at text[at], parsed and converted in blocks; and the index past it.
 
     A block is the records in the next _LOAD_CHUNK_CHARS characters or so,
@@ -461,17 +434,17 @@ def _parse_record_array(text: str, at: int, name: str, bools: bool) -> tuple[np.
     _record_array.  That parse reads the characters a parse of the
     whole value reads, so it gives the same records when the block's array
     is complete there and the comma follows, or when it closes where the
-    value does.  Returns (None, at), to have the whole value read instead,
-    where a block does not parse so, does not convert, or holds records of
-    another shape than the first block: a value that is not an array, or
-    records laid out otherwise than export_log writes them, or malformed,
-    are read whole, and raise just what they raise then.
+    value does.  Returns None, to have the whole text parsed instead, where
+    the value is not an array, or a block does not parse so, does not
+    convert, or holds records of another shape than the first block.
     """
     if text[at:at + 1] != "[":
-        return None, at
+        return None
     dtype, shape = _RECORD_LAYOUT[name]
+    if text[at + 1:at + 2] == "]":   # no record, so no closing brackets to find
+        return _record_array([], dtype, bools), at + 2
     closing = "]" * len(shape(1))   # the brackets that end a record
-    begin = _WHITESPACE(text, at + 1).end()
+    begin = at + 1
     parts = []
     while True:
         cut = text.find(closing + ",", begin + _LOAD_CHUNK_CHARS)
@@ -480,101 +453,98 @@ def _parse_record_array(text: str, at: int, name: str, bools: bool) -> tuple[np.
         else:   # the rest of the value, through its own closing bracket
             cut = text.find(closing + "]", begin)
             if cut < 0:
-                return None, at
+                return None
             cut += len(closing) + 1
         block = "[" + text[begin:cut] + "]"
         try:
             values, used = _DECODER.raw_decode(block)
             parts.append(_record_array(values, dtype, bools))
         except (TypeError, ValueError, OverflowError):   # json.JSONDecodeError too
-            return None, at
+            return None
         del values   # the lists of this block, before the next block's are parsed
         if parts[-1].shape[1:] != parts[0].shape[1:]:
-            return None, at
+            return None
         if used < len(block):   # the value closed inside the block
             return (parts[0] if len(parts) == 1 else np.concatenate(parts)), begin + used - 1
         if text[cut:cut + 1] != ",":
-            return None, at
-        begin = _WHITESPACE(text, cut + 1).end()
+            return None
+        begin = cut + 1
+
+
+def _exported(text: str, bools: bool) -> dict | None:
+    """The members of text if it is laid out as export_log writes it; None at the first deviation.
+
+    The members are read in _LOG_KEYS order, each after its opening text:
+    each record array by _parse_record_array, a block of records at a time,
+    and meta and events by one raw_decode each.  Another key, whitespace
+    between members, data after the closing brace, or a value that does not
+    parse or convert gives None.
+    """
+    found, at = {}, 0
+    for key, head in _LOG_KEYS.items():
+        if not text.startswith(head, at):
+            return None
+        at += len(head)
+        if key in _RECORD_LAYOUT:
+            parsed = _parse_record_array(text, at, key, bools)
+        else:
+            try:
+                parsed = _DECODER.raw_decode(text, at)
+            except json.JSONDecodeError:
+                return None
+        if parsed is None:
+            return None
+        found[key], at = parsed
+    return found if text[at:] == "}" else None
 
 
 def load_log(path: str) -> TrajectoryLog:
     """Read a JSON log whose arrays hold len(t) records of the robots of meta["scenario"].
 
-    The top-level object is parsed one member at a time, and each record
-    array is checked and converted as it is parsed, a block of records at a
-    time, so a long array is never held whole as Python lists.  An error
-    found on the way is held back and raised in the order of the checks
-    below, so the first error is the one a whole-text parse meets first; of
-    a key given twice the last value counts, as with json.loads.  Text that
-    is not one JSON object goes to json.loads, which raises its own error.
+    The text export_log writes is read member by member in its order, and
+    each record array is converted as it is parsed, a block of records at a
+    time, so a long array is never held whole as Python lists.  Any other
+    text (re-indented, with other keys, or malformed) is parsed whole by
+    json.loads, which raises its own error where the text is not JSON.
+    Either way the same checks follow, in the order below.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     # no log field is a bool, so only a log whose text holds one is scanned for it
     bools = "true" in text or "false" in text
     where = f"{path} is not a trajectory log:"
-    found: dict = {}   # key -> its value, or for a record array its array or the error reading it
-    records: int | ValueError = 0
-
-    def read(key, at: int) -> int:
-        # keep what the checks below read of member key, whose value starts at text[at]; return its end
-        nonlocal records
-        if key not in _RECORD_LAYOUT:
-            value, end = _DECODER.raw_decode(text, at)
-            if key in ("meta", "events"):
-                found[key] = value
-            return end
-        array, end = _parse_record_array(text, at, key, bools)
-        if array is not None:
-            found[key] = array
-            if key == "t":
-                records = len(array)
-            return end
-        value, end = _DECODER.raw_decode(text, at)   # the whole value, as json.loads reads it
-        if key == "t":
-            try:
-                records = len(_read(value, _list, f"{where} key 't'"))
-            except ValueError as exc:
-                records = exc
-        try:
-            found[key] = _record_array(value, _RECORD_LAYOUT[key][0], bools)
-        except (TypeError, ValueError, OverflowError) as exc:
-            found[key] = ValueError(f"{where} array {key!r}: {' '.join(str(exc).split())}")
-        return end
-
     try:
-        try:
-            _json_object(text, read)
-        except json.JSONDecodeError:
-            json.loads(text)   # raises the text's own error, unless it is JSON but not an object
-            raise ValueError(f"{where} its top level is not a mapping") from None
+        d = _exported(text, bools)
+        if d is None:
+            d = json.loads(text)
     except RecursionError:
         raise ValueError(f"{where} its JSON nests too deeply to parse") from None
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} its top level is not a mapping")
     for key in (*_RECORD_LAYOUT, "meta", "events"):
-        if key not in found:
+        if key not in d:
             raise ValueError(f"{where} key {key!r} is missing")
-    meta = found["meta"]
+    meta = d["meta"]
     if not isinstance(meta, dict) or "scenario" not in meta:
         raise ValueError(f"{where} meta is not a mapping with the key 'scenario'")
     n = len(scenario_from_dict(meta["scenario"]).initial)
-    if isinstance(records, ValueError):
-        raise records
-    arrays = {}
-    for name, (_, shape) in _RECORD_LAYOUT.items():
-        arrays[name] = found[name]
-        if isinstance(arrays[name], ValueError):
-            raise arrays[name]
+    records = len(d["t"] if isinstance(d["t"], np.ndarray) else _read(d["t"], _list, f"{where} key 't'"))
+    for name, (dtype, shape) in _RECORD_LAYOUT.items():
+        if not isinstance(d[name], np.ndarray):   # parsed by json.loads: its lists are converted here
+            try:
+                d[name] = _record_array(d[name], dtype, bools)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"{where} array {name!r}: {' '.join(str(exc).split())}") from None
         want = (records, *shape(n))
-        if arrays[name].shape == (0,):   # [] holds no record to give the shape of one
-            arrays[name] = arrays[name].reshape(0, *shape(n))
-        if arrays[name].shape != want:
-            raise ValueError(f"{where} array {name!r} has shape {arrays[name].shape}, not {want}")
-    events = _read(found["events"], _list, f"{where} key 'events'")
+        if d[name].shape == (0,):   # [] holds no record to give the shape of one
+            d[name] = d[name].reshape(0, *shape(n))
+        if d[name].shape != want:
+            raise ValueError(f"{where} array {name!r} has shape {d[name].shape}, not {want}")
+    events = _read(d["events"], _list, f"{where} key 'events'")
     for k, event in enumerate(events):
         if not (isinstance(event, dict) and isinstance(event.get("name"), str) and _finite(event.get("t"))):
             raise ValueError(f"{where} event {k} is not a mapping with a string 'name' and a finite 't'")
-    return TrajectoryLog(**arrays, events=events, meta=meta)
+    return TrajectoryLog(**{name: d[name] for name in _RECORD_LAYOUT}, events=events, meta=meta)
 
 
 def _record_array(values, dtype, bools: bool) -> np.ndarray:

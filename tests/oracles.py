@@ -12,8 +12,8 @@ by row number, ``_kept_rows`` is the set-aside test written row by row, and
 ``set_aside`` is a problem that holds every row as the pair pass hands it
 over, with the rows the box implies set aside.
 
-``max_min_slack_lp`` is the phase-I probe's optimum as an LP library
-finds it, ``scipy.optimize.linprog`` on the LP in (u, s).
+``max_min_slack_exact`` is the phase-I probe's optimum by Fourier–Motzkin
+elimination on the LP in (u, s), in exact rational arithmetic.
 
 ``log_json`` is a log's JSON text as one ``json.dumps`` of the whole
 payload, and ``load_log_whole`` reads a log with one ``json.loads`` of the
@@ -29,11 +29,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import count
 from typing import Sequence
 
 import numpy as np
-import scipy.optimize
 
 from mrdeadlock.cbf import IMPLIED_TOL
 from mrdeadlock.core import Vec2, euler_step, v_dot
@@ -174,21 +174,25 @@ def set_aside(problem: QPProblem) -> QPProblem:
                         problem.b[-1], keep + [m, m + 1, m + 2, m + 3])
 
 
-def max_min_slack_lp(ax: Sequence[float], ay: Sequence[float], b: Sequence[float]) -> float:
-    """Optimum of  max_u min_k (b_k - a_k.u):  maximize s  s.t.  a_k.u + s <= b_k,  by HiGHS's dual simplex.
+def max_min_slack_exact(ax: Sequence[float], ay: Sequence[float], b: Sequence[float]) -> float:
+    """Optimum of  max_u min_k (b_k - a_k.u):  max s  s.t.  a_k.u + s <= b_k,  exactly, then rounded to a float.
 
-    Presolve is off and the feasibility tolerances are HiGHS's least, 1e-10:
-    HiGHS may end at a vertex that breaks a row by up to its tolerance, so
-    its value may lie that far above the optimum (at the default 1e-7, with
-    presolve on, it did).  HiGHS drops a matrix entry below 1e-9 in
-    magnitude, so the rows' nonzero components must be larger.
+    Fourier–Motzkin elimination of u_x, then of u_y: each row with a
+    positive coefficient of the variable is added to each row with a
+    negative one, both scaled by a positive factor so that the variable
+    cancels, and the rows without it are kept.  The rows left, c s <= d,
+    hold for exactly the s that some u attains with every row, and each c
+    is a positive combination of the rows' coefficients 1 of s, so the
+    optimum is min d / c.  A float is a rational and Fraction arithmetic
+    does not round, so the one rounding is the final float().  The rows
+    must include the four box rows, which bound the LP.
     """
-    res = scipy.optimize.linprog(c=[0.0, 0.0, -1.0], A_ub=[[x, y, 1.0] for x, y in zip(ax, ay)], b_ub=b,
-                                 bounds=[(None, None)] * 3, method="highs-ds",
-                                 options={"presolve": False, "primal_feasibility_tolerance": 1e-10,
-                                          "dual_feasibility_tolerance": 1e-10})
-    assert res.success, res.message
-    return -res.fun
+    rows = [(Fraction(x), Fraction(y), Fraction(1), Fraction(bk)) for x, y, bk in zip(ax, ay, b)]
+    for v in (0, 1):
+        rows = [row for row in rows if row[v] == 0] + [
+            tuple(-q[v] * pk + p[v] * qk for pk, qk in zip(p, q)) for p in rows if p[v] > 0 for q in rows if q[v] < 0
+        ]
+    return float(min(d / c for _, _, c, d in rows))
 
 
 def log_json(log: TrajectoryLog) -> str:

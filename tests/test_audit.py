@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from audit_oracle import oracle_audit, tampered, tamperings
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mrdeadlock import (
@@ -26,8 +26,9 @@ from mrdeadlock import (
     three_robot_family_catA,
     three_robot_family_catB,
 )
+from mrdeadlock.audit import AUDIT_H_MATCH_TOL
 from mrdeadlock.errors import BoundarySingularityError, CoincidentRobotsError, SafetyViolationError
-from mrdeadlock.logio import CONTROLLERS, TrajectoryLog, scenario_from_dict, scenario_to_dict
+from mrdeadlock.logio import AUDIT_H_FLOOR, CONTROLLERS, TrajectoryLog, scenario_from_dict, scenario_to_dict
 
 # the oracle raises these where audit_log counts a bad record
 GEOMETRY_ERRORS = (CoincidentRobotsError, SafetyViolationError, BoundarySingularityError)
@@ -132,6 +133,12 @@ def _apply(log: TrajectoryLog, edit) -> None:
 @pytest.mark.ci_profile
 @settings(deadline=None, database=None)
 @given(_scenarios(), st.lists(_edits, max_size=3))
+# a pd-only draw whose recomputed h falls to -0.1686, below the audit's floor
+@example(Scenario(params=Params(kp=1.0, kv=3.0, ds=0.5, alpha=(2.0,) * 4),
+                  initial=(RobotState.at_rest((0.0, 0.0)), RobotState.at_rest((0.0, 1.0)),
+                           RobotState((2.0, 0.0), (-0.25, 0.0)), RobotState.at_rest((1.484375, 0.0))),
+                  goals=GoalSpec(pd=((1.484375, 0.0), (2.0, 0.0), (0.0, 1.0), (0.0, 0.0))),
+                  controller="pd-only", t_max=0.0625), [])
 def test_audit_matches_the_oracle_on_random_runs(scen, edits):
     assume(scen is not None)
     try:
@@ -139,7 +146,11 @@ def test_audit_matches_the_oracle_on_random_runs(scen, edits):
     except SimulationAbort:
         assume(False)
     report = _assert_matches_oracle(log)
-    if not edits:
+    if not edits and scen.controller == "pd-only":
+        # no safety filter keeps a pd-only run's h above the floor: the floor alone decides ok
+        assert report.h_match_max <= AUDIT_H_MATCH_TOL and report.kkt_max_residual == 0.0
+        assert report.bad_records == 0 and report.ok == (report.h_min >= AUDIT_H_FLOOR)
+    elif not edits:
         assert report.ok
     for edit in edits:
         _apply(log, edit)

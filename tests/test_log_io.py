@@ -1,8 +1,9 @@
 """The JSON log round trip, streamed: export_log and load_log against the whole-text oracles.
 
-export_log writes one record array at a time and load_log parses one
-top-level member at a time; oracles.log_json and oracles.load_log_whole are
-the same text and the same checks with one json.dumps and one json.loads.
+export_log writes one record array at a time, and load_log parses that
+text one member at a time and any other text with one json.loads;
+oracles.log_json and oracles.load_log_whole are the same text and the same
+checks with one json.dumps and one json.loads.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import json
 import math
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -224,6 +226,42 @@ def test_json_round_trip_runs_in_bounded_memory(tmp_path):
     # parse adds one block of lists and the arrays it builds
     assert load_peak <= path.stat().st_size + 2.5 * arrays
     assert np.array_equal(back.mu, log.mu) and np.array_equal(back.pos, log.pos)
+
+
+# export_log's text is read member by member; any other text goes to one json.loads
+EXPORTED_LOGS = {
+    "head-on": lambda: run_scenario(default_head_on_scenario(t_max=2.0)),
+    "one-robot-pd-only": lambda: run_scenario(replace(_scenario(1), t_max=0.5)),
+    "zero-records": lambda: _synthetic_log(0, np.random.default_rng(3)),
+}
+
+
+@pytest.mark.parametrize("which", sorted(EXPORTED_LOGS))
+def test_an_exported_log_loads_without_a_whole_text_parse(tmp_path, monkeypatch, which):
+    log = EXPORTED_LOGS[which]()
+    path = tmp_path / "log.json"
+    export_log(log, "json", str(path))
+    monkeypatch.setattr(logio.json, "loads", mock.Mock(side_effect=AssertionError("the text was parsed whole")))
+    back = load_log(str(path))
+    assert log_json(back) == path.read_text(encoding="utf-8")
+    assert all(getattr(back, name).dtype == dtype for name, (dtype, _) in _RECORD_LAYOUT.items())
+
+
+@pytest.mark.parametrize("edit", ["indent-1", "extra-key"])
+def test_other_text_is_parsed_whole_into_the_same_log(tmp_path, monkeypatch, edit):
+    log = EXPORTED_LOGS["head-on"]()
+    text = log_json(log)
+    text = json.dumps(json.loads(text), indent=1) if edit == "indent-1" else _with_member(text, '"notes":[]', "last")
+    path = tmp_path / "log.json"
+    path.write_text(text, encoding="utf-8")
+    loads = mock.Mock(wraps=json.loads)
+    monkeypatch.setattr(logio.json, "loads", loads)
+    back = load_log(str(path))
+    loads.assert_called_once()
+    for name, (dtype, _) in _RECORD_LAYOUT.items():
+        assert getattr(back, name).dtype == dtype
+        assert np.array_equal(getattr(back, name), getattr(log, name))
+    assert (back.events, back.meta) == (log.events, log.meta)
 
 
 _JSON_VALUES = st.one_of(

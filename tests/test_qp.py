@@ -30,7 +30,7 @@ from mrdeadlock.qp import (
     flat_problem,
     verify_kkt,
 )
-from oracles import ConstraintRow, box_rows, max_min_slack_lp, problem_of, rows_of, set_aside
+from oracles import ConstraintRow, box_rows, max_min_slack_exact, problem_of, rows_of, set_aside
 
 
 def random_problem(rng, m=None, alpha=None):
@@ -402,13 +402,13 @@ def test_checked_constructor_is_the_flat_constructor(u_hat, rows, alpha):
 
 
 # ---------------------------------------------------------------------------
-# the phase-I probe's vertex enumeration against an LP library
+# the phase-I probe's vertex enumeration against exact elimination
 # ---------------------------------------------------------------------------
 
 bounds = st.floats(-2.0, 10.0)
-# linprog's HiGHS reads a matrix entry below 1e-9 in magnitude as 0, so the
-# components that max_min_slack_lp sees are 0 or at least 1e-6 in magnitude
-coefficients = st.one_of(st.just(0.0), st.floats(1e-3, 3.0), st.floats(-3.0, -1e-3))
+# components of 0, of 1e-3 to 3 and of 1e-14 to 1e-9 in magnitude, with either sign
+coefficients = st.one_of(st.just(0.0), st.floats(1e-3, 3.0), st.floats(-3.0, -1e-3),
+                         st.floats(1e-14, 1e-9), st.floats(-1e-9, -1e-14))
 
 
 @st.composite
@@ -438,7 +438,7 @@ def probe_rows(draw):
     alpha = draw(box_bounds)
     ax, ay, b = ax + [a[0] for a in BOX_NORMALS], ay + [a[1] for a in BOX_NORMALS], b + [alpha] * 4
     if draw(st.booleans()):
-        shift = INFEAS_TOL + draw(st.floats(-1e-9, 1e-9)) - max_min_slack_lp(ax, ay, b)
+        shift = INFEAS_TOL + draw(st.floats(-1e-9, 1e-9)) - max_min_slack_exact(ax, ay, b)
         b = [bound + shift for bound in b]
     return ax, ay, b
 
@@ -448,12 +448,11 @@ def probe_rows(draw):
 @settings(deadline=None, database=None)
 @given(probe_rows())
 def test_phase1_probe_is_the_lp_optimum(rows):
-    """The probe's vertex enumeration gives the LP's optimum as linprog finds it.
+    """The probe's vertex enumeration gives the LP's optimum as exact elimination finds it.
 
     Values are compared, not verdicts: at the knife edge of INFEAS_TOL a
-    rounding apart may decide either way.  The bound is rounding,
-    1e-12 (1 + max|b|), plus the 1e-10 by which the oracle's vertex may
-    break a row.
+    rounding apart may decide either way.  The bound is the probe's
+    rounding, 1e-12 (1 + max|b|); the oracle rounds only its result.
     """
     ax, ay, b = rows
-    assert abs(_max_min_slack(ax, ay, b) - max_min_slack_lp(ax, ay, b)) <= 1e-12 * (1.0 + max(map(abs, b))) + 1e-10
+    assert abs(_max_min_slack(ax, ay, b) - max_min_slack_exact(ax, ay, b)) <= 1e-12 * (1.0 + max(map(abs, b)))
