@@ -12,10 +12,10 @@ acceleration limits, giving one linear row per neighbor in each robot's QP.
 The scalar functions safety_index_signed, constraint_bound, decentralized_rows,
 assemble_qp and min_pair_distance evaluate one pair or one robot at a time.
 No run calls them: they are the tests' oracles, and the benchmark's tracer
-binds them by name.  Every other module goes through
-PairField, which evaluates every unordered pair once per world state and
-reproduces the scalar results bit for bit, and which sets aside the QP rows
-the acceleration box implies (PairField._array_problems).
+binds them by name.  Every other module goes through PairField, which
+evaluates every unordered pair once per world state and reproduces the
+scalar results bit for bit, and which, from ARRAY_MIN_ROBOTS robots on, sets
+aside the QP rows the acceleration box implies (PairField._array_problems).
 """
 
 from __future__ import annotations
@@ -156,42 +156,37 @@ def min_pair_distance(world: WorldState) -> float:
 # Relative margin by which a neighbor row must clear the acceleration box to
 # be set aside (PairField._array_problems derives the terms it scales).
 IMPLIED_TOL = 1e-6
-# PairField sets aside the rows the box implies from SET_ASIDE_MIN_ROBOTS
-# robots on, and runs the whole pass over NumPy arrays from ARRAY_MIN_ROBOTS
-# on; below each, plain floats cost less.  Both set from ring timings (CHANGES.md).
-SET_ASIDE_MIN_ROBOTS = 6
-ARRAY_MIN_ROBOTS = 9
+# From ARRAY_MIN_ROBOTS robots on, PairField runs its pass over NumPy arrays
+# and sets aside the rows the box implies; below it, plain floats with every
+# row cost less.  Set from ring timings (CHANGES.md).
+ARRAY_MIN_ROBOTS = 6
 
 
 @dataclass(frozen=True)
 class _PairConstants:
-    """Per-(params, n) data of the float pass: pair order, alpha sums and shares."""
+    """Per-(params, n) data of both passes.
+
+    The float pass reads pairs (pair_indices(n)), each pair's alpha sum and
+    its shares (alpha_i, alpha_j) / (alpha_i + alpha_j).  The array pass
+    reads the pairs as i, j, their alpha sums as pair_asum, and n (n - 1)
+    directed rows, robot by robot, each robot's neighbor rows in row order:
+    row k of robot r faces robot other = row_neighbor(r, k) through the pair
+    pair, and number is k.  Robot r's rows end before ends[r].  Then alpha,
+    and each directed row's alpha and bound share.
+    """
 
     pairs: tuple[tuple[int, int], ...]
     asum: tuple[float, ...]
-    shares: tuple[tuple[float, float], ...]      # (alpha_i, alpha_j) / (alpha_i + alpha_j)
-
-
-@dataclass(frozen=True)
-class _ArrayConstants:
-    """Per-(params, n) data of the array pass and of the set-aside test.
-
-    i, j: the pairs of pair_indices(n).  The n (n - 1) directed rows run
-    robot by robot, each robot's neighbor rows in row order: row k of robot
-    r faces robot other = row_neighbor(r, k) through the pair pair, and
-    number is k.  Robot r's rows end before ends[r].  Then alpha, each
-    pair's alpha sum, and each directed row's alpha and bound share.
-    """
-
+    shares: tuple[tuple[float, float], ...]
     i: np.ndarray
     j: np.ndarray
+    pair_asum: np.ndarray
     robot: np.ndarray
     other: np.ndarray
     pair: np.ndarray
     number: np.ndarray
     ends: np.ndarray
     alpha: np.ndarray
-    asum: np.ndarray
     row_alpha: np.ndarray
     row_share: np.ndarray
 
@@ -200,18 +195,8 @@ class _ArrayConstants:
 # shared, immutable, by every step of it.
 @functools.lru_cache(maxsize=4)
 def _pair_constants(params: Params, n: int) -> _PairConstants:
-    pairs = pair_indices(n)
-    alpha = params.alpha
-    asum = tuple(alpha[i] + alpha[j] for i, j in pairs)
-    return _PairConstants(
-        pairs=pairs,
-        asum=asum,
-        shares=tuple((alpha[i] / s, alpha[j] / s) for (i, j), s in zip(pairs, asum)),
-    )
-
-
-@functools.lru_cache(maxsize=4)
-def _array_constants(params: Params, n: int) -> _ArrayConstants:
+    if len(params.alpha) < n:
+        raise ValueError(f"params has {len(params.alpha)} alphas for {n} robots")
     i, j = np.triu_indices(n, 1)
     pair_of = np.zeros((n, n), dtype=np.intp)
     pair_of[i, j] = pair_of[j, i] = np.arange(len(i))
@@ -219,10 +204,12 @@ def _array_constants(params: Params, n: int) -> _ArrayConstants:
     other = number + (number >= robot)
     pair = pair_of[robot, other]
     alpha = np.array(params.alpha[:n], dtype=float)
-    asum = alpha.take(i) + alpha.take(j)
+    pair_asum = alpha.take(i) + alpha.take(j)
     row_alpha = alpha.take(robot)
-    return _ArrayConstants(i, j, robot, other, pair, number, np.arange(1, n + 1) * (n - 1),
-                           alpha, asum, row_alpha, row_alpha / asum.take(pair))
+    shares = zip((alpha.take(i) / pair_asum).tolist(), (alpha.take(j) / pair_asum).tolist())
+    return _PairConstants(pair_indices(n), tuple(pair_asum.tolist()), tuple(shares), i, j, pair_asum, robot,
+                          other, pair, number, np.arange(1, n + 1) * (n - 1), alpha, row_alpha,
+                          row_alpha / pair_asum.take(pair))
 
 
 class PairField:
@@ -236,16 +223,17 @@ class PairField:
     takes sqrt(2 asum eps) once per pair and leaves h computed too.  Every
     value equals its scalar oracle bit for bit (safety_index_signed,
     min_pair_distance, constraint_bound, assemble_qp with, from
-    SET_ASIDE_MIN_ROBOTS robots on, the rows the box implies set aside).
+    ARRAY_MIN_ROBOTS robots on, the rows the box implies set aside).
 
-    Below ARRAY_MIN_ROBOTS robots the pass runs over plain floats; from
-    there on the geometry and the bounds (with h) are evaluated over NumPy
-    arrays, with the same float operations in the same order and math.hypot
-    for every norm, so both give the same bits; rows are set aside over
-    arrays on both paths.  When some pair would raise (coincident robots, a
-    pair inside the margin, or a singular bound), the array pass hands over
-    to the float pass, which raises the first error in pair order; h read
-    before the bounds is evaluated over floats too.
+    Below ARRAY_MIN_ROBOTS robots the pass runs over plain floats and hands
+    every row over.  From there on the geometry and the bounds (with h) are
+    evaluated over NumPy arrays, with the same float operations in the same
+    order and math.hypot for every norm, so both give the same bits, and
+    the rows are set aside over those arrays.  When some pair would raise
+    (coincident robots, a pair inside the margin, or a singular bound), the
+    array pass hands over to the float pass, which raises the first error in
+    pair order; h read before the bounds is evaluated over floats too.  A
+    ValueError is raised when params has fewer alphas than world has robots.
     """
 
     __slots__ = ("_robots", "_const", "_params", "_arrays", "distances", "_pv", "_dvv", "_h", "_bounds",
@@ -262,7 +250,7 @@ class PairField:
         self._bounds: tuple[float, ...] | None = None
         self._bound_array: np.ndarray | None = None
         if n >= ARRAY_MIN_ROBOTS:
-            self._array_init(robots, _array_constants(params, n))
+            self._array_init(robots, const)
             return
         self._arrays = None
         rs: list[float] = []
@@ -281,7 +269,7 @@ class PairField:
         self._dvv = dvvs
         self.min_distance = min(rs, default=math.inf)
 
-    def _array_init(self, robots: tuple[RobotState, ...], const: _ArrayConstants) -> None:
+    def _array_init(self, robots: tuple[RobotState, ...], const: _PairConstants) -> None:
         # one column per robot: p_x, p_y, v_x, v_y
         state = np.fromiter(chain.from_iterable(z.p + z.v for z in robots), float, 4 * len(robots))
         state = state.reshape(-1, 4).T
@@ -291,7 +279,7 @@ class PairField:
             self._dvv = dvx * dvx + dvy * dvy
         rs = list(map(math.hypot, dx.tolist(), dy.tolist()))   # np.hypot can differ in the last bit
         r = np.fromiter(rs, float, len(rs))
-        self._arrays = (const, state[:2], r)
+        self._arrays = (state[:2], r)
         self.distances = rs
         self.min_distance = float(r.min())
 
@@ -322,64 +310,64 @@ class PairField:
         is symmetric in (i, j).
         """
         if self._bounds is None:
-            pvs, dvvs = self._pv, self._dvv
-            if self._arrays is not None:
-                if self._array_bounds():
-                    self._bounds = tuple(self._bound_array.tolist())
-                    return self._bounds
-                pvs, dvvs = pvs.tolist(), dvvs.tolist()   # some pair raises in the float pass
-            ds = self._params.ds
-            out = []
-            hs = []
-            for (i, j), asum, r, pv, dvv in zip(self._const.pairs, self._const.asum, self.distances, pvs, dvvs):
-                if r == 0.0:
-                    raise CoincidentRobotsError(f"robots {i} and {j} coincide")
-                eps = r - ds
-                if eps < -BOUNDARY_SNAP:
-                    raise SafetyViolationError(penetration=-eps, pair=(i, j))
-                root = 0.0 if eps <= BOUNDARY_SNAP else math.sqrt(2.0 * asum * eps)
-                if eps < EPS_NUM:
-                    if abs(pv) < EPS_NUM:
-                        middle = 0.0
-                    else:
-                        raise BoundarySingularityError(
-                            f"pair ({i},{j}): ||dp|| - Ds = {eps:.3e} with dp.dv = {pv:.3e}"
-                        )
-                else:
-                    middle = asum * pv / root
-                # the strict safety index, which here equals the signed one
-                h = root + pv / r
-                hs.append(h)
-                out.append(r * h * h * h + middle + dvv - (pv * pv) / (r * r))
-            self._bounds = tuple(out)
-            self._h = tuple(hs)   # what h would compute, bit for bit
+            if self._arrays is None:
+                self._float_bounds(self._pv, self._dvv)
+            else:
+                self._bounds = tuple(self._array_bounds().tolist())
         return self._bounds
 
-    def _array_bounds(self) -> bool:
-        """The bound array, and h with it; False, with neither set, if some pair would raise.
+    def _float_bounds(self, pvs: Sequence[float], dvvs: Sequence[float]) -> None:
+        """bounds() over plain floats, which sets h too, or the first error in pair order."""
+        ds = self._params.ds
+        out = []
+        hs = []
+        for (i, j), asum, r, pv, dvv in zip(self._const.pairs, self._const.asum, self.distances, pvs, dvvs):
+            if r == 0.0:
+                raise CoincidentRobotsError(f"robots {i} and {j} coincide")
+            eps = r - ds
+            if eps < -BOUNDARY_SNAP:
+                raise SafetyViolationError(penetration=-eps, pair=(i, j))
+            root = 0.0 if eps <= BOUNDARY_SNAP else math.sqrt(2.0 * asum * eps)
+            if eps < EPS_NUM:
+                if abs(pv) < EPS_NUM:
+                    middle = 0.0
+                else:
+                    raise BoundarySingularityError(
+                        f"pair ({i},{j}): ||dp|| - Ds = {eps:.3e} with dp.dv = {pv:.3e}"
+                    )
+            else:
+                middle = asum * pv / root
+            # the strict safety index, which here equals the signed one
+            h = root + pv / r
+            hs.append(h)
+            out.append(r * h * h * h + middle + dvv - (pv * pv) / (r * r))
+        self._bounds = tuple(out)
+        self._h = tuple(hs)   # what h would compute, bit for bit
+
+    def _array_bounds(self) -> np.ndarray:
+        """The bound array, which sets h too; if some pair would raise, the float pass raises instead.
 
         The tuple bounds() returns is built from the array only when bounds()
-        is called: from ARRAY_MIN_ROBOTS robots on, the QPs read the array.
+        is called: the QPs read the array.
         """
-        if self._bound_array is not None:
-            return True
-        (const, _, r), pv, dvv = self._arrays, self._pv, self._dvv
-        asum = const.asum
-        ds = self._params.ds
-        eps = r - ds
-        with np.errstate(all="ignore"):
-            # min(r) - Ds is the least eps: past EPS_NUM no pair can raise
-            if self.min_distance - ds < EPS_NUM:
-                singular = (eps < EPS_NUM) & ~(np.abs(pv) < EPS_NUM)
-                if ((r == 0.0) | (eps < -BOUNDARY_SNAP) | singular).any():
-                    return False
-            root = np.where(eps <= BOUNDARY_SNAP, 0.0, np.sqrt(2.0 * asum * np.abs(eps)))
-            middle = np.where(eps < EPS_NUM, 0.0, asum * pv / root)
-            h = root + pv / r
-            bound = r * h * h * h + middle + dvv - (pv * pv) / (r * r)
-        self._h = tuple(h.tolist())
-        self._bound_array = bound
-        return True
+        if self._bound_array is None:
+            (_, r), pv, dvv = self._arrays, self._pv, self._dvv
+            asum = self._const.pair_asum
+            ds = self._params.ds
+            eps = r - ds
+            with np.errstate(all="ignore"):
+                # min(r) - Ds is the least eps: past EPS_NUM no pair can raise
+                if self.min_distance - ds < EPS_NUM:
+                    singular = (eps < EPS_NUM) & ~(np.abs(pv) < EPS_NUM)
+                    if ((r == 0.0) | (eps < -BOUNDARY_SNAP) | singular).any():
+                        self._float_bounds(pv.tolist(), dvv.tolist())   # raises the first error in pair order
+                root = np.where(eps <= BOUNDARY_SNAP, 0.0, np.sqrt(2.0 * asum * np.abs(eps)))
+                middle = np.where(eps < EPS_NUM, 0.0, asum * pv / root)
+                h = root + pv / r
+                bound = r * h * h * h + middle + dvv - (pv * pv) / (r * r)
+            self._h = tuple(h.tolist())
+            self._bound_array = bound
+        return self._bound_array
 
     def problems(self, u_hat: Sequence[Vec2]) -> tuple[QPProblem, ...]:
         """All N per-robot QPs (assemble_qp for i = 0 .. N-1); u_hat[i] is robot i's PD reference.
@@ -388,7 +376,7 @@ class PairField:
         bound alpha_i, and both shares of b_ij come from one bound.  Robot
         j's row is minus robot i's, built from -(p_j - p_i), not from dp_ij,
         so a zero component keeps the sign assemble_qp gives it.  From
-        SET_ASIDE_MIN_ROBOTS robots on, each QP holds only the neighbor rows
+        ARRAY_MIN_ROBOTS robots on, each QP holds only the neighbor rows
         _array_problems keeps, numbered by QPProblem.index when some are set
         aside.  A ValueError is raised unless u_hat has one entry per robot.
         """
@@ -396,13 +384,8 @@ class PairField:
         n = len(robots)
         if len(u_hat) != n:
             raise ValueError(f"u_hat has {len(u_hat)} entries for {n} robots")
-        if n >= SET_ASIDE_MIN_ROBOTS:
-            if self._arrays is not None and self._array_bounds():
-                const, pos, _ = self._arrays
-                return self._array_problems(u_hat, const, pos, self._bound_array)
-            bounds = np.array(self.bounds())   # raises the first error where the array pass found one
-            pos = np.array([z.p for z in robots]).T
-            return self._array_problems(u_hat, _array_constants(self._params, n), pos, bounds)
+        if self._arrays is not None:
+            return self._array_problems(u_hat)
         bounds = self.bounds()
         ax: list[list[float]] = [[] for _ in robots]
         ay: list[list[float]] = [[] for _ in robots]
@@ -418,9 +401,8 @@ class PairField:
             b[j].append(share_j * bound)
         return tuple(map(flat_problem, u_hat, ax, ay, b, self._params.alpha))
 
-    def _array_problems(self, u_hat: Sequence[Vec2], const: _ArrayConstants, pos: np.ndarray,
-                        bounds: np.ndarray) -> tuple[QPProblem, ...]:
-        """problems over arrays, from the robots' positions pos (2 x N) and the pair bounds.
+    def _array_problems(self, u_hat: Sequence[Vec2]) -> tuple[QPProblem, ...]:
+        """problems over arrays, from the robots' positions, the pair constants and the bound array.
 
         Robot i's QP holds the neighbor rows a.u <= b that the box
         |u_x|, |u_y| <= alpha_i does not strictly imply.  A row is set aside when
@@ -450,6 +432,8 @@ class PairField:
         against the full enumeration covers it.  A NaN row is kept.
         """
         n = len(self._robots)
+        const = self._const
+        (pos, _), bounds = self._arrays, self._array_bounds()
         row_alpha = const.row_alpha
         with np.errstate(all="ignore"):
             dp = pos.take(const.robot, axis=1) - pos.take(const.other, axis=1)   # a row's normal is -dp

@@ -73,8 +73,8 @@ def _ring(n: int, spacing: float, phase: float, alpha: tuple[float, ...], t_max:
 # has 15 neighbor rows, most of them implied by the acceleration box.
 RING16 = _ring(16, 1.02, 0.1, tuple(4.5 + (3 * k % 7) / 6 for k in range(16)), 0.03)
 # 8 robots, neighbors 3 % outside contact, unequal alphas, 60 steps, as in
-# the crowd_ring benchmark's smallest ring: the largest ring whose QPs the
-# pair pass builds over plain floats, some rows set aside.
+# the crowd_ring benchmark's smallest ring: QPs built over arrays, some rows
+# set aside.
 RING8 = _ring(8, 1.03, 0.7, tuple(4.5 + (5 * k % 8) / 8 for k in range(8)), 0.06)
 
 

@@ -180,19 +180,32 @@ def max_min_slack_exact(ax: Sequence[float], ay: Sequence[float], b: Sequence[fl
     Fourier–Motzkin elimination of u_x, then of u_y: each row with a
     positive coefficient of the variable is added to each row with a
     negative one, both scaled by a positive factor so that the variable
-    cancels, and the rows without it are kept.  The rows left, c s <= d,
-    hold for exactly the s that some u attains with every row, and each c
-    is a positive combination of the rows' coefficients 1 of s, so the
-    optimum is min d / c.  A float is a rational and Fraction arithmetic
-    does not round, so the one rounding is the final float().  The rows
-    must include the four box rows, which bound the LP.
+    cancels, and the rows without it are kept.  Between the two steps each
+    row is divided by |c_y|, its coefficient of u_y, or where that is 0 by
+    its coefficient c of s, and of the rows with one direction only the one
+    with the smallest bound is kept: it implies the others.  The rows left
+    after u_y, c s <= d, hold for exactly the s that some u attains with
+    every row, and each c is a positive combination of the rows'
+    coefficients 1 of s, so the optimum is min d / c, taken over the pairs
+    of the last step without building their rows.  A float is a rational
+    and Fraction arithmetic does not round, so the one rounding is the
+    final float().  The rows must include the four box rows, which bound
+    the LP.
     """
     rows = [(Fraction(x), Fraction(y), Fraction(1), Fraction(bk)) for x, y, bk in zip(ax, ay, b)]
-    for v in (0, 1):
-        rows = [row for row in rows if row[v] == 0] + [
-            tuple(-q[v] * pk + p[v] * qk for pk, qk in zip(p, q)) for p in rows if p[v] > 0 for q in rows if q[v] < 0
-        ]
-    return float(min(d / c for _, _, c, d in rows))
+    rows = [row[1:] for row in rows if row[0] == 0] + [
+        tuple(-q[0] * pk + p[0] * qk for pk, qk in zip(p[1:], q[1:]))
+        for p in rows if p[0] > 0 for q in rows if q[0] < 0
+    ]
+    least: dict[tuple[int, Fraction], Fraction] = {}   # (sign of c_y, c), both divided as above -> least d
+    for y, c, d in rows:
+        scale = abs(y) or c
+        key, d = ((y > 0) - (y < 0), c / scale), d / scale
+        least[key] = min(d, least.get(key, d))
+    up = [(c, d) for (sign, c), d in least.items() if sign > 0]
+    down = [(c, d) for (sign, c), d in least.items() if sign < 0]
+    flat = [d for (sign, _), d in least.items() if sign == 0]
+    return float(min(flat + [(dp + dq) / (cp + cq) for cp, dp in up for cq, dq in down]))
 
 
 def log_json(log: TrajectoryLog) -> str:

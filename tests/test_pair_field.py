@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,14 +15,15 @@ from mrdeadlock import (
     RobotState,
     WorldState,
     pd_control,
+    run_scenario,
     solve_qp,
 )
 from mrdeadlock import cbf
 from mrdeadlock.cbf import (
+    ARRAY_MIN_ROBOTS,
     BOUNDARY_SNAP,
     EPS_NUM,
     IMPLIED_TOL,
-    SET_ASIDE_MIN_ROBOTS,
     PairField,
     assemble_qp,
     constraint_bound,
@@ -31,8 +33,11 @@ from mrdeadlock.cbf import (
     row_neighbor,
     safety_index_signed,
 )
+from mrdeadlock.deadlock import classify_three_robot, verify_boundary_membership
 from mrdeadlock.errors import ToolkitError
+from mrdeadlock.logio import log_to_json
 from mrdeadlock.resolution import Filtering, ResolutionConfig, supervisor_step
+from conftest import _ring
 from oracles import ConstraintRow, _kept_rows, numbered_rows, rows_of, set_aside
 
 # Offsets of length exactly Ds in binary floating point; added to a dyadic
@@ -123,8 +128,8 @@ def test_pair_field_matches_scalar_oracles(case):
         _same_error(lambda: field.problems(u_hat), exc)
         return
     batch = field.problems(u_hat)
-    # from SET_ASIDE_MIN_ROBOTS robots on, the pair pass sets the box-implied rows aside
-    assert repr(batch) == repr(problems if world.n < SET_ASIDE_MIN_ROBOTS else tuple(map(set_aside, problems)))
+    # from ARRAY_MIN_ROBOTS robots on, the pair pass sets the box-implied rows aside
+    assert repr(batch) == repr(problems if world.n < ARRAY_MIN_ROBOTS else tuple(map(set_aside, problems)))
     for c, (i, j) in enumerate(pairs):
         assert repr(field.bounds()[c]) == repr(constraint_bound(robots[i], robots[j], params, i, j))
         row_i, row_j = decentralized_rows(robots[i], robots[j], params, i, j)
@@ -192,8 +197,7 @@ def test_pair_pass_qps_are_the_assembled_qps(case):
         assert _outcome(solve_qp, problem) == _outcome(solve_qp, oracle)
 
 
-@pytest.mark.parametrize("arrays", [False, True], ids=["floats", "arrays"])
-def test_pair_pass_sets_aside_only_rows_clear_of_the_box(monkeypatch, arrays):
+def test_pair_pass_sets_aside_only_rows_clear_of_the_box():
     ax, ay, b = zip(
         (1.0, 1.0, 10.0 + 1e-3),    # clears the box max 10: set aside
         (1.0, 1.0, 10.0),           # touches the box corner: kept
@@ -205,18 +209,17 @@ def test_pair_pass_sets_aside_only_rows_clear_of_the_box(monkeypatch, arrays):
     assert _kept_rows(ax[1:2], ay[1:2], b[1:2], 5.0) is None
     # two chains of three robots, each link 1 % outside contact, 10 m apart:
     # each QP keeps only its contact rows
-    monkeypatch.setattr(cbf, "ARRAY_MIN_ROBOTS", 3 if arrays else 100)
     world, _, params = _case([(0.0, 0.0), (0.505, 0.0), (1.01, 0.0), (10.0, 0.0), (10.0, 0.505), (10.0, 1.01)])
     field = PairField(world, params)
     problems = field.problems([(1.0, 0.0), (0.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, 0.0), (0.0, -1.0)])
     box = [5, 6, 7, 8]
     assert [p.index for p in problems] == [[0] + box, [0, 1] + box, [1] + box, [3] + box, [3, 4] + box, [4] + box]
-    assert (field._arrays is not None) == arrays
+    assert field._arrays is not None
     # the kept rows are the full QP's, bit for bit
     assert repr(problems[0].ax[0]) == repr(-(0.0 - 0.505)) and repr(problems[5].ay[0]) == repr(-(1.01 - 0.505))
 
 
-def test_pair_pass_keeps_the_rows_the_oracle_keeps_at_the_margin(monkeypatch):
+def test_pair_pass_keeps_the_rows_the_oracle_keeps_at_the_margin():
     """Bounds that put both rows of each pair on the set-aside margin, or 1e-9 inside or past it.
 
     Every |a|_1 is below 1, so the margin takes A = 1 from the box rows.
@@ -233,9 +236,9 @@ def test_pair_pass_keeps_the_rows_the_oracle_keeps_at_the_margin(monkeypatch):
         # b - top = IMPLIED_TOL (1 + b + size (1 + alpha + 1)) at b = edge
         edge = (top + IMPLIED_TOL * (1.0 + size * (2.0 + alpha))) / (1.0 - IMPLIED_TOL)
         bounds.append(2.0 * edge * (1.0 - 1e-9, 1.0, 1.0 + 1e-9)[c % 3])   # each robot's share is 1/2
-    monkeypatch.setattr(PairField, "bounds", lambda self: tuple(bounds))
     field = PairField(world, params)
-    assert field._arrays is None   # the float pass reads the patched bounds
+    assert field._arrays is not None
+    field._bound_array = np.array(bounds)   # the array pass reads these bounds
     problems = field.problems([(0.0, 0.0)] * n)
     pair_of = {pair: c for c, pair in enumerate(pair_indices(n))}
     held = 0
@@ -298,7 +301,10 @@ def _hexes(values) -> list[str]:
 
 
 def _pass(world, params, u_hat, arrays: bool, order) -> dict:
-    """What the pair pass gives, in float.hex, or the error it raises; the array pass if arrays."""
+    """What the pair pass gives, in float.hex, or the error it raises; the array pass if arrays.
+
+    The float pass hands every row over; its QPs are read through oracles.set_aside.
+    """
     saved = cbf.ARRAY_MIN_ROBOTS
     cbf.ARRAY_MIN_ROBOTS = 3 if arrays else world.n + 1   # read by the constructor only
     try:
@@ -307,11 +313,12 @@ def _pass(world, params, u_hat, arrays: bool, order) -> dict:
         cbf.ARRAY_MIN_ROBOTS = saved
     assert (field._arrays is not None) == arrays
     out = {"distances": _hexes(field.distances), "min_distance": float.hex(field.min_distance)}
+    kept = (lambda problems: problems) if arrays else (lambda problems: map(set_aside, problems))
     reads = {
         "h": lambda: _hexes(field.h),
         "bounds": lambda: _hexes(field.bounds()),
         "problems": lambda: [(_hexes(p.u_hat), _hexes(p.ax), _hexes(p.ay), _hexes(p.b), p.index)
-                             for p in field.problems(u_hat)],
+                             for p in kept(field.problems(u_hat))],
     }
     for name in order:
         try:
@@ -331,7 +338,7 @@ def _pass(world, params, u_hat, arrays: bool, order) -> dict:
 # coincident robots, then a pair inside the margin
 @example((*_case([(0.0, 0.0), (3.0, 0.0), (0.0, 0.0), (3.4, 0.0)])[::2], [(0.0, 0.0)] * 4), ("problems", "h", "bounds"))
 def test_array_pass_is_the_float_pass(case, order):
-    """The array pass gives the float pass's floats, kept rows and row numbers, or raises its first error."""
+    """The array pass gives the float pass's floats, oracles.set_aside's kept rows and numbers, or its first error."""
     world, params, u_hat = case
     assert _pass(world, params, u_hat, True, order) == _pass(world, params, u_hat, False, order)
 
@@ -355,3 +362,33 @@ def test_problems_want_one_reference_per_robot(n_refs):
         PairField(world, params).problems(u_hat)
     with pytest.raises(ValueError, match=f"^u_hat has {n_refs} entries for 2 robots"):
         supervisor_step(Filtering(), world, goals, params, 1e-3, ResolutionConfig(), PairField(world, params), u_hat)
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_too_few_alphas_raise_a_value_error(n):
+    """params with fewer alphas than robots raises a ValueError naming both counts, in either pass; more is fine."""
+    world, goals, params = _case([(1.0 * k, 0.0) for k in range(n)], alpha=[5.0, 5.0])
+    with pytest.raises(ValueError, match=f"^params has 2 alphas for {n} robots$"):
+        PairField(world, params)
+    with pytest.raises(ValueError, match=f"^params has 2 alphas for {n} robots$"):
+        verify_boundary_membership(world, goals, params)
+    if n == 3:
+        with pytest.raises(ValueError, match="^params has 2 alphas for 3 robots$"):
+            classify_three_robot(world, params, 1e-9)
+    more = Params(kp=1.0, kv=3.0, ds=0.5, alpha=(5.0,) * (n + 1))
+    assert len(PairField(world, more).problems([(0.0, 0.0)] * n)) == n
+
+
+@pytest.mark.parametrize("n, spacing", [(6, 1.01), (7, 1.03), (8, 1.05)])
+def test_the_band_switch_moves_time_never_bytes(monkeypatch, n, spacing):
+    """A ring's log is the same with its rows set aside over arrays as with every row over floats."""
+    scenario = _ring(n, spacing, 0.3, tuple(4.5 + (3 * k % n) / n for k in range(n)), 0.1)
+    world = WorldState(robots=scenario.initial)
+    u_hat = [pd_control(z, g, scenario.params) for z, g in zip(world.robots, scenario.goals.pd)]
+    logs = []
+    for switch, set_aside_any in ((n, True), (n + 1, False)):
+        monkeypatch.setattr(cbf, "ARRAY_MIN_ROBOTS", switch)
+        problems = PairField(world, scenario.params).problems(u_hat)
+        assert any(p.index is not None for p in problems) == set_aside_any
+        logs.append(log_to_json(run_scenario(scenario)))
+    assert logs[0] == logs[1]
