@@ -5,8 +5,12 @@ realize exactly the safety distance in the plane while non-edges stay
 strictly wider.  The table compares the combinatorial bounds with the
 geometric census.  A graph that breaks an exact penny-graph rule (the edge
 bound, a K4, or two vertices with three common neighbours) is certified not
-admissible; the rest go to a restart-based, deterministic search, run once
-per isomorphism class and re-checked on every other labeling of the class.
+admissible; the rest are searched for positions.  The table walks
+isomorphism classes: each N's admissible classes grow one vertex at a time
+from the (N-1)-vertex ones, each search starts from the parent class's
+positions (falling back on deterministic seeded restarts), and a class
+counts N!/|Aut| labeled graphs.  The N = 4 breakdown lists labeled graphs,
+from `admissible_report`'s verdict on each.
 
     python demos/census_table.py [--n-max 4] [--attempts 200]
 """

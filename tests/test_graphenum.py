@@ -346,6 +346,75 @@ def test_count_admissible_n5_is_decided_in_full():
         census_table(n_max=6)
 
 
+def test_the_class_generator_gives_every_connected_class_once():
+    # unpruned: every class grows, so the generator must reach all connected graphs
+    classes, per_n = [LabeledGraph(n=1, edges=())], [(1, 1)]
+    for n in range(2, 6):
+        grown = graphenum._one_vertex_extensions(classes)
+        assert set(grown) == {canonical_form(g)[0] for g in enumerate_connected(n)}
+        for mask, (g, aut, parent) in grown.items():
+            assert canonical_form(g)[0] == mask
+            assert g.is_connected()
+            # the first n - 1 vertices are the parent's, labeled alike
+            assert tuple(e for e in g.edges if e[1] < n - 1) == classes[parent].edges
+            relabeled = {p for p in itertools.permutations(range(n))
+                         if {tuple(sorted((p[u], p[v]))) for u, v in g.edges} == set(g.edges)}
+            assert aut == len(relabeled)
+        classes = [g for g, _, _ in grown.values()]
+        per_n.append((len(grown), sum(math.factorial(n) // aut for _, aut, _ in grown.values())))
+    assert [c for c, _ in per_n] == [1, 1, 2, 6, 21]   # OEIS A001349
+    assert [labeled for _, labeled in per_n] == [connected_count(n) for n in range(1, 6)] == [1, 1, 4, 38, 728]
+
+
+def _oracle_rows(n_max: int, attempts: int) -> list[int]:
+    return [sum(1 for _, r in admissible_report(n, attempts) if r.feasible) for n in range(1, n_max + 1)]
+
+
+@pytest.mark.parametrize("attempts", [20, 200])
+def test_census_counts_the_oracles_verdicts_with_and_without_warm_starts(monkeypatch, attempts):
+    oracle = _oracle_rows(5, attempts)
+    assert oracle == [1, 1, 4, 37, 602]
+    assert [r["admissible"] for r in census_table(5, attempts)] == oracle
+    # coincident points give minimize a zero Jacobian, so every warm start
+    # misses and each uncertified class (1 + 2 + 5 + 13) falls back to the search
+    searched = []
+
+    def counted(g, attempts):
+        searched.append(g)
+        return embed_graph(g, attempts)
+
+    monkeypatch.setattr(graphenum, "_warm_start", lambda g, parent: np.zeros(2 * g.n))
+    monkeypatch.setattr(graphenum, "embed_graph", counted)
+    assert [r["admissible"] for r in census_table(5, attempts)] == oracle
+    assert Counter(g.n for g in searched) == {2: 1, 3: 2, 4: 5, 5: 13}
+
+
+def test_small_budgets_move_the_rows_only_upward():
+    # A class whose search fails is not extended, and a warm start embeds
+    # classes that few seeded restarts miss: below 20 attempts the rows are
+    # not the per-labeling oracle's, but never below it.
+    for attempts, oracle, rows in (
+        (1, [1, 1, 4, 16, 242], [1, 1, 4, 37, 602]),
+        (2, [1, 1, 4, 28, 302], [1, 1, 4, 37, 602]),
+        (5, [1, 1, 4, 37, 542], [1, 1, 4, 37, 602]),
+    ):
+        assert _oracle_rows(5, attempts) == oracle
+        assert [r["admissible"] for r in census_table(5, attempts)] == rows
+
+
+def test_census_table_checks_its_counts_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the census started work")
+
+    for name in ("_one_vertex_extensions", "minimize", "embed_graph"):
+        monkeypatch.setattr(graphenum, name, no_work)
+    with pytest.raises(ValueError, match="^attempts must be an integer >= 1, got 0$"):
+        census_table(n_max=5, attempts=0)
+    with pytest.raises(ValueError, match="^n_max must be in 1..5, got 6$"):
+        census_table(n_max=6, attempts=0)
+    assert census_table(n_max=1, attempts=1) == [{"n": 1, "upper": 1, "connected": 1, "admissible": 1, "lower": 1}]
+
+
 def _contact_graph(world: WorldState, params: Params) -> LabeledGraph:
     field = PairField(world, params)
     tol = geometric_tol(params)
